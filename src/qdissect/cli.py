@@ -56,6 +56,12 @@ def cmd_coeff(l: int, m: int, n: int, modulus: int) -> None:
     """Print the (L, M)-regular bipartition count at index N."""
     if n < 0:
         raise click.ClickException("index must be >= 0")
+    if l < 2 or m < 2:
+        raise click.UsageError("regularity indices L and M must be >= 2")
+    if modulus and not 2 <= modulus <= oracle.FAST_MOD_CAP:
+        raise click.BadParameter(
+            f"must be 0 (exact) or in [2, {oracle.FAST_MOD_CAP}]", param_hint="'--mod'"
+        )
     if modulus:
         table = oracle.coeff_fast(l, m, n, modulus)
         click.echo(table[n])

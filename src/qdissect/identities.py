@@ -15,7 +15,6 @@ transcription slip cannot cascade through the remaining stages.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -71,81 +70,23 @@ class IdentityReport:
         return self.status in ("pass", "erratum")
 
 
-def _is_probable_prime(n: int, rounds: int = 24) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    rng = random.Random(0xC0FFEE ^ n)
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _random_primes(seed: str, count: int = 3, bits: int = 62) -> list[int]:
-    rng = random.Random(f"qdissect:{seed}")
-    primes: list[int] = []
-    while len(primes) < count:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_probable_prime(cand) and cand not in primes:
-            primes.append(cand)
-    return primes
-
-
-# Exact checks above this order run modulo several random 62-bit primes
-# instead of over Z (eta-quotient coefficients grow superpolynomially).
-EXACT_ORDER_CAP = 600
-
-
 def verify(case: IdentityCase, order: Optional[int] = None) -> IdentityReport:
     """Evaluate both sides of a case and report pass or first mismatch."""
     n = case.default_order if order is None else order
     t0 = time.perf_counter()
-    detail = case.note
     try:
-        if case.modulus == 0 and n > EXACT_ORDER_CAP:
-            mismatch = None
-            primes = _random_primes(case.id)
-            for p in primes:
-                mismatch = _compare(case, CoeffRing(p), n)
-                if mismatch:
-                    break
-            detail = (detail + " " if detail else "") + (
-                f"exact claim checked mod {len(primes)} random 62-bit primes"
-            )
-        else:
-            ring = EXACT if case.modulus == 0 else CoeffRing(case.modulus)
-            mismatch = _compare(case, ring, n)
+        ring = EXACT if case.modulus == 0 else CoeffRing(case.modulus)
+        a = eval_qexpr(case.lhs, ring, n)
+        b = eval_qexpr(case.rhs, ring, n)
+        ok, idx = series.eq_to_order(a, b, n)
     except Exception as exc:
         raise type(exc)(f"[case {case.id}] {exc}") from exc
     ms = (time.perf_counter() - t0) * 1000
-    if mismatch is None:
-        return IdentityReport(case.id, "pass", n, case.modulus, None, ms, detail)
-    status = "erratum" if case.expect == "record" else "mismatch"
-    return IdentityReport(case.id, status, n, case.modulus, mismatch, ms, detail)
-
-
-def _compare(case: IdentityCase, ring: CoeffRing, n: int) -> Optional[Mismatch]:
-    a = eval_qexpr(case.lhs, ring, n)
-    b = eval_qexpr(case.rhs, ring, n)
-    ok, idx = series.eq_to_order(a, b, n)
     if ok:
-        return None
-    return Mismatch(idx, a[idx], b[idx])
+        return IdentityReport(case.id, "pass", n, case.modulus, None, ms, case.note)
+    status = "erratum" if case.expect == "record" else "mismatch"
+    mismatch = Mismatch(idx, a[idx], b[idx])
+    return IdentityReport(case.id, status, n, case.modulus, mismatch, ms, case.note)
 
 
 # ---------------------------------------------------------------------------

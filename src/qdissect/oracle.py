@@ -145,6 +145,8 @@ def bipartition_counts(l: int, m: int, n_max: int, modulus: int = 0) -> CountTab
 def _pentagonal_taps(limit: int, scale: int = 1) -> list[tuple[int, int]]:
     """Nonzero exponents (with signs) of the Euler product in ``q^scale``,
     excluding the constant term: pairs ``(scale*g_k, (-1)^k)``."""
+    if scale < 1:
+        raise ValueError(f"pentagonal scale must be >= 1, got {scale}")
     taps = []
     k = 1
     while True:
@@ -224,7 +226,7 @@ def _sparse_eta_mult(v: np.ndarray, k: int, p: int) -> np.ndarray:
 
 # int64 headroom: the in-block convolution sums up to block_size * (p-1)^2,
 # so 1024 * (2^26)^2 = 2^62 is the safe ceiling
-_FAST_MOD_CAP = 1 << 26
+FAST_MOD_CAP = 1 << 26
 
 
 def coeff_fast(l: int, m: int, n_max: int, p: int) -> CountTable:
@@ -232,8 +234,8 @@ def coeff_fast(l: int, m: int, n_max: int, p: int) -> CountTable:
 
     Agrees with :func:`bipartition_counts` everywhere both are computed.
     """
-    if not 2 <= p <= _FAST_MOD_CAP:
-        raise ValueError(f"coeff_fast needs a modulus in [2, {_FAST_MOD_CAP}]")
+    if not 2 <= p <= FAST_MOD_CAP:
+        raise ValueError(f"coeff_fast needs a modulus in [2, {FAST_MOD_CAP}]")
     u = _invert_euler(n_max, p)           # 1 / f_1
     v = _invert_euler(n_max, p, seed=u)   # 1 / f_1^2
     w = _sparse_eta_mult(v, l, p)
@@ -243,8 +245,8 @@ def coeff_fast(l: int, m: int, n_max: int, p: int) -> CountTable:
 
 def regular_coeff_fast(l: int, n_max: int, p: int) -> CountTable:
     """Regular-partition counts mod a prime by the same sparse machinery."""
-    if not 2 <= p <= _FAST_MOD_CAP:
-        raise ValueError(f"regular_coeff_fast needs a modulus in [2, {_FAST_MOD_CAP}]")
+    if not 2 <= p <= FAST_MOD_CAP:
+        raise ValueError(f"regular_coeff_fast needs a modulus in [2, {FAST_MOD_CAP}]")
     u = _invert_euler(n_max, p)
     w = _sparse_eta_mult(u, l, p)
     return CountTable("regular", l, 0, n_max, p, w)

@@ -4,17 +4,15 @@ A :class:`Series` carries its own truncation order: coefficients of
 ``q^0 .. q^order`` are tracked explicitly and every operation documents the
 order of its result.  There is no global precision and no floating point.
 
-Exact coefficients are arbitrary-precision Python ints.  Modular series keep
-coefficients reduced to ``[0, M)``; dense modular products are routed through
-``numpy`` when the intermediate values provably fit in ``int64``.
+Exact coefficients are arbitrary-precision Python ints; modular series keep
+coefficients reduced to ``[0, M)``.  Every product, over Z or Z/M, is one
+exact integer multiplication by Kronecker substitution (see :func:`mul`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 
 class RingMismatchError(ValueError):
@@ -177,49 +175,41 @@ def scalar_mul(c: int, a: Series) -> Series:
     return Series(a.ring, [c * x for x in a._coeffs])
 
 
-def _np_safe(modulus: int, length: int) -> bool:
-    # Convolution partial sums are bounded by (M-1)^2 * length; require it to
-    # fit comfortably in int64 before taking the numpy path.
-    return 2 <= modulus and (modulus - 1) ** 2 * length < 2**62
-
-
 def mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated at ``min(a.order, b.order)``.
+    """Cauchy product truncated at ``n = min(a.order, b.order)``.
 
-    Dense-by-dense is the schoolbook product (numpy-backed for modular
-    coefficients when safe); when one factor has few nonzero coefficients the
-    sparse path skips zeros, so pentagonal-support factors cost O(N*sqrt(N)).
+    Kronecker substitution: each factor is packed into one integer, its
+    coefficient ``i`` in a ``w``-bit slot at bit ``w*i``; the two integers are
+    multiplied once, exactly, and the result is ``sum_k c_k 2^(w*k)``.  Each
+    ``c_k`` is a sum of at most ``n+1`` products, so ``|c_k| <= B`` with
+    ``B = max(1, |a|) * max(1, |b|) * (n+1)``, where ``|a|`` is the largest
+    coefficient magnitude of ``a`` (the ``max(1, .)`` also keeps the factors'
+    own coefficients within ``B``).  The slot width is chosen so that
+    ``2^(w-1) > B``: every ``c_k`` plus the half-slot bias ``2^(w-1)`` then
+    lies in ``[0, 2^w)``, so no carry or borrow crosses a slot boundary and
+    the low ``n+1`` slots of the biased product hold ``c_0 .. c_n`` exactly.
+    One routine serves Z and Z/M: modular results are reduced by the
+    :class:`Series` constructor.
     """
     _same_ring(a, b)
     n = min(a.order, b.order)
-    av, bv = a._coeffs, b._coeffs
-    sa = [(i, c) for i, c in enumerate(av[: n + 1]) if c]
-    sb = [(i, c) for i, c in enumerate(bv[: n + 1]) if c]
-    if len(sb) < len(sa):
-        sa, sb = sb, sa
-        av, bv = bv, av
-    out = [0] * (n + 1)
-    if len(sa) * len(sb) <= 8 * (n + 1):
-        # both factors sparse: visit nonzero pairs only
-        for i, ci in sa:
-            for j, cj in sb:
-                k = i + j
-                if k > n:
-                    break
-                out[k] += ci * cj
-        return Series(a.ring, out)
-    if _np_safe(a.ring.modulus, n + 1) and len(sa) * 8 > n + 1:
-        fa = np.array(av[: n + 1], dtype=np.int64)
-        fb = np.array(bv[: n + 1], dtype=np.int64)
-        conv = np.convolve(fa, fb)[: n + 1] % a.ring.modulus
-        return Series(a.ring, conv.tolist())
-    # schoolbook, skipping zeros of the sparser factor
-    for i, ci in sa:
-        for j in range(n - i + 1):
-            cj = bv[j]
-            if cj:
-                out[i + j] += ci * cj
-    return Series(a.ring, out)
+    av, bv = a._coeffs[: n + 1], b._coeffs[: n + 1]
+    bound = max(1, max(map(abs, av))) * max(1, max(map(abs, bv))) * (n + 1)
+    width = bound.bit_length() // 8 + 1  # slot bytes, so that 2^(w-1) > B
+    half = 1 << (8 * width - 1)
+    size = width * (n + 1)
+    bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * (n + 1), "little")
+
+    def pack(cs: tuple[int, ...]) -> int:
+        slots = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        return int.from_bytes(slots, "little") - bias
+
+    pa = pack(av)
+    pb = pa if a is b else pack(bv)
+    raw = ((pa * pb + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    return Series(a.ring, [
+        int.from_bytes(raw[k : k + width], "little") - half for k in range(0, size, width)
+    ])
 
 
 def pow_(a: Series, e: int) -> Series:

@@ -34,6 +34,21 @@ class TestCoeff:
         assert result.exit_code != 0
         assert "--mod" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["1", "7", "10"], ["1", "7", "10", "--mod", "7"],
+        ["3", "0", "10"], ["3", "0", "10", "--mod", "7"],
+    ])
+    def test_regularity_index_below_two_rejected(self, runner, args):
+        result = runner.invoke(main, ["coeff"] + args)
+        assert result.exit_code == 2, result.output
+        assert "must be >= 2" in result.output
+
+    @pytest.mark.parametrize("modulus", ["1", "-5", str(2**40)])
+    def test_bad_modulus_rejected(self, runner, modulus):
+        result = runner.invoke(main, ["coeff", "3", "7", "10", "--mod", modulus])
+        assert result.exit_code == 2, result.output
+        assert "--mod" in result.output
+
 
 class TestVerifyIdentities:
     def test_single_case(self, runner):

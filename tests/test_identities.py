@@ -11,6 +11,7 @@ from qdissect.identities import (
     DilateBack,
     Extract,
     IdentityCase,
+    Mismatch,
     ProofChain,
     ReduceMod,
     Substitute,
@@ -104,20 +105,28 @@ class TestVerify:
         with pytest.raises(Exception, match="inv-fail"):
             verify(bad)
 
-    def test_multiprime_path_for_large_orders(self):
+    def test_exact_over_z_at_large_order(self):
         case = IdentityCase("big", "t", EtaF(1), EtaF(1), default_order=620)
         rep = verify(case)
         assert rep.status == "pass"
-        assert "62-bit primes" in rep.detail
+        assert "prime" not in rep.detail
 
-    def test_multiprime_path_catches_mismatch(self):
+    def test_exact_large_order_catches_mismatch(self):
         case = IdentityCase(
             "big-bad", "t", EtaF(1),
             Sum(((1, EtaF(1)), (1, Q(610)))), default_order=620,
         )
         rep = verify(case)
         assert rep.status == "mismatch"
-        assert rep.first_mismatch.exponent == 610
+        assert rep.first_mismatch == Mismatch(610, 1, 2)
+
+    def test_exact_large_order_reports_integer_coefficients(self):
+        # f_1 has coefficient -1 at the pentagonal number 651 = 21*62/2
+        case = IdentityCase(
+            "big-neg", "t", EtaF(1),
+            Sum(((1, EtaF(1)), (1, Q(651)))), default_order=700,
+        )
+        assert verify(case).first_mismatch == Mismatch(651, -1, 0)
 
 
 class TestCatalogOutcomes:

@@ -132,6 +132,11 @@ class TestFastPath:
         slow = regular_counts(17, 1500, modulus=17)
         assert list(fast.values) == list(slow.values)
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_pentagonal_scale_below_one_rejected(self, scale):
+        with pytest.raises(ValueError):
+            oracle._pentagonal_taps(10, scale=scale)
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):

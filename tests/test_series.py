@@ -29,7 +29,7 @@ from qdissect.series import (
     sub,
     zero,
 )
-from conftest import brute_pochhammer, random_series
+from conftest import brute_mul, brute_pochhammer, random_series
 
 
 def euler_product(order: int, ring=EXACT) -> Series:
@@ -300,3 +300,56 @@ def test_exact_and_modular_paths_commute(data, p):
     assert reduce_mod(pow_(a, 3), p) == pow_(ra, 3)
     assert reduce_mod(dilate(a, 3), p) == dilate(ra, 3)
     assert reduce_mod(extract(a, 1, 2), p) == extract(ra, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# mul against the plain double loop, at coefficient sizes that stress the slot
+# width (big exact values, moduli up to 62 bits, operands at the slot bound)
+# ---------------------------------------------------------------------------
+
+# 2^62 - 57 is the largest prime below 2^62
+MUL_MODULI = [0, 2, 97, 2**61 - 1, 2**62 - 57]
+
+
+@st.composite
+def _mul_factor(draw, modulus: int, order: int) -> list[int]:
+    top = modulus - 1 if modulus else draw(st.sampled_from([1, 127, 2**64, 2**300]))
+    shape = draw(st.sampled_from(["dense", "lacunary", "zero", "all-max", "all-neg"]))
+    if shape == "zero":
+        return [0] * (order + 1)
+    if shape in ("all-max", "all-neg"):
+        return [top if shape == "all-max" else -top] * (order + 1)
+    coeff = st.integers(min_value=-top, max_value=top)
+    if shape == "dense":
+        return draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))
+    support = draw(st.sets(st.integers(min_value=0, max_value=order), max_size=3))
+    return [draw(coeff) if i in support else 0 for i in range(order + 1)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    modulus=st.sampled_from(MUL_MODULI),
+    order_a=st.integers(min_value=0, max_value=40),
+    order_b=st.integers(min_value=0, max_value=40),
+)
+def test_mul_matches_double_loop(data, modulus, order_a, order_b):
+    ring = EXACT if modulus == 0 else CoeffRing(modulus)
+    a = data.draw(_mul_factor(modulus, order_a))
+    b = data.draw(_mul_factor(modulus, order_b))
+    sa, sb = Series(ring, a), Series(ring, b)
+    n = min(order_a, order_b)
+    assert mul(sa, sb) == Series(ring, brute_mul(a, b, n))
+    assert mul(sa, sa) == Series(ring, brute_mul(a, a, order_a))
+
+
+@pytest.mark.parametrize("top", [1, 127, 128, 2**300])
+@pytest.mark.parametrize("order", [0, 1, 30])
+def test_mul_at_slot_bound(top, order):
+    # all-equal operands make c_n = (n+1) * top^2, exactly the slot bound
+    pos = Series(EXACT, [top] * (order + 1))
+    neg = Series(EXACT, [-top] * (order + 1))
+    square = tuple((k + 1) * top * top for k in range(order + 1))
+    assert mul(pos, pos).coeffs == square
+    assert mul(neg, neg).coeffs == square
+    assert mul(pos, neg).coeffs == tuple(-c for c in square)
