@@ -176,24 +176,27 @@ class TableCache:
         return needs
 
     def _from_disk(self, spec: SourceSpec, p: int, order: int) -> Optional[CountTable]:
+        """Smallest cached table for this stream covering ``order``; a file is
+        used only when its header names the requested stream and range."""
         if not self.cache_dir:
             return None
-        best: Optional[Path] = None
-        best_n = -1
-        pattern = f"{spec.kind}-{spec.l}-{spec.m}-*-m{p}.qdct"
-        for path in self.cache_dir.glob(pattern):
+        candidates = []
+        for path in self.cache_dir.glob(f"{spec.kind}-{spec.l}-{spec.m}-*-m{p}.qdct"):
             try:
                 n = int(path.name.split("-")[3])
             except (IndexError, ValueError):
                 continue
-            if n >= order and (best is None or n < best_n):
-                best, best_n = path, n
-        if best is None:
-            return None
-        try:
-            return CountTable.load(best)
-        except (ValueError, OSError):
-            return None
+            if n >= order:
+                candidates.append((n, path))
+        for _, path in sorted(candidates):
+            try:
+                table = CountTable.load(path)
+            except (ValueError, OSError):
+                continue
+            if ((table.kind, table.l, table.m, table.modulus) == (spec.kind, spec.l, spec.m, p)
+                    and table.n_max >= order):
+                return table
+        return None
 
     def get(self, spec: SourceSpec, p: int, order: int) -> CountTable:
         key = (spec, p)
@@ -215,11 +218,7 @@ class TableCache:
 def _run_families(family_ids, n_max, include_slow, cache_dir) -> list[dict]:
     catalog = congruences.build_families()
     if family_ids:
-        index = {f.id: f for f in catalog}
-        unknown = [fid for fid in family_ids if fid not in index]
-        if unknown:
-            raise click.ClickException(f"unknown family ids: {', '.join(unknown)}")
-        selected = [index[fid] for fid in family_ids]
+        selected = _select(family_ids, {f.id: f for f in catalog}, "family")
     else:
         selected = [f for f in catalog if include_slow or not f.slow]
 
@@ -234,18 +233,11 @@ def _run_families(family_ids, n_max, include_slow, cache_dir) -> list[dict]:
             rkey = (fam.relation.ref_source, fam.modulus)
             ref_table = cache.get(fam.relation.ref_source, fam.modulus, needs.get(rkey, 0))
         rep = verify_family(fam, source, n_max=n_max, ref_source=ref_table)
-        if rep.status == "fail" and rep.expect == "record":
-            status = "erratum"
-        elif rep.status == "fail":
-            status = "fail"
-        elif rep.status == "skipped":
-            status = "skipped"
-        else:
-            status = "pass"
         rows.append({
             "id": fam.id,
             "kind": "family",
-            "status": status,
+            "status": "erratum" if rep.status == "fail" and rep.expect == "record"
+                      else rep.status,
             "modulus": fam.modulus,
             "n_max": rep.n_max,
             "params_tested": [dict(p) for p in rep.params_tested],
@@ -260,6 +252,8 @@ def _run_families(family_ids, n_max, include_slow, cache_dir) -> list[dict]:
                 for p, reason, idx in rep.skipped
             ],
             "source": rep.source_desc,
+            "formula": fam.index.formula,
+            "max_index": rep.max_index,
             "runtime_ms": round(rep.runtime_ms, 1),
             "detail": fam.note,
         })
@@ -353,7 +347,11 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
 
     reg = build_registry()
     if registry_file:
-        extra = load_cases(registry_file)
+        try:
+            extra = load_cases(registry_file, taken=[c.id for c in reg.cases])
+        except (ValueError, OSError) as exc:
+            raise click.BadParameter(f"{registry_file}: {exc}",
+                                     param_hint="'--registry-file'") from None
         reg = Registry(reg.cases + extra, reg.chains)
 
     if case_ids or chain_ids or family_ids:

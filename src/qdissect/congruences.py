@@ -11,13 +11,20 @@ The closed-form constants of the lemma combinations live in order-2 integer
 recurrences (``s_{k+1} = alpha*s_k + beta*s_{k-1}``); their initial values
 were re-derived from the closed forms by exact surd arithmetic, which pins
 ``(s0, s1) = (0, 1)`` for each main sequence and ``(1, 0)`` for its companion.
+
+An :class:`AffineIndex` is plain data, ``scale * n + offset`` with both parts
+integer expressions in ``m`` and ``k`` (int literals, unary ``-``, ``+ - * **``,
+and ``/`` as exact division), validated when built; its ``formula`` is derived.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import lru_cache
+from typing import Optional, Union
 
 from .oracle import CountTable
 
@@ -118,20 +125,71 @@ class SourceSpec:
         return f"B_{{{self.l},{self.m}}}"
 
 
+def _int_pow(base: int, exp: int) -> int:
+    if exp < 0:
+        raise ArithmeticError(f"negative exponent {exp} in an index expression")
+    return base ** exp
+
+
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Pow: _int_pow, ast.Div: exact_div}
+_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.USub, ast.Constant, ast.Name,
+          ast.Load, *_BINOPS)
+
+
+@lru_cache(maxsize=1024)
+def _parse(text: str) -> ast.expr:
+    """Syntax tree of an index expression, with every node checked; the tree
+    is shared between callers and never mutated."""
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"index expression {text!r}: {exc.msg}") from None
+    for node in ast.walk(tree):
+        if (not isinstance(node, _NODES)
+                or isinstance(node, ast.Constant) and type(node.value) is not int
+                or isinstance(node, ast.Name) and node.id not in ("m", "k")):
+            raise ValueError(f"index expression {text!r}: "
+                             f"{ast.unparse(node) or type(node).__name__} is not allowed")
+    return tree.body
+
+
+def _eval(node: ast.expr, m: int, k: int) -> int:
+    if isinstance(node, ast.BinOp):
+        return _BINOPS[type(node.op)](_eval(node.left, m, k), _eval(node.right, m, k))
+    if isinstance(node, ast.UnaryOp):
+        return -_eval(node.operand, m, k)
+    if isinstance(node, ast.Name):
+        return m if node.id == "m" else k
+    return node.value
+
+
 @dataclass(frozen=True)
 class AffineIndex:
-    """``index(n; m, k) = scale(m, k) * n + offset(m, k)``."""
+    """``index(n; m, k) = scale * n + offset``; both are expressions in m, k."""
 
-    formula: str
-    scale: Callable[[int, int], int]
-    offset: Callable[[int, int], int]
+    scale: str
+    offset: str = "0"
+
+    def __post_init__(self):
+        _parse(self.scale)
+        _parse(self.offset)
+
+    @property
+    def formula(self) -> str:
+        n_term = ast.BinOp(_parse(self.scale), ast.Mult(), ast.Name("n"))
+        return ast.unparse(ast.BinOp(n_term, ast.Add(), _parse(self.offset)))
+
+    def coeffs(self, m: int = 0, k: int = 0) -> tuple[int, int]:
+        return _eval(_parse(self.scale), m, k), _eval(_parse(self.offset), m, k)
 
     def at(self, n: int, m: int = 0, k: int = 0) -> int:
-        return self.scale(m, k) * n + self.offset(m, k)
+        scale, offset = self.coeffs(m, k)
+        return scale * n + offset
 
 
 def plain_index(scale: int = 1, offset: int = 0) -> AffineIndex:
-    return AffineIndex(f"{scale}n+{offset}", lambda m, k: scale, lambda m, k: offset)
+    return AffineIndex(str(scale), str(offset))
 
 
 @dataclass(frozen=True)
@@ -199,33 +257,57 @@ class FamilyReport:
     runtime_ms: float
     expect: str = "pass"
     note: str = ""
+    max_index: Optional[int] = None  # largest index read by a tested instance
 
     @property
     def ok(self) -> bool:
         return self.status != "fail" or self.expect == "record"
 
 
+_Pairs = list[tuple[int, int]]  # (scale, offset) of index maps at one (m, k)
+
+
+def _instance_maps(family: CongruenceFamily, m: int, k: int) -> tuple[_Pairs, _Pairs]:
+    """``(scale, offset)`` of every map read at instance (m, k): first those
+    read from the source table (the family's index, then the relation's
+    references in order), then those read from a separate reference table."""
+    rel = family.relation
+    src = [family.index.coeffs(m, k)]
+    ref: _Pairs = []
+    if isinstance(rel, Recur):
+        (src if rel.ref_source is None else ref).append(rel.ref.coeffs(m, k))
+    elif isinstance(rel, ThreeTerm):
+        src += [rel.ref1.coeffs(m, k), rel.ref2.coeffs(m, k)]
+    return src, ref
+
+
+def _top(pairs: _Pairs, n: int) -> int:
+    return max((scale * n + offset for scale, offset in pairs), default=0)
+
+
+def _first_uncovered(pairs: _Pairs, n_top: int, limit: int) -> int:
+    """Smallest index above ``limit`` that some map reads at an n <= n_top."""
+    return min(
+        (offset if offset > limit else scale * ((limit - offset) // scale + 1) + offset
+         for scale, offset in pairs if scale * n_top + offset > limit),
+        default=limit + 1,
+    )
+
+
 def required_order(family: CongruenceFamily, n_max: Optional[int] = None,
                    index_cap: int = DESK_INDEX_CAP) -> dict[SourceSpec, int]:
     """Largest table index each source needs, over the non-skipped instances."""
     n = family.default_n_max if n_max is None else n_max
+    ref_spec = getattr(family.relation, "ref_source", None)
     needs: dict[SourceSpec, int] = {}
-
-    def bump(spec: SourceSpec, idx: int) -> None:
-        needs[spec] = max(needs.get(spec, 0), idx)
-
     for m in family.m_values:
         for k in family.k_values:
-            top = family.index.at(n, m, k)
-            if top > index_cap:
+            src, ref = _instance_maps(family, m, k)
+            if _top(src + ref, n) > index_cap:
                 continue
-            bump(family.source, top)
-            rel = family.relation
-            if isinstance(rel, Recur):
-                bump(rel.ref_source or family.source, rel.ref.at(n, m, k))
-            elif isinstance(rel, ThreeTerm):
-                bump(family.source, rel.ref1.at(n, m, k))
-                bump(family.source, rel.ref2.at(n, m, k))
+            needs[family.source] = max(needs.get(family.source, 0), _top(src, n))
+            if ref:
+                needs[ref_spec] = max(needs.get(ref_spec, 0), _top(ref, n))
     return needs
 
 
@@ -252,77 +334,49 @@ def verify_family(
     violations: list[Violation] = []
     tested: list[tuple[tuple[str, int], ...]] = []
     skipped: list[tuple[tuple[tuple[str, int], ...], str, int]] = []
-
-    def val(table: CountTable, idx: int) -> int:
-        return table[idx] % p
-
-    def first_uncovered(maps: list[AffineIndex], m: int, k: int, limit: int) -> int:
-        """Smallest progression index (n <= n_top) exceeding ``limit``."""
-        smallest = None
-        for ix in maps:
-            if ix.at(n_top, m, k) <= limit:
-                continue
-            offset, scale = ix.offset(m, k), ix.scale(m, k)
-            n = 0 if offset > limit else (limit - offset) // scale + 1
-            idx = ix.at(n, m, k)
-            smallest = idx if smallest is None else min(smallest, idx)
-        return smallest if smallest is not None else limit + 1
+    max_index: Optional[int] = None
 
     for m in family.m_values:
         for k in family.k_values:
             params = (("m", m), ("k", k))
-            src_maps = [family.index]
-            ref_maps: list[AffineIndex] = []
-            if isinstance(rel, Recur):
-                ref_maps = [rel.ref]
-                if rel.ref_source is None:
-                    src_maps += ref_maps
-                    ref_maps = []
-            elif isinstance(rel, ThreeTerm):
-                src_maps += [rel.ref1, rel.ref2]
-            src_top = max(ix.at(n_top, m, k) for ix in src_maps)
-            ref_top = max((ix.at(n_top, m, k) for ix in ref_maps), default=0)
+            src, ref = _instance_maps(family, m, k)
+            src_top, ref_top = _top(src, n_top), _top(ref, n_top)
             if max(src_top, ref_top) > index_cap:
                 skipped.append((params, "index exceeds desk scale",
-                                first_uncovered(src_maps + ref_maps, m, k, index_cap)))
+                                _first_uncovered(src + ref, n_top, index_cap)))
                 continue
             if src_top > source.n_max:
                 skipped.append((params, "source table too small",
-                                first_uncovered(src_maps, m, k, source.n_max)))
+                                _first_uncovered(src, n_top, source.n_max)))
                 continue
             if ref_top > ref_table.n_max:
                 skipped.append((params, "reference table too small",
-                                first_uncovered(ref_maps, m, k, ref_table.n_max)))
+                                _first_uncovered(ref, n_top, ref_table.n_max)))
                 continue
             tested.append(params)
+            max_index = max(max_index or 0, src_top, ref_top)
+            if isinstance(rel, Recur):
+                weights = [pow(rel.constant, m, p)]
+            elif isinstance(rel, ThreeTerm):
+                weights = [rel.c1, rel.c2]
+            else:
+                weights = []
+            (scale, offset), *pairs = src + ref
+            tables = [source] * (len(src) - 1) + [ref_table] * len(ref)
+            terms = list(zip(weights, tables, pairs))
             for n in range(n_top + 1):
-                idx = family.index.at(n, m, k)
-                got = val(source, idx)
-                if isinstance(rel, Zero):
-                    expected = 0
-                elif isinstance(rel, Recur):
-                    expected = (
-                        pow(rel.constant, m, p) * val(ref_table, rel.ref.at(n, m, k))
-                    ) % p
-                else:
-                    expected = (
-                        rel.c1 * val(source, rel.ref1.at(n, m, k))
-                        + rel.c2 * val(source, rel.ref2.at(n, m, k))
-                    ) % p
+                idx = scale * n + offset
+                got = source[idx] % p
+                expected = sum(w * table[s * n + o] for w, table, (s, o) in terms) % p
                 if got != expected:
                     violations.append(Violation(params, n, idx, got, expected))
 
-    if violations:
-        status = "fail"
-    elif tested:
-        status = "pass"
-    else:
-        status = "skipped"
+    status = "fail" if violations else "pass" if tested else "skipped"
     ms = (time.perf_counter() - t0) * 1000
     return FamilyReport(
         family.id, p, n_top, tuple(tested), tuple(violations), tuple(skipped),
         status, f"{family.source.describe()} table to {source.n_max} mod {source.modulus}",
-        ms, family.expect, family.note,
+        ms, family.expect, family.note, max_index,
     )
 
 
@@ -338,8 +392,7 @@ def verify_three_term(
     lhs, ref1, ref2 = maps
     fam = CongruenceFamily(
         relation_id, "adhoc", p,
-        SourceSpec("bipartite" if source.kind == "bipartite" else "regular",
-                   source.l, source.m),
+        SourceSpec(source.kind, source.l, source.m),
         lhs, ThreeTerm(coeffs[0], ref1, coeffs[1], ref2),
         default_n_max=n_max,
     )
@@ -349,11 +402,6 @@ def verify_three_term(
 # ---------------------------------------------------------------------------
 # family catalog
 # ---------------------------------------------------------------------------
-
-def _pow_index(base_pow: Callable[[int, int], int],
-               offset: Callable[[int, int], int], formula: str) -> AffineIndex:
-    return AffineIndex(formula, base_pow, offset)
-
 
 def build_families() -> list[CongruenceFamily]:
     """All congruence families, in catalog order."""
@@ -377,35 +425,27 @@ def build_families() -> list[CongruenceFamily]:
     ))
     fams.append(CongruenceFamily(
         "ak1", "s3", 7, B37,
-        _pow_index(lambda m, k: 4 ** (7 * m),
-                   lambda m, k: exact_div(4 ** (7 * m) - 1, 3),
-                   "4^(7m) n + (4^(7m)-1)/3"),
+        AffineIndex("4 ** (7 * m)", "(4 ** (7 * m) - 1) / 3"),
         Recur(3, plain_index(1, 0)),
         m_values=(0, 1), default_n_max=100,
     ))
     fams.append(CongruenceFamily(
         "ak2", "s3", 7, B37,
-        _pow_index(lambda m, k: 4 ** (7 * m + 7),
-                   lambda m, k: exact_div(10 * 4 ** (7 * m + 6) - 1, 3),
-                   "4^(7m+7) n + (10*4^(7m+6)-1)/3"),
+        AffineIndex("4 ** (7 * m + 7)", "(10 * 4 ** (7 * m + 6) - 1) / 3"),
         Zero(),
         m_values=(0,), default_n_max=100,
     ))
 
     fams.append(CongruenceFamily(
         "0a1", "s4", 3, B95,
-        _pow_index(lambda m, k: 5 ** (4 * m),
-                   lambda m, k: exact_div(5 ** (4 * m) - 1, 2),
-                   "5^(4m) n + (5^(4m)-1)/2"),
+        AffineIndex("5 ** (4 * m)", "(5 ** (4 * m) - 1) / 2"),
         Recur(2, plain_index(1, 0)),
         m_values=(0, 1), default_n_max=2000,
         note="m=1 instance is the section-4 base relation",
     ))
     fams.append(CongruenceFamily(
         "0a2", "s4", 3, B95,
-        _pow_index(lambda m, k: 5 ** (4 * m + 4),
-                   lambda m, k: exact_div((2 * k + 1) * 5 ** (4 * m + 3) - 1, 2),
-                   "5^(4m+4) n + ((2k+1)5^(4m+3)-1)/2"),
+        AffineIndex("5 ** (4 * m + 4)", "((2 * k + 1) * 5 ** (4 * m + 3) - 1) / 2"),
         Zero(),
         m_values=(0,), k_values=(4, 5), default_n_max=2000,
     ))
@@ -419,9 +459,7 @@ def build_families() -> list[CongruenceFamily]:
     ))
     fams.append(CongruenceFamily(
         "thm12", "s5", 11, B511,
-        _pow_index(lambda m, k: 5 ** (12 * m),
-                   lambda m, k: exact_div(7 * 5 ** (12 * m) - 7, 12),
-                   "5^(12m) n + (7*5^(12m)-7)/12"),
+        AffineIndex("5 ** (12 * m)", "(7 * 5 ** (12 * m) - 7) / 12"),
         Recur(2, plain_index(1, 0)),
         m_values=(0, 1), default_n_max=100,
         note="m>=1 indices are beyond desk scale; assurance is the replayed "
@@ -429,9 +467,7 @@ def build_families() -> list[CongruenceFamily]:
     ))
     fams.append(CongruenceFamily(
         "thm13", "s5", 11, B511,
-        _pow_index(lambda m, k: 5 ** (12 * m + 12),
-                   lambda m, k: exact_div((12 * k + 11) * 5 ** (12 * m + 11) - 7, 12),
-                   "5^(12m+12) n + ((12k+11)5^(12m+11)-7)/12"),
+        AffineIndex("5 ** (12 * m + 12)", "((12 * k + 11) * 5 ** (12 * m + 11) - 7) / 12"),
         Zero(),
         m_values=(0,), k_values=(4, 5), default_n_max=100,
         note="source statement omits n on the leading power; read as "
@@ -447,31 +483,27 @@ def build_families() -> list[CongruenceFamily]:
     ))
     fams.append(CongruenceFamily(
         "thm14", "s6", 13, B513,
-        _pow_index(lambda m, k: 5 ** (6 * m),
-                   lambda m, k: exact_div(2 * 5 ** (6 * m) - 2, 3),
-                   "5^(6m) n + (2*5^(6m)-2)/3"),
+        AffineIndex("5 ** (6 * m)", "(2 * 5 ** (6 * m) - 2) / 3"),
         Recur(8, plain_index(1, 0)),
         m_values=(0, 1), default_n_max=79,
     ))
     fams.append(CongruenceFamily(
         "thm15", "s6", 13, B513,
-        _pow_index(lambda m, k: 5 ** (6 * m + 6),
-                   lambda m, k: exact_div((3 * k + 1) * 5 ** (6 * m + 5) - 2, 3),
-                   "5^(6m+6) n + ((3k+1)5^(6m+5)-2)/3"),
+        AffineIndex("5 ** (6 * m + 6)", "((3 * k + 1) * 5 ** (6 * m + 5) - 2) / 3"),
         Zero(),
         m_values=(0,), k_values=(1, 5), default_n_max=79,
     ))
 
     fams.append(CongruenceFamily(
         "x1", "s8", 11, B28,
-        AffineIndex("8(11n+k)+7", lambda m, k: 88, lambda m, k: 8 * k + 7),
+        AffineIndex("88", "8 * k + 7"),
         Zero(),
         k_values=tuple(range(1, 11)), default_n_max=500,
     ))
 
     fams.append(CongruenceFamily(
         "s8", "s7", 17, B8117,
-        AffineIndex("27(3n+k)+23", lambda m, k: 81, lambda m, k: 27 * k + 23),
+        AffineIndex("81", "27 * k + 23"),
         Zero(),
         k_values=(2, 3), default_n_max=300,
     ))
@@ -484,35 +516,33 @@ def build_families() -> list[CongruenceFamily]:
     ))
     fams.append(CongruenceFamily(
         "7.15", "s7", 17, b17,
-        plain_index(4 ** 8, exact_div(2 * (4 ** 8 - 1), 3)),
+        AffineIndex("4 ** 8", "2 * (4 ** 8 - 1) / 3"),
         ThreeTerm(2, plain_index(4, 2), 13, plain_index(1, 0)),
         default_n_max=15,
         note="imported order-2 lemma instance at k=8, checked empirically",
     ))
     fams.append(CongruenceFamily(
         "s10", "s7", 17, b17,
-        plain_index(4 ** 9, exact_div(2 * (4 ** 8 - 1), 3)),
+        AffineIndex("4 ** 9", "2 * (4 ** 8 - 1) / 3"),
         Zero(),
         default_n_max=4,
     ))
     fams.append(CongruenceFamily(
         "s11", "s7", 17, b17,
-        plain_index(4 ** 9, exact_div(2 * (4 ** 9 - 1), 3)),
+        AffineIndex("4 ** 9", "2 * (4 ** 9 - 1) / 3"),
         Recur(8, plain_index(1, 0)),
         m_values=(1,), default_n_max=4,
     ))
     fams.append(CongruenceFamily(
         "s12", "s7", 17, b17,
-        plain_index(2 * 4 ** 8, exact_div(5 * 4 ** 8 - 2, 3)),
+        AffineIndex("2 * 4 ** 8", "(5 * 4 ** 8 - 2) / 3"),
         Recur(1, plain_index(2, 1)),
         m_values=(1,), default_n_max=9,
     ))
 
     fams.append(CongruenceFamily(
         "dou", "s1", 11, B311,
-        _pow_index(lambda m, k: 3 ** m,
-                   lambda m, k: exact_div(5 * 3 ** (m - 1) - 1, 2),
-                   "3^a n + (5*3^(a-1)-1)/2  (a = m)"),
+        AffineIndex("3 ** m", "(5 * 3 ** (m - 1) - 1) / 2"),
         Zero(),
         m_values=(2, 3), default_n_max=3000,
         note="imported result, verified empirically for a = 2, 3",
@@ -523,9 +553,7 @@ def build_families() -> list[CongruenceFamily]:
     # separately and the outcomes recorded.
     fams.append(CongruenceFamily(
         "s13", "s7", 17, B8117,
-        _pow_index(lambda m, k: 81 * 4 ** (9 * m),
-                   lambda m, k: 81 * exact_div(2 * 4 ** (8 * m) - 2, 3) + 50,
-                   "81*4^(9m) n + 81(2*4^(8m)-2)/3 + 50"),
+        AffineIndex("81 * 4 ** (9 * m)", "81 * ((2 * 4 ** (8 * m) - 2) / 3) + 50"),
         Zero(),
         m_values=(1,), default_n_max=1, slow=True,
         note="printed mixed-exponent reading, from m = 1 on",
@@ -542,9 +570,7 @@ def build_families() -> list[CongruenceFamily]:
     ))
     fams.append(CongruenceFamily(
         "s13-uniform", "s7", 17, B8117,
-        _pow_index(lambda m, k: 81 * 4 ** (9 * m),
-                   lambda m, k: 81 * exact_div(2 * 4 ** (9 * m) - 2, 3) + 50,
-                   "81*4^(9m) n + 81(2*4^(9m)-2)/3 + 50"),
+        AffineIndex("81 * 4 ** (9 * m)", "81 * ((2 * 4 ** (9 * m) - 2) / 3) + 50"),
         Zero(),
         m_values=(1,), default_n_max=0, slow=True, expect="record",
         note="uniform-exponent reading probe; expected to violate (it is the "
@@ -552,17 +578,13 @@ def build_families() -> list[CongruenceFamily]:
     ))
     fams.append(CongruenceFamily(
         "s14", "s7", 17, B8117,
-        _pow_index(lambda m, k: 81 * 4 ** (9 * m),
-                   lambda m, k: 81 * exact_div(2 * 4 ** (9 * m) - 2, 3) + 50,
-                   "81*4^(9m) n + 81(2*4^(9m)-2)/3 + 50"),
+        AffineIndex("81 * 4 ** (9 * m)", "81 * ((2 * 4 ** (9 * m) - 2) / 3) + 50"),
         Recur(8, plain_index(81, 50)),
         m_values=(0, 1), default_n_max=0, slow=True,
     ))
     fams.append(CongruenceFamily(
         "s15-printed", "s7", 17, B8117,
-        _pow_index(lambda m, k: 162 * 4 ** (8 * m),
-                   lambda m, k: 81 * exact_div(5 * 4 ** (8 * m) - 2, 3) + 50,
-                   "162*4^(8m) n + 81(5*4^(8m)-2)/3 + 50"),
+        AffineIndex("162 * 4 ** (8 * m)", "81 * ((5 * 4 ** (8 * m) - 2) / 3) + 50"),
         Recur(5, plain_index(162, 131)),
         m_values=(0, 1), default_n_max=1, slow=True, expect="record",
         note="printed constant 5^m; the composed derivation suggests constant 1, "
@@ -570,9 +592,7 @@ def build_families() -> list[CongruenceFamily]:
     ))
     fams.append(CongruenceFamily(
         "s15-unit", "s7", 17, B8117,
-        _pow_index(lambda m, k: 162 * 4 ** (8 * m),
-                   lambda m, k: 81 * exact_div(5 * 4 ** (8 * m) - 2, 3) + 50,
-                   "162*4^(8m) n + 81(5*4^(8m)-2)/3 + 50"),
+        AffineIndex("162 * 4 ** (8 * m)", "81 * ((5 * 4 ** (8 * m) - 2) / 3) + 50"),
         Recur(1, plain_index(162, 131)),
         m_values=(1,), default_n_max=1, slow=True, expect="record",
         note="constant-1 reading probe for the same progression",

@@ -15,6 +15,7 @@ pentagonal factors are multiplied in, all O(N*sqrt(N)) time and O(N) memory.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +57,7 @@ class CountTable:
     _MAGIC = b"QDCT\x01\x00\x00\x00"
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write the table to disk (modular tables only; entries fit int64)."""
+        """Write the table to disk atomically (modular tables only; entries fit int64)."""
         if self.modulus < 2:
             raise ValueError("only modular tables are cacheable")
         kind_code = 0 if self.kind == "regular" else 1
@@ -64,9 +65,16 @@ class CountTable:
             "<QQQQQ", kind_code, self.l, self.m, self.n_max, self.modulus
         )
         arr = np.asarray(self.values, dtype="<i8")
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(arr.tobytes())
+        path = Path(path)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(header)
+                fh.write(arr.tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CountTable":

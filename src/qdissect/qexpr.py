@@ -385,11 +385,14 @@ def parse_sexpr(text: str) -> QExpr:
     def fail(msg: str):
         raise ValueError(f"parse error at token {pos}: {msg} in {text!r}")
 
-    def next_tok() -> str:
-        nonlocal pos
+    def peek() -> str:
         if pos >= len(tokens):
             fail("unexpected end of input")
-        tok = tokens[pos]
+        return tokens[pos]
+
+    def next_tok() -> str:
+        nonlocal pos
+        tok = peek()
         pos += 1
         return tok
 
@@ -424,7 +427,7 @@ def parse_sexpr(text: str) -> QExpr:
             node = Theta(parse_int(), parse_int(), parse_int(), parse_int())
         elif head == "mul":
             factors = []
-            while tokens[pos] != ")":
+            while peek() != ")":
                 factors.append(parse_expr())
             node = Mul(tuple(factors))
         elif head == "pow":
@@ -435,7 +438,7 @@ def parse_sexpr(text: str) -> QExpr:
             node = Dilate(child, parse_int())
         elif head == "sum":
             terms = []
-            while tokens[pos] != ")":
+            while peek() != ")":
                 if next_tok() != "(":
                     fail("expected '(' opening a sum term")
                 coeff = parse_int()
@@ -450,7 +453,10 @@ def parse_sexpr(text: str) -> QExpr:
             fail("expected ')'")
         return node
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        fail("expression nested too deeply")
     if pos != len(tokens):
         fail("trailing tokens")
     return result

@@ -697,29 +697,42 @@ def dump_cases(cases: Iterable[IdentityCase]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cases(text: str, section: str = "user") -> list[IdentityCase]:
+def parse_cases(text: str, section: str = "user",
+                taken: Iterable[str] = ()) -> list[IdentityCase]:
+    """Cases from registry text.  Every malformed line, or an id that repeats
+    one in ``taken`` or earlier in the text, is a ``ValueError`` naming the line."""
+    seen = set(taken)
     cases = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("|")
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 '|'-separated fields")
-        case_id, mode, order, lhs, rhs = (p.strip() for p in parts)
-        if mode == "exact":
-            modulus = 0
-        elif mode.startswith("mod"):
-            modulus = int(mode[3:])
-        else:
-            raise ValueError(f"line {lineno}: mode must be 'exact' or 'modM'")
-        cases.append(
-            IdentityCase(case_id, section, parse_sexpr(lhs), parse_sexpr(rhs),
-                         modulus=modulus, default_order=int(order))
-        )
+        if line and not line.startswith("#"):
+            try:
+                cases.append(_parse_case(line, section, seen))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return cases
 
 
-def load_cases(path) -> list[IdentityCase]:
+def _parse_case(line: str, section: str, seen: set[str]) -> IdentityCase:
+    parts = [p.strip() for p in line.split("|")]
+    if len(parts) != 5:
+        raise ValueError(f"expected 5 '|'-separated fields, got {len(parts)}")
+    case_id, mode, order, lhs, rhs = parts
+    if not case_id or case_id in seen:
+        raise ValueError(f"identity id {case_id!r} is empty or already defined")
+    seen.add(case_id)
+    if mode == "exact":
+        modulus = 0
+    elif mode.startswith("mod") and mode[3:].isdecimal() and int(mode[3:]) >= 2:
+        modulus = int(mode[3:])
+    else:
+        raise ValueError(f"mode must be 'exact' or 'modM' with M >= 2, got {mode!r}")
+    if not order.isdecimal() or int(order) < 1:
+        raise ValueError(f"order must be a positive integer, got {order!r}")
+    return IdentityCase(case_id, section, parse_sexpr(lhs), parse_sexpr(rhs),
+                        modulus=modulus, default_order=int(order))
+
+
+def load_cases(path, taken: Iterable[str] = ()) -> list[IdentityCase]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_cases(fh.read())
+        return parse_cases(fh.read(), taken=taken)

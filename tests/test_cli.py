@@ -7,6 +7,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from qdissect import oracle
 from qdissect.cli import main
 
 
@@ -130,6 +131,30 @@ class TestVerifyFamilies:
         second = runner.invoke(main, args)
         assert second.exit_code == 0 and "PASS" in second.output
 
+    def test_cache_ignores_file_for_another_stream(self, runner, tmp_path):
+        # a (3,11) mod 11 table saved under the name of a (3,7) mod 7 table
+        oracle.coeff_fast(3, 11, 2000, 11).save(tmp_path / "bipartite-3-7-2000-m7.qdct")
+        args = ["verify", "--family", "w.11", "--n-max", "100", "--cache-dir", str(tmp_path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0 and "PASS" in result.output
+        assert "violation" not in result.output
+        # the right table was built and cached next to the mislabelled file
+        right = oracle.CountTable.load(tmp_path / "bipartite-3-7-1605-m7.qdct")
+        assert (right.l, right.m, right.modulus) == (3, 7, 7)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_json_rows_carry_formula_and_max_index(self, runner):
+        result = runner.invoke(
+            main, ["verify", "--family", "ak1", "--family", "thm12",
+                   "--n-max", "10", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        ak1, thm12 = json.loads(result.output)["cases"]
+        assert ak1["formula"] == "4 ** (7 * m) * n + (4 ** (7 * m) - 1) / 3"
+        assert ak1["max_index"] == 4**7 * 10 + 5461
+        assert thm12["params_tested"] == [{"m": 0, "k": 0}]
+        assert thm12["max_index"] == 10
+
 
 class TestReportFormats:
     def test_json_schema_and_round_trip(self, runner, tmp_path):
@@ -195,6 +220,32 @@ class TestRegistryFile:
         )
         assert rerun.exit_code == 0
         assert "user-0.2" in rerun.output
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [("a|exact|40|(mul (eta 1)|(eta 1)\n", "line 1"),
+         ("a|exact|40|(sum (1 (eta 1))|(eta 1)\n", "line 1"),
+         ("# user cases\na|mod1|40|(eta 1)|(eta 1)\n", "line 2"),
+         ("a|mod0|40|(eta 1)|(eta 1)\n", "line 1"),
+         ("a|modx|40|(eta 1)|(eta 1)\n", "line 1"),
+         ("a|exact|40|(eta 1)\n", "line 1"),
+         ("ok|exact|40|(eta 1)|(eta 1)\n0.2|exact|40|(eta 1)|(eta 1)\n", "line 2")],
+    )
+    def test_bad_registry_file_is_usage_error(self, runner, tmp_path, text, where):
+        bad = tmp_path / "user.txt"
+        bad.write_text(text)
+        result = runner.invoke(main, ["verify", "--suite", "identities",
+                                      "--registry-file", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{bad}: {where}:" in result.output
+
+    def test_exported_registry_is_rejected_cleanly(self, runner, tmp_path):
+        out = tmp_path / "registry.txt"
+        runner.invoke(main, ["export-registry", "--output", str(out)])
+        result = runner.invoke(main, ["verify", "--registry-file", str(out)])
+        assert result.exit_code == 2
+        assert "line 2: identity id '0.2' is empty or already defined" in result.output
 
     def test_constants_command(self, runner):
         result = runner.invoke(main, ["constants"])

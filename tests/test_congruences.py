@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
 from qdissect import oracle
 from qdissect.congruences import (
+    DESK_INDEX_CAP,
     SEQUENCES,
     AffineIndex,
     CongruenceFamily,
@@ -66,8 +68,15 @@ class TestSequences:
 
 class TestIndexMaps:
     def test_affine_evaluation(self):
-        ix = AffineIndex("16n+5", lambda m, k: 16, lambda m, k: 5)
+        ix = AffineIndex("16", "5")
         assert ix.at(3) == 53
+        assert ix.coeffs() == (16, 5)
+        assert plain_index(16, 5) == ix
+        pow_ix = AffineIndex("4 ** (7 * m)", "(4 ** (7 * m) - 1) / 3")
+        assert pow_ix.coeffs(1, 0) == (4**7, 5461)
+        assert pow_ix.at(2, 1) == 2 * 4**7 + 5461
+        assert AffineIndex("88", "8 * k + 7").at(1, 0, 3) == 88 + 31
+        assert AffineIndex("-m + 3", "-(k - 2)").coeffs(1, 5) == (2, -3)
 
     def test_exact_div_guards(self):
         assert exact_div(4**7 - 1, 3) == 5461
@@ -75,12 +84,44 @@ class TestIndexMaps:
             exact_div(5, 2)
 
     def test_catalog_offsets_are_integers(self):
-        # every family's offset formula must be exactly divisible
+        # every family's index and reference maps must divide exactly at every
+        # tested instance; coeffs raises ArithmeticError otherwise
         for fam in build_families():
+            rel = fam.relation
+            maps = [fam.index] + [getattr(rel, a) for a in ("ref", "ref1", "ref2")
+                                  if hasattr(rel, a)]
             for m in fam.m_values:
                 for k in fam.k_values:
-                    fam.index.offset(m, k)
-                    fam.index.scale(m, k)
+                    for ix in maps:
+                        scale, offset = ix.coeffs(m, k)
+                        assert type(scale) is int and type(offset) is int
+                        assert scale >= 1 and offset >= 0, (fam.id, ix.formula)
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError):
+            AffineIndex("1", "(2 * m + 1) / 2").coeffs(0, 0)
+        with pytest.raises(ArithmeticError):
+            AffineIndex("2 ** (m - 1)").coeffs(0, 0)
+
+    @pytest.mark.parametrize(
+        "text", ["__import__('os')", "m.real", "x", "1.5", "f(m)", "m // 2",
+                 "m % 3", "+m", "~m", "True", "", "1 +", "[m]", "m < k", "n"],
+    )
+    def test_evaluator_rejects_at_construction(self, text):
+        with pytest.raises(ValueError):
+            AffineIndex(text)
+        with pytest.raises(ValueError):
+            AffineIndex("1", text)
+
+    def test_formula_is_derived(self):
+        assert plain_index(16, 5).formula == "16 * n + 5"
+        assert family_index()["ak1"].index.formula == (
+            "4 ** (7 * m) * n + (4 ** (7 * m) - 1) / 3"
+        )
+
+    def test_catalog_is_plain_data(self):
+        assert build_families() == build_families()
+        assert pickle.loads(pickle.dumps(build_families())) == build_families()
 
 
 class TestVerifyFamily:
@@ -155,6 +196,30 @@ class TestVerifyFamily:
         assert rep.status == "fail" and rep.ok
         first = rep.violations[0]
         assert (first.n, first.index, first.got, first.expected) == (0, 50, 5, 0)
+
+    def test_desk_cap_counts_every_map(self):
+        # the reference map leaves the desk scale while the main index does not:
+        # planning and walking must both skip the instance
+        fam = CongruenceFamily(
+            "far-ref", "t", 7, SourceSpec("bipartite", 3, 7), plain_index(1, 0),
+            Recur(1, plain_index(DESK_INDEX_CAP, 0), ref_source=SourceSpec("regular", 7)),
+            default_n_max=2,
+        )
+        assert required_order(fam) == {}
+        src = oracle.bipartition_counts(3, 7, 2, modulus=7)
+        rep = verify_family(fam, src, ref_source=oracle.regular_counts(7, 2, modulus=7))
+        assert rep.status == "skipped" and rep.max_index is None
+        assert rep.skipped[0][1:] == ("index exceeds desk scale", 2 * DESK_INDEX_CAP)
+
+    def test_max_index_covers_every_read(self):
+        # the reference map reads further out than the main index
+        fam = CongruenceFamily(
+            "wide-ref", "t", 7, SourceSpec("bipartite", 3, 7), plain_index(1, 0),
+            Recur(1, plain_index(3, 1)), default_n_max=5, expect="record",
+        )
+        src = oracle.bipartition_counts(3, 7, 16, modulus=7)
+        assert verify_family(fam, src).max_index == 16
+        assert required_order(fam) == {SourceSpec("bipartite", 3, 7): 16}
 
     def test_required_order_plans_references(self):
         fam = family_index()["7.22"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdissect.identities import (
     AssertStage,
@@ -49,6 +50,17 @@ class TestCatalogShape:
         case = reg.lookup("0.2")
         assert case.section == "s2"
         assert case.default_order == 400
+
+    def test_chain_citations_name_catalog_identities(self, reg):
+        ids = {c.id for c in reg.cases}
+        cited = [
+            (chain.id, step.identity_id)
+            for chain in reg.chains
+            for step in chain.steps
+            if isinstance(step, Substitute)
+        ]
+        assert cited
+        assert [c for c in cited if c[1] not in ids] == []
 
     def test_every_section_has_a_chain(self, reg):
         for section in ("s3", "s4", "s5", "s6", "s7", "s8"):
@@ -266,6 +278,40 @@ class TestTextRegistry:
             parse_cases("too|few|fields\n")
         with pytest.raises(ValueError):
             parse_cases("id|weird|10|(eta 1)|(eta 1)\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["x|mod0|10|(eta 1)|(eta 1)", "x|mod1|10|(eta 1)|(eta 1)",
+         "x|modx|10|(eta 1)|(eta 1)", "x|exact|10|(eta 1)",
+         "x|exact|0|(eta 1)|(eta 1)", "x|exact|ten|(eta 1)|(eta 1)",
+         "|exact|10|(eta 1)|(eta 1)", "x|exact|10|(mul (eta 1)|(eta 1)",
+         "x|exact|10|(sum (1 (eta 1))|(eta 1)"],
+    )
+    def test_bad_line_names_its_number(self, line):
+        with pytest.raises(ValueError, match=r"^line 3: "):
+            parse_cases("# header\n\n" + line + "\n")
+
+    def test_duplicate_ids_rejected(self, reg):
+        line = "x|exact|10|(eta 1)|(eta 1)\n"
+        with pytest.raises(ValueError, match="line 2: .*'x'"):
+            parse_cases(line + line)
+        with pytest.raises(ValueError, match="line 2: .*'0.2'"):
+            parse_cases(dump_cases(reg.cases), taken=[c.id for c in reg.cases])
+
+
+_REGISTRY_TOKENS = ["|", "(", ")", " ", "\n", "#", "exact", "mod", "mod7", "mod1",
+                    "0", "1", "-2", "x", "eta", "mul", "sum", "pow", "q", "theta",
+                    "poch", "const", "dilate", "S", "u"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.text() | st.lists(st.sampled_from(_REGISTRY_TOKENS), max_size=40).map("".join))
+def test_parse_cases_returns_cases_or_value_error(text):
+    try:
+        cases = parse_cases(text)
+    except ValueError:
+        return
+    assert all(isinstance(c, IdentityCase) for c in cases)
 
 
 def _even_part_of_f1_odd():

@@ -180,7 +180,8 @@ class TestSerialization:
         assert parse_sexpr("(mul (eta 25) S)") == Mul((EtaF(25), rr_quotient()))
 
     def test_parse_errors(self):
-        for bad in ["", "(mul)", "(q x)", "(pow (eta 1))", "(eta 1) junk", "(what 1)"]:
+        for bad in ["", "(mul)", "(q x)", "(pow (eta 1))", "(eta 1) junk", "(what 1)",
+                    "(mul (eta 1)", "(sum (1 (eta 1))", "(sum", "(", "(mul " * 5000]:
             with pytest.raises(ValueError):
                 parse_sexpr(bad)
 
