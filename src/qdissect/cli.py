@@ -24,15 +24,12 @@ from . import congruences, oracle
 from .registry import Registry, build_identities, dump_cases, load_cases
 from .registry import registry as build_registry
 from .congruences import (
-    CongruenceFamily,
     Recur,
-    SourceSpec,
     recurrence_consistency_checks,
     required_order,
     verify_family,
 )
 from .identities import replay, verify
-from .oracle import CountTable
 
 SUITES = ("identities", "chains", "families", "all")
 
@@ -157,64 +154,6 @@ def _run_parallel(fn, items, jobs) -> list[dict]:
     return results
 
 
-class TableCache:
-    """Builds oracle tables sized for a batch of families, with optional
-    on-disk reuse (``--cache-dir`` or the QDISSECT_CACHE environment variable)."""
-
-    def __init__(self, cache_dir: Optional[str]):
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        if self.cache_dir:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._tables: dict[tuple[SourceSpec, int], CountTable] = {}
-
-    def plan(self, families: list[CongruenceFamily], n_max: Optional[int]) -> dict:
-        needs: dict[tuple[SourceSpec, int], int] = {}
-        for fam in families:
-            for spec, order in required_order(fam, n_max).items():
-                key = (spec, fam.modulus)
-                needs[key] = max(needs.get(key, 0), order)
-        return needs
-
-    def _from_disk(self, spec: SourceSpec, p: int, order: int) -> Optional[CountTable]:
-        """Smallest cached table for this stream covering ``order``; a file is
-        used only when its header names the requested stream and range."""
-        if not self.cache_dir:
-            return None
-        candidates = []
-        for path in self.cache_dir.glob(f"{spec.kind}-{spec.l}-{spec.m}-*-m{p}.qdct"):
-            try:
-                n = int(path.name.split("-")[3])
-            except (IndexError, ValueError):
-                continue
-            if n >= order:
-                candidates.append((n, path))
-        for _, path in sorted(candidates):
-            try:
-                table = CountTable.load(path)
-            except (ValueError, OSError):
-                continue
-            if ((table.kind, table.l, table.m, table.modulus) == (spec.kind, spec.l, spec.m, p)
-                    and table.n_max >= order):
-                return table
-        return None
-
-    def get(self, spec: SourceSpec, p: int, order: int) -> CountTable:
-        key = (spec, p)
-        cached = self._tables.get(key)
-        if cached is not None and cached.n_max >= order:
-            return cached
-        table = self._from_disk(spec, p, order)
-        if table is None:
-            if spec.kind == "bipartite":
-                table = oracle.coeff_fast(spec.l, spec.m, order, p)
-            else:
-                table = oracle.regular_coeff_fast(spec.l, order, p)
-            if self.cache_dir:
-                table.save(self.cache_dir / table.cache_name())
-        self._tables[key] = table
-        return table
-
-
 def _run_families(family_ids, n_max, include_slow, cache_dir) -> list[dict]:
     catalog = congruences.build_families()
     if family_ids:
@@ -222,8 +161,12 @@ def _run_families(family_ids, n_max, include_slow, cache_dir) -> list[dict]:
     else:
         selected = [f for f in catalog if include_slow or not f.slow]
 
-    cache = TableCache(cache_dir)
-    needs = cache.plan(selected, n_max)
+    needs: dict = {}  # (stream, modulus) -> largest order the batch reads
+    for fam in selected:
+        for spec, order in required_order(fam, n_max).items():
+            key = (spec, fam.modulus)
+            needs[key] = max(needs.get(key, 0), order)
+    cache = oracle.TableCache(cache_dir)
     rows = []
     for fam in selected:
         src_key = (fam.source, fam.modulus)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-from .oracle import CountTable
+from .oracle import CountTable, SourceSpec
 
 DESK_INDEX_CAP = 30_000_000  # largest coefficient index attempted by policy
 
@@ -109,20 +109,6 @@ def exact_div(num: int, den: int) -> int:
     if r:
         raise ArithmeticError(f"{num} is not divisible by {den}")
     return q
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    """Which coefficient stream a family reads: regular b_l or bipartite B_{l,m}."""
-
-    kind: str  # "regular" | "bipartite"
-    l: int
-    m: int = 0
-
-    def describe(self) -> str:
-        if self.kind == "regular":
-            return f"b_{self.l}"
-        return f"B_{{{self.l},{self.m}}}"
 
 
 def _int_pow(base: int, exp: int) -> int:

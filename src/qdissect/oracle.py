@@ -1,16 +1,24 @@
 """Independent combinatorial ground truth for partition-counting streams.
 
-This module never touches the series engine: counts come from direct dynamic
-programming over parts, plus a fast modular path built on the pentagonal-number
-recurrence.  Agreement between these counters and the series evaluation of the
-corresponding eta quotients is what the verification harness leans on.
+This module uses no code from the series engine.  Agreement between its counts
+and the series evaluation of the corresponding eta quotients is what the
+verification harness leans on.
 
 ``regular_counts(l)`` counts partitions with no part divisible by ``l``;
 ``bipartition_counts(l, m)`` counts pairs (one ``l``-regular, one ``m``-regular
-partition) by total size.  ``coeff_fast`` reproduces the bipartition stream
-modulo a prime at indices in the millions: two successive pentagonal-recurrence
-inversions give the doubly-inverted Euler product, then the two sparse
-pentagonal factors are multiplied in, all O(N*sqrt(N)) time and O(N) memory.
+partition) by total size.  Both run one dynamic program over parts: the
+bipartition generating function is the product of the two regular ones, so the
+parts of both regularities are added into one array.
+
+``coeff_fast`` and ``regular_coeff_fast`` reproduce the same streams modulo a
+prime at indices in the millions.  Starting from 1, they divide by the Euler
+product f_1 once per regularity (the pentagonal recurrence, blocked so numpy
+does the long-range work), then multiply in each sparse factor f_l: O(N*sqrt(N))
+time and O(N) memory.
+
+:class:`TableCache` builds the tables a run needs by that fast path and, given
+a directory, reuses and saves ``*.qdct`` files there.  A file is chosen by its
+header alone (stream, modulus, range); its name plays no part.
 """
 
 from __future__ import annotations
@@ -19,11 +27,25 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 EXACT_CAP = 20000  # policy cap for exact-mode tables
+
+
+@dataclass(frozen=True)
+class SourceSpec:
+    """Which coefficient stream a family reads: regular b_l or bipartite B_{l,m}."""
+
+    kind: str  # "regular" | "bipartite"
+    l: int
+    m: int = 0
+
+    def describe(self) -> str:
+        if self.kind == "regular":
+            return f"b_{self.l}"
+        return f"B_{{{self.l},{self.m}}}"
 
 
 @dataclass(frozen=True)
@@ -77,16 +99,23 @@ class CountTable:
             raise
 
     @classmethod
+    def _read_header(cls, fh, path) -> tuple[str, int, int, int, int]:
+        """``(kind, l, m, n_max, modulus)`` from the 48-byte file header."""
+        head = fh.read(48)
+        if len(head) != 48 or head[:8] != cls._MAGIC:
+            raise ValueError(f"{path}: not a count-table cache file")
+        kind_code, l, m, n_max, modulus = struct.unpack("<QQQQQ", head[8:])
+        if kind_code > 1:
+            raise ValueError(f"{path}: unknown table kind code {kind_code}")
+        return ("regular", "bipartite")[kind_code], l, m, n_max, modulus
+
+    @classmethod
     def load(cls, path: Union[str, Path]) -> "CountTable":
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != cls._MAGIC:
-                raise ValueError(f"{path}: not a count-table cache file")
-            kind_code, l, m, n_max, modulus = struct.unpack("<QQQQQ", fh.read(40))
+            kind, l, m, n_max, modulus = cls._read_header(fh, path)
             data = np.frombuffer(fh.read(), dtype="<i8")
         if len(data) != n_max + 1:
             raise ValueError(f"{path}: truncated cache file")
-        kind = "regular" if kind_code == 0 else "bipartite"
         return cls(kind, int(l), int(m), int(n_max), int(modulus), data.astype(np.int64))
 
     def cache_name(self) -> str:
@@ -97,53 +126,35 @@ class CountTable:
 # dynamic-programming counters (ground truth)
 # ---------------------------------------------------------------------------
 
-def regular_counts(l: int, n_max: int, modulus: int = 0) -> CountTable:
-    """Count ``l``-regular partitions (no part divisible by ``l``) for
-    ``n = 0..n_max`` by the classic unbounded-parts DP."""
-    if l < 2:
-        raise ValueError("regularity index must be >= 2")
+def _dp(regularities: Sequence[int], n_max: int, modulus: int) -> list[int]:
+    """Unbounded-parts DP for the product over ``l`` of the l-regular
+    generating functions: every part not divisible by ``l``, for each ``l``."""
+    if min(regularities) < 2:
+        raise ValueError("regularity indices must be >= 2")
     if modulus == 0 and n_max > EXACT_CAP:
         raise ValueError(f"exact mode capped at n_max = {EXACT_CAP}")
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
-    for part in range(1, n_max + 1):
-        if part % l == 0:
-            continue
-        for n in range(part, n_max + 1):
-            counts[n] += counts[n - part]
-        if modulus:
-            for n in range(n_max + 1):
-                counts[n] %= modulus
-    return CountTable("regular", l, 0, n_max, modulus, counts)
+    counts = [1] + [0] * n_max
+    for l in regularities:
+        for part in range(1, n_max + 1):
+            if part % l == 0:
+                continue
+            for n in range(part, n_max + 1):
+                counts[n] += counts[n - part]
+            if modulus:
+                counts = [c % modulus for c in counts]
+    return counts
+
+
+def regular_counts(l: int, n_max: int, modulus: int = 0) -> CountTable:
+    """Count ``l``-regular partitions (no part divisible by ``l``) for
+    ``n = 0..n_max``."""
+    return CountTable("regular", l, 0, n_max, modulus, _dp((l,), n_max, modulus))
 
 
 def bipartition_counts(l: int, m: int, n_max: int, modulus: int = 0) -> CountTable:
-    """Count (l, m)-regular bipartitions: the convolution of the two regular
-    tables, since a bipartition splits its total between the two components."""
-    if l < 2 or m < 2:
-        raise ValueError("both regularity indices must be >= 2")
-    if modulus == 0 and n_max > EXACT_CAP:
-        raise ValueError(f"exact mode capped at n_max = {EXACT_CAP}")
-    a = regular_counts(l, n_max, modulus).values
-    b = regular_counts(m, n_max, modulus).values
-    if modulus and (modulus - 1) ** 2 * (n_max + 1) < 2**62:
-        conv = np.convolve(
-            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        )[: n_max + 1] % modulus
-        values: Sequence[int] = conv
-    else:
-        out = [0] * (n_max + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n_max + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        if modulus:
-            out = [v % modulus for v in out]
-        values = out
-    return CountTable("bipartite", l, m, n_max, modulus, values)
+    """Count (l, m)-regular bipartitions: pairs of an l-regular and an
+    m-regular partition, by total size."""
+    return CountTable("bipartite", l, m, n_max, modulus, _dp((l, m), n_max, modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -170,41 +181,28 @@ def _pentagonal_taps(limit: int, scale: int = 1) -> list[tuple[int, int]]:
     return taps
 
 
-def _invert_euler(n_max: int, p: int, seed: np.ndarray | None = None,
-                  block: int = 1024) -> np.ndarray:
-    """Solve ``u * f = seed`` mod p where f is the Euler product (f_1).
+def _divide_by_euler(rhs: np.ndarray, p: int, block: int = 1024) -> np.ndarray:
+    """Solve ``u * f_1 = rhs`` mod p, where f_1 is the Euler product.
 
-    With ``seed = delta_0`` this yields the unrestricted partition numbers;
-    feeding the result back in as the new seed gives the two-color counts.
-    The recurrence is the pentagonal one; blocks let numpy do the long-range
-    tap accumulation while a small in-block convolution resolves the local
-    dependencies.
+    The recurrence is the pentagonal one.  Block by block, numpy subtracts the
+    taps that reach back before the block; convolving the rest with 1/f_1
+    (computed once, sequentially, on the first block) resolves the taps inside it.
     """
+    n_max = len(rhs) - 1
     taps = _pentagonal_taps(n_max)
-    u = np.zeros(n_max + 1, dtype=np.int64)
-    rhs0 = 1 if seed is None else int(seed[0]) % p
-    u[0] = rhs0
-    # bootstrap block: plain sequential recurrence
-    head = min(block, n_max + 1)
-    for n in range(1, head):
-        acc = int(seed[n]) if seed is not None else 0
+    inv_head = np.zeros(min(block, n_max + 1), dtype=np.int64)
+    inv_head[0] = 1
+    for n in range(1, len(inv_head)):
+        acc = 0
         for g, s in taps:
             if g > n:
                 break
-            acc -= s * u[n - g]
-        u[n] = acc % p
-    if seed is None:
-        inv_head = u[:head].copy()
-    else:
-        # the in-block solve always convolves against 1/f_1 itself
-        inv_head = _invert_euler(head - 1, p, block=block)
-    t0 = head
-    while t0 <= n_max:
+            acc -= s * inv_head[n - g]
+        inv_head[n] = acc % p
+    u = np.zeros(n_max + 1, dtype=np.int64)
+    for t0 in range(0, n_max + 1, block):
         t1 = min(t0 + block, n_max + 1)
-        width = t1 - t0
-        r = np.zeros(width, dtype=np.int64)
-        if seed is not None:
-            r += seed[t0:t1]
+        r = rhs[t0:t1].copy()
         for g, s in taps:
             lo, hi = t0 - g, t1 - g
             src_lo, src_hi = max(lo, 0), min(hi, t0)
@@ -214,9 +212,7 @@ def _invert_euler(n_max: int, p: int, seed: np.ndarray | None = None,
                 else:
                     r[src_lo - lo : src_hi - lo] += u[src_lo:src_hi]
         r %= p
-        blockval = np.convolve(inv_head[:width], r)[:width] % p
-        u[t0:t1] = blockval
-        t0 = t1
+        u[t0:t1] = np.convolve(inv_head[: t1 - t0], r)[: t1 - t0] % p
     return u
 
 
@@ -237,24 +233,84 @@ def _sparse_eta_mult(v: np.ndarray, k: int, p: int) -> np.ndarray:
 FAST_MOD_CAP = 1 << 26
 
 
+def _fast(regularities: Sequence[int], n_max: int, p: int) -> np.ndarray:
+    """The product over ``l`` of ``f_l / f_1``, mod p, to ``n_max``."""
+    if not 2 <= p <= FAST_MOD_CAP:
+        raise ValueError(f"the fast path needs a modulus in [2, {FAST_MOD_CAP}]")
+    w = np.zeros(n_max + 1, dtype=np.int64)
+    w[0] = 1
+    for _ in regularities:
+        w = _divide_by_euler(w, p)
+    for l in regularities:
+        w = _sparse_eta_mult(w, l, p)
+    return w
+
+
 def coeff_fast(l: int, m: int, n_max: int, p: int) -> CountTable:
     """Bipartition counts mod a prime via the sparse pentagonal machinery.
 
     Agrees with :func:`bipartition_counts` everywhere both are computed.
     """
-    if not 2 <= p <= FAST_MOD_CAP:
-        raise ValueError(f"coeff_fast needs a modulus in [2, {FAST_MOD_CAP}]")
-    u = _invert_euler(n_max, p)           # 1 / f_1
-    v = _invert_euler(n_max, p, seed=u)   # 1 / f_1^2
-    w = _sparse_eta_mult(v, l, p)
-    w = _sparse_eta_mult(w, m, p)
-    return CountTable("bipartite", l, m, n_max, p, w)
+    return CountTable("bipartite", l, m, n_max, p, _fast((l, m), n_max, p))
 
 
 def regular_coeff_fast(l: int, n_max: int, p: int) -> CountTable:
     """Regular-partition counts mod a prime by the same sparse machinery."""
-    if not 2 <= p <= FAST_MOD_CAP:
-        raise ValueError(f"regular_coeff_fast needs a modulus in [2, {FAST_MOD_CAP}]")
-    u = _invert_euler(n_max, p)
-    w = _sparse_eta_mult(u, l, p)
-    return CountTable("regular", l, 0, n_max, p, w)
+    return CountTable("regular", l, 0, n_max, p, _fast((l,), n_max, p))
+
+
+# ---------------------------------------------------------------------------
+# table cache
+# ---------------------------------------------------------------------------
+
+class TableCache:
+    """Fast-path tables for one run, kept in memory and, with a cache
+    directory, reused from and saved to ``*.qdct`` files there."""
+
+    def __init__(self, cache_dir: Optional[Union[str, Path]]):
+        self.cache_dir = Path(cache_dir) if cache_dir else None
+        if self.cache_dir:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self._tables: dict[tuple[SourceSpec, int], CountTable] = {}
+
+    def _from_disk(self, spec: SourceSpec, p: int, order: int) -> Optional[CountTable]:
+        """Smallest cached table for this stream covering ``order``.  Only the
+        headers are read to choose; the chosen file's header is checked again
+        after it is loaded."""
+        if not self.cache_dir:
+            return None
+        want = (spec.kind, spec.l, spec.m, p)
+        candidates = []
+        for path in self.cache_dir.glob("*.qdct"):
+            try:
+                with open(path, "rb") as fh:
+                    kind, l, m, n_max, modulus = CountTable._read_header(fh, path)
+            except (ValueError, OSError):
+                continue
+            if (kind, l, m, modulus) == want and n_max >= order:
+                candidates.append((n_max, path))
+        for _, path in sorted(candidates):
+            try:
+                table = CountTable.load(path)
+            except (ValueError, OSError):
+                continue
+            if (table.kind, table.l, table.m, table.modulus) == want and table.n_max >= order:
+                return table
+        return None
+
+    def get(self, spec: SourceSpec, p: int, order: int) -> CountTable:
+        """The table of stream ``spec`` mod ``p`` covering ``0..order``."""
+        key = (spec, p)
+        table = self._tables.get(key)
+        if table is not None and table.n_max >= order:
+            return table
+        table = self._from_disk(spec, p, order)
+        if table is None:
+            if spec.kind == "bipartite":
+                table = coeff_fast(spec.l, spec.m, order, p)
+            else:
+                table = regular_coeff_fast(spec.l, order, p)
+            if self.cache_dir:
+                table.save(self.cache_dir / table.cache_name())
+        self._tables[key] = table
+        return table

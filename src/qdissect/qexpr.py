@@ -292,11 +292,8 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
     elif isinstance(expr, EtaF):
         result = eval_qexpr(Pochhammer(expr.k, expr.k), ring, order)
     elif isinstance(expr, Phi):
-        # phi(q^k) = (-q^k; q^2k)^2 (q^2k; q^2k)
-        factors = list(_poch_factors(expr.k, 2 * expr.k, -1, order))
-        factors += list(_poch_factors(expr.k, 2 * expr.k, -1, order))
-        factors += list(_poch_factors(2 * expr.k, 2 * expr.k, 1, order))
-        result = _binomial_product(ring, order, factors)
+        # phi(q^k) = f(q^k, q^k) = (-q^k; q^2k)^2 (q^2k; q^2k)
+        result = _eval_theta_product(Theta(1, expr.k, 1, expr.k), ring, order)
     elif isinstance(expr, Psi):
         # psi(q^k) = f(q^k, q^3k) = (-q^k; q^4k)(-q^3k; q^4k)(q^4k; q^4k)
         result = _eval_theta_product(Theta(1, expr.k, 1, 3 * expr.k), ring, order)

@@ -7,8 +7,11 @@ import random
 import pytest
 
 from qdissect import oracle
+from qdissect.congruences import build_families
 from qdissect.oracle import (
     CountTable,
+    SourceSpec,
+    TableCache,
     bipartition_counts,
     coeff_fast,
     regular_coeff_fast,
@@ -17,6 +20,9 @@ from qdissect.oracle import (
 from qdissect.qexpr import EtaF, Mul, Pow, eval_qexpr
 from qdissect.series import EXACT
 from conftest import count_bipartitions, count_regular, distinct_part_counts
+
+# every (stream, modulus) pair a congruence family reads
+CATALOG_STREAMS = sorted({(f.source, f.modulus) for f in build_families()}, key=repr)
 
 
 class TestRegularCounts:
@@ -112,10 +118,17 @@ class TestFastPath:
         slow = bipartition_counts(3, 7, 2000, modulus=7)
         assert list(fast.values) == list(slow.values)
 
-    @pytest.mark.parametrize("l,m,p", [(9, 5, 3), (5, 11, 11), (81, 17, 17), (2, 8, 11)])
-    def test_agrees_with_dp_pairs(self, l, m, p):
-        fast = coeff_fast(l, m, 600, p)
-        slow = bipartition_counts(l, m, 600, modulus=p)
+    @pytest.mark.parametrize("spec,p", [
+        pytest.param(spec, p, id=f"{spec.l}-{spec.m}-{p}") for spec, p in CATALOG_STREAMS
+    ])
+    def test_agrees_with_dp_pairs(self, spec, p):
+        # 2100 crosses two 1024-entry block boundaries of the Euler division
+        if spec.kind == "bipartite":
+            fast = coeff_fast(spec.l, spec.m, 2100, p)
+            slow = bipartition_counts(spec.l, spec.m, 2100, modulus=p)
+        else:
+            fast = regular_coeff_fast(spec.l, 2100, p)
+            slow = regular_counts(spec.l, 2100, modulus=p)
         assert list(fast.values) == list(slow.values)
 
     def test_trivial_order(self):
@@ -158,3 +171,50 @@ class TestCache:
         path.write_bytes(b"NOTACACHE" * 10)
         with pytest.raises(ValueError):
             CountTable.load(path)
+        # a valid file whose kind code (bytes 8..16) is neither 0 nor 1
+        coeff_fast(3, 7, 50, 7).save(path)
+        data = bytearray(path.read_bytes())
+        data[8] = 9
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError):
+            CountTable.load(path)
+
+    def test_cache_chooses_by_header_alone(self, tmp_path, monkeypatch):
+        # decoys named like the wanted (3,7) mod 7 table, and smaller than the
+        # right file, but their headers name another stream or too short a range
+        coeff_fast(3, 11, 600, 7).save(tmp_path / "bipartite-3-7-900-m7.qdct")
+        coeff_fast(3, 7, 600, 11).save(tmp_path / "bipartite-3-7-901-m7.qdct")
+        coeff_fast(3, 7, 100, 7).save(tmp_path / "bipartite-3-7-902-m7.qdct")
+        values = regular_coeff_fast(3, 600, 7).values
+        CountTable("regular", 3, 7, 600, 7, values).save(tmp_path / "bipartite-3-7-903-m7.qdct")
+        coeff_fast(5, 7, 600, 7).save(tmp_path / "bipartite-3-7-904-m7.qdct")
+        (tmp_path / "bipartite-3-7-905-m7.qdct").write_bytes(b"QDCT")
+        coeff_fast(3, 7, 1000, 7).save(tmp_path / "larger.qdct")
+        coeff_fast(3, 7, 800, 7).save(tmp_path / "smallest.qdct")
+        before = sorted(tmp_path.iterdir())
+        loads = []
+        real_load = CountTable.load
+
+        def counting_load(cls, path):
+            loads.append(path.name)
+            return real_load(path)
+
+        monkeypatch.setattr(CountTable, "load", classmethod(counting_load))
+        table = TableCache(tmp_path).get(SourceSpec("bipartite", 3, 7), 7, 500)
+        assert loads == ["smallest.qdct"]
+        assert (table.kind, table.l, table.m, table.n_max, table.modulus) == (
+            "bipartite", 3, 7, 800, 7)
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_cache_serves_any_file_name(self, tmp_path, monkeypatch):
+        saved = regular_coeff_fast(17, 300, 17)
+        saved.save(tmp_path / "x.qdct")
+
+        def no_build(*args):
+            raise AssertionError("the cached table should have been used")
+
+        monkeypatch.setattr(oracle, "coeff_fast", no_build)
+        monkeypatch.setattr(oracle, "regular_coeff_fast", no_build)
+        table = TableCache(tmp_path).get(SourceSpec("regular", 17), 17, 300)
+        assert list(table.values) == list(saved.values)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.qdct"]
