@@ -68,6 +68,7 @@ from .identities import (
     ReduceMod,
     StageReport,
     Substitute,
+    VerificationError,
     replay,
     verify,
 )

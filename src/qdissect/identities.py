@@ -24,6 +24,11 @@ from .qexpr import QExpr, eval_qexpr
 from .series import EXACT, CoeffRing, PrecisionError
 
 
+class VerificationError(Exception):
+    """A case or chain could not be evaluated.  The message names it and the
+    original exception; ``__cause__`` is that exception."""
+
+
 # ---------------------------------------------------------------------------
 # identity cases
 # ---------------------------------------------------------------------------
@@ -80,7 +85,7 @@ def verify(case: IdentityCase, order: Optional[int] = None) -> IdentityReport:
         b = eval_qexpr(case.rhs, ring, n)
         ok, idx = series.eq_to_order(a, b, n)
     except Exception as exc:
-        raise type(exc)(f"[case {case.id}] {exc}") from exc
+        raise VerificationError(f"[case {case.id}] {type(exc).__name__}: {exc}") from exc
     ms = (time.perf_counter() - t0) * 1000
     if ok:
         return IdentityReport(case.id, "pass", n, case.modulus, None, ms, case.note)
@@ -191,7 +196,8 @@ def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
     try:
         current = eval_qexpr(chain.start, ring, n)
     except Exception as exc:
-        raise type(exc)(f"[chain {chain.id}] start: {exc}") from exc
+        raise VerificationError(
+            f"[chain {chain.id}] start: {type(exc).__name__}: {exc}") from exc
     lattice = 1  # current coordinate scale: q^lattice is the step
     pending: list[str] = []
     stages: list[StageReport] = []

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdissect import identities
 from qdissect.identities import (
     AssertStage,
     DilateBack,
@@ -16,6 +17,7 @@ from qdissect.identities import (
     ProofChain,
     ReduceMod,
     Substitute,
+    VerificationError,
     replay,
     verify,
 )
@@ -116,6 +118,25 @@ class TestVerify:
         bad = IdentityCase("inv-fail", "t", Pow(Const(2), -1), EtaF(1), default_order=5)
         with pytest.raises(Exception, match="inv-fail"):
             verify(bad)
+
+    def test_error_with_other_constructor_keeps_its_cause(self, monkeypatch):
+        # re-raising as type(exc)(msg) fails for this constructor with a TypeError
+        class CodedError(Exception):
+            def __init__(self, code, reason):
+                super().__init__(code, reason)
+
+        def failing_eval(*args):
+            raise CodedError(7, "bad atom")
+
+        monkeypatch.setattr(identities, "eval_qexpr", failing_eval)
+        case = IdentityCase("coded", "t", EtaF(1), EtaF(1), default_order=5)
+        with pytest.raises(VerificationError, match=r"^\[case coded\] CodedError") as info:
+            verify(case)
+        assert isinstance(info.value.__cause__, CodedError)
+        chain = ProofChain("coded-chain", "t", EtaF(1), (), base_order=5)
+        with pytest.raises(VerificationError, match=r"^\[chain coded-chain\] start: ") as info:
+            replay(chain)
+        assert isinstance(info.value.__cause__, CodedError)
 
     def test_exact_over_z_at_large_order(self):
         case = IdentityCase("big", "t", EtaF(1), EtaF(1), default_order=620)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdissect import oracle
 from qdissect.congruences import build_families
@@ -23,6 +25,48 @@ from conftest import count_bipartitions, count_regular, distinct_part_counts
 
 # every (stream, modulus) pair a congruence family reads
 CATALOG_STREAMS = sorted({(f.source, f.modulus) for f in build_families()}, key=repr)
+
+
+def _exact_mulmod(a, b, p, n):
+    """(a*b mod q^(n+1)) mod p by a double loop over Python ints."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        for j, y in enumerate(b[: n + 1 - i]):
+            out[i + j] += int(x) * int(y)
+    return [c % p for c in out]
+
+
+MULMOD_MODULI = [2, 3, 17, 251, 65521, 2**26 - 5]
+
+
+@st.composite
+def _operands(draw):
+    p = draw(st.sampled_from(MULMOD_MODULI))
+    n = draw(st.integers(min_value=0, max_value=299))
+    dtype = np.min_scalar_type(p - 1)
+
+    def operand():
+        size = draw(st.integers(min_value=1, max_value=n + 1))
+        shape = draw(st.sampled_from(["random", "zero", "top"]))
+        if shape == "zero":
+            return np.zeros(size, dtype=dtype)
+        if shape == "top":
+            return np.full(size, p - 1, dtype=dtype)
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        return np.random.default_rng(seed).integers(0, p, size).astype(dtype)
+
+    a = operand()
+    b = a if draw(st.booleans()) else operand()
+    return a, b, p, n
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_operands())
+def test_mulmod_matches_exact_convolution(case):
+    a, b, p, n = case
+    got = oracle._mulmod(a, b, p, n)
+    assert got.dtype == np.min_scalar_type(p - 1)
+    assert list(got) == _exact_mulmod(a, b, p, n)
 
 
 class TestRegularCounts:
@@ -122,7 +166,7 @@ class TestFastPath:
         pytest.param(spec, p, id=f"{spec.l}-{spec.m}-{p}") for spec, p in CATALOG_STREAMS
     ])
     def test_agrees_with_dp_pairs(self, spec, p):
-        # 2100 crosses two 1024-entry block boundaries of the Euler division
+        # 2100 spans 17 product blocks of 128 entries and 12 Newton steps
         if spec.kind == "bipartite":
             fast = coeff_fast(spec.l, spec.m, 2100, p)
             slow = bipartition_counts(spec.l, spec.m, 2100, modulus=p)
@@ -135,7 +179,7 @@ class TestFastPath:
         assert list(coeff_fast(3, 7, 0, 7).values) == [1]
 
     def test_block_boundaries(self):
-        # straddle several block sizes to exercise the blocked recurrence
+        # straddle several block sizes to exercise the blocked products
         fast = coeff_fast(3, 7, 3000, 7)
         slow = bipartition_counts(3, 7, 3000, modulus=7)
         assert list(fast.values) == list(slow.values)
@@ -144,6 +188,68 @@ class TestFastPath:
         fast = regular_coeff_fast(17, 1500, 17)
         slow = regular_counts(17, 1500, modulus=17)
         assert list(fast.values) == list(slow.values)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17])
+    def test_fast_matches_dp_at_block_edges(self, n):
+        # 2^k - 1, 2^k and 2^k + 1 entries change the block length and count;
+        # test_agrees_with_dp_pairs covers n = 2100 for every catalog stream
+        assert list(oracle._fast((3, 7), n, 7)) == list(oracle._dp((3, 7), n, 7))
+        assert list(oracle._fast((17,), n, 17)) == list(oracle._dp((17,), n, 17))
+
+    @pytest.mark.parametrize("p", [4, 9, 12, 1009, 2**26 - 5])
+    @pytest.mark.parametrize("n", [0, 1, 9, 300])
+    def test_fast_matches_dp_for_any_modulus(self, p, n):
+        # composite moduli, a prime above n, and a modulus that needs two limbs
+        for regs in ((2, 8), (5,)):
+            assert list(oracle._fast(regs, n, p)) == list(oracle._dp(regs, n, p))
+
+    def test_tables_use_the_smallest_unsigned_dtype(self, tmp_path):
+        for p, dtype in ((7, np.uint8), (256, np.uint8), (257, np.uint16),
+                         (2**26 - 5, np.uint32)):
+            table = coeff_fast(3, 7, 50, p)
+            assert table.values.dtype == dtype
+            table.save(tmp_path / "t.qdct")
+            loaded = CountTable.load(tmp_path / "t.qdct")
+            assert loaded.values.dtype == dtype
+            assert list(loaded.values) == list(table.values)
+
+    @pytest.mark.parametrize("p,n,length,blocks,limbs", [
+        (17, 24_772_604, 2**21, 24, 1),  # the slow suite's (81,17) table
+        (7, 1_652_053, 2**17, 26, 1),
+        (2**26 - 5, 300, 32, 19, 2),
+        (2**26 - 5, 10**6, 2**16, 31, 3),
+    ])
+    def test_limb_width_follows_the_bound(self, p, n, length, blocks, limbs):
+        bits = oracle._limb_bits(p, n, length, blocks)
+        bound = (n + 1) * oracle._error_bound(length, blocks)
+        if bits is None:
+            assert limbs == 1 and bound * (p // 2) ** 2 < oracle._GUARD
+        else:
+            # the widest limb that keeps the bound below the guard
+            assert bound * 4 ** (bits - 1) < oracle._GUARD <= bound * 4 ** bits
+            assert len(oracle._limbs(np.zeros(1, np.uint32), p, bits)) == limbs
+
+    @pytest.mark.parametrize("p,bits", [(7, None), (2, None), (2**26 - 5, None),
+                                        (2**26 - 5, 19), (2**26 - 5, 12), (65521, 3)])
+    def test_limbs_are_balanced_and_recombine(self, p, bits):
+        picks = {1, p // 2, p // 2 + 1, p - 1} | set(range(0, p, p // 7 + 1))
+        x = np.array(sorted(v for v in picks if v < p))
+        limbs = oracle._limbs(x, p, bits)
+        width = bits or 0
+        total = sum(limb.astype(np.int64) << (width * j) for j, limb in enumerate(limbs))
+        assert list(total % p) == list(x)
+        top = p // 2 if bits is None else 2 ** (bits - 1)
+        assert max(np.abs(limb).max() for limb in limbs) <= top
+
+    def test_rounding_guard_rejects_too_wide_limbs(self):
+        # one 26-bit limb puts (n+1)*(p/2)^2 far beyond what float64 rounds exactly
+        p = 2**26 - 5
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, p, 301).astype(np.uint32)
+        b = rng.integers(0, p, 301).astype(np.uint32)
+        assert list(oracle._mulmod(a, b, p, 300)) == _exact_mulmod(a, b, p, 300)
+        with pytest.raises(ArithmeticError):
+            oracle._mulmod(a, b, p, 300, bits=26)
 
     @pytest.mark.parametrize("scale", [0, -1])
     def test_pentagonal_scale_below_one_rejected(self, scale):
@@ -175,6 +281,15 @@ class TestCache:
         coeff_fast(3, 7, 50, 7).save(path)
         data = bytearray(path.read_bytes())
         data[8] = 9
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError):
+            CountTable.load(path)
+
+    def test_entry_outside_modulus_rejected(self, tmp_path):
+        path = tmp_path / "t.qdct"
+        coeff_fast(3, 7, 50, 7).save(path)
+        data = bytearray(path.read_bytes())
+        data[48 + 8 * 20] = 7  # entry 20 of a mod-7 table
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError):
             CountTable.load(path)
@@ -218,3 +333,17 @@ class TestCache:
         table = TableCache(tmp_path).get(SourceSpec("regular", 17), 17, 300)
         assert list(table.values) == list(saved.values)
         assert [p.name for p in tmp_path.iterdir()] == ["x.qdct"]
+
+    def test_saving_prunes_smaller_tables_of_the_same_stream(self, tmp_path):
+        # decoys differ in modulus, kind or m, or have no readable header
+        coeff_fast(3, 7, 50, 11).save(tmp_path / "other-modulus.qdct")
+        values = regular_coeff_fast(3, 50, 7).values
+        CountTable("regular", 3, 7, 50, 7, values).save(tmp_path / "other-kind.qdct")
+        coeff_fast(3, 11, 50, 7).save(tmp_path / "other-m.qdct")
+        (tmp_path / "junk.qdct").write_bytes(b"QDCT")
+        decoys = sorted(tmp_path.iterdir())
+        cache = TableCache(tmp_path)
+        cache.get(SourceSpec("bipartite", 3, 7), 7, 100)
+        cache.get(SourceSpec("bipartite", 3, 7), 7, 300)
+        assert sorted(tmp_path.iterdir()) == sorted(
+            decoys + [tmp_path / "bipartite-3-7-300-m7.qdct"])
