@@ -72,7 +72,7 @@ from .identities import (
     replay,
     verify,
 )
-from .registry import Registry, build_chains, build_identities, registry
+from .registry import Registry, registry
 from .congruences import (
     SEQUENCES,
     AffineIndex,
@@ -87,7 +87,6 @@ from .congruences import (
     recurrence_consistency_checks,
     seq_eval,
     verify_family,
-    verify_three_term,
 )
 
 __version__ = "0.1.0"

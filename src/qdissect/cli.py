@@ -15,13 +15,14 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
 import click
 
 from . import congruences, oracle
-from .registry import Registry, build_identities, dump_cases, load_cases
+from .registry import Registry, dump_registry, parse_registry
 from .registry import registry as build_registry
 from .congruences import (
     Recur,
@@ -30,6 +31,7 @@ from .congruences import (
     verify_family,
 )
 from .identities import replay, verify
+from .series import PrecisionError
 
 SUITES = ("identities", "chains", "families", "all")
 
@@ -88,14 +90,39 @@ def _select(ids, index, kind):
     return [index[i] for i in ids]
 
 
-def _run_identities(reg, case_ids, order, jobs) -> list[dict]:
+def _blamer(user: Registry, registry_file, order):
+    """``blame(kind, id)``: a context that turns a failure to evaluate an
+    entry into a usage error.  Too few coefficients under ``--order`` blames
+    that option; any failure of an entry read from ``--registry-file`` blames
+    the file.  Other failures (the built-in catalog's) propagate."""
+    user_ids = {"identity": {c.id for c in user.cases},
+                "chain": {c.id for c in user.chains},
+                "family": {f.id for f in user.families}}
+
+    @contextmanager
+    def blame(kind: str, entry_id: str):
+        try:
+            yield
+        except Exception as exc:
+            if order is not None and isinstance(exc, PrecisionError):
+                raise click.BadParameter(str(exc), param_hint="'--order'") from None
+            if entry_id not in user_ids[kind]:
+                raise
+            raise click.BadParameter(f"{registry_file}: {exc}",
+                                     param_hint="'--registry-file'") from None
+
+    return blame
+
+
+def _run_identities(reg, case_ids, order, jobs, blame) -> list[dict]:
     if case_ids:
         cases = _select(case_ids, {c.id: c for c in reg.cases}, "identity")
     else:
         cases = reg.cases
 
     def run(case):
-        rep = verify(case, order=order)
+        with blame("identity", case.id):
+            rep = verify(case, order=order)
         status = {"pass": "pass", "mismatch": "fail", "erratum": "erratum"}[rep.status]
         return {
             "id": case.id,
@@ -111,14 +138,15 @@ def _run_identities(reg, case_ids, order, jobs) -> list[dict]:
     return _run_parallel(run, cases, jobs)
 
 
-def _run_chains(reg, chain_ids, order, jobs) -> list[dict]:
+def _run_chains(reg, chain_ids, order, jobs, blame) -> list[dict]:
     if chain_ids:
         chains = _select(chain_ids, {c.id: c for c in reg.chains}, "chain")
     else:
         chains = reg.chains
 
     def run(chain):
-        rep = replay(chain, order=order)
+        with blame("chain", chain.id):
+            rep = replay(chain, order=order)
         stages = [
             {
                 "stage": st.stage_id,
@@ -154,53 +182,57 @@ def _run_parallel(fn, items, jobs) -> list[dict]:
     return results
 
 
-def _run_families(family_ids, n_max, include_slow, cache_dir) -> list[dict]:
-    catalog = congruences.build_families()
+def _run_families(reg, family_ids, n_max, include_slow, cache_dir, blame) -> list[dict]:
     if family_ids:
-        selected = _select(family_ids, {f.id: f for f in catalog}, "family")
+        selected = _select(family_ids, {f.id: f for f in reg.families}, "family")
     else:
-        selected = [f for f in catalog if include_slow or not f.slow]
+        selected = [f for f in reg.families if include_slow or not f.slow]
 
     needs: dict = {}  # (stream, modulus) -> largest order the batch reads
     for fam in selected:
-        for spec, order in required_order(fam, n_max).items():
-            key = (spec, fam.modulus)
-            needs[key] = max(needs.get(key, 0), order)
+        with blame("family", fam.id):
+            for spec, order in required_order(fam, n_max).items():
+                key = (spec, fam.modulus)
+                needs[key] = max(needs.get(key, 0), order)
     cache = oracle.TableCache(cache_dir)
     rows = []
     for fam in selected:
-        src_key = (fam.source, fam.modulus)
-        source = cache.get(fam.source, fam.modulus, needs.get(src_key, 0))
-        ref_table = None
-        if isinstance(fam.relation, Recur) and fam.relation.ref_source is not None:
-            rkey = (fam.relation.ref_source, fam.modulus)
-            ref_table = cache.get(fam.relation.ref_source, fam.modulus, needs.get(rkey, 0))
-        rep = verify_family(fam, source, n_max=n_max, ref_source=ref_table)
-        rows.append({
-            "id": fam.id,
-            "kind": "family",
-            "status": "erratum" if rep.status == "fail" and rep.expect == "record"
-                      else rep.status,
-            "modulus": fam.modulus,
-            "n_max": rep.n_max,
-            "params_tested": [dict(p) for p in rep.params_tested],
-            "violations": [
-                {"params": dict(v.params), "n": v.n, "index": v.index,
-                 "got": v.got, "expected": v.expected}
-                for v in rep.violations[:8]
-            ],
-            "n_violations": len(rep.violations),
-            "skipped": [
-                {"params": dict(p), "reason": reason, "smallest_index": idx}
-                for p, reason, idx in rep.skipped
-            ],
-            "source": rep.source_desc,
-            "formula": fam.index.formula,
-            "max_index": rep.max_index,
-            "runtime_ms": round(rep.runtime_ms, 1),
-            "detail": fam.note,
-        })
+        with blame("family", fam.id):
+            rows.append(_family_row(fam, cache, needs, n_max))
     return rows
+
+
+def _family_row(fam, cache, needs, n_max) -> dict:
+    source = cache.get(fam.source, fam.modulus, needs.get((fam.source, fam.modulus), 0))
+    ref_table = None
+    if isinstance(fam.relation, Recur) and fam.relation.ref_source is not None:
+        rkey = (fam.relation.ref_source, fam.modulus)
+        ref_table = cache.get(fam.relation.ref_source, fam.modulus, needs.get(rkey, 0))
+    rep = verify_family(fam, source, n_max=n_max, ref_source=ref_table)
+    return {
+        "id": fam.id,
+        "kind": "family",
+        "status": "erratum" if rep.status == "fail" and rep.expect == "record"
+                  else rep.status,
+        "modulus": fam.modulus,
+        "n_max": rep.n_max,
+        "params_tested": [dict(p) for p in rep.params_tested],
+        "violations": [
+            {"params": dict(v.params), "n": v.n, "index": v.index,
+             "got": v.got, "expected": v.expected}
+            for v in rep.violations[:8]
+        ],
+        "n_violations": len(rep.violations),
+        "skipped": [
+            {"params": dict(p), "reason": reason, "smallest_index": idx}
+            for p, reason, idx in rep.skipped
+        ],
+        "source": rep.source_desc,
+        "formula": fam.index.formula,
+        "max_index": rep.max_index,
+        "runtime_ms": round(rep.runtime_ms, 1),
+        "detail": fam.note,
+    }
 
 
 def _summarize(rows: list[dict]) -> dict:
@@ -275,7 +307,8 @@ def _format_csv(report: dict) -> str:
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Write the report to a file as well as stdout.")
 @click.option("--registry-file", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Also verify identities from a plain-text registry file.")
+              default=None,
+              help="Also verify the identities, chains and families of a registry text file.")
 @click.option("--slow", is_flag=True, help="Include the multi-minute large-index families.")
 @click.option("--cache-dir", default=None,
               help="Directory for cached oracle tables (default: $QDISSECT_CACHE).")
@@ -288,14 +321,17 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
         raise click.ClickException("--n-max must be >= 0")
     cache_dir = cache_dir or os.environ.get("QDISSECT_CACHE")
 
-    reg = build_registry()
+    reg, user = build_registry(), Registry()
     if registry_file:
         try:
-            extra = load_cases(registry_file, taken=[c.id for c in reg.cases])
+            text = Path(registry_file).read_text(encoding="utf-8")
+            user = parse_registry(text, taken=reg)
         except (ValueError, OSError) as exc:
             raise click.BadParameter(f"{registry_file}: {exc}",
                                      param_hint="'--registry-file'") from None
-        reg = Registry(reg.cases + extra, reg.chains)
+        reg = Registry(reg.cases + user.cases, reg.chains + user.chains,
+                       reg.families + user.families)
+    blame = _blamer(user, registry_file, order)
 
     if case_ids or chain_ids or family_ids:
         run_idents, run_chains, run_fams = bool(case_ids), bool(chain_ids), bool(family_ids)
@@ -306,11 +342,11 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
 
     rows: list[dict] = []
     if run_idents:
-        rows += _run_identities(reg, case_ids, order, jobs)
+        rows += _run_identities(reg, case_ids, order, jobs, blame)
     if run_chains:
-        rows += _run_chains(reg, chain_ids, order, jobs)
+        rows += _run_chains(reg, chain_ids, order, jobs, blame)
     if run_fams:
-        rows += _run_families(family_ids, n_max, slow, cache_dir)
+        rows += _run_families(reg, family_ids, n_max, slow, cache_dir, blame)
 
     report = {"suite": suite, "cases": rows, "summary": _summarize(rows)}
     if fmt == "json":
@@ -330,8 +366,8 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Destination file (default: stdout).")
 def cmd_export_registry(output) -> None:
-    """Dump the built-in identity catalog in the plain-text registry format."""
-    text = dump_cases(build_identities())
+    """Write the built-in catalog (identities, chains, families) as registry text."""
+    text = dump_registry(build_registry())
     if output:
         Path(output).write_text(text, encoding="utf-8")
         click.echo(f"wrote {output}")

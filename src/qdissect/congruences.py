@@ -5,7 +5,8 @@ proportional to another stream, or satisfies a fixed three-term relation on an
 affine progression of indices.  Verification walks the progression against an
 oracle table and reports every violation; instances whose largest index
 exceeds the desk-scale cap (or the supplied table) are reported as skipped,
-never silently dropped.
+never silently dropped.  The catalog's families are records of the registry
+text format (see :mod:`qdissect.registry`); :func:`build_families` returns them.
 
 The closed-form constants of the lemma combinations live in order-2 integer
 recurrences (``s_{k+1} = alpha*s_k + beta*s_{k-1}``); their initial values
@@ -29,6 +30,7 @@ from typing import Optional, Union
 from .oracle import CountTable, SourceSpec
 
 DESK_INDEX_CAP = 30_000_000  # largest coefficient index attempted by policy
+_POW_BITS_CAP = 4096  # an index expression's power may not exceed 2^4096
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +116,8 @@ def exact_div(num: int, den: int) -> int:
 def _int_pow(base: int, exp: int) -> int:
     if exp < 0:
         raise ArithmeticError(f"negative exponent {exp} in an index expression")
+    if abs(base) > 1 and exp * (abs(base).bit_length() - 1) > _POW_BITS_CAP:
+        raise ArithmeticError(f"{base} ** {exp} in an index expression is too large")
     return base ** exp
 
 
@@ -131,6 +135,8 @@ def _parse(text: str) -> ast.expr:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"index expression {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ValueError(f"index expression {text!r} is nested too deeply") from None
     for node in ast.walk(tree):
         if (not isinstance(node, _NODES)
                 or isinstance(node, ast.Constant) and type(node.value) is not int
@@ -256,14 +262,23 @@ _Pairs = list[tuple[int, int]]  # (scale, offset) of index maps at one (m, k)
 def _instance_maps(family: CongruenceFamily, m: int, k: int) -> tuple[_Pairs, _Pairs]:
     """``(scale, offset)`` of every map read at instance (m, k): first those
     read from the source table (the family's index, then the relation's
-    references in order), then those read from a separate reference table."""
+    references in order), then those read from a separate reference table.
+    A map that cannot be evaluated, or reads below index 0 or at one index for
+    every n, is a ``ValueError`` naming the family and the instance."""
     rel = family.relation
-    src = [family.index.coeffs(m, k)]
-    ref: _Pairs = []
-    if isinstance(rel, Recur):
-        (src if rel.ref_source is None else ref).append(rel.ref.coeffs(m, k))
-    elif isinstance(rel, ThreeTerm):
-        src += [rel.ref1.coeffs(m, k), rel.ref2.coeffs(m, k)]
+    try:
+        src = [family.index.coeffs(m, k)]
+        ref: _Pairs = []
+        if isinstance(rel, Recur):
+            (src if rel.ref_source is None else ref).append(rel.ref.coeffs(m, k))
+        elif isinstance(rel, ThreeTerm):
+            src += [rel.ref1.coeffs(m, k), rel.ref2.coeffs(m, k)]
+    except (ArithmeticError, RecursionError) as exc:
+        raise ValueError(f"[family {family.id}] m={m}, k={k}: {exc}") from None
+    for scale, offset in src + ref:
+        if scale < 1 or offset < 0:
+            raise ValueError(f"[family {family.id}] m={m}, k={k}: index map "
+                             f"{scale} * n + {offset} needs scale >= 1 and offset >= 0")
     return src, ref
 
 
@@ -280,8 +295,8 @@ def _first_uncovered(pairs: _Pairs, n_top: int, limit: int) -> int:
     )
 
 
-def required_order(family: CongruenceFamily, n_max: Optional[int] = None,
-                   index_cap: int = DESK_INDEX_CAP) -> dict[SourceSpec, int]:
+def required_order(family: CongruenceFamily,
+                   n_max: Optional[int] = None) -> dict[SourceSpec, int]:
     """Largest table index each source needs, over the non-skipped instances."""
     n = family.default_n_max if n_max is None else n_max
     ref_spec = getattr(family.relation, "ref_source", None)
@@ -289,7 +304,7 @@ def required_order(family: CongruenceFamily, n_max: Optional[int] = None,
     for m in family.m_values:
         for k in family.k_values:
             src, ref = _instance_maps(family, m, k)
-            if _top(src + ref, n) > index_cap:
+            if _top(src + ref, n) > DESK_INDEX_CAP:
                 continue
             needs[family.source] = max(needs.get(family.source, 0), _top(src, n))
             if ref:
@@ -302,13 +317,12 @@ def verify_family(
     source: CountTable,
     n_max: Optional[int] = None,
     ref_source: Optional[CountTable] = None,
-    index_cap: int = DESK_INDEX_CAP,
 ) -> FamilyReport:
     """Check every (m, k, n) instance of the family against oracle tables.
 
     ``source`` must be a modular table matching the family's modulus (or an
     exact table, reduced on the fly).  Instances whose largest index exceeds
-    ``index_cap`` or the table are reported in ``skipped`` with the smallest
+    ``DESK_INDEX_CAP`` or the table are reported in ``skipped`` with the smallest
     uncovered index.
     """
     t0 = time.perf_counter()
@@ -327,9 +341,9 @@ def verify_family(
             params = (("m", m), ("k", k))
             src, ref = _instance_maps(family, m, k)
             src_top, ref_top = _top(src, n_top), _top(ref, n_top)
-            if max(src_top, ref_top) > index_cap:
+            if max(src_top, ref_top) > DESK_INDEX_CAP:
                 skipped.append((params, "index exceeds desk scale",
-                                _first_uncovered(src + ref, n_top, index_cap)))
+                                _first_uncovered(src + ref, n_top, DESK_INDEX_CAP)))
                 continue
             if src_top > source.n_max:
                 skipped.append((params, "source table too small",
@@ -366,224 +380,11 @@ def verify_family(
     )
 
 
-def verify_three_term(
-    relation_id: str,
-    p: int,
-    maps: tuple[AffineIndex, AffineIndex, AffineIndex],
-    coeffs: tuple[int, int],
-    n_max: int,
-    source: CountTable,
-) -> FamilyReport:
-    """Standalone three-term check ``src[maps[0](n)] = c1*src[maps[1](n)] + c2*src[maps[2](n)]``."""
-    lhs, ref1, ref2 = maps
-    fam = CongruenceFamily(
-        relation_id, "adhoc", p,
-        SourceSpec(source.kind, source.l, source.m),
-        lhs, ThreeTerm(coeffs[0], ref1, coeffs[1], ref2),
-        default_n_max=n_max,
-    )
-    return verify_family(fam, source, n_max=n_max)
-
-
-# ---------------------------------------------------------------------------
-# family catalog
-# ---------------------------------------------------------------------------
-
 def build_families() -> list[CongruenceFamily]:
-    """All congruence families, in catalog order."""
-    fams: list[CongruenceFamily] = []
+    """All congruence families of the built-in catalog, in catalog order."""
+    from .registry import registry
 
-    B37 = SourceSpec("bipartite", 3, 7)
-    B95 = SourceSpec("bipartite", 9, 5)
-    B511 = SourceSpec("bipartite", 5, 11)
-    B513 = SourceSpec("bipartite", 5, 13)
-    B8117 = SourceSpec("bipartite", 81, 17)
-    B28 = SourceSpec("bipartite", 2, 8)
-    B311 = SourceSpec("bipartite", 3, 11)
-    b17 = SourceSpec("regular", 17)
-
-    fams.append(CongruenceFamily(
-        "w.11", "s3", 7, B37,
-        plain_index(16, 5),
-        ThreeTerm(5, plain_index(1, 0), 6, plain_index(4, 1)),
-        default_n_max=5000,
-        note="order-16 base relation for the (3,7) stream",
-    ))
-    fams.append(CongruenceFamily(
-        "ak1", "s3", 7, B37,
-        AffineIndex("4 ** (7 * m)", "(4 ** (7 * m) - 1) / 3"),
-        Recur(3, plain_index(1, 0)),
-        m_values=(0, 1), default_n_max=100,
-    ))
-    fams.append(CongruenceFamily(
-        "ak2", "s3", 7, B37,
-        AffineIndex("4 ** (7 * m + 7)", "(10 * 4 ** (7 * m + 6) - 1) / 3"),
-        Zero(),
-        m_values=(0,), default_n_max=100,
-    ))
-
-    fams.append(CongruenceFamily(
-        "0a1", "s4", 3, B95,
-        AffineIndex("5 ** (4 * m)", "(5 ** (4 * m) - 1) / 2"),
-        Recur(2, plain_index(1, 0)),
-        m_values=(0, 1), default_n_max=2000,
-        note="m=1 instance is the section-4 base relation",
-    ))
-    fams.append(CongruenceFamily(
-        "0a2", "s4", 3, B95,
-        AffineIndex("5 ** (4 * m + 4)", "((2 * k + 1) * 5 ** (4 * m + 3) - 1) / 2"),
-        Zero(),
-        m_values=(0,), k_values=(4, 5), default_n_max=2000,
-    ))
-
-    fams.append(CongruenceFamily(
-        "1.x", "s5", 11, B511,
-        plain_index(625, 364),
-        ThreeTerm(1, plain_index(25, 14), 7, plain_index(1, 0)),
-        default_n_max=2000,
-        note="order-625 base relation for the (5,11) stream",
-    ))
-    fams.append(CongruenceFamily(
-        "thm12", "s5", 11, B511,
-        AffineIndex("5 ** (12 * m)", "(7 * 5 ** (12 * m) - 7) / 12"),
-        Recur(2, plain_index(1, 0)),
-        m_values=(0, 1), default_n_max=100,
-        note="m>=1 indices are beyond desk scale; assurance is the replayed "
-             "chain plus the base relation",
-    ))
-    fams.append(CongruenceFamily(
-        "thm13", "s5", 11, B511,
-        AffineIndex("5 ** (12 * m + 12)", "((12 * k + 11) * 5 ** (12 * m + 11) - 7) / 12"),
-        Zero(),
-        m_values=(0,), k_values=(4, 5), default_n_max=100,
-        note="source statement omits n on the leading power; read as "
-             "5^(12m+12)*n by analogy with the other theorems",
-    ))
-
-    fams.append(CongruenceFamily(
-        "2.x", "s6", 13, B513,
-        plain_index(625, 416),
-        ThreeTerm(8, plain_index(25, 16), 1, plain_index(1, 0)),
-        default_n_max=2000,
-        note="order-625 base relation for the (5,13) stream",
-    ))
-    fams.append(CongruenceFamily(
-        "thm14", "s6", 13, B513,
-        AffineIndex("5 ** (6 * m)", "(2 * 5 ** (6 * m) - 2) / 3"),
-        Recur(8, plain_index(1, 0)),
-        m_values=(0, 1), default_n_max=79,
-    ))
-    fams.append(CongruenceFamily(
-        "thm15", "s6", 13, B513,
-        AffineIndex("5 ** (6 * m + 6)", "((3 * k + 1) * 5 ** (6 * m + 5) - 2) / 3"),
-        Zero(),
-        m_values=(0,), k_values=(1, 5), default_n_max=79,
-    ))
-
-    fams.append(CongruenceFamily(
-        "x1", "s8", 11, B28,
-        AffineIndex("88", "8 * k + 7"),
-        Zero(),
-        k_values=tuple(range(1, 11)), default_n_max=500,
-    ))
-
-    fams.append(CongruenceFamily(
-        "s8", "s7", 17, B8117,
-        AffineIndex("81", "27 * k + 23"),
-        Zero(),
-        k_values=(2, 3), default_n_max=300,
-    ))
-    fams.append(CongruenceFamily(
-        "7.22", "s7", 17, B8117,
-        plain_index(81, 50),
-        Recur(5, plain_index(1, 0), ref_source=b17),
-        m_values=(1,), default_n_max=500,
-        note="cross-stream relation onto the 17-regular counts",
-    ))
-    fams.append(CongruenceFamily(
-        "7.15", "s7", 17, b17,
-        AffineIndex("4 ** 8", "2 * (4 ** 8 - 1) / 3"),
-        ThreeTerm(2, plain_index(4, 2), 13, plain_index(1, 0)),
-        default_n_max=15,
-        note="imported order-2 lemma instance at k=8, checked empirically",
-    ))
-    fams.append(CongruenceFamily(
-        "s10", "s7", 17, b17,
-        AffineIndex("4 ** 9", "2 * (4 ** 8 - 1) / 3"),
-        Zero(),
-        default_n_max=4,
-    ))
-    fams.append(CongruenceFamily(
-        "s11", "s7", 17, b17,
-        AffineIndex("4 ** 9", "2 * (4 ** 9 - 1) / 3"),
-        Recur(8, plain_index(1, 0)),
-        m_values=(1,), default_n_max=4,
-    ))
-    fams.append(CongruenceFamily(
-        "s12", "s7", 17, b17,
-        AffineIndex("2 * 4 ** 8", "(5 * 4 ** 8 - 2) / 3"),
-        Recur(1, plain_index(2, 1)),
-        m_values=(1,), default_n_max=9,
-    ))
-
-    fams.append(CongruenceFamily(
-        "dou", "s1", 11, B311,
-        AffineIndex("3 ** m", "(5 * 3 ** (m - 1) - 1) / 2"),
-        Zero(),
-        m_values=(2, 3), default_n_max=3000,
-        note="imported result, verified empirically for a = 2, 3",
-    ))
-
-    # Theorem for the (81,17) stream: the printed statement mixes 4^(9m) and
-    # 4^(8m) and claims every m >= 0; the readings and the m-range are probed
-    # separately and the outcomes recorded.
-    fams.append(CongruenceFamily(
-        "s13", "s7", 17, B8117,
-        AffineIndex("81 * 4 ** (9 * m)", "81 * ((2 * 4 ** (8 * m) - 2) / 3) + 50"),
-        Zero(),
-        m_values=(1,), default_n_max=1, slow=True,
-        note="printed mixed-exponent reading, from m = 1 on",
-    ))
-    fams.append(CongruenceFamily(
-        "s13-m0-probe", "s7", 17, B8117,
-        plain_index(81, 50),
-        Zero(),
-        m_values=(0,), default_n_max=10, expect="record",
-        note="the printed m-range starts at 0, but there the progression is "
-             "the proportional one (5 times the 17-regular stream), nonzero "
-             "already at n = 0; recorded as an erratum candidate for the "
-             "stated range",
-    ))
-    fams.append(CongruenceFamily(
-        "s13-uniform", "s7", 17, B8117,
-        AffineIndex("81 * 4 ** (9 * m)", "81 * ((2 * 4 ** (9 * m) - 2) / 3) + 50"),
-        Zero(),
-        m_values=(1,), default_n_max=0, slow=True, expect="record",
-        note="uniform-exponent reading probe; expected to violate (it is the "
-             "index of the proportional family, not the vanishing one)",
-    ))
-    fams.append(CongruenceFamily(
-        "s14", "s7", 17, B8117,
-        AffineIndex("81 * 4 ** (9 * m)", "81 * ((2 * 4 ** (9 * m) - 2) / 3) + 50"),
-        Recur(8, plain_index(81, 50)),
-        m_values=(0, 1), default_n_max=0, slow=True,
-    ))
-    fams.append(CongruenceFamily(
-        "s15-printed", "s7", 17, B8117,
-        AffineIndex("162 * 4 ** (8 * m)", "81 * ((5 * 4 ** (8 * m) - 2) / 3) + 50"),
-        Recur(5, plain_index(162, 131)),
-        m_values=(0, 1), default_n_max=1, slow=True, expect="record",
-        note="printed constant 5^m; the composed derivation suggests constant 1, "
-             "both readings recorded",
-    ))
-    fams.append(CongruenceFamily(
-        "s15-unit", "s7", 17, B8117,
-        AffineIndex("162 * 4 ** (8 * m)", "81 * ((5 * 4 ** (8 * m) - 2) / 3) + 50"),
-        Recur(1, plain_index(162, 131)),
-        m_values=(1,), default_n_max=1, slow=True, expect="record",
-        note="constant-1 reading probe for the same progression",
-    ))
-    return fams
+    return registry().families
 
 
 def family_index() -> dict[str, CongruenceFamily]:

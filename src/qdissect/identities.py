@@ -189,7 +189,11 @@ class ChainReport:
 
 
 def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
-    """Execute a chain's steps on a concrete series and report every stage."""
+    """Execute a chain's steps on a concrete series and report every stage.
+
+    Too few surviving coefficients is a :class:`PrecisionError`, any other
+    failure a :class:`VerificationError`; both name the chain and the stage
+    or step."""
     n = chain.base_order if order is None else order
     t0 = time.perf_counter()
     ring = EXACT if chain.modulus == 0 else CoeffRing(chain.modulus)
@@ -202,52 +206,52 @@ def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
     pending: list[str] = []
     stages: list[StageReport] = []
 
-    for step in chain.steps:
-        if isinstance(step, Substitute):
-            pending.append(step.identity_id)
-        elif isinstance(step, Extract):
-            eff_r = step.r * lattice if lattice > 1 else step.r
-            lattice *= step.s
-            try:
+    for i, step in enumerate(chain.steps, start=1):
+        try:
+            if isinstance(step, Substitute):
+                pending.append(step.identity_id)
+            elif isinstance(step, Extract):
+                eff_r = step.r * lattice if lattice > 1 else step.r
+                lattice *= step.s
                 current = series.dilate(series.extract(current, eff_r, lattice), lattice)
-            except PrecisionError as exc:
-                raise PrecisionError(f"[chain {chain.id}] {exc}") from exc
-        elif isinstance(step, DilateBack):
-            if lattice % step.s:
-                raise ValueError(
-                    f"[chain {chain.id}] DilateBack({step.s}) but lattice is {lattice}"
+            elif isinstance(step, DilateBack):
+                if lattice % step.s:
+                    raise ValueError(f"the lattice is {lattice}, not a multiple of {step.s}")
+                current = series.extract(current, 0, step.s)
+                lattice //= step.s
+            elif isinstance(step, ReduceMod):
+                current = series.reduce_mod(current, step.modulus)
+                ring = CoeffRing(step.modulus)
+            elif isinstance(step, AssertStage):
+                claimed = eval_qexpr(step.expr, ring, n)
+                compared = min(current.order, claimed.order)
+                surviving = compared // lattice + 1
+                if surviving < chain.min_surviving:
+                    raise PrecisionError(
+                        f"only {surviving} coefficients survive (need "
+                        f"{chain.min_surviving}); raise the base order")
+                ok, idx = series.eq_to_order(current, claimed, compared)
+                if ok:
+                    status, mismatch = "pass", None
+                else:
+                    mismatch = Mismatch(idx, current[idx], claimed[idx])
+                    status = "erratum" if step.expect == "record" else "mismatch"
+                stages.append(
+                    StageReport(step.stage_id, status, compared, surviving,
+                                tuple(pending), mismatch)
                 )
-            current = series.extract(current, 0, step.s)
-            lattice //= step.s
-        elif isinstance(step, ReduceMod):
-            current = series.reduce_mod(current, step.modulus)
-            ring = CoeffRing(step.modulus)
-        elif isinstance(step, AssertStage):
-            claimed = eval_qexpr(step.expr, ring, n)
-            compared = min(current.order, claimed.order)
-            surviving = compared // lattice + 1
-            if surviving < chain.min_surviving:
-                raise PrecisionError(
-                    f"[chain {chain.id}] stage {step.stage_id}: only {surviving} "
-                    f"coefficients survive (need {chain.min_surviving}); "
-                    f"raise the base order"
-                )
-            ok, idx = series.eq_to_order(current, claimed, compared)
-            if ok:
-                status, mismatch = "pass", None
-            else:
-                mismatch = Mismatch(idx, current[idx], claimed[idx])
-                status = "erratum" if step.expect == "record" else "mismatch"
-            stages.append(
-                StageReport(step.stage_id, status, compared, surviving,
-                            tuple(pending), mismatch)
-            )
-            pending = []
-            # continue from the claimed stage at full order (re-inflate); on a
-            # mismatch this also localizes the discrepancy to one stage
-            current = claimed
-        else:  # pragma: no cover
-            raise TypeError(f"unknown proof step {step!r}")
+                pending = []
+                # continue from the claimed stage at full order (re-inflate); on a
+                # mismatch this also localizes the discrepancy to one stage
+                current = claimed
+            else:  # pragma: no cover
+                raise TypeError(f"unknown proof step {step!r}")
+        except Exception as exc:
+            where = (f"[chain {chain.id}] stage {step.stage_id}" if isinstance(step, AssertStage)
+                     else f"[chain {chain.id}] step {i} {step}")
+            if isinstance(exc, PrecisionError):
+                raise PrecisionError(f"{where}: {exc}") from exc
+            raise VerificationError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
     ms = (time.perf_counter() - t0) * 1000
     return ChainReport(chain.id, tuple(stages), ms)

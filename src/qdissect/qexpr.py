@@ -201,11 +201,6 @@ _MEMO: dict[tuple[QExpr, CoeffRing, int], Series] = {}
 _MEMO_LOCK = threading.Lock()
 
 
-def clear_cache() -> None:
-    with _MEMO_LOCK:
-        _MEMO.clear()
-
-
 def _binomial_product(ring: CoeffRing, order: int, factors: Iterable[tuple[int, int]]) -> Series:
     """Product of binomials ``(1 - s*q^d)`` for (d, s) pairs with d >= 1."""
     coeffs = [0] * (order + 1)
@@ -330,16 +325,15 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
 #       | (psi INT) | (theta INT INT INT INT) | (mul expr+) | (pow expr INT)
 #       | (dilate expr INT) | (sum (INT expr)+) | S | S1 | u | v
 
-_NAMED = {
-    "S": rr_quotient,
-    "S1": rr_quotient_13,
-    "u": cubic_u,
-    "v": cubic_v,
-}
+_NAMED = {"S": rr_quotient(), "S1": rr_quotient_13(), "u": cubic_u(), "v": cubic_v()}
+_NAME_OF = {expr: name for name, expr in _NAMED.items()}
 
 
 def to_sexpr(expr: QExpr) -> str:
-    """Serialize an expression tree to prefix notation."""
+    """Serialize an expression tree to prefix notation; a subtree equal to a
+    named quotient is written as its name."""
+    if isinstance(expr, (Mul, Dilate)) and expr in _NAME_OF:
+        return _NAME_OF[expr]
     if isinstance(expr, Const):
         return f"(const {expr.value})"
     if isinstance(expr, Q):
@@ -405,7 +399,7 @@ def parse_sexpr(text: str) -> QExpr:
         tok = next_tok()
         if tok != "(":
             if tok in _NAMED:
-                return _NAMED[tok]()
+                return _NAMED[tok]
             fail(f"expected '(' or named atom, got {tok!r}")
         head = next_tok()
         if head == "const":

@@ -1,672 +1,74 @@
-"""Built-in catalog: dissection identities and replayable derivation chains.
+"""The catalog: identity cases, derivation chains and congruence families.
 
-Every displayed equality the harness checks lives here, keyed by a stable id.
-Identity ids follow the source-catalog labels (``0.2``, ``kp2``, ``k1@7``,
-...); chain ids name the section-level derivations (``s3`` .. ``s8``).  A
-section whose derivation restarts from a lemma-supplied linear combination is
-split into segments (``s3.tail``, ``s5.tail``, ``s7cor.comb``, ...): the new
-start is itself an asserted combination of previously verified stages, so the
-replay stays fully mechanical.
+The built-in catalog is the package file ``catalog.txt``.  It is read by
+:func:`parse_registry`, the parser that also reads ``--registry-file``, and
+:func:`dump_registry` (``qdissect export-registry``) writes it back byte for
+byte.  Identity ids follow the source-catalog labels (``0.2``, ``kp2``,
+``k1@7``, ...); chain ids name the section-level derivations (``s3`` ..
+``s8``).  A section whose derivation restarts from a lemma-supplied linear
+combination is split into segments (``s3.tail``, ``s5.tail``,
+``s7cor.comb``, ...): the new start is itself an asserted combination of
+previously verified stages, so the replay stays fully mechanical.
 
-Two entries are expectation-``record`` rather than ``pass``: the cubic entry
-``7.3`` (flagged for independent confirmation; it verifies cleanly) and chain
-stage ``7.21`` (its first eta exponent disagrees with the mechanical
-expansion; the run records the mismatch as an erratum candidate and the
-``s7cor.odd.alt`` diagnostic segment confirms the corrected exponent).
+The text format has one record per line; a chain record goes on with one
+line per step::
 
-The catalog is also writable/loadable as plain text (one case per line,
-``id|mode|order|lhs|rhs`` with expressions in the prefix serialization), so
-new identities can be checked without touching the package.
+    ID|MODE|ORDER|LHS|RHS                          an identity case
+    chain ID|MODE|ORDER|START                      a chain header, then steps:
+      sub ID | extract R S | dilate S | reduce M | assert ID EXPR [record]
+    family ID|SOURCE|modM|SCALE|OFFSET|RELATION    a congruence family
+
+Each record may end in ``key=value`` fields (``section``, ``expect``,
+``note``, and for families ``ref``, ``m``, ``k``, ``n_max`` and ``slow``); a
+field left out takes its default.  The README gives the full grammar.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+import dataclasses
+import re
+from functools import lru_cache
+from importlib.resources import files
+from typing import Optional, Sequence
 
+from .congruences import (
+    AffineIndex,
+    CongruenceFamily,
+    Recur,
+    SourceSpec,
+    ThreeTerm,
+    Zero,
+)
 from .identities import (
     AssertStage,
     DilateBack,
     Extract,
     IdentityCase,
     ProofChain,
+    ProofStep,
     ReduceMod,
     Substitute,
 )
-from .qexpr import (
-    Const,
-    EtaF,
-    Mul,
-    Pow,
-    Q,
-    QExpr,
-    Sum,
-    Theta,
-    Phi,
-    Psi,
-    cubic_u,
-    cubic_v,
-    eta_quotient,
-    parse_sexpr,
-    rr_quotient,
-    rr_quotient_13,
-    to_sexpr,
-)
+from .qexpr import parse_sexpr, to_sexpr
 
-S = rr_quotient()
-S13 = rr_quotient_13()
-U = cubic_u()
-V = cubic_v()
+HEADER = "# qdissect registry: identities, chains and families (format: see the README)"
 
-
-def _t(coeff: int, e: int = 0, fs: Optional[dict[int, int]] = None,
-       Sp: int = 0, up: int = 0, vp: int = 0, extra: Optional[QExpr] = None
-       ) -> tuple[int, QExpr]:
-    """One weighted term: ``coeff * q^e * prod f_k^e * S^Sp * u^up * v^vp``."""
-    factors: list[QExpr] = []
-    if e:
-        factors.append(Q(e))
-    if fs:
-        factors.append(eta_quotient(fs))
-    for base, p in ((S, Sp), (U, up), (V, vp)):
-        if p == 1:
-            factors.append(base)
-        elif p:
-            factors.append(Pow(base, p))
-    if extra is not None:
-        factors.append(extra)
-    if not factors:
-        return coeff, Const(1)
-    return coeff, factors[0] if len(factors) == 1 else Mul(tuple(factors))
-
-
-def _sum(*terms: tuple[int, QExpr]) -> QExpr:
-    return Sum(tuple(terms))
-
-
-def _eta(fs: dict[int, int]) -> QExpr:
-    return eta_quotient(fs)
-
-
-# the three recurring bracket expressions
-S_LINEAR = _sum(_t(1, Sp=-1), _t(-1, 1), _t(-1, 2, Sp=1))          # 1/S - q - q^2 S
-S_QUINTIC = _sum(_t(1, Sp=-5), _t(-11, 5), _t(-1, 10, Sp=5))       # 1/S^5 - 11q^5 - q^10 S^5
-ETA_QUINTIC = _eta({5: 6, 25: -6})                                  # f5^6 / f25^6
-S13_LINEAR = _sum(_t(1, extra=Pow(S13, -1)), _t(-1, 13), _t(-1, 26, extra=S13))
-# the 5-dissection bracket of 1/f1 (the 0.3a inner sum)
-Z_SUM = _sum(
-    _t(1, 8, Sp=4), _t(-1, 7, Sp=3), _t(2, 6, Sp=2), _t(-3, 5, Sp=1), _t(5, 4),
-    _t(3, 3, Sp=-1), _t(2, 2, Sp=-2), _t(1, 1, Sp=-3), _t(1, Sp=-4),
-)
-# 2-dissections of 1/f1^2 and 1/f1^4
-A_SUM = _sum(
-    _t(1, fs={8: 5, 2: -5, 16: -2}),
-    _t(2, 1, {4: 2, 16: 2, 2: -5, 8: -1}),
-)
-B_SUM = _sum(
-    _t(1, fs={4: 14, 2: -14, 8: -4}),
-    _t(4, 1, {4: 2, 8: 4, 2: -10}),
-)
-V_PLUS = _sum(_t(1, vp=-1), _t(4, 1, vp=2))                        # 1/v + 4q v^2
-
-
-def build_identities() -> list[IdentityCase]:
-    """All standalone identity cases, in catalog order."""
-    cases = [
-        IdentityCase(
-            "0.2", "s2",
-            EtaF(1),
-            Mul((EtaF(25), S_LINEAR)),
-            default_order=400,
-            note="5-dissection of f1 through the Rogers-Ramanujan quotient",
-        ),
-        IdentityCase(
-            "0.3", "s2",
-            ETA_QUINTIC,
-            S_QUINTIC,
-            default_order=400,
-        ),
-        IdentityCase(
-            "0.3a", "s2",
-            _eta({1: -1}),
-            Mul((_eta({25: 5, 5: -6}), Z_SUM)),
-            default_order=400,
-            note="5-dissection of 1/f1",
-        ),
-        IdentityCase("2a", "s2", _eta({1: -2}), A_SUM,
-                      note="2-dissection of 1/f1^2"),
-        IdentityCase("2b", "s2", _eta({1: -4}), B_SUM,
-                      note="2-dissection of 1/f1^4"),
-        IdentityCase(
-            "e2", "s2",
-            _eta({1: 4}),
-            _sum(_t(1, fs={4: 10, 2: -2, 8: -4}), _t(-4, 1, {2: 2, 8: 4, 4: -2})),
-        ),
-        IdentityCase(
-            "kp", "s2",
-            _eta({3: 1, 1: -3}),
-            _sum(_t(1, fs={4: 6, 6: 3, 2: -9, 12: -2}), _t(3, 1, {4: 2, 6: 1, 12: 2, 2: -7})),
-        ),
-        IdentityCase(
-            "kp1", "s2",
-            _eta({1: 3, 3: -1}),
-            _sum(_t(1, fs={4: 3, 12: -1}), _t(-3, 1, {2: 2, 12: 3, 4: -1, 6: -2})),
-        ),
-        IdentityCase(
-            "kp2", "s2",
-            _eta({1: 1, 3: 1}),
-            _sum(
-                _t(1, fs={2: 1, 8: 2, 12: 4, 4: -2, 6: -1, 24: -2}),
-                _t(-1, 1, {4: 4, 6: 1, 24: 2, 2: -1, 8: -2, 12: -2}),
-            ),
-        ),
-        IdentityCase(
-            "kp3", "s2",
-            _eta({3: 2, 1: -2}),
-            _sum(
-                _t(1, fs={6: 1, 12: 2, 4: 4, 2: -5, 8: -1, 24: -1}),
-                _t(2, 1, {6: 2, 8: 1, 24: 1, 4: 1, 2: -4, 12: -1}),
-            ),
-        ),
-        IdentityCase(
-            "7.3", "s7",
-            _eta({1: 3}),
-            Mul((_eta({9: 3}), _sum(_t(1, up=-1), _t(-3, 1), _t(4, 3, up=2)))),
-            default_order=600,
-            expect="record",
-            note="cubic continued-fraction entry; printed coefficient 4 flagged "
-                 "for confirmation, outcome recorded either way",
-        ),
-        IdentityCase(
-            "7.6", "s7",
-            _sum(_t(1, fs={1: 12, 3: -12}), _t(27, 1)),
-            Pow(V_PLUS, 3),
-            default_order=600,
-            note="cubic continued-fraction cube",
-        ),
-    ]
-    for p in (3, 7, 11, 13, 17):
-        cases.append(
-            IdentityCase(
-                f"k1@{p}", "s2",
-                EtaF(p), Pow(EtaF(1), p),
-                modulus=p,
-                note="binomial-theorem congruence f_p = f_1^p",
-            )
-        )
-    cases += [
-        IdentityCase("phi-eta", "s2", Phi(1), _eta({2: 5, 1: -2, 4: -2}),
-                      note="eta-quotient form of phi"),
-        IdentityCase("psi-eta", "s2", Psi(1), _eta({2: 2, 1: -1}),
-                      note="eta-quotient form of psi"),
-        IdentityCase("pentagonal", "s2", EtaF(1), Theta(-1, 1, -1, 2),
-                      note="Euler's pentagonal product as a theta specialization"),
-    ]
-    return cases
-
-
-# ---------------------------------------------------------------------------
-# chains
-# ---------------------------------------------------------------------------
-
-def _chain_s3() -> list[ProofChain]:
-    A = {4: 8, 12: 4, 2: -1, 6: -1, 8: -2, 24: -2}
-    B = {2: 3, 8: 6, 12: 4, 4: -4, 6: -1, 24: -2}
-    C = {4: 14, 6: 1, 24: 2, 2: -3, 8: -6, 12: -2}
-    D = {2: 1, 4: 2, 6: 1, 8: 2, 24: 2, 12: -2}
-    w2 = _eta({1: 5, 3: 1})
-    X = {2: 9, 3: 4, 1: -4, 6: -3}
-    w4a = {1: 3, 4: 6, 6: 4, 2: -4, 3: -1, 12: -2}
-    w4b = {2: 14, 3: 1, 12: 2, 1: -3, 4: -6, 6: -2}
-    w5a = {2: 5, 6: 1}
-    w5b = {4: 9, 6: 4, 2: -4, 12: -3}
-    w5c = {4: 5, 6: 2, 12: 1, 2: -2}
-    w5d = {2: 7, 12: 4, 4: -4, 6: -1}
-    w6 = _sum(_t(6, fs={1: 5, 3: 1}), _t(3, fs=X))
-    main = ProofChain(
-        "s3", "s3",
-        start=_eta({3: 1, 7: 1, 1: -2}),
-        modulus=7,
-        base_order=512,
-        steps=(
-            Substitute("k1@7"), AssertStage("w.2", w2),
-            Substitute("e2"), Substitute("kp2"),
-            AssertStage("w.3", _sum(_t(1, fs=A), _t(3, 1, B), _t(6, 1, C), _t(4, 2, D))),
-            Extract(1, 2), DilateBack(2),
-            AssertStage("w.4", _sum(_t(3, fs=w4a), _t(6, fs=w4b))),
-            Substitute("kp"), Substitute("kp1"),
-            AssertStage("w.5", _sum(_t(6, fs=w5a), _t(3, fs=w5b), _t(5, 1, w5c), _t(4, 1, w5d))),
-            Extract(0, 2), DilateBack(2),
-            AssertStage("w.6", w6),
-            Substitute("e2"), Substitute("kp2"), Substitute("kp3"),
-            AssertStage("w.7", _sum(_t(2, fs=A), _t(5, 1, {4: 5, 12: 1}),
-                                    _t(4, 1, B), _t(1, 1, C), _t(1, 2, D))),
-            Extract(1, 2), DilateBack(2),
-            AssertStage("w.8", _sum(_t(5, fs=w5a), _t(4, fs=w4a), _t(1, fs=w4b))),
-            Substitute("kp"), Substitute("kp1"),
-            AssertStage("w.9", _sum(_t(6, fs=w5a), _t(4, fs=w5b), _t(2, 1, w5c), _t(3, 1, w5d))),
-            Extract(0, 2), DilateBack(2),
-            AssertStage("w.10", _sum(_t(6, fs={1: 5, 3: 1}), _t(4, fs=X))),
-        ),
-        note="mod-7 derivation for the (3,7) stream",
-    )
-    tail = ProofChain(
-        "s3.tail", "s3",
-        start=Sum(((2, w6), (2, w2))),
-        modulus=7,
-        base_order=512,
-        steps=(
-            AssertStage("w.20", _sum(_t(6, fs=X))),
-            Substitute("kp3"),
-            AssertStage("w.21", _sum(_t(6, fs=A), _t(3, 1, {4: 5, 12: 1}), _t(3, 2, D))),
-            Extract(1, 2), DilateBack(2),
-            AssertStage("w.22", _sum(_t(3, fs={2: 5, 6: 1}))),
-        ),
-        note="restart from the order-6 recurrence combination "
-             "(both weights are 2 mod 7)",
-    )
-    return [main, tail]
-
-
-def _chain_s4() -> list[ProofChain]:
-    # the fully reduced mod-3 expansion of (1/S - q - q^2 S)^7
-    s7_terms = [
-        (1, 0, -7), (2, 1, -6), (2, 2, -5), (1, 3, -4), (2, 4, -3),
-        (2, 5, -2), (2, 6, -1), (1, 7, 0), (1, 8, 1), (2, 9, 2),
-        (1, 10, 3), (1, 11, 4), (1, 12, 5), (2, 13, 6), (2, 14, 7),
-    ]
-    S7 = _sum(*(_t(c, e, Sp=k) for c, e, k in s7_terms))
-    f5f25_7 = _eta({5: 1, 25: 7})
-    f57f25 = _eta({5: 7, 25: 1})
-    bracketed = Mul((f5f25_7, _sum((2, S_QUINTIC), _t(2, 5))))
-    chain = ProofChain(
-        "s4", "s4",
-        start=_eta({9: 1, 5: 1, 1: -2}),
-        modulus=3,
-        base_order=1250,
-        steps=(
-            Substitute("k1@3"), AssertStage("3.2", _eta({1: 7, 5: 1})),
-            Substitute("0.2"), AssertStage("3.3", Mul((f5f25_7, S7))),
-            Extract(2, 5), AssertStage("3.4", bracketed),
-            Substitute("0.3"),
-            AssertStage("3.5", _sum(_t(2, fs={5: 7, 25: 1}), _t(2, 5, {5: 1, 25: 7}))),
-            DilateBack(5),
-            AssertStage("3.6", _sum(_t(2, fs={1: 7, 5: 1}), _t(2, 1, {1: 1, 5: 7}))),
-            Substitute("0.2"),
-            AssertStage("3.7", _sum((2, Mul((f5f25_7, S7))),
-                                    (2, Mul((Q(1), f57f25, S_LINEAR))))),
-            Extract(2, 5),
-            AssertStage("3.8", _sum((2, bracketed), (1, f57f25))),
-            Substitute("0.3"),
-            AssertStage("3.9", _sum(_t(2, fs={5: 7, 25: 1}), _t(1, 5, {5: 1, 25: 7}))),
-            DilateBack(5),
-            AssertStage("3.10", _sum(_t(2, fs={1: 7, 5: 1}), _t(1, 1, {1: 1, 5: 7}))),
-            Substitute("0.2"),
-            AssertStage("3.11", _sum((2, Mul((f5f25_7, S7))),
-                                     (1, Mul((Q(1), f57f25, S_LINEAR))))),
-            Extract(2, 5),
-            AssertStage("3.12", _sum((2, bracketed), (2, f57f25))),
-            Substitute("0.3"),
-            AssertStage("3.13", _sum(_t(1, 5, {5: 1, 25: 7}))),
-            DilateBack(5),
-            AssertStage("3.14", _sum(_t(1, 1, {1: 1, 5: 7}))),
-            Substitute("0.2"),
-            AssertStage("3.15", Mul((Q(1), f57f25, S_LINEAR))),
-        ),
-        note="mod-3 derivation for the (9,5) stream",
-    )
-    return [chain]
-
-
-def _chain_s5() -> list[ProofChain]:
-    # mod-11 expansion of f5 f25^9 (1/S - q - q^2 S)^9 with the S^(+-5), S^0
-    # columns collected through the quintic bracket
-    s9_terms = [
-        (10, 18, 9), (2, 17, 8), (6, 16, 7), (10, 15, 6), (5, 13, 4),
-        (6, 12, 3), (9, 11, 2), (7, 10, 1), (4, 8, -1), (9, 7, -2),
-        (5, 6, -3), (5, 5, -4), (10, 3, -6), (5, 2, -7), (2, 1, -8),
-        (1, 0, -9),
-    ]
-    S9 = _sum(_t(2, 9), _t(9, 4, extra=ETA_QUINTIC),
-              *(_t(c, e, Sp=k) for c, e, k in s9_terms))
-    e12 = _eta({5: 1, 1: 9})
-    e18 = _sum(_t(3, fs={5: 1, 1: 9}), _t(3, 1, {5: 7, 1: 3}))
-    main = ProofChain(
-        "s5", "s5",
-        start=_eta({5: 1, 11: 1, 1: -2}),
-        modulus=11,
-        base_order=1250,
-        steps=(
-            Substitute("k1@11"), AssertStage("1.2", e12),
-            Substitute("0.2"), Substitute("0.3"),
-            AssertStage("1.3", Mul((_eta({5: 1, 25: 9}), S9))),
-            Extract(4, 5), DilateBack(5),
-            AssertStage("1.4", _sum(_t(9, fs={1: 7, 5: 3}), _t(2, 1, {1: 1, 5: 9}))),
-            Substitute("0.2"),
-            AssertStage("1.5", _sum(
-                (9, Mul((_eta({5: 3, 25: 7}), Pow(S_LINEAR, 7)))),
-                (2, Mul((Q(1), _eta({5: 9, 25: 1}), S_LINEAR))))),
-            Extract(2, 5),
-            AssertStage("1.6", _sum(
-                (9, Mul((_eta({5: 3, 25: 7}), _sum(_t(4, 5), (3, ETA_QUINTIC))))),
-                (9, _eta({5: 9, 25: 1})))),
-            DilateBack(5),
-            AssertStage("1.8", e18),
-            Substitute("0.2"),
-            AssertStage("1.13", _sum(
-                (3, Mul((_eta({5: 1, 25: 9}), Pow(S_LINEAR, 9)))),
-                (3, Mul((Q(1), _eta({5: 7, 25: 3}), Pow(S_LINEAR, 3)))))),
-            Extract(4, 5),
-            AssertStage("1.14", _sum(
-                (3, Mul((_eta({5: 1, 25: 9}), _sum(_t(2, 5), (9, ETA_QUINTIC))))),
-                (4, _eta({5: 7, 25: 3})))),
-            DilateBack(5),
-            AssertStage("1.16", _sum(_t(9, fs={1: 7, 5: 3}), _t(6, 1, {1: 1, 5: 9}))),
-            Substitute("0.2"), Extract(2, 5), DilateBack(5),
-            AssertStage("1.17", _sum(_t(10, fs={1: 9, 5: 1}), _t(3, 1, {1: 3, 5: 7}))),
-        ),
-        note="mod-11 derivation for the (5,11) stream",
-    )
-    tail = ProofChain(
-        "s5.tail", "s5",
-        start=Sum(((5, e18), (6, e12))),
-        modulus=11,
-        base_order=1250,
-        steps=(
-            AssertStage("1.19b", _sum(_t(10, fs={1: 9, 5: 1}), _t(4, 1, {1: 3, 5: 7}))),
-            Substitute("0.2"),
-            AssertStage("1.19c", _sum(
-                (10, Mul((_eta({5: 1, 25: 9}), Pow(S_LINEAR, 9)))),
-                (4, Mul((Q(1), _eta({5: 7, 25: 3}), Pow(S_LINEAR, 3)))))),
-            Extract(4, 5),
-            AssertStage("1.19d", _sum(
-                (10, Mul((_eta({5: 1, 25: 9}), _sum(_t(2, 5), (9, ETA_QUINTIC))))),
-                (9, _eta({5: 7, 25: 3})))),
-            DilateBack(5),
-            AssertStage("1.19e", _sum(_t(9, 1, {1: 1, 5: 9}))),
-            Substitute("0.2"),
-            AssertStage("1.19f", _sum(_t(9, 1, {5: 9, 25: 1}, extra=S_LINEAR))),
-        ),
-        note="restart from the order-5 recurrence combination (weights 5 and 6 mod 11)",
-    )
-    return [main, tail]
-
-
-def _chain_s6() -> list[ProofChain]:
-    s11_terms = [
-        (12, 22, 11), (8, 20, 9), (10, 19, 8), (6, 18, 7), (12, 17, 6),
-        (12, 14, 3), (4, 13, 2), (10, 12, 1), (3, 10, -1), (4, 9, -2),
-        (1, 8, -3), (12, 5, -6), (7, 4, -7), (10, 3, -8), (5, 2, -9),
-        (1, 0, -11),
-    ]
-    S11 = _sum(_t(8, 11), (2, Mul((Q(1), Pow(ETA_QUINTIC, 2)))),
-               (11, Mul((Q(6), ETA_QUINTIC))),
-               *(_t(c, e, Sp=k) for c, e, k in s11_terms))
-    f5f25_11 = _eta({5: 1, 25: 11})
-    f55f25_7 = _eta({5: 5, 25: 7})
-    f511f25 = _eta({5: 11, 25: 1})
-    f325 = _eta({325: 1, 5: -1})
-    z65 = _eta({65: 1, 25: 5, 5: -6})
-    sq_bracket = _sum(_t(8, 10), (2, Pow(ETA_QUINTIC, 2)), (11, Mul((Q(5), ETA_QUINTIC))))
-    chain = ProofChain(
-        "s6", "s6",
-        start=_eta({5: 1, 13: 1, 1: -2}),
-        modulus=13,
-        base_order=1250,
-        steps=(
-            Substitute("k1@13"), AssertStage("2.2", _eta({5: 1, 1: 11})),
-            Substitute("0.2"), Substitute("0.3"),
-            AssertStage("2.3", Mul((f5f25_11, S11))),
-            Extract(1, 5), DilateBack(5),
-            AssertStage("2.4", _sum(
-                (2, _eta({13: 1, 5: -1})),
-                _t(11, 1, {1: 7, 5: 5}),
-                _t(8, 2, {1: 1, 5: 11}))),
-            Substitute("0.2"),
-            AssertStage("2.5", _sum(
-                (2, Mul((f325, S13_LINEAR))),
-                (11, Mul((Q(1), f55f25_7, Pow(S_LINEAR, 7)))),
-                (8, Mul((Q(2), f511f25, S_LINEAR))))),
-            Extract(3, 5),
-            AssertStage("2.6", _sum(
-                (11, Mul((Q(10), f325))),
-                (11, Mul((f55f25_7, _sum(_t(8, 5), (1, S_QUINTIC))))),
-                (5, f511f25))),
-            AssertStage("2.7", _sum(
-                (3, f511f25), (10, Mul((Q(5), f55f25_7))), (11, Mul((Q(10), f325))))),
-            DilateBack(5),
-            AssertStage("2.8", _sum(
-                _t(3, fs={1: 11, 5: 1}), _t(10, 1, {1: 5, 5: 7}),
-                _t(11, 2, {65: 1, 1: -1}))),
-            Substitute("0.2"), Substitute("0.3a"),
-            AssertStage("2.9", _sum(
-                (3, Mul((f5f25_11, Pow(S_LINEAR, 11)))),
-                (10, Mul((Q(1), _eta({5: 7, 25: 5}), Pow(S_LINEAR, 5)))),
-                (11, Mul((Q(2), z65, Z_SUM))))),
-            Extract(1, 5),
-            AssertStage("2.10", _sum(
-                (3, Mul((f5f25_11, sq_bracket))),
-                (10, Mul((_eta({5: 7, 25: 5}), ETA_QUINTIC))),
-                (3, Mul((Q(5), z65))))),
-            DilateBack(5),
-            AssertStage("2.11", _sum(
-                (3, _eta({13: 1, 5: -1})),
-                _t(10, 1, {1: 7, 5: 5}),
-                _t(11, 2, {1: 1, 5: 11}))),
-            Substitute("0.2"),
-            AssertStage("2.12", _sum(
-                (3, Mul((f325, S13_LINEAR))),
-                (10, Mul((Q(1), f55f25_7, Pow(S_LINEAR, 7)))),
-                (11, Mul((Q(2), f511f25, S_LINEAR))))),
-            Extract(3, 5),
-            AssertStage("2.13", _sum(
-                (10, Mul((Q(10), f325))),
-                (10, Mul((f55f25_7, _sum(_t(8, 5), (1, ETA_QUINTIC))))),
-                (2, f511f25))),
-            DilateBack(5),
-            AssertStage("2.14", _sum(
-                _t(12, fs={1: 11, 5: 1}), _t(2, 1, {1: 5, 5: 7}),
-                _t(10, 2, {65: 1, 1: -1}))),
-            Substitute("0.2"), Substitute("0.3a"),
-            AssertStage("2.17", _sum(
-                (12, Mul((f5f25_11, Pow(S_LINEAR, 11)))),
-                (2, Mul((Q(1), _eta({5: 7, 25: 5}), Pow(S_LINEAR, 5)))),
-                (10, Mul((Q(2), z65, Z_SUM))))),
-            Extract(1, 5),
-            AssertStage("2.19", _sum(
-                (12, Mul((f5f25_11, sq_bracket))),
-                (2, Mul((_eta({5: 7, 25: 5}), ETA_QUINTIC))),
-                (11, Mul((Q(5), z65))))),
-            DilateBack(5),
-            AssertStage("2.20", _sum(_t(5, 2, {1: 1, 5: 11}))),
-            Substitute("0.2"),
-            AssertStage("2.21", _sum(_t(5, 2, {5: 11, 25: 1}, extra=S_LINEAR))),
-        ),
-        note="mod-13 derivation for the (5,13) stream",
-    )
-    return [chain]
-
-
-def _chain_s7() -> list[ProofChain]:
-    u5_terms = [
-        (1, 0, -5), (2, 1, -4), (5, 2, -3), (5, 3, -2), (12, 4, -1),
-        (4, 5, 0), (6, 6, 1), (10, 7, 2), (2, 8, 3), (9, 9, 4),
-        (2, 10, 5), (14, 11, 6), (5, 12, 7), (2, 13, 8), (4, 15, 10),
-    ]
-    u4_terms = [
-        (1, 0, -4), (5, 1, -3), (3, 2, -2), (10, 3, -1), (5, 4, 0),
-        (7, 5, 1), (4, 6, 2), (2, 7, 3), (14, 8, 4), (1, 9, 5),
-        (14, 10, 6), (1, 12, 8),
-    ]
-    U5 = _sum(*(_t(c, e, up=k) for c, e, k in u5_terms))
-    U4 = _sum(*(_t(c, e, up=k) for c, e, k in u4_terms))
-    V1 = _sum(_t(5, vp=-3), _t(4, 1), _t(2, 2, vp=3), _t(14, 3, vp=6))
-    V2 = _sum(_t(5, vp=-3), _t(5, 1), _t(2, 2, vp=3), _t(14, 3, vp=6))
-    main = ProofChain(
-        "s7", "s7",
-        start=_eta({81: 1, 17: 1, 1: -2}),
-        modulus=17,
-        base_order=768,
-        steps=(
-            Substitute("k1@17"), AssertStage("7.2", _eta({81: 1, 1: 15})),
-            Substitute("7.3"),
-            AssertStage("7.4", Mul((_eta({81: 1, 9: 15}), U5))),
-            Extract(2, 3), DilateBack(3),
-            AssertStage("7.5", Mul((_eta({27: 1, 3: 15}), V1))),
-            AssertStage("7.5b", Mul((_eta({27: 1, 3: 15}),
-                                     _sum((5, Pow(V_PLUS, 3)), _t(12, 1))))),
-            Substitute("7.6"),
-            AssertStage("7.7", _sum(_t(5, fs={1: 12, 27: 1, 3: 3}),
-                                    _t(11, 1, {27: 1, 3: 15}))),
-            Substitute("7.3"),
-            AssertStage("7.8", _sum(
-                (5, Mul((_eta({9: 12, 27: 1, 3: 3}), U4))),
-                _t(11, 1, {27: 1, 3: 15}))),
-            Extract(1, 3), DilateBack(3),
-            AssertStage("7.9", _sum(
-                (5, Mul((_eta({3: 12, 9: 1, 1: 3}), V2))),
-                (11, _eta({9: 1, 1: 15})))),
-            AssertStage("7.9b", _sum(
-                (5, Mul((_eta({3: 12, 9: 1, 1: 3}),
-                         _sum((5, Pow(V_PLUS, 3)), _t(13, 1))))),
-                (11, _eta({9: 1, 1: 15})))),
-            Substitute("7.6"),
-            AssertStage("7.10", _sum(_t(2, fs={9: 1, 1: 15}),
-                                     _t(9, 1, {3: 12, 9: 1, 1: 3}))),
-            Substitute("7.3"),
-            AssertStage("7.11", _sum(
-                (2, Mul((_eta({9: 16}), U5))),
-                (9, Mul((_eta({3: 12, 9: 4}),
-                         _sum(_t(1, 1, up=-1), _t(-3, 2), _t(4, 4, up=2))))))),
-            Extract(2, 3), DilateBack(3),
-            AssertStage("7.12", _sum(
-                (2, Mul((_eta({3: 16}), V1))),
-                (7, _eta({1: 12, 3: 4})))),
-            AssertStage("7.12b", _sum(
-                (2, Mul((_eta({3: 16}), _sum((5, Pow(V_PLUS, 3)), _t(12, 1))))),
-                (7, _eta({1: 12, 3: 4})))),
-            Substitute("7.6"),
-            AssertStage("7.13", _sum(_t(5, 1, {3: 16}))),
-            Extract(1, 3), DilateBack(3),
-            AssertStage("s9", _sum(_t(5, fs={1: 16}))),
-        ),
-        note="mod-17 derivation for the (81,17) stream through the cubic quotients",
-    )
-    e716 = _eta({1: 16})
-    e717 = _sum(_t(2, fs={1: 16}), _t(9, 1, {2: 24, 1: -8}))
-    e718 = Mul((Q(1), _eta({2: 24, 1: -8})))
-    cor = ProofChain(
-        "s7cor", "s7",
-        start=_eta({17: 1, 1: -1}),
-        modulus=17,
-        base_order=1024,
-        steps=(
-            Substitute("k1@17"), AssertStage("7.16", e716),
-            Extract(2, 4), DilateBack(4),
-            AssertStage("7.17", e717),
-        ),
-        note="17-regular stream and its (4n+2) component",
-    )
-    comb = ProofChain(
-        "s7cor.comb", "s7",
-        start=Sum(((2, e717), (13, e716))),
-        modulus=17,
-        base_order=1024,
-        steps=(
-            AssertStage("7.18", e718),
-            Substitute("2b"),
-            AssertStage("7.19", Mul((Q(1), _eta({2: 24}), Pow(B_SUM, 2)))),
-            Extract(0, 2), DilateBack(2),
-            AssertStage("7.20", _sum(_t(8, 1, {2: 16}))),
-        ),
-        note="restart from the order-8 recurrence combination (weights 2 and 13 mod 17)",
-    )
-    odd = ProofChain(
-        "s7cor.odd", "s7",
-        start=e718,
-        modulus=17,
-        base_order=1024,
-        steps=(
-            Extract(1, 2), DilateBack(2),
-            AssertStage(
-                "7.21",
-                _sum(_t(1, fs={2: 20, 1: -4, 4: -8}), _t(16, 1, {1: 4, 2: 4, 4: 8})),
-                expect="record",
-            ),
-        ),
-        note="printed stage; the f_2 exponent 20 disagrees with the mechanical "
-             "expansion (expected 28), recorded as erratum candidate",
-    )
-    odd_alt = ProofChain(
-        "s7cor.odd.alt", "s7",
-        start=e718,
-        modulus=17,
-        base_order=1024,
-        steps=(
-            Extract(1, 2), DilateBack(2),
-            AssertStage(
-                "7.21-corrected",
-                _sum(_t(1, fs={2: 28, 1: -4, 4: -8}), _t(16, 1, {1: 4, 2: 4, 4: 8})),
-            ),
-        ),
-        note="diagnostic: same extraction against the corrected f_2 exponent",
-    )
-    return [main, cor, comb, odd, odd_alt]
-
-
-def _chain_s8() -> list[ProofChain]:
-    chain = ProofChain(
-        "s8", "s8",
-        start=_eta({2: 1, 8: 1, 1: -2}),
-        modulus=0,
-        base_order=512,
-        steps=(
-            Substitute("2a"),
-            AssertStage("5.2", Mul((_eta({2: 1, 8: 1}), A_SUM))),
-            Extract(1, 2), DilateBack(2),
-            AssertStage("5.3", _sum(_t(2, fs={2: 2, 8: 2, 1: -4}))),
-            Substitute("2b"),
-            AssertStage("5.4", Mul((Const(2), _eta({2: 2, 8: 2}), B_SUM))),
-            Extract(1, 2), DilateBack(2),
-            AssertStage("5.5", _sum(_t(8, fs={2: 2, 4: 6, 1: -8}))),
-            Substitute("2b"),
-            AssertStage("5.6", Mul((Const(8), _eta({2: 2, 4: 6}), _sum(
-                _t(1, fs={4: 28, 2: -28, 8: -8}),
-                _t(8, 1, {4: 16, 2: -24}),
-                _t(16, 2, {4: 4, 8: 8, 2: -20}))))),
-            Extract(1, 2), DilateBack(2),
-            AssertStage("5.7", _sum(_t(64, fs={2: 22, 1: -22}))),
-            ReduceMod(11),
-            AssertStage("5.7-mod11", _sum(_t(9, fs={22: 2, 11: -2}))),
-        ),
-        note="exact derivation for the (2,8) stream, reduced mod 11 at the end",
-    )
-    return [chain]
-
-
-def build_chains() -> list[ProofChain]:
-    """All derivation chains, grouped by section, in catalog order."""
-    chains: list[ProofChain] = []
-    for builder in (_chain_s3, _chain_s4, _chain_s5, _chain_s6, _chain_s7, _chain_s8):
-        chains.extend(builder())
-    return chains
-
-
-# ---------------------------------------------------------------------------
-# registry facade
-# ---------------------------------------------------------------------------
 
 class Registry:
-    """Lookup view over the identity cases and chains."""
+    """Identity cases, chains and families; ids are unique within each kind."""
 
-    def __init__(self, cases: Sequence[IdentityCase], chains: Sequence[ProofChain]):
+    def __init__(self, cases: Sequence[IdentityCase] = (),
+                 chains: Sequence[ProofChain] = (),
+                 families: Sequence[CongruenceFamily] = ()):
         self.cases = list(cases)
         self.chains = list(chains)
+        self.families = list(families)
         self._case_index = {c.id: c for c in self.cases}
         self._chain_index = {c.id: c for c in self.chains}
-        if len(self._case_index) != len(self.cases):
-            raise ValueError("duplicate identity ids in registry")
-        if len(self._chain_index) != len(self.chains):
-            raise ValueError("duplicate chain ids in registry")
+        for kind, entries in (("identity", self.cases), ("chain", self.chains),
+                              ("family", self.families)):
+            if len({e.id for e in entries}) != len(entries):
+                raise ValueError(f"duplicate {kind} ids in registry")
 
     def lookup(self, case_id: str) -> IdentityCase:
         return self._case_index[case_id]
@@ -678,61 +80,332 @@ class Registry:
         return [c for c in self.chains if c.section == section]
 
 
+@lru_cache(maxsize=1)
+def _builtin() -> Registry:
+    return parse_registry(files(__package__).joinpath("catalog.txt").read_text(encoding="utf-8"))
+
+
 def registry() -> Registry:
-    """The full built-in catalog."""
-    return Registry(build_identities(), build_chains())
+    """The full built-in catalog (the file is parsed once per process)."""
+    catalog = _builtin()
+    return Registry(catalog.cases, catalog.chains, catalog.families)
 
 
 # ---------------------------------------------------------------------------
-# plain-text registry format: id|mode|order|lhs|rhs
+# reading
 # ---------------------------------------------------------------------------
 
-def dump_cases(cases: Iterable[IdentityCase]) -> str:
-    lines = ["# qdissect identity registry: id|mode|order|lhs|rhs"]
-    for c in cases:
-        mode = "exact" if c.modulus == 0 else f"mod{c.modulus}"
-        lines.append(
-            f"{c.id}|{mode}|{c.default_order}|{to_sexpr(c.lhs)}|{to_sexpr(c.rhs)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def parse_cases(text: str, section: str = "user",
-                taken: Iterable[str] = ()) -> list[IdentityCase]:
-    """Cases from registry text.  Every malformed line, or an id that repeats
-    one in ``taken`` or earlier in the text, is a ``ValueError`` naming the line."""
-    seen = set(taken)
-    cases = []
+def parse_registry(text: str, taken: Optional[Registry] = None) -> Registry:
+    """Entries from registry text (a record that names no section is in
+    section ``user``).  Every malformed line, or an id that repeats one of its
+    kind in ``taken`` or earlier in the text, is a ``ValueError`` naming the
+    line."""
+    taken = taken or Registry()
+    seen = {"identity": {c.id for c in taken.cases},
+            "chain": {c.id for c in taken.chains},
+            "family": {f.id for f in taken.families}}
+    cases, families = [], []
+    chains: list[tuple[ProofChain, list[ProofStep]]] = []  # header, steps
+    steps: Optional[list[ProofStep]] = None  # those of the open chain record
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            try:
-                cases.append(_parse_case(line, section, seen))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    return cases
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if "|" not in line:
+                if steps is None:
+                    raise ValueError("a chain step must follow a chain header or step")
+                steps.append(_read_step(line))
+                continue
+            fields = [f.strip() for f in line.split("|")]
+            word, _, entry_id = fields[0].partition(" ")
+            if word in ("chain", "family") and entry_id.strip():
+                fields[0] = entry_id.strip()
+            else:
+                word = "identity"
+            _claim(word, fields[0], seen)
+            steps = None
+            if word == "identity":
+                cases.append(_read_case(fields))
+            elif word == "chain":
+                steps = []
+                chains.append((_read_chain(fields), steps))
+            else:
+                families.append(_read_family(fields))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return Registry(cases, [dataclasses.replace(head, steps=tuple(body))
+                            for head, body in chains], families)
 
 
-def _parse_case(line: str, section: str, seen: set[str]) -> IdentityCase:
-    parts = [p.strip() for p in line.split("|")]
-    if len(parts) != 5:
-        raise ValueError(f"expected 5 '|'-separated fields, got {len(parts)}")
-    case_id, mode, order, lhs, rhs = parts
-    if not case_id or case_id in seen:
-        raise ValueError(f"identity id {case_id!r} is empty or already defined")
-    seen.add(case_id)
-    if mode == "exact":
-        modulus = 0
-    elif mode.startswith("mod") and mode[3:].isdecimal() and int(mode[3:]) >= 2:
-        modulus = int(mode[3:])
-    else:
-        raise ValueError(f"mode must be 'exact' or 'modM' with M >= 2, got {mode!r}")
-    if not order.isdecimal() or int(order) < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
-    return IdentityCase(case_id, section, parse_sexpr(lhs), parse_sexpr(rhs),
-                        modulus=modulus, default_order=int(order))
+def _claim(kind: str, entry_id: str, seen: dict[str, set[str]]) -> None:
+    if not entry_id or entry_id in seen[kind]:
+        raise ValueError(f"{kind} id {entry_id!r} is empty or already defined")
+    if len(entry_id.split()) > 1:
+        raise ValueError(f"{kind} id {entry_id!r} contains whitespace")
+    seen[kind].add(entry_id)
 
 
-def load_cases(path, taken: Iterable[str] = ()) -> list[IdentityCase]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cases(fh.read(), taken=taken)
+def _split(fields: list[str], keys: tuple[str, ...],
+           layout: str) -> tuple[list[str], dict[str, str]]:
+    """The positional fields, as many as ``layout`` names, and the
+    key=value fields after them."""
+    n = next((i for i, f in enumerate(fields) if "=" in f), len(fields))
+    if n != layout.count("|") + 1:
+        raise ValueError(f"expected {layout} before any key=value field, "
+                         f"got {n} '|'-separated fields")
+    opts: dict[str, str] = {}
+    for field in fields[n:]:
+        key, eq, value = field.partition("=")
+        key = key.strip()
+        if not eq or key not in keys or key in opts:
+            raise ValueError(f"field {field!r} is not key=value with a new key "
+                             f"among {', '.join(keys)}")
+        opts[key] = value.strip()
+    return fields[:n], opts
+
+
+def _int(text: str, what: str, least: Optional[int] = None) -> int:
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{what} must be an integer, got {text!r}")
+    value = int(text)
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def _mode(text: str, exact: bool = True) -> int:
+    if exact and text == "exact":
+        return 0
+    if text.startswith("mod") and text[3:].isdecimal() and int(text[3:]) >= 2:
+        return int(text[3:])
+    allowed = "'exact' or 'modM'" if exact else "'modM'"
+    raise ValueError(f"mode must be {allowed} with M >= 2, got {text!r}")
+
+
+def _write_mode(modulus: int) -> str:
+    return "exact" if modulus == 0 else f"mod{modulus}"
+
+
+def _read_expect(text: str) -> str:
+    if text not in ("pass", "record"):
+        raise ValueError(f"expect must be 'pass' or 'record', got {text!r}")
+    return text
+
+
+def _read_flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"slow must be 'true' or 'false', got {text!r}")
+    return text == "true"
+
+
+def _read_values(text: str) -> tuple[int, ...]:
+    return tuple(_int(v.strip(), "an m or k value") for v in text.split(","))
+
+
+# key -> (dataclass field, reader, writer).  The writer leaves out a field
+# equal to its default; ``section`` has none, so it is always written.
+_OPTIONS = {
+    "m": ("m_values", _read_values, lambda v: ",".join(map(str, v))),
+    "k": ("k_values", _read_values, lambda v: ",".join(map(str, v))),
+    "n_max": ("default_n_max", lambda t: _int(t, "n_max", 0), str),
+    "slow": ("slow", _read_flag, lambda v: "true" if v else "false"),
+    "section": ("section", str, str),
+    "expect": ("expect", _read_expect, str),
+    "note": ("note", str, str),
+}
+_CASE_KEYS = ("section", "expect", "note")
+_CHAIN_KEYS = ("section", "note")
+_FAMILY_KEYS = ("ref", "m", "k", "n_max", "slow", "section", "expect", "note")
+
+
+def _read_options(opts: dict[str, str]) -> dict:
+    kw = {"section": "user"}
+    for key, text in opts.items():
+        name, read, _ = _OPTIONS[key]
+        kw[name] = read(text)
+    return kw
+
+
+def _read_case(fields: list[str]) -> IdentityCase:
+    pos, opts = _split(fields, _CASE_KEYS, "ID|MODE|ORDER|LHS|RHS")
+    case_id, mode, order, lhs, rhs = pos
+    return IdentityCase(id=case_id, modulus=_mode(mode),
+                        default_order=_int(order, "order", 1),
+                        lhs=parse_sexpr(lhs), rhs=parse_sexpr(rhs),
+                        **_read_options(opts))
+
+
+def _read_chain(fields: list[str]) -> ProofChain:
+    pos, opts = _split(fields, _CHAIN_KEYS, "chain ID|MODE|ORDER|START")
+    chain_id, mode, order, start = pos
+    return ProofChain(id=chain_id, modulus=_mode(mode),
+                      base_order=_int(order, "base order", 1),
+                      start=parse_sexpr(start), steps=(), **_read_options(opts))
+
+
+def _read_step(line: str) -> ProofStep:
+    word, *args = line.split()
+    if word == "sub" and len(args) == 1:
+        return Substitute(args[0])
+    if word == "extract" and len(args) == 2:
+        s = _int(args[1], "extract step", 1)
+        r = _int(args[0], "extract residue", 0)
+        if r >= s:
+            raise ValueError(f"extract needs 0 <= R < S, got R={r} S={s}")
+        return Extract(r, s)
+    if word == "dilate" and len(args) == 1:
+        return DilateBack(_int(args[0], "dilate factor", 1))
+    if word == "reduce" and len(args) == 1:
+        return ReduceMod(_int(args[0], "reduce modulus", 2))
+    if word == "assert" and len(args) >= 2:
+        stage_id, expr = line.split(None, 2)[1:]
+        parts = expr.rsplit(None, 1)
+        if parts[1:] == ["record"]:
+            return AssertStage(stage_id, parse_sexpr(parts[0]), expect="record")
+        return AssertStage(stage_id, parse_sexpr(expr))
+    raise ValueError("a chain step is 'sub ID', 'extract R S', 'dilate S', "
+                     f"'reduce M' or 'assert ID EXPR [record]', got {line!r}")
+
+
+def _read_source(text: str) -> SourceSpec:
+    words = text.split()
+    if words[:1] == ["regular"] and len(words) == 2:
+        return SourceSpec("regular", _int(words[1], "regularity index", 2))
+    if words[:1] == ["bipartite"] and len(words) == 3:
+        return SourceSpec("bipartite", _int(words[1], "regularity index", 2),
+                          _int(words[2], "regularity index", 2))
+    raise ValueError(f"source must be 'regular L' or 'bipartite L M', got {text!r}")
+
+
+def _write_source(spec: SourceSpec) -> str:
+    return f"regular {spec.l}" if spec.kind == "regular" else f"bipartite {spec.l} {spec.m}"
+
+
+# relation word -> how many constants follow it, and how many index maps
+# (SCALE|OFFSET field pairs) follow the relation field
+_RELATION_SHAPES = {"zero": 0, "recur": 1, "three": 2}
+
+
+def _read_relation(text: str, refs: list[str], ref: Optional[str]):
+    word, *constants = text.split() or [""]
+    if len(constants) != _RELATION_SHAPES.get(word):
+        raise ValueError("relation must be 'zero', 'recur C' or 'three C1 C2', "
+                         f"got {text!r}")
+    if ref is not None and word != "recur":
+        raise ValueError("ref= applies to a recur relation only")
+    cs = [_int(c, "relation constant") for c in constants]
+    maps = [AffineIndex(refs[i], refs[i + 1]) for i in range(0, len(refs), 2)]
+    if word == "zero":
+        return Zero()
+    if word == "recur":
+        return Recur(cs[0], maps[0], None if ref is None else _read_source(ref))
+    return ThreeTerm(cs[0], maps[0], cs[1], maps[1])
+
+
+def _write_relation(rel) -> list[str]:
+    if isinstance(rel, Recur):
+        return [f"recur {rel.constant}", rel.ref.scale, rel.ref.offset]
+    if isinstance(rel, ThreeTerm):
+        return [f"three {rel.c1} {rel.c2}", rel.ref1.scale, rel.ref1.offset,
+                rel.ref2.scale, rel.ref2.offset]
+    return ["zero"]
+
+
+def _read_family(fields: list[str]) -> CongruenceFamily:
+    word = (fields[5].split() or [""])[0] if len(fields) > 5 else ""
+    layout = ("family ID|SOURCE|modM|SCALE|OFFSET|RELATION"
+              + "|SCALE|OFFSET" * _RELATION_SHAPES.get(word, 0))
+    pos, opts = _split(fields, _FAMILY_KEYS, layout)
+    fam_id, source, mode, scale, offset, relation, *refs = pos
+    return CongruenceFamily(
+        id=fam_id, source=_read_source(source), modulus=_mode(mode, exact=False),
+        index=AffineIndex(scale, offset),
+        relation=_read_relation(relation, refs, opts.pop("ref", None)),
+        **_read_options(opts),
+    )
+
+
+# ---------------------------------------------------------------------------
+# writing
+# ---------------------------------------------------------------------------
+
+def dump_registry(reg: Registry) -> str:
+    """Registry text for every entry, which :func:`parse_registry` reads back
+    as equal entries; an entry the format cannot carry is a ``ValueError``."""
+    blocks = ["\n".join([HEADER, *map(_record, reg.cases)])]
+    blocks += map(_record, reg.chains)
+    if reg.families:
+        blocks.append("\n".join(map(_record, reg.families)))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _write_options(entry, keys: tuple[str, ...]) -> list[str]:
+    defaults = {f.name: f.default for f in dataclasses.fields(entry)}
+    out = []
+    for key in keys:
+        name, _, write = _OPTIONS[key]
+        value = getattr(entry, name)
+        if value == defaults[name]:
+            continue
+        text = write(value)
+        if "|" in text or text != text.strip() or len(text.splitlines()) > 1:
+            raise ValueError(f"its {key} {text!r} holds a '|', a line break "
+                             "or edge whitespace")
+        out.append(f"{key}={text}")
+    return out
+
+
+def _case_lines(case: IdentityCase) -> list[str]:
+    return ["|".join([case.id, _write_mode(case.modulus), str(case.default_order),
+                      to_sexpr(case.lhs), to_sexpr(case.rhs),
+                      *_write_options(case, _CASE_KEYS)])]
+
+
+def _step_line(step: ProofStep) -> str:
+    if isinstance(step, Substitute):
+        return f"sub {step.identity_id}"
+    if isinstance(step, Extract):
+        return f"extract {step.r} {step.s}"
+    if isinstance(step, DilateBack):
+        return f"dilate {step.s}"
+    if isinstance(step, ReduceMod):
+        return f"reduce {step.modulus}"
+    record = " record" if step.expect == "record" else ""
+    return f"assert {step.stage_id} {to_sexpr(step.expr)}{record}"
+
+
+def _chain_lines(chain: ProofChain) -> list[str]:
+    head = "|".join([f"chain {chain.id}", _write_mode(chain.modulus),
+                     str(chain.base_order), to_sexpr(chain.start),
+                     *_write_options(chain, _CHAIN_KEYS)])
+    return [head] + ["  " + _step_line(step) for step in chain.steps]
+
+
+def _family_lines(fam: CongruenceFamily) -> list[str]:
+    ref = getattr(fam.relation, "ref_source", None)
+    return ["|".join([f"family {fam.id}", _write_source(fam.source), f"mod{fam.modulus}",
+                      fam.index.scale, fam.index.offset, *_write_relation(fam.relation),
+                      *([f"ref={_write_source(ref)}"] if ref is not None else []),
+                      *_write_options(fam, _FAMILY_KEYS[1:])])]
+
+
+_WRITERS = {IdentityCase: ("identity", _case_lines), ProofChain: ("chain", _chain_lines),
+            CongruenceFamily: ("family", _family_lines)}
+
+
+def _record(entry) -> str:
+    """One entry's record, checked to read back as the entry itself."""
+    kind, write = _WRITERS[type(entry)]
+    try:
+        text = "\n".join(write(entry))
+        back = parse_registry(text)
+        got = back.cases + back.chains + back.families
+        if got != [entry]:
+            lost = [f.name for f in dataclasses.fields(entry) if len(got) == 1
+                    and getattr(got[0], f.name, None) != getattr(entry, f.name)]
+            raise ValueError("the registry format does not carry its "
+                             + (", ".join(lost) or "fields"))
+    except ValueError as exc:
+        raise ValueError(f"cannot write {kind} {entry.id!r}: {exc}") from None
+    return text

@@ -88,6 +88,13 @@ class TestVerifyChains:
         for stage in ("5.2", "5.3", "5.4", "5.5", "5.6", "5.7", "5.7-mod11"):
             assert f"stage {stage}" in result.output
 
+    def test_order_too_small_is_usage_error(self, runner):
+        result = runner.invoke(main, ["verify", "--chain", "s3", "--order", "40"])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "'--order'" in result.output
+        assert "[chain s3] stage w.4: only 20 coefficients survive" in result.output
+
     def test_erratum_does_not_fail_run(self, runner):
         result = runner.invoke(main, ["verify", "--chain", "s7cor.odd"])
         assert result.exit_code == 0
@@ -246,6 +253,59 @@ class TestRegistryFile:
         result = runner.invoke(main, ["verify", "--registry-file", str(out)])
         assert result.exit_code == 2
         assert "line 2: identity id '0.2' is empty or already defined" in result.output
+
+    @pytest.mark.parametrize("text,entry", [
+        ("a|exact|10|(pow (const 2) -1)|(eta 1)\n", "[case a] NonUnitError"),
+        ("chain a|exact|64|(eta 1)\n  assert st (pow (const 2) -1)\n",
+         "[chain a] stage st: NonUnitError"),
+        ("chain a|exact|64|(eta 1)\n  dilate 2\n", "[chain a] step 1 DilateBack"),
+        ("chain a|exact|40|(eta 1)\n  extract 1 2\n  assert st (eta 1)\n",
+         "[chain a] stage st: only 20 coefficients survive"),
+        ("family a|regular 17|mod17|1|(m - 1) / 2|zero\n",
+         "[family a] m=0, k=0: -1 is not divisible by 2"),
+        ("family a|regular 17|mod17|1|-5|zero\n", "[family a] m=0, k=0: index map"),
+        ("family a|regular 17|mod17|10 ** 10 ** 10|0|zero\n",
+         "[family a] m=0, k=0: 10 ** 10000000000 in an index expression is too large"),
+        ("family a|regular 17|mod17|1" + " + 1" * 1000 + "|0|zero\n",
+         "[family a] m=0, k=0: maximum recursion depth exceeded"),
+    ])
+    def test_unevaluable_user_entry_is_usage_error(self, runner, tmp_path, text, entry):
+        user = tmp_path / "user.txt"
+        user.write_text(text)
+        kind = text.split()[0] if text.startswith(("chain", "family")) else "case"
+        result = runner.invoke(main, ["verify", f"--{kind}", "a", "--registry-file", str(user)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "'--registry-file'" in result.output
+        assert f"{user}: {entry}" in " ".join(result.output.split())
+
+    def test_user_chain_and_family_match_builtins(self, runner, tmp_path):
+        export = runner.invoke(main, ["export-registry"]).output
+        chain = next(b for b in export.split("\n\n") if b.startswith("chain s7cor|"))
+        family = next(l for l in export.splitlines() if l.startswith("family w.11|"))
+        user = tmp_path / "user.txt"
+        user.write_text(chain.replace("chain s7cor|", "chain my-s7cor|", 1) + "\n"
+                        + family.replace("family w.11|", "family my-w.11|", 1)
+                                .replace("n_max=5000", "n_max=200") + "\n")
+        mine = runner.invoke(main, ["verify", "--chain", "my-s7cor", "--family", "my-w.11",
+                                    "--registry-file", str(user), "--format", "json"])
+        builtin = runner.invoke(main, ["verify", "--chain", "s7cor", "--family", "w.11",
+                                       "--n-max", "200", "--format", "json"])
+        assert mine.exit_code == builtin.exit_code == 0, mine.output
+        rows = json.loads(mine.output)["cases"]
+        want = json.loads(builtin.output)["cases"]
+        assert [r["id"] for r in rows] == ["my-s7cor", "my-w.11"]
+        assert [r["status"] for r in rows] == [r["status"] for r in want] == ["pass", "pass"]
+        assert rows[0]["stages"] == want[0]["stages"]
+        assert rows[1]["n_max"] == want[1]["n_max"] == 200
+
+    def test_export_is_the_shipped_catalog(self, runner):
+        from importlib.resources import files
+
+        result = runner.invoke(main, ["export-registry"])
+        assert result.exit_code == 0
+        shipped = files("qdissect").joinpath("catalog.txt").read_bytes()
+        assert result.stdout_bytes == shipped
 
     def test_constants_command(self, runner):
         result = runner.invoke(main, ["constants"])

@@ -26,7 +26,6 @@ from qdissect.congruences import (
     required_order,
     seq_eval,
     verify_family,
-    verify_three_term,
 )
 
 
@@ -229,13 +228,16 @@ class TestVerifyFamily:
 
 
 class TestThreeTerm:
+    @staticmethod
+    def _order16(relation_id, c1, c2, n_max):
+        return CongruenceFamily(
+            relation_id, "adhoc", 7, SourceSpec("bipartite", 3, 7), plain_index(16, 5),
+            ThreeTerm(c1, plain_index(1, 0), c2, plain_index(4, 1)), default_n_max=n_max,
+        )
+
     def test_base_relation_order16(self):
         src = oracle.coeff_fast(3, 7, 16 * 300 + 5, 7)
-        rep = verify_three_term(
-            "w.11-adhoc", 7,
-            (plain_index(16, 5), plain_index(1, 0), plain_index(4, 1)),
-            (5, 6), 300, src,
-        )
+        rep = verify_family(self._order16("w.11-adhoc", 5, 6, 300), src)
         assert rep.status == "pass"
 
     def test_direct_value_at_zero(self):
@@ -245,11 +247,7 @@ class TestThreeTerm:
 
     def test_violation_detection(self):
         src = oracle.coeff_fast(3, 7, 16 * 50 + 5, 7)
-        rep = verify_three_term(
-            "broken", 7,
-            (plain_index(16, 5), plain_index(1, 0), plain_index(4, 1)),
-            (5, 5), 50, src,
-        )
+        rep = verify_family(self._order16("broken", 5, 5, 50), src)
         assert rep.status == "fail"
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdissect import identities
+from qdissect.congruences import CongruenceFamily
 from qdissect.identities import (
     AssertStage,
     DilateBack,
@@ -22,13 +24,7 @@ from qdissect.identities import (
     verify,
 )
 from qdissect.qexpr import Const, EtaF, Mul, Pow, Q, Sum, parse_sexpr, to_sexpr
-from qdissect.registry import (
-    build_chains,
-    build_identities,
-    dump_cases,
-    parse_cases,
-    registry,
-)
+from qdissect.registry import dump_registry, parse_registry, registry
 from qdissect.series import PrecisionError
 
 
@@ -242,7 +238,7 @@ class TestReplay:
 
 
 class TestChainOutcomes:
-    @pytest.mark.parametrize("chain_id", [c.id for c in build_chains()])
+    @pytest.mark.parametrize("chain_id", [c.id for c in registry().chains])
     def test_chain_stages(self, reg, chain_id):
         chain = reg.chain(chain_id)
         rep = replay(chain)
@@ -281,8 +277,8 @@ class TestChainOutcomes:
 
 class TestTextRegistry:
     def test_dump_parse_round_trip(self, reg):
-        text = dump_cases(reg.cases)
-        parsed = parse_cases(text)
+        text = dump_registry(reg)
+        parsed = parse_registry(text).cases
         assert [c.id for c in parsed] == [c.id for c in reg.cases]
         for orig, back in zip(reg.cases, parsed):
             assert back.lhs == orig.lhs and back.rhs == orig.rhs
@@ -291,14 +287,14 @@ class TestTextRegistry:
 
     def test_parsed_cases_verify(self):
         text = "ex1|exact|50|(eta 1)|(theta -1 1 -1 2)\nex2|mod7|60|(eta 7)|(pow (eta 1) 7)\n"
-        cases = parse_cases(text)
+        cases = parse_registry(text).cases
         assert [verify(c).status for c in cases] == ["pass", "pass"]
 
     def test_malformed_lines_rejected(self):
         with pytest.raises(ValueError):
-            parse_cases("too|few|fields\n")
+            parse_registry("too|few|fields\n")
         with pytest.raises(ValueError):
-            parse_cases("id|weird|10|(eta 1)|(eta 1)\n")
+            parse_registry("id|weird|10|(eta 1)|(eta 1)\n")
 
     @pytest.mark.parametrize(
         "line",
@@ -310,29 +306,36 @@ class TestTextRegistry:
     )
     def test_bad_line_names_its_number(self, line):
         with pytest.raises(ValueError, match=r"^line 3: "):
-            parse_cases("# header\n\n" + line + "\n")
+            parse_registry("# header\n\n" + line + "\n")
 
     def test_duplicate_ids_rejected(self, reg):
         line = "x|exact|10|(eta 1)|(eta 1)\n"
         with pytest.raises(ValueError, match="line 2: .*'x'"):
-            parse_cases(line + line)
+            parse_registry(line + line)
         with pytest.raises(ValueError, match="line 2: .*'0.2'"):
-            parse_cases(dump_cases(reg.cases), taken=[c.id for c in reg.cases])
+            parse_registry(dump_registry(reg), taken=reg)
 
 
 _REGISTRY_TOKENS = ["|", "(", ")", " ", "\n", "#", "exact", "mod", "mod7", "mod1",
                     "0", "1", "-2", "x", "eta", "mul", "sum", "pow", "q", "theta",
-                    "poch", "const", "dilate", "S", "u"]
+                    "poch", "const", "dilate", "S", "u",
+                    "chain ", "family ", "sub", "extract", "reduce", "assert", "record",
+                    "=", "section=", "expect=", "note=", "pass", "ref=", "m=", "k=",
+                    "n_max=", "slow=", "true", ",", "zero", "recur", "three",
+                    "regular", "bipartite", "m", "k", "**", "*", "/", "+", "-"]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.text() | st.lists(st.sampled_from(_REGISTRY_TOKENS), max_size=40).map("".join))
 def test_parse_cases_returns_cases_or_value_error(text):
     try:
-        cases = parse_cases(text)
-    except ValueError:
+        reg = parse_registry(text)
+    except ValueError as exc:
+        assert re.match(r"line [0-9]+: ", str(exc)), exc
         return
-    assert all(isinstance(c, IdentityCase) for c in cases)
+    assert all(isinstance(c, IdentityCase) for c in reg.cases)
+    assert all(isinstance(c, ProofChain) for c in reg.chains)
+    assert all(isinstance(f, CongruenceFamily) for f in reg.families)
 
 
 def _even_part_of_f1_odd():

@@ -1,0 +1,186 @@
+"""The registry text format: the shipped catalog, its round trip, and the
+records for chains and families."""
+
+from __future__ import annotations
+
+import dataclasses
+import re
+from importlib.resources import files
+
+import pytest
+
+from qdissect.congruences import (
+    AffineIndex,
+    CongruenceFamily,
+    Recur,
+    SourceSpec,
+    ThreeTerm,
+    Zero,
+    build_families,
+)
+from qdissect.identities import (
+    AssertStage,
+    DilateBack,
+    Extract,
+    IdentityCase,
+    ProofChain,
+    ReduceMod,
+    Substitute,
+)
+from qdissect.qexpr import Dilate, EtaF, Mul, Pow, cubic_u, rr_quotient, to_sexpr
+from qdissect.registry import Registry, dump_registry, parse_registry, registry
+
+SHIPPED = files("qdissect").joinpath("catalog.txt").read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def reg():
+    return registry()
+
+
+class TestShippedCatalog:
+    def test_counts(self, reg):
+        assert (len(reg.cases), len(reg.chains), len(reg.families)) == (20, 12, 25)
+
+    def test_export_is_the_shipped_file(self, reg):
+        assert dump_registry(reg) == SHIPPED
+
+    def test_build_families_reads_the_catalog(self, reg):
+        assert build_families() == reg.families
+
+    def test_parse_of_dump_is_identity(self, reg):
+        back = parse_registry(dump_registry(reg))
+        assert (back.cases, back.chains, back.families) == (reg.cases, reg.chains, reg.families)
+
+    def test_recorded_probes_survive(self, reg):
+        back = parse_registry(dump_registry(reg))
+        assert back.lookup("7.3").expect == "record"
+        assert back.lookup("7.3").note.startswith("cubic continued-fraction entry")
+        (stage,) = [s for s in back.chain("s7cor.odd").steps if isinstance(s, AssertStage)]
+        assert (stage.stage_id, stage.expect) == ("7.21", "record")
+        fams = {f.id: f for f in back.families}
+        assert fams["7.22"].relation.ref_source == SourceSpec("regular", 17)
+        assert fams["s13"].slow and not fams["x1"].slow
+        assert fams["s15-unit"].expect == "record"
+        assert fams["x1"].k_values == tuple(range(1, 11))
+
+    def test_named_atoms_are_written(self):
+        assert to_sexpr(Mul((EtaF(25), rr_quotient()))) == "(mul (eta 25) S)"
+        assert to_sexpr(Pow(cubic_u(), -1)) == "(pow u -1)"
+        assert to_sexpr(Dilate(rr_quotient(), 13)) == "S1"
+        assert "(poch" not in SHIPPED
+
+
+class TestRecords:
+    def test_plain_case_line_keeps_its_meaning(self):
+        (case,) = parse_registry("a|mod7|40|(eta 7)|(pow (eta 1) 7)\n").cases
+        assert case == IdentityCase("a", "user", EtaF(7), Pow(EtaF(1), 7),
+                                    modulus=7, default_order=40)
+
+    def test_case_key_values(self):
+        text = "a|exact|40|(eta 1)|(eta 1)|note=x = y; z|expect=record|section=s9\n"
+        (case,) = parse_registry(text).cases
+        assert (case.section, case.expect, case.note) == ("s9", "record", "x = y; z")
+
+    def test_chain_record(self):
+        text = """
+chain c|exact|64|(eta 1)|note=demo
+  sub e2
+  extract 1 2
+  dilate 2
+  reduce 11
+  assert st.1 (pow (eta 1) 2) record
+  assert st.2 S
+"""
+        (chain,) = parse_registry(text).chains
+        assert chain == ProofChain(
+            "c", "user", EtaF(1),
+            (Substitute("e2"), Extract(1, 2), DilateBack(2), ReduceMod(11),
+             AssertStage("st.1", Pow(EtaF(1), 2), expect="record"),
+             AssertStage("st.2", rr_quotient())),
+            base_order=64, note="demo",
+        )
+
+    def test_family_record(self):
+        text = ("family f|bipartite 81 17|mod17|81|50|recur 5|1|0|ref=regular 17"
+                "|m=1|n_max=9|slow=true|expect=record|note=a note\n"
+                "family g|regular 17|mod17|4 ** 8|2|three 2 13|4|2|1|0\n"
+                "family h|bipartite 2 8|mod11|88|8 * k + 7|zero|k=1,2\n")
+        f, g, h = parse_registry(text).families
+        assert f == CongruenceFamily(
+            "f", "user", 17, SourceSpec("bipartite", 81, 17), AffineIndex("81", "50"),
+            Recur(5, AffineIndex("1", "0"), SourceSpec("regular", 17)),
+            m_values=(1,), default_n_max=9, slow=True, expect="record", note="a note",
+        )
+        assert g.relation == ThreeTerm(2, AffineIndex("4", "2"), 13, AffineIndex("1", "0"))
+        assert (h.relation, h.k_values, h.default_n_max) == (Zero(), (1, 2), 500)
+
+    def test_each_kind_has_its_own_ids(self, reg):
+        # "s8" names a chain and a family; a new kind may reuse an id
+        text = "chain s8x|exact|64|(eta 1)\nfamily s8x|regular 17|mod17|1|0|zero\n"
+        back = parse_registry(text, taken=reg)
+        assert [c.id for c in back.chains] == [f.id for f in back.families] == ["s8x"]
+
+    @pytest.mark.parametrize("text,message", [
+        ("  sub e2\n", "must follow a chain header"),
+        ("a|exact|9|(eta 1)|(eta 1)\n  sub e2\n", "must follow a chain header"),
+        ("chain c|exact|64|(eta 1)\n  extract 2 2\n", "0 <= R < S"),
+        ("chain c|exact|64|(eta 1)\n  reduce 1\n", "reduce modulus must be >= 2"),
+        ("chain c|exact|64|(eta 1)\n  assert st\n", "a chain step is"),
+        ("chain c|exact|64|(eta 1)\n  assert st (eta 1) later\n", "trailing tokens"),
+        ("chain c|exact|64|(eta 1)\n  jump 3\n", "a chain step is"),
+        ("chain c|exact|64\n", "chain ID|MODE|ORDER|START"),
+        ("chain c|exact|64|(eta 1)|expect=record\n", "'expect=record' is not key=value"),
+        ("chain c|exact|64|(eta 1)\nchain c|exact|64|(eta 1)\n", "chain id 'c'"),
+        ("a b|exact|9|(eta 1)|(eta 1)\n", "contains whitespace"),
+        ("a|exact|9|(eta 1)|(eta 1)|note=x|note=y\n", "is not key=value"),
+        ("a|exact|9|(eta 1)|(eta 1)|expect=maybe\n", "expect must be"),
+        ("a|exact|9|(eta 1)|note=x|(eta 1)\n", "expected ID|MODE|ORDER|LHS|RHS"),
+        ("family f|regular 1|mod17|1|0|zero\n", "regularity index must be >= 2"),
+        ("family f|regular 17|exact|1|0|zero\n", "mode must be 'modM'"),
+        ("family f|regular 17|mod17|1|0|recur 5\n", "RELATION|SCALE|OFFSET"),
+        ("family f|regular 17|mod17|1|0|three 5|1|0|1|0\n", "relation must be"),
+        ("family f|regular 17|mod17|1|0|zero|ref=regular 5\n", "recur relation only"),
+        ("family f|regular 17|mod17|1|m.real|zero\n", "is not allowed"),
+        ("family f|regular 17|mod17|1|0|zero|m=1,,2\n", "m or k value"),
+        ("family f|regular 17|mod17|1|0|zero|slow=yes\n", "slow must be"),
+    ])
+    def test_bad_record_names_its_line(self, text, message):
+        with pytest.raises(ValueError, match=r"^line [0-9]+: .*" + re.escape(message)):
+            parse_registry(text)
+
+
+class TestWriterRefuses:
+    CASE = IdentityCase("a", "user", EtaF(1), EtaF(1), default_order=9)
+    CHAIN = ProofChain("c", "user", EtaF(1), (AssertStage("st", EtaF(1)),), base_order=64)
+    FAMILY = CongruenceFamily("f", "user", 17, SourceSpec("regular", 17),
+                              AffineIndex("1", "0"), Zero())
+
+    @pytest.mark.parametrize("entry,message", [
+        (dataclasses.replace(CASE, note="a | b"), "note 'a | b' holds a '|'"),
+        (dataclasses.replace(CASE, note="two\nlines"), "holds a '|', a line break"),
+        (dataclasses.replace(CASE, note="trailing "), "edge whitespace"),
+        (dataclasses.replace(CASE, section="a|b"), "section"),
+        (dataclasses.replace(CASE, expect="maybe"), "expect must be"),
+        (dataclasses.replace(CASE, id="a b"), "contains whitespace"),
+        (dataclasses.replace(CASE, modulus=1), "mode must be"),
+        (dataclasses.replace(CHAIN, min_surviving=10), "does not carry its min_surviving"),
+        (dataclasses.replace(CHAIN, steps=(AssertStage("s t", EtaF(1)),)), "named atom"),
+        (dataclasses.replace(CHAIN, steps=(AssertStage("st", EtaF(1), expect="odd"),)),
+         "does not carry its steps"),
+        (dataclasses.replace(FAMILY, source=SourceSpec("regular", 17, 3)),
+         "does not carry its source"),
+        (dataclasses.replace(FAMILY, m_values=()), "m or k value"),
+        (dataclasses.replace(FAMILY, note="x\x85y"), "line break"),
+    ])
+    def test_unrepresentable_field_raises(self, entry, message):
+        kind, field = {IdentityCase: ("identity", "cases"), ProofChain: ("chain", "chains"),
+                       CongruenceFamily: ("family", "families")}[type(entry)]
+        with pytest.raises(ValueError, match=rf"^cannot write {kind} .*" + re.escape(message)):
+            dump_registry(Registry(**{field: [entry]}))
+
+    def test_representable_entries_round_trip(self):
+        reg = Registry([self.CASE], [self.CHAIN], [self.FAMILY])
+        back = parse_registry(dump_registry(reg))
+        assert (back.cases, back.chains, back.families) == ([self.CASE], [self.CHAIN],
+                                                            [self.FAMILY])
