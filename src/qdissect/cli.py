@@ -36,6 +36,14 @@ from .series import PrecisionError
 SUITES = ("identities", "chains", "families", "all")
 
 
+def _output_path(ctx, param, value: Optional[str]) -> Optional[str]:
+    """``--output`` callback: the file's directory must exist, so a bad path
+    is a usage error at parse time and not a traceback after the work."""
+    if value is not None and not Path(value).absolute().parent.is_dir():
+        raise click.BadParameter(f"directory of {value!r} does not exist")
+    return value
+
+
 @click.group()
 def main() -> None:
     """Truncated q-series verification harness."""
@@ -305,6 +313,7 @@ def _format_csv(report: dict) -> str:
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
+              callback=_output_path,
               help="Write the report to a file as well as stdout.")
 @click.option("--registry-file", type=click.Path(exists=True, dir_okay=False),
               default=None,
@@ -364,7 +373,7 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
 
 @main.command("export-registry")
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
-              help="Destination file (default: stdout).")
+              callback=_output_path, help="Destination file (default: stdout).")
 def cmd_export_registry(output) -> None:
     """Write the built-in catalog (identities, chains, families) as registry text."""
     text = dump_registry(build_registry())

@@ -223,6 +223,24 @@ def _poch_factors(a: int, m: int, sign: int, order: int):
         d += m
 
 
+def _pentagonal(ring: CoeffRing, order: int, k: int) -> Series:
+    """``f_k`` by Euler's pentagonal theorem,
+    ``sum_n (-1)^n q^(k*n(3n-1)/2)`` over all integers ``n``: O(sqrt(N)) terms.
+
+    ``Pochhammer``, ``Theta``, ``Phi`` and ``Psi`` keep the product form, so a
+    catalog case equating ``f_k`` with one of them compares two routes.
+    """
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
+    n = 1
+    while k * n * (3 * n - 1) // 2 <= order:
+        for e in (k * n * (3 * n - 1) // 2, k * n * (3 * n + 1) // 2):
+            if e <= order:
+                coeffs[e] = -1 if n & 1 else 1
+        n += 1
+    return Series(ring, coeffs)
+
+
 def _eval_theta_product(node: Theta, ring: CoeffRing, order: int) -> Series:
     """Triple-product evaluation of ``f(a, b) = (-a;ab)(-b;ab)(ab;ab)``.
 
@@ -285,7 +303,7 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
     elif isinstance(expr, Pochhammer):
         result = _binomial_product(ring, order, _poch_factors(expr.a, expr.m, 1, order))
     elif isinstance(expr, EtaF):
-        result = eval_qexpr(Pochhammer(expr.k, expr.k), ring, order)
+        result = _pentagonal(ring, order, expr.k)
     elif isinstance(expr, Phi):
         # phi(q^k) = f(q^k, q^k) = (-q^k; q^2k)^2 (q^2k; q^2k)
         result = _eval_theta_product(Theta(1, expr.k, 1, expr.k), ring, order)

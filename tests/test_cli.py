@@ -183,6 +183,18 @@ class TestReportFormats:
             resummed[row["status"]] += 1
         assert resummed == report["summary"]
 
+    def test_output_in_missing_directory_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        result = runner.invoke(
+            main, ["verify", "--case", "0.2", "--format", "json", "--output", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "'--output'" in result.output and "does not exist" in result.output
+        # rejected before any check ran: no report was printed
+        assert '"cases"' not in result.output
+        assert not out.parent.exists()
+
     def test_csv_format(self, runner):
         result = runner.invoke(
             main, ["verify", "--case", "0.2", "--format", "csv"]
@@ -227,6 +239,14 @@ class TestRegistryFile:
         )
         assert rerun.exit_code == 0
         assert "user-0.2" in rerun.output
+
+    def test_export_to_missing_directory_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "missing" / "registry.txt"
+        result = runner.invoke(main, ["export-registry", "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "'--output'" in result.output and "does not exist" in result.output
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize(
         "text,where",

@@ -28,7 +28,7 @@ from qdissect.qexpr import (
     theta_sum,
     to_sexpr,
 )
-from qdissect.series import EXACT, CoeffRing, eq_to_order
+from qdissect.series import EXACT, CoeffRing, Series, eq_to_order
 from conftest import brute_mul, brute_pochhammer
 
 
@@ -141,6 +141,17 @@ class TestCompositeEvaluation:
             support[0] = 1
             for i, c in enumerate(got.coeffs):
                 assert c == support.get(i, 0)
+
+    @pytest.mark.parametrize("modulus", [0, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_pentagonal_eta_matches_product_forms(self, k, modulus):
+        # EtaF is summed by the pentagonal theorem, Pochhammer multiplied out
+        # binomial by binomial; brute_pochhammer expands without the engine
+        ring = CoeffRing(modulus) if modulus else EXACT
+        order = 600
+        got = eval_qexpr(EtaF(k), ring, order)
+        assert got == Series(ring, brute_pochhammer(k, k, order))
+        assert got == eval_qexpr(Pochhammer(k, k), ring, order)
 
     def test_negative_power_of_nonunit_rejected(self):
         from qdissect.series import NonUnitError

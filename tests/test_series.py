@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,3 +354,186 @@ def test_mul_at_slot_bound(top, order):
     assert mul(pos, pos).coeffs == square
     assert mul(neg, neg).coeffs == square
     assert mul(pos, neg).coeffs == tuple(-c for c in square)
+
+
+# ---------------------------------------------------------------------------
+# each fast route against an independent reference, on both sides of the
+# switch that picks it
+# ---------------------------------------------------------------------------
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record the calls of the private route ``series.<name>``."""
+    calls: list = []
+    real = getattr(series, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series, name, spy)
+    return calls
+
+
+def _operands(shape: str, top: int, order: int, rng) -> tuple[list[int], list[int]]:
+    if shape == "dense":
+        return ([rng.randint(-top, top) for _ in range(order + 1)],
+                [rng.randint(-top, top) for _ in range(order + 1)])
+    if shape == "all-max":  # c_k = (k+1) * top^2, the slot bound
+        return [top] * (order + 1), [top] * (order + 1)
+    return [-top] * (order + 1), [top] * (order + 1)  # all-neg
+
+
+class TestDecimalProductRoute:
+    # order 300: 2^200 coefficients pack to ~1.2e5 bits (int route),
+    # 2^600 ones to ~3.6e5 bits (libmpdec route)
+    @pytest.mark.parametrize("shape", ["dense", "all-max", "all-neg"])
+    @pytest.mark.parametrize("bits,route", [(200, False), (600, True)])
+    def test_matches_double_loop_on_both_sides(self, monkeypatch, shape, bits, route):
+        calls = _spy(monkeypatch, "_product_decimal")
+        order = 300
+        a, b = _operands(shape, 2**bits, order, random.Random(bits))
+        sa, sb = Series(EXACT, a), Series(EXACT, b)
+        assert mul(sa, sb).coeffs == tuple(brute_mul(a, b, order))
+        assert mul(sb, sa).coeffs == tuple(brute_mul(a, b, order))
+        assert mul(sa, sa).coeffs == tuple(brute_mul(a, a, order))
+        assert bool(calls) is route
+
+    def test_slot_beyond_str_digit_limit_takes_int_route(self, monkeypatch):
+        # 2^8000 coefficients need slots of ~4800 decimal digits, more than
+        # str(int) converts by default; the int route must serve them
+        if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("int/str conversion limit disabled")
+        calls = _spy(monkeypatch, "_product_decimal")
+        order = 20
+        a, b = _operands("dense", 2**8000, order, random.Random(3))
+        assert mul(Series(EXACT, a), Series(EXACT, b)).coeffs == tuple(brute_mul(a, b, order))
+        assert not calls
+
+    def test_without_c_decimal_int_route_serves(self, monkeypatch):
+        order = 300
+        a, b = _operands("dense", 2**600, order, random.Random(5))
+        monkeypatch.setattr(series, "_decimal", None)
+        assert mul(Series(EXACT, a), Series(EXACT, b)).coeffs == tuple(brute_mul(a, b, order))
+
+    def test_modular_large_moduli(self, monkeypatch):
+        calls = _spy(monkeypatch, "_product_decimal")
+        p = 2**521 - 1  # Mersenne prime: 521-bit residues take the libmpdec route
+        ring = CoeffRing(p)
+        rng = random.Random(11)
+        a = [rng.randrange(p) for _ in range(201)]
+        b = [rng.randrange(p) for _ in range(201)]
+        assert mul(Series(ring, a), Series(ring, b)) == Series(ring, brute_mul(a, b, 200))
+        assert calls
+
+
+def _square_and_multiply(a: Series, e: int) -> Series:
+    """Reference power: invert first for e < 0, then binary powering by mul."""
+    if e < 0:
+        a, e = invert(a), -e
+    result, base = one(a.ring, a.order), a
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
+
+
+class TestMillerPower:
+    ORDER = 400
+
+    @pytest.fixture(scope="class")
+    def bases(self):
+        n = self.ORDER
+        f1 = Series(EXACT, brute_pochhammer(1, 1, n))
+        phi = [0] * (n + 1)
+        phi[0] = 1
+        for j in range(1, n + 1):
+            if j * j <= n:
+                phi[j * j] = 2
+        return {"f1": f1, "f2": Series(EXACT, brute_pochhammer(2, 2, n)),
+                "phi": Series(EXACT, phi), "-f1": -f1}
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "phi", "-f1"])
+    def test_matches_repeated_multiplication(self, monkeypatch, bases, name):
+        calls = _spy(monkeypatch, "_miller_pow")
+        base = bases[name]
+        for step in (base, invert(base)):  # e = 1..30, then e = -1..-30
+            sign = 1 if step is base else -1
+            ref = one(EXACT, self.ORDER)
+            for e in range(1, 31):
+                ref = mul(ref, step)
+                assert pow_(base, sign * e) == ref, sign * e
+        assert pow_(base, 0) == one(EXACT, self.ORDER)
+        # the recurrence served every e <= -2 and nothing else
+        assert sorted(c[2] for c in calls) == list(range(-30, -1))
+
+    def test_dense_base(self, monkeypatch):
+        calls = _spy(monkeypatch, "_miller_pow")
+        rng = random.Random(2)
+        a = Series(EXACT, [-1] + [rng.randint(-3, 3) for _ in range(120)])
+        for e in (-2, -5):
+            assert pow_(a, e) == _square_and_multiply(a, e)
+        assert len(calls) == 2
+
+    def test_non_unit_base_with_negative_exponent(self):
+        for e in (-1, -2, -7):
+            with pytest.raises(NonUnitError):
+                pow_(Series(EXACT, [2, 1, 1]), e)
+            with pytest.raises(NonUnitError):
+                pow_(Series(EXACT, [0, 1, 1]), e)
+
+    def test_modular_ring_keeps_squaring(self, monkeypatch, bases):
+        calls = _spy(monkeypatch, "_miller_pow")
+        f1 = reduce_mod(bases["f1"], 7)
+        assert pow_(f1, -7) == reduce_mod(pow_(bases["f1"], -7), 7)
+        assert pow_(f1, -7) == _square_and_multiply(f1, -7)
+        assert len(calls) == 1  # only the exact power
+
+
+class TestNewtonInverse:
+    @staticmethod
+    def _dense(ring: CoeffRing, order: int, taps: int, rng) -> Series:
+        coeffs = [0] * (order + 1)
+        coeffs[0] = rng.randrange(1, ring.modulus)
+        for k in rng.sample(range(1, order + 1), taps):
+            coeffs[k] = rng.randrange(1, ring.modulus)
+        return Series(ring, coeffs)
+
+    @pytest.mark.parametrize("p", [7, 17])
+    def test_two_sided_at_order_2048(self, monkeypatch, p):
+        calls = _spy(monkeypatch, "_newton_inverse")
+        ring = CoeffRing(p)
+        a = self._dense(ring, 2048, 2000, random.Random(p))
+        inv = invert(a)
+        assert mul(a, inv) == one(ring, 2048)
+        assert mul(inv, a) == one(ring, 2048)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [7, 17])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    def test_two_sided_around_density_switch(self, monkeypatch, p, extra):
+        calls = _spy(monkeypatch, "_newton_inverse")
+        ring = CoeffRing(p)
+        taps = series._NEWTON_MIN_TAPS + extra
+        for order in (taps, 2 * taps + 1, 777):
+            a = self._dense(ring, order, taps, random.Random(order + extra))
+            inv = invert(a)
+            assert mul(a, inv) == one(ring, order)
+            assert mul(inv, a) == one(ring, order)
+        assert len(calls) == (3 if extra > 0 else 0)
+
+    def test_exact_series_never_take_newton(self, monkeypatch):
+        calls = _spy(monkeypatch, "_newton_inverse")
+        rng = random.Random(4)
+        a = Series(EXACT, [1] + [rng.randint(-2, 2) for _ in range(400)])
+        inv = invert(a)
+        assert mul(a, inv) == one(EXACT, 400) and not calls
+
+    def test_non_unit_constant_rejected(self):
+        rng = random.Random(9)
+        dense = [rng.randrange(1, 6) for _ in range(600)]
+        with pytest.raises(NonUnitError):
+            invert(Series(CoeffRing(7), [0] + dense))
+        with pytest.raises(NonUnitError):
+            invert(Series(CoeffRing(6), [3] + dense))
