@@ -3,8 +3,9 @@
 ``qdissect verify`` runs the identity catalog, the derivation-chain replays,
 and the congruence families (or any selection of them) and emits a
 human-readable, JSON, or CSV report.  The exit code is 0 exactly when no
-selected, non-skipped check failed; skipped instances and recorded erratum
-candidates are listed but do not fail the run.
+selected, non-skipped check failed, 1 when one did, and 2 on a usage error;
+skipped instances and recorded erratum candidates are listed but do not fail
+the run.  Checks run one at a time, in catalog order or the order given.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
@@ -62,7 +62,7 @@ def main() -> None:
 def cmd_coeff(l: int, m: int, n: int, modulus: int) -> None:
     """Print the (L, M)-regular bipartition count at index N."""
     if n < 0:
-        raise click.ClickException("index must be >= 0")
+        raise click.UsageError("index must be >= 0")
     if l < 2 or m < 2:
         raise click.UsageError("regularity indices L and M must be >= 2")
     if modulus and not 2 <= modulus <= oracle.FAST_MOD_CAP:
@@ -70,11 +70,15 @@ def cmd_coeff(l: int, m: int, n: int, modulus: int) -> None:
             f"must be 0 (exact) or in [2, {oracle.FAST_MOD_CAP}]", param_hint="'--mod'"
         )
     if modulus:
+        if n > congruences.DESK_INDEX_CAP:
+            raise click.UsageError(
+                f"the fast path is capped at index {congruences.DESK_INDEX_CAP}"
+            )
         table = oracle.coeff_fast(l, m, n, modulus)
         click.echo(table[n])
         return
     if n > oracle.EXACT_CAP:
-        raise click.ClickException(
+        raise click.UsageError(
             f"exact mode is capped at index {oracle.EXACT_CAP}; pass --mod P"
         )
     table = oracle.bipartition_counts(l, m, n)
@@ -91,10 +95,11 @@ def _mismatch_dict(mismatch) -> Optional[dict]:
     return {"exponent": mismatch.exponent, "lhs": mismatch.lhs, "rhs": mismatch.rhs}
 
 
-def _select(ids, index, kind):
+def _select(ids, index, option):
     unknown = [i for i in ids if i not in index]
     if unknown:
-        raise click.ClickException(f"unknown {kind} ids: {', '.join(unknown)}")
+        raise click.BadParameter(f"unknown ids: {', '.join(unknown)}",
+                                 param_hint=f"'{option}'")
     return [index[i] for i in ids]
 
 
@@ -122,17 +127,18 @@ def _blamer(user: Registry, registry_file, order):
     return blame
 
 
-def _run_identities(reg, case_ids, order, jobs, blame) -> list[dict]:
+def _run_identities(reg, case_ids, order, blame) -> list[dict]:
     if case_ids:
-        cases = _select(case_ids, {c.id: c for c in reg.cases}, "identity")
+        cases = _select(case_ids, {c.id: c for c in reg.cases}, "--case")
     else:
         cases = reg.cases
 
-    def run(case):
+    rows = []
+    for case in cases:
         with blame("identity", case.id):
             rep = verify(case, order=order)
         status = {"pass": "pass", "mismatch": "fail", "erratum": "erratum"}[rep.status]
-        return {
+        rows.append({
             "id": case.id,
             "kind": "identity",
             "status": status,
@@ -141,18 +147,18 @@ def _run_identities(reg, case_ids, order, jobs, blame) -> list[dict]:
             "first_mismatch": _mismatch_dict(rep.first_mismatch),
             "runtime_ms": round(rep.runtime_ms, 1),
             "detail": rep.detail,
-        }
+        })
+    return rows
 
-    return _run_parallel(run, cases, jobs)
 
-
-def _run_chains(reg, chain_ids, order, jobs, blame) -> list[dict]:
+def _run_chains(reg, chain_ids, order, blame) -> list[dict]:
     if chain_ids:
-        chains = _select(chain_ids, {c.id: c for c in reg.chains}, "chain")
+        chains = _select(chain_ids, {c.id: c for c in reg.chains}, "--chain")
     else:
         chains = reg.chains
 
-    def run(chain):
+    rows = []
+    for chain in chains:
         with blame("chain", chain.id):
             rep = replay(chain, order=order)
         stages = [
@@ -167,7 +173,7 @@ def _run_chains(reg, chain_ids, order, jobs, blame) -> list[dict]:
         ]
         n_errata = sum(1 for st in rep.stages if st.status == "erratum")
         status = "fail" if rep.failures else ("erratum" if n_errata else "pass")
-        return {
+        rows.append({
             "id": chain.id,
             "kind": "chain",
             "status": status,
@@ -176,23 +182,13 @@ def _run_chains(reg, chain_ids, order, jobs, blame) -> list[dict]:
             "stages": stages,
             "runtime_ms": round(rep.runtime_ms, 1),
             "detail": chain.note,
-        }
-
-    return _run_parallel(run, chains, jobs)
-
-
-def _run_parallel(fn, items, jobs) -> list[dict]:
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, items))
-    else:
-        results = [fn(item) for item in items]
-    return results
+        })
+    return rows
 
 
-def _run_families(reg, family_ids, n_max, include_slow, cache_dir, blame) -> list[dict]:
+def _run_families(reg, family_ids, n_max, include_slow, cache, blame) -> list[dict]:
     if family_ids:
-        selected = _select(family_ids, {f.id: f for f in reg.families}, "family")
+        selected = _select(family_ids, {f.id: f for f in reg.families}, "--family")
     else:
         selected = [f for f in reg.families if include_slow or not f.slow]
 
@@ -202,7 +198,6 @@ def _run_families(reg, family_ids, n_max, include_slow, cache_dir, blame) -> lis
             for spec, order in required_order(fam, n_max).items():
                 key = (spec, fam.modulus)
                 needs[key] = max(needs.get(key, 0), order)
-    cache = oracle.TableCache(cache_dir)
     rows = []
     for fam in selected:
         with blame("family", fam.id):
@@ -306,10 +301,12 @@ def _format_csv(report: dict) -> str:
 @click.option("--case", "case_ids", multiple=True, help="Identity id to run (repeatable).")
 @click.option("--chain", "chain_ids", multiple=True, help="Chain id to run (repeatable).")
 @click.option("--family", "family_ids", multiple=True, help="Family id to run (repeatable).")
-@click.option("--order", type=int, default=None, help="Override truncation order.")
-@click.option("--n-max", type=int, default=None, help="Override family n range.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Thread count for identity/chain checks.")
+@click.option("--order", type=click.IntRange(min=1), default=None,
+              help="Override truncation order.")
+@click.option("--n-max", type=click.IntRange(min=0), default=None,
+              help="Override family n range.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, expose_value=False,
+              help="Accepted and ignored: checks run one at a time.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
@@ -321,13 +318,9 @@ def _format_csv(report: dict) -> str:
 @click.option("--slow", is_flag=True, help="Include the multi-minute large-index families.")
 @click.option("--cache-dir", default=None,
               help="Directory for cached oracle tables (default: $QDISSECT_CACHE).")
-def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
+def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, fmt,
                output, registry_file, slow, cache_dir) -> None:
     """Run verification suites and report the outcome of every check."""
-    if order is not None and order <= 0:
-        raise click.ClickException("--order must be positive")
-    if n_max is not None and n_max < 0:
-        raise click.ClickException("--n-max must be >= 0")
     cache_dir = cache_dir or os.environ.get("QDISSECT_CACHE")
 
     reg, user = build_registry(), Registry()
@@ -348,14 +341,19 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
         run_idents = suite in ("identities", "all")
         run_chains = suite in ("chains", "all")
         run_fams = suite in ("families", "all")
+    if run_fams:  # a bad cache directory is a usage error before any check runs
+        try:
+            cache = oracle.TableCache(cache_dir)
+        except OSError as exc:
+            raise click.BadParameter(str(exc), param_hint="'--cache-dir'") from None
 
     rows: list[dict] = []
     if run_idents:
-        rows += _run_identities(reg, case_ids, order, jobs, blame)
+        rows += _run_identities(reg, case_ids, order, blame)
     if run_chains:
-        rows += _run_chains(reg, chain_ids, order, jobs, blame)
+        rows += _run_chains(reg, chain_ids, order, blame)
     if run_fams:
-        rows += _run_families(reg, family_ids, n_max, slow, cache_dir, blame)
+        rows += _run_families(reg, family_ids, n_max, slow, cache, blame)
 
     report = {"suite": suite, "cases": rows, "summary": _summarize(rows)}
     if fmt == "json":

@@ -19,7 +19,6 @@ Composite nodes are ``Mul``, ``Pow``, ``Sum`` (integer-weighted terms) and
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -198,7 +197,6 @@ def eta_quotient(powers: dict[int, int]) -> QExpr:
 # ---------------------------------------------------------------------------
 
 _MEMO: dict[tuple[QExpr, CoeffRing, int], Series] = {}
-_MEMO_LOCK = threading.Lock()
 
 
 def _binomial_product(ring: CoeffRing, order: int, factors: Iterable[tuple[int, int]]) -> Series:
@@ -291,8 +289,7 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
     if order < 0:
         raise ValueError("order must be >= 0")
     key = (expr, ring, order)
-    with _MEMO_LOCK:
-        cached = _MEMO.get(key)
+    cached = _MEMO.get(key)
     if cached is not None:
         return cached
 
@@ -330,8 +327,7 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
     else:  # pragma: no cover
         raise TypeError(f"unknown QExpr node {type(expr).__name__}")
 
-    with _MEMO_LOCK:
-        _MEMO[key] = result
+    _MEMO[key] = result
     return result
 
 

@@ -275,11 +275,11 @@ def _product_decimal(av: Sequence[int], bv: Sequence[int], width: int) -> list[i
     bias over ``n+1`` slots is subtracted, the two factors are multiplied,
     and the bias over all ``2n+1`` slots of the full product is added back
     (every product slot, the top ones included, may be negative before it).
-    All arithmetic runs in a context of its own (``--jobs`` replays run on
-    threads) with ``prec = MAX_PREC`` and ``Inexact``, ``Rounded``,
-    ``InvalidOperation`` and ``Overflow`` trapped, so a result that is not
-    the exact integer raises instead of being returned.  The low ``n+1``
-    slots of ``str(product)`` are ``c_0 + h .. c_n + h``.
+    All arithmetic runs in a context of its own, never the caller's, with
+    ``prec = MAX_PREC`` and ``Inexact``, ``Rounded``, ``InvalidOperation``
+    and ``Overflow`` trapped, so a result that is not the exact integer
+    raises instead of being returned.  The low ``n+1`` slots of
+    ``str(product)`` are ``c_0 + h .. c_n + h``.
     """
     dec = _decimal
     n = len(av) - 1

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 from click.testing import CliRunner
 
-from qdissect import oracle
+from qdissect import cli, congruences, oracle
 from qdissect.cli import main
 
 
@@ -50,6 +51,23 @@ class TestCoeff:
         assert result.exit_code == 2, result.output
         assert "--mod" in result.output
 
+    def test_modular_index_capped_before_any_table(self, runner, monkeypatch):
+        built = []
+
+        def fake_coeff_fast(l, m, n_max, p):
+            built.append(n_max)
+            return {n_max: 0}
+
+        monkeypatch.setattr(oracle, "coeff_fast", fake_coeff_fast)
+        cap = congruences.DESK_INDEX_CAP
+        result = runner.invoke(main, ["coeff", "3", "7", str(cap + 1), "--mod", "7"])
+        assert result.exit_code == 2, result.output
+        assert "capped at index" in result.output
+        assert built == []
+        result = runner.invoke(main, ["coeff", "3", "7", str(cap), "--mod", "7"])
+        assert result.exit_code == 0, result.output
+        assert built == [cap]
+
 
 class TestVerifyIdentities:
     def test_single_case(self, runner):
@@ -79,6 +97,47 @@ class TestVerifyIdentities:
             line.split("  ")[0] for line in text.splitlines()
         )
         assert strip(seq.output) == strip(par.output)
+
+    @pytest.mark.parametrize("suite, jobs", [("chains", "2"), ("identities", "4")])
+    def test_checks_run_on_calling_thread(self, runner, monkeypatch, suite, jobs):
+        threads = []
+
+        def on_thread(fn):
+            def wrapped(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "verify", on_thread(cli.verify))
+        monkeypatch.setattr(cli, "replay", on_thread(cli.replay))
+        result = runner.invoke(main, ["verify", "--suite", suite, "--jobs", jobs])
+        assert result.exit_code == 0, result.output
+        assert threads and set(threads) == {threading.get_ident()}
+
+
+class TestUsageErrors:
+    """A bad argument exits 2, never 1 (the code for a failed check)."""
+
+    @pytest.mark.parametrize("args", [
+        ["--case", "nope"], ["--chain", "nope"], ["--family", "nope"],
+        ["--order", "0"], ["--n-max", "-1"], ["--case", "kp2", "--jobs", "0"],
+    ], ids=" ".join)
+    def test_exit_code_is_2(self, runner, args):
+        result = runner.invoke(main, ["verify"] + args)
+        assert result.exit_code == 2, result.output
+        assert f"'{args[-2]}'" in result.output  # the option at fault is named
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_cache_dir_that_is_a_file(self, runner, tmp_path, under_file):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory\n")
+        cache = plain / "sub" if under_file else plain
+        result = runner.invoke(main, ["verify", "--case", "kp2", "--family", "w.11",
+                                      "--n-max", "10", "--cache-dir", str(cache)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "'--cache-dir'" in result.output
+        assert "kp2" not in result.output  # no check ran
 
 
 class TestVerifyChains:
