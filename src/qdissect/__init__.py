@@ -48,7 +48,6 @@ from .qexpr import (
     rr_quotient,
     rr_quotient_13,
     theta_sum,
-    to_sexpr,
 )
 from .oracle import (
     CountTable,

@@ -22,7 +22,7 @@ from typing import Optional
 import click
 
 from . import congruences, oracle
-from .registry import Registry, dump_registry, parse_registry
+from .registry import Registry, catalog_text, parse_registry
 from .registry import registry as build_registry
 from .congruences import (
     Recur,
@@ -95,7 +95,9 @@ def _mismatch_dict(mismatch) -> Optional[dict]:
     return {"exponent": mismatch.exponent, "lhs": mismatch.lhs, "rhs": mismatch.rhs}
 
 
-def _select(ids, index, option):
+def _select(ids, entries, option):
+    """The entries named by ``ids``, in that order."""
+    index = {e.id: e for e in entries}
     unknown = [i for i in ids if i not in index]
     if unknown:
         raise click.BadParameter(f"unknown ids: {', '.join(unknown)}",
@@ -127,12 +129,7 @@ def _blamer(user: Registry, registry_file, order):
     return blame
 
 
-def _run_identities(reg, case_ids, order, blame) -> list[dict]:
-    if case_ids:
-        cases = _select(case_ids, {c.id: c for c in reg.cases}, "--case")
-    else:
-        cases = reg.cases
-
+def _run_identities(cases, order, blame) -> list[dict]:
     rows = []
     for case in cases:
         with blame("identity", case.id):
@@ -151,12 +148,7 @@ def _run_identities(reg, case_ids, order, blame) -> list[dict]:
     return rows
 
 
-def _run_chains(reg, chain_ids, order, blame) -> list[dict]:
-    if chain_ids:
-        chains = _select(chain_ids, {c.id: c for c in reg.chains}, "--chain")
-    else:
-        chains = reg.chains
-
+def _run_chains(chains, order, blame) -> list[dict]:
     rows = []
     for chain in chains:
         with blame("chain", chain.id):
@@ -186,12 +178,7 @@ def _run_chains(reg, chain_ids, order, blame) -> list[dict]:
     return rows
 
 
-def _run_families(reg, family_ids, n_max, include_slow, cache, blame) -> list[dict]:
-    if family_ids:
-        selected = _select(family_ids, {f.id: f for f in reg.families}, "--family")
-    else:
-        selected = [f for f in reg.families if include_slow or not f.slow]
-
+def _run_families(selected, n_max, cache, blame) -> list[dict]:
     needs: dict = {}  # (stream, modulus) -> largest order the batch reads
     for fam in selected:
         with blame("family", fam.id):
@@ -335,25 +322,25 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, fmt,
                        reg.families + user.families)
     blame = _blamer(user, registry_file, order)
 
+    # an unknown id or a bad cache directory is a usage error before any check runs
     if case_ids or chain_ids or family_ids:
-        run_idents, run_chains, run_fams = bool(case_ids), bool(chain_ids), bool(family_ids)
+        cases = _select(case_ids, reg.cases, "--case")
+        chains = _select(chain_ids, reg.chains, "--chain")
+        families = _select(family_ids, reg.families, "--family")
     else:
-        run_idents = suite in ("identities", "all")
-        run_chains = suite in ("chains", "all")
-        run_fams = suite in ("families", "all")
-    if run_fams:  # a bad cache directory is a usage error before any check runs
+        cases = reg.cases if suite in ("identities", "all") else []
+        chains = reg.chains if suite in ("chains", "all") else []
+        families = ([f for f in reg.families if slow or not f.slow]
+                    if suite in ("families", "all") else [])
+    if families:
         try:
             cache = oracle.TableCache(cache_dir)
         except OSError as exc:
             raise click.BadParameter(str(exc), param_hint="'--cache-dir'") from None
 
-    rows: list[dict] = []
-    if run_idents:
-        rows += _run_identities(reg, case_ids, order, blame)
-    if run_chains:
-        rows += _run_chains(reg, chain_ids, order, blame)
-    if run_fams:
-        rows += _run_families(reg, family_ids, n_max, slow, cache, blame)
+    rows = _run_identities(cases, order, blame) + _run_chains(chains, order, blame)
+    if families:
+        rows += _run_families(families, n_max, cache, blame)
 
     report = {"suite": suite, "cases": rows, "summary": _summarize(rows)}
     if fmt == "json":
@@ -373,8 +360,8 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, fmt,
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               callback=_output_path, help="Destination file (default: stdout).")
 def cmd_export_registry(output) -> None:
-    """Write the built-in catalog (identities, chains, families) as registry text."""
-    text = dump_registry(build_registry())
+    """Write the shipped catalog file (identities, chains, families) as it is."""
+    text = catalog_text()
     if output:
         Path(output).write_text(text, encoding="utf-8")
         click.echo(f"wrote {output}")

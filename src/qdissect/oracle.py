@@ -80,6 +80,12 @@ class SourceSpec:
     l: int
     m: int = 0
 
+    def __post_init__(self):
+        if not (self.l >= 2 and (self.kind == "regular" and self.m == 0
+                                 or self.kind == "bipartite" and self.m >= 2)):
+            raise ValueError("a source is regular L (m=0) or bipartite L M, "
+                             f"with L, M >= 2; got {self!r}")
+
     def describe(self) -> str:
         if self.kind == "regular":
             return f"b_{self.l}"

@@ -332,7 +332,7 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# plain-text serialization (prefix notation)
+# parsing the plain-text prefix notation
 # ---------------------------------------------------------------------------
 #
 # expr := (const INT) | (q INT) | (poch INT INT) | (eta INT) | (phi INT)
@@ -340,38 +340,6 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
 #       | (dilate expr INT) | (sum (INT expr)+) | S | S1 | u | v
 
 _NAMED = {"S": rr_quotient(), "S1": rr_quotient_13(), "u": cubic_u(), "v": cubic_v()}
-_NAME_OF = {expr: name for name, expr in _NAMED.items()}
-
-
-def to_sexpr(expr: QExpr) -> str:
-    """Serialize an expression tree to prefix notation; a subtree equal to a
-    named quotient is written as its name."""
-    if isinstance(expr, (Mul, Dilate)) and expr in _NAME_OF:
-        return _NAME_OF[expr]
-    if isinstance(expr, Const):
-        return f"(const {expr.value})"
-    if isinstance(expr, Q):
-        return f"(q {expr.exponent})"
-    if isinstance(expr, Pochhammer):
-        return f"(poch {expr.a} {expr.m})"
-    if isinstance(expr, EtaF):
-        return f"(eta {expr.k})"
-    if isinstance(expr, Phi):
-        return f"(phi {expr.k})"
-    if isinstance(expr, Psi):
-        return f"(psi {expr.k})"
-    if isinstance(expr, Theta):
-        return f"(theta {expr.sa} {expr.ua} {expr.sb} {expr.ub})"
-    if isinstance(expr, Mul):
-        return "(mul " + " ".join(to_sexpr(f) for f in expr.factors) + ")"
-    if isinstance(expr, Pow):
-        return f"(pow {to_sexpr(expr.base)} {expr.exponent})"
-    if isinstance(expr, Sum):
-        inner = " ".join(f"({c} {to_sexpr(t)})" for c, t in expr.terms)
-        return f"(sum {inner})"
-    if isinstance(expr, Dilate):
-        return f"(dilate {to_sexpr(expr.child)} {expr.k})"
-    raise TypeError(f"unknown QExpr node {type(expr).__name__}")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -379,7 +347,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_sexpr(text: str) -> QExpr:
-    """Parse the prefix notation produced by :func:`to_sexpr`.
+    """Parse an expression in the prefix notation above.
 
     The shorthand atoms ``S``, ``S1``, ``u``, ``v`` expand to the named
     composite quotients.

@@ -1,14 +1,14 @@
 """The catalog: identity cases, derivation chains and congruence families.
 
-The built-in catalog is the package file ``catalog.txt``.  It is read by
-:func:`parse_registry`, the parser that also reads ``--registry-file``, and
-:func:`dump_registry` (``qdissect export-registry``) writes it back byte for
-byte.  Identity ids follow the source-catalog labels (``0.2``, ``kp2``,
-``k1@7``, ...); chain ids name the section-level derivations (``s3`` ..
-``s8``).  A section whose derivation restarts from a lemma-supplied linear
-combination is split into segments (``s3.tail``, ``s5.tail``,
-``s7cor.comb``, ...): the new start is itself an asserted combination of
-previously verified stages, so the replay stays fully mechanical.
+The built-in catalog is the package file ``catalog.txt``, which ``qdissect
+export-registry`` prints as shipped.  It is read by :func:`parse_registry`,
+the parser that also reads ``--registry-file``.  Identity ids follow the
+source-catalog labels (``0.2``, ``kp2``, ``k1@7``, ...); chain ids name the
+section-level derivations (``s3`` .. ``s8``).  A section whose derivation
+restarts from a lemma-supplied linear combination is split into segments
+(``s3.tail``, ``s5.tail``, ``s7cor.comb``, ...): the new start is itself an
+asserted combination of previously verified stages, so the replay stays
+fully mechanical.
 
 The text format has one record per line; a chain record goes on with one
 line per step::
@@ -49,9 +49,7 @@ from .identities import (
     ReduceMod,
     Substitute,
 )
-from .qexpr import parse_sexpr, to_sexpr
-
-HEADER = "# qdissect registry: identities, chains and families (format: see the README)"
+from .qexpr import parse_sexpr
 
 
 class Registry:
@@ -80,9 +78,14 @@ class Registry:
         return [c for c in self.chains if c.section == section]
 
 
+def catalog_text() -> str:
+    """The text of the built-in catalog file, as shipped."""
+    return files(__package__).joinpath("catalog.txt").read_text(encoding="utf-8")
+
+
 @lru_cache(maxsize=1)
 def _builtin() -> Registry:
-    return parse_registry(files(__package__).joinpath("catalog.txt").read_text(encoding="utf-8"))
+    return parse_registry(catalog_text())
 
 
 def registry() -> Registry:
@@ -183,10 +186,6 @@ def _mode(text: str, exact: bool = True) -> int:
     raise ValueError(f"mode must be {allowed} with M >= 2, got {text!r}")
 
 
-def _write_mode(modulus: int) -> str:
-    return "exact" if modulus == 0 else f"mod{modulus}"
-
-
 def _read_expect(text: str) -> str:
     if text not in ("pass", "record"):
         raise ValueError(f"expect must be 'pass' or 'record', got {text!r}")
@@ -203,16 +202,15 @@ def _read_values(text: str) -> tuple[int, ...]:
     return tuple(_int(v.strip(), "an m or k value") for v in text.split(","))
 
 
-# key -> (dataclass field, reader, writer).  The writer leaves out a field
-# equal to its default; ``section`` has none, so it is always written.
+# key -> (dataclass field, reader)
 _OPTIONS = {
-    "m": ("m_values", _read_values, lambda v: ",".join(map(str, v))),
-    "k": ("k_values", _read_values, lambda v: ",".join(map(str, v))),
-    "n_max": ("default_n_max", lambda t: _int(t, "n_max", 0), str),
-    "slow": ("slow", _read_flag, lambda v: "true" if v else "false"),
-    "section": ("section", str, str),
-    "expect": ("expect", _read_expect, str),
-    "note": ("note", str, str),
+    "m": ("m_values", _read_values),
+    "k": ("k_values", _read_values),
+    "n_max": ("default_n_max", lambda t: _int(t, "n_max", 0)),
+    "slow": ("slow", _read_flag),
+    "section": ("section", str),
+    "expect": ("expect", _read_expect),
+    "note": ("note", str),
 }
 _CASE_KEYS = ("section", "expect", "note")
 _CHAIN_KEYS = ("section", "note")
@@ -222,7 +220,7 @@ _FAMILY_KEYS = ("ref", "m", "k", "n_max", "slow", "section", "expect", "note")
 def _read_options(opts: dict[str, str]) -> dict:
     kw = {"section": "user"}
     for key, text in opts.items():
-        name, read, _ = _OPTIONS[key]
+        name, read = _OPTIONS[key]
         kw[name] = read(text)
     return kw
 
@@ -278,10 +276,6 @@ def _read_source(text: str) -> SourceSpec:
     raise ValueError(f"source must be 'regular L' or 'bipartite L M', got {text!r}")
 
 
-def _write_source(spec: SourceSpec) -> str:
-    return f"regular {spec.l}" if spec.kind == "regular" else f"bipartite {spec.l} {spec.m}"
-
-
 # relation word -> how many constants follow it, and how many index maps
 # (SCALE|OFFSET field pairs) follow the relation field
 _RELATION_SHAPES = {"zero": 0, "recur": 1, "three": 2}
@@ -303,15 +297,6 @@ def _read_relation(text: str, refs: list[str], ref: Optional[str]):
     return ThreeTerm(cs[0], maps[0], cs[1], maps[1])
 
 
-def _write_relation(rel) -> list[str]:
-    if isinstance(rel, Recur):
-        return [f"recur {rel.constant}", rel.ref.scale, rel.ref.offset]
-    if isinstance(rel, ThreeTerm):
-        return [f"three {rel.c1} {rel.c2}", rel.ref1.scale, rel.ref1.offset,
-                rel.ref2.scale, rel.ref2.offset]
-    return ["zero"]
-
-
 def _read_family(fields: list[str]) -> CongruenceFamily:
     word = (fields[5].split() or [""])[0] if len(fields) > 5 else ""
     layout = ("family ID|SOURCE|modM|SCALE|OFFSET|RELATION"
@@ -324,88 +309,3 @@ def _read_family(fields: list[str]) -> CongruenceFamily:
         relation=_read_relation(relation, refs, opts.pop("ref", None)),
         **_read_options(opts),
     )
-
-
-# ---------------------------------------------------------------------------
-# writing
-# ---------------------------------------------------------------------------
-
-def dump_registry(reg: Registry) -> str:
-    """Registry text for every entry, which :func:`parse_registry` reads back
-    as equal entries; an entry the format cannot carry is a ``ValueError``."""
-    blocks = ["\n".join([HEADER, *map(_record, reg.cases)])]
-    blocks += map(_record, reg.chains)
-    if reg.families:
-        blocks.append("\n".join(map(_record, reg.families)))
-    return "\n\n".join(blocks) + "\n"
-
-
-def _write_options(entry, keys: tuple[str, ...]) -> list[str]:
-    defaults = {f.name: f.default for f in dataclasses.fields(entry)}
-    out = []
-    for key in keys:
-        name, _, write = _OPTIONS[key]
-        value = getattr(entry, name)
-        if value == defaults[name]:
-            continue
-        text = write(value)
-        if "|" in text or text != text.strip() or len(text.splitlines()) > 1:
-            raise ValueError(f"its {key} {text!r} holds a '|', a line break "
-                             "or edge whitespace")
-        out.append(f"{key}={text}")
-    return out
-
-
-def _case_lines(case: IdentityCase) -> list[str]:
-    return ["|".join([case.id, _write_mode(case.modulus), str(case.default_order),
-                      to_sexpr(case.lhs), to_sexpr(case.rhs),
-                      *_write_options(case, _CASE_KEYS)])]
-
-
-def _step_line(step: ProofStep) -> str:
-    if isinstance(step, Substitute):
-        return f"sub {step.identity_id}"
-    if isinstance(step, Extract):
-        return f"extract {step.r} {step.s}"
-    if isinstance(step, DilateBack):
-        return f"dilate {step.s}"
-    if isinstance(step, ReduceMod):
-        return f"reduce {step.modulus}"
-    record = " record" if step.expect == "record" else ""
-    return f"assert {step.stage_id} {to_sexpr(step.expr)}{record}"
-
-
-def _chain_lines(chain: ProofChain) -> list[str]:
-    head = "|".join([f"chain {chain.id}", _write_mode(chain.modulus),
-                     str(chain.base_order), to_sexpr(chain.start),
-                     *_write_options(chain, _CHAIN_KEYS)])
-    return [head] + ["  " + _step_line(step) for step in chain.steps]
-
-
-def _family_lines(fam: CongruenceFamily) -> list[str]:
-    ref = getattr(fam.relation, "ref_source", None)
-    return ["|".join([f"family {fam.id}", _write_source(fam.source), f"mod{fam.modulus}",
-                      fam.index.scale, fam.index.offset, *_write_relation(fam.relation),
-                      *([f"ref={_write_source(ref)}"] if ref is not None else []),
-                      *_write_options(fam, _FAMILY_KEYS[1:])])]
-
-
-_WRITERS = {IdentityCase: ("identity", _case_lines), ProofChain: ("chain", _chain_lines),
-            CongruenceFamily: ("family", _family_lines)}
-
-
-def _record(entry) -> str:
-    """One entry's record, checked to read back as the entry itself."""
-    kind, write = _WRITERS[type(entry)]
-    try:
-        text = "\n".join(write(entry))
-        back = parse_registry(text)
-        got = back.cases + back.chains + back.families
-        if got != [entry]:
-            lost = [f.name for f in dataclasses.fields(entry) if len(got) == 1
-                    and getattr(got[0], f.name, None) != getattr(entry, f.name)]
-            raise ValueError("the registry format does not carry its "
-                             + (", ".join(lost) or "fields"))
-    except ValueError as exc:
-        raise ValueError(f"cannot write {kind} {entry.id!r}: {exc}") from None
-    return text

@@ -179,6 +179,23 @@ class TestVerifyFamilies:
             assert result.exit_code != 0
             assert "unknown" in result.output
 
+    @pytest.mark.parametrize("flag", ["--family", "--chain"])
+    def test_unknown_id_stops_before_any_check(self, runner, monkeypatch, flag):
+        calls = []
+
+        def record(fn):
+            def wrapped(entry, *args, **kwargs):
+                calls.append(entry.id)
+                return fn(entry, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "verify", record(cli.verify))
+        monkeypatch.setattr(cli, "replay", record(cli.replay))
+        result = runner.invoke(main, ["verify", "--case", "0.2", flag, "nope"])
+        assert result.exit_code == 2, result.output
+        assert f"'{flag}'" in result.output and "unknown ids: nope" in result.output
+        assert calls == []
+
     def test_skip_is_listed_not_failed(self, runner):
         result = runner.invoke(
             main, ["verify", "--family", "thm12", "--n-max", "50"]
@@ -378,13 +395,17 @@ class TestRegistryFile:
         assert rows[0]["stages"] == want[0]["stages"]
         assert rows[1]["n_max"] == want[1]["n_max"] == 200
 
-    def test_export_is_the_shipped_catalog(self, runner):
+    def test_export_is_the_shipped_catalog(self, runner, tmp_path):
         from importlib.resources import files
 
         result = runner.invoke(main, ["export-registry"])
         assert result.exit_code == 0
         shipped = files("qdissect").joinpath("catalog.txt").read_bytes()
         assert result.stdout_bytes == shipped
+        out = tmp_path / "catalog.txt"
+        result = runner.invoke(main, ["export-registry", "--output", str(out)])
+        assert result.exit_code == 0
+        assert out.read_bytes() == shipped
 
     def test_constants_command(self, runner):
         result = runner.invoke(main, ["constants"])

@@ -23,8 +23,8 @@ from qdissect.identities import (
     replay,
     verify,
 )
-from qdissect.qexpr import Const, EtaF, Mul, Pow, Q, Sum, parse_sexpr, to_sexpr
-from qdissect.registry import dump_registry, parse_registry, registry
+from qdissect.qexpr import Const, EtaF, Mul, Pow, Q, Sum
+from qdissect.registry import catalog_text, parse_registry, registry
 from qdissect.series import PrecisionError
 
 
@@ -277,10 +277,12 @@ class TestChainOutcomes:
 
 class TestTextRegistry:
     def test_dump_parse_round_trip(self, reg):
-        text = dump_registry(reg)
-        parsed = parse_registry(text).cases
-        assert [c.id for c in parsed] == [c.id for c in reg.cases]
-        for orig, back in zip(reg.cases, parsed):
+        # each identity line of the shipped text parses to the catalog's case
+        lines = [l for l in catalog_text().splitlines()
+                 if "|" in l and not l.startswith(("#", "chain ", "family "))]
+        assert [l.split("|")[0] for l in lines] == [c.id for c in reg.cases]
+        for line, orig in zip(lines, reg.cases):
+            (back,) = parse_registry(line).cases
             assert back.lhs == orig.lhs and back.rhs == orig.rhs
             assert back.modulus == orig.modulus
             assert back.default_order == orig.default_order
@@ -313,7 +315,7 @@ class TestTextRegistry:
         with pytest.raises(ValueError, match="line 2: .*'x'"):
             parse_registry(line + line)
         with pytest.raises(ValueError, match="line 2: .*'0.2'"):
-            parse_registry(dump_registry(reg), taken=reg)
+            parse_registry(catalog_text(), taken=reg)
 
 
 _REGISTRY_TOKENS = ["|", "(", ")", " ", "\n", "#", "exact", "mod", "mod7", "mod1",

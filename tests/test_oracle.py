@@ -257,6 +257,20 @@ class TestFastPath:
             oracle._pentagonal_taps(10, scale=scale)
 
 
+class TestSourceSpec:
+    @pytest.mark.parametrize("args", [
+        ("regular", 17, 3),     # a regular stream has no second index
+        ("nonsense", 2),        # not silently built as a regular stream
+        ("regular", 1),
+        ("bipartite", 1, 7),
+        ("bipartite", 3, 1),
+        ("bipartite", 3),       # m defaults to 0
+    ], ids=repr)
+    def test_invalid_specs_rejected(self, args):
+        with pytest.raises(ValueError, match="a source is regular L"):
+            SourceSpec(*args)
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         table = coeff_fast(3, 7, 500, 7)

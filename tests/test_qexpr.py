@@ -26,7 +26,6 @@ from qdissect.qexpr import (
     rr_quotient,
     rr_quotient_13,
     theta_sum,
-    to_sexpr,
 )
 from qdissect.series import EXACT, CoeffRing, Series, eq_to_order
 from conftest import brute_mul, brute_pochhammer
@@ -167,21 +166,22 @@ class TestCompositeEvaluation:
 
 class TestSerialization:
     CASES = [
-        Const(-3),
-        Q(7),
-        Pochhammer(5, 25),
-        EtaF(12),
-        Phi(2),
-        Psi(3),
-        Theta(-1, 1, -1, 2),
-        Mul((EtaF(1), Pow(EtaF(5), -6), Q(2))),
-        Sum(((2, EtaF(1)), (-11, Q(5)), (1, Pow(rr_quotient(), -5)))),
-        Dilate(Mul((EtaF(2), Q(1))), 13),
+        ("(const -3)", Const(-3)),
+        ("(q 7)", Q(7)),
+        ("(poch 5 25)", Pochhammer(5, 25)),
+        ("(eta 12)", EtaF(12)),
+        ("(phi 2)", Phi(2)),
+        ("(psi 3)", Psi(3)),
+        ("(theta -1 1 -1 2)", Theta(-1, 1, -1, 2)),
+        ("(mul (eta 1) (pow (eta 5) -6) (q 2))", Mul((EtaF(1), Pow(EtaF(5), -6), Q(2)))),
+        ("(sum (2 (eta 1)) (-11 (q 5)) (1 (pow S -5)))",
+         Sum(((2, EtaF(1)), (-11, Q(5)), (1, Pow(rr_quotient(), -5))))),
+        ("(dilate (mul (eta 2) (q 1)) 13)", Dilate(Mul((EtaF(2), Q(1))), 13)),
     ]
 
-    @pytest.mark.parametrize("expr", CASES, ids=lambda e: type(e).__name__)
-    def test_round_trip(self, expr):
-        assert parse_sexpr(to_sexpr(expr)) == expr
+    @pytest.mark.parametrize("text,expr", CASES, ids=[type(e).__name__ for _, e in CASES])
+    def test_round_trip(self, text, expr):
+        assert parse_sexpr(text) == expr
 
     def test_named_shorthands(self):
         assert parse_sexpr("S") == rr_quotient()

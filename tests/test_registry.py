@@ -1,9 +1,8 @@
-"""The registry text format: the shipped catalog, its round trip, and the
-records for chains and families."""
+"""The registry text format: the shipped catalog and the records for
+identities, chains and families."""
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from importlib.resources import files
 
@@ -27,8 +26,8 @@ from qdissect.identities import (
     ReduceMod,
     Substitute,
 )
-from qdissect.qexpr import Dilate, EtaF, Mul, Pow, cubic_u, rr_quotient, to_sexpr
-from qdissect.registry import Registry, dump_registry, parse_registry, registry
+from qdissect.qexpr import EtaF, Pow, rr_quotient
+from qdissect.registry import parse_registry, registry
 
 SHIPPED = files("qdissect").joinpath("catalog.txt").read_text(encoding="utf-8")
 
@@ -42,32 +41,22 @@ class TestShippedCatalog:
     def test_counts(self, reg):
         assert (len(reg.cases), len(reg.chains), len(reg.families)) == (20, 12, 25)
 
-    def test_export_is_the_shipped_file(self, reg):
-        assert dump_registry(reg) == SHIPPED
-
     def test_build_families_reads_the_catalog(self, reg):
         assert build_families() == reg.families
 
-    def test_parse_of_dump_is_identity(self, reg):
-        back = parse_registry(dump_registry(reg))
-        assert (back.cases, back.chains, back.families) == (reg.cases, reg.chains, reg.families)
-
     def test_recorded_probes_survive(self, reg):
-        back = parse_registry(dump_registry(reg))
-        assert back.lookup("7.3").expect == "record"
-        assert back.lookup("7.3").note.startswith("cubic continued-fraction entry")
-        (stage,) = [s for s in back.chain("s7cor.odd").steps if isinstance(s, AssertStage)]
+        assert reg.lookup("7.3").expect == "record"
+        assert reg.lookup("7.3").note.startswith("cubic continued-fraction entry")
+        (stage,) = [s for s in reg.chain("s7cor.odd").steps if isinstance(s, AssertStage)]
         assert (stage.stage_id, stage.expect) == ("7.21", "record")
-        fams = {f.id: f for f in back.families}
+        fams = {f.id: f for f in reg.families}
         assert fams["7.22"].relation.ref_source == SourceSpec("regular", 17)
         assert fams["s13"].slow and not fams["x1"].slow
         assert fams["s15-unit"].expect == "record"
         assert fams["x1"].k_values == tuple(range(1, 11))
 
     def test_named_atoms_are_written(self):
-        assert to_sexpr(Mul((EtaF(25), rr_quotient()))) == "(mul (eta 25) S)"
-        assert to_sexpr(Pow(cubic_u(), -1)) == "(pow u -1)"
-        assert to_sexpr(Dilate(rr_quotient(), 13)) == "S1"
+        assert "(pow u -1)" in SHIPPED and " S)" in SHIPPED
         assert "(poch" not in SHIPPED
 
 
@@ -148,39 +137,3 @@ chain c|exact|64|(eta 1)|note=demo
     def test_bad_record_names_its_line(self, text, message):
         with pytest.raises(ValueError, match=r"^line [0-9]+: .*" + re.escape(message)):
             parse_registry(text)
-
-
-class TestWriterRefuses:
-    CASE = IdentityCase("a", "user", EtaF(1), EtaF(1), default_order=9)
-    CHAIN = ProofChain("c", "user", EtaF(1), (AssertStage("st", EtaF(1)),), base_order=64)
-    FAMILY = CongruenceFamily("f", "user", 17, SourceSpec("regular", 17),
-                              AffineIndex("1", "0"), Zero())
-
-    @pytest.mark.parametrize("entry,message", [
-        (dataclasses.replace(CASE, note="a | b"), "note 'a | b' holds a '|'"),
-        (dataclasses.replace(CASE, note="two\nlines"), "holds a '|', a line break"),
-        (dataclasses.replace(CASE, note="trailing "), "edge whitespace"),
-        (dataclasses.replace(CASE, section="a|b"), "section"),
-        (dataclasses.replace(CASE, expect="maybe"), "expect must be"),
-        (dataclasses.replace(CASE, id="a b"), "contains whitespace"),
-        (dataclasses.replace(CASE, modulus=1), "mode must be"),
-        (dataclasses.replace(CHAIN, min_surviving=10), "does not carry its min_surviving"),
-        (dataclasses.replace(CHAIN, steps=(AssertStage("s t", EtaF(1)),)), "named atom"),
-        (dataclasses.replace(CHAIN, steps=(AssertStage("st", EtaF(1), expect="odd"),)),
-         "does not carry its steps"),
-        (dataclasses.replace(FAMILY, source=SourceSpec("regular", 17, 3)),
-         "does not carry its source"),
-        (dataclasses.replace(FAMILY, m_values=()), "m or k value"),
-        (dataclasses.replace(FAMILY, note="x\x85y"), "line break"),
-    ])
-    def test_unrepresentable_field_raises(self, entry, message):
-        kind, field = {IdentityCase: ("identity", "cases"), ProofChain: ("chain", "chains"),
-                       CongruenceFamily: ("family", "families")}[type(entry)]
-        with pytest.raises(ValueError, match=rf"^cannot write {kind} .*" + re.escape(message)):
-            dump_registry(Registry(**{field: [entry]}))
-
-    def test_representable_entries_round_trip(self):
-        reg = Registry([self.CASE], [self.CHAIN], [self.FAMILY])
-        back = parse_registry(dump_registry(reg))
-        assert (back.cases, back.chains, back.families) == ([self.CASE], [self.CHAIN],
-                                                            [self.FAMILY])
