@@ -58,7 +58,7 @@ def main() -> None:
 @click.argument("m", type=int)
 @click.argument("n", type=int)
 @click.option("--mod", "modulus", type=int, default=0,
-              help="Report the count modulo this prime (enables the fast path).")
+              help="Report the count modulo P, any P in [2, 2^26] (enables the fast path).")
 def cmd_coeff(l: int, m: int, n: int, modulus: int) -> None:
     """Print the (L, M)-regular bipartition count at index N."""
     if n < 0:

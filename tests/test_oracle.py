@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdissect import oracle
 from qdissect.congruences import build_families
@@ -67,6 +69,52 @@ def test_mulmod_matches_exact_convolution(case):
     got = oracle._mulmod(a, b, p, n)
     assert got.dtype == np.min_scalar_type(p - 1)
     assert list(got) == _exact_mulmod(a, b, p, n)
+
+
+@st.composite
+def _quotients(draw):
+    p = draw(st.sampled_from(MULMOD_MODULI))
+    n = draw(st.integers(min_value=0, max_value=299))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dtype = np.min_scalar_type(p - 1)
+    num = rng.integers(0, p, n + 1).astype(dtype)
+    den = rng.integers(0, p, n + 1).astype(dtype)
+    den[0] = 1
+    return num, den, p
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=_quotients())
+@example(case=(np.array([5], np.uint8), np.array([1], np.uint8), 7))
+@example(case=(np.array([5, 3], np.uint8), np.array([1, 6], np.uint8), 7))
+@example(case=(np.array([5, 3, 0], np.uint32), np.array([1, 2**26 - 6, 9], np.uint32),
+               2**26 - 5))
+def test_divide_times_denominator_is_numerator(case):
+    num, den, p = case
+    n = len(num) - 1
+    w = oracle._divide(num, den, p)
+    assert w.dtype == num.dtype and len(w) == n + 1
+    assert _exact_mulmod(den, w, p, n) == [int(x) for x in num]
+
+
+def _dense_pentagonal(n, scale):
+    """f_scale to q^n as a list of Python ints, from the pentagonal taps."""
+    f = [1] + [0] * n
+    for g, sign in oracle._pentagonal_taps(n, scale):
+        f[g] = sign
+    return f
+
+
+@pytest.mark.parametrize("scales", [(1, 1), (3, 7), (81, 17), (17,)], ids=repr)
+@pytest.mark.parametrize("p", [2, 7, 2**26 - 5])
+def test_pentagonal_product_matches_dense_convolution(scales, p):
+    n = 700
+    want = _dense_pentagonal(n, scales[0])
+    for s in scales[1:]:
+        want = _exact_mulmod(want, _dense_pentagonal(n, s), p, n)
+    got = oracle._pentagonal_product(scales, n, p)
+    assert got.dtype == np.min_scalar_type(p - 1)
+    assert list(got) == [x % p for x in want]
 
 
 class TestRegularCounts:
@@ -196,6 +244,20 @@ class TestFastPath:
         assert list(oracle._fast((3, 7), n, 7)) == list(oracle._dp((3, 7), n, 7))
         assert list(oracle._fast((17,), n, 17)) == list(oracle._dp((17,), n, 17))
 
+    @pytest.fixture(scope="class")
+    def dp_1025(self):
+        streams = (((3, 7), 7), ((9, 5), 3), ((17,), 17), ((2, 8), 2**26 - 5))
+        return {(regs, p): oracle._dp(regs, 1025, p) for regs, p in streams}
+
+    # n = 2h - 2 and 2h - 1 share the half length h = ceil((n+1)/2); the
+    # half-length products change block length where h - 1 or n - h crosses
+    # 32 * 2^k, and the full-length ones where n does
+    @pytest.mark.parametrize("n", [62, 63, 64, 65, 126, 127, 128, 129, 130,
+                                   254, 255, 256, 257, 258, 1022, 1023, 1024, 1025])
+    def test_fast_matches_dp_next_to_the_half_length(self, n, dp_1025):
+        for (regs, p), counts in dp_1025.items():
+            assert list(oracle._fast(regs, n, p)) == counts[: n + 1], (regs, p)
+
     @pytest.mark.parametrize("p", [4, 9, 12, 1009, 2**26 - 5])
     @pytest.mark.parametrize("n", [0, 1, 9, 300])
     def test_fast_matches_dp_for_any_modulus(self, p, n):
@@ -209,6 +271,9 @@ class TestFastPath:
             table = coeff_fast(3, 7, 50, p)
             assert table.values.dtype == dtype
             table.save(tmp_path / "t.qdct")
+            # header, entries at the table's width, checksum
+            size = 48 + 51 * np.dtype(dtype).itemsize + 4
+            assert (tmp_path / "t.qdct").stat().st_size == size
             loaded = CountTable.load(tmp_path / "t.qdct")
             assert loaded.values.dtype == dtype
             assert list(loaded.values) == list(table.values)
@@ -303,10 +368,37 @@ class TestCache:
         path = tmp_path / "t.qdct"
         coeff_fast(3, 7, 50, 7).save(path)
         data = bytearray(path.read_bytes())
-        data[48 + 8 * 20] = 7  # entry 20 of a mod-7 table
+        data[48 + 20] = 7  # entry 20 of a mod-7 table, one byte per entry
+        data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))  # a valid checksum
         path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="outside"):
+            CountTable.load(path)
+
+    def test_changed_entry_is_a_miss(self, tmp_path):
+        # an in-range residue that the header and the range check cannot catch
+        table = coeff_fast(3, 7, 50, 7)
+        path = tmp_path / table.cache_name()
+        table.save(path)
+        data = bytearray(path.read_bytes())
+        data[48 + 20] = (data[48 + 20] + 1) % 7
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="checksum"):
+            CountTable.load(path)
+        served = TableCache(tmp_path).get(SourceSpec("bipartite", 3, 7), 7, 50)
+        assert list(served.values) == list(table.values)
+        assert list(CountTable.load(path).values) == list(table.values)
+
+    def test_version_1_file_is_a_miss(self, tmp_path):
+        # the old format: a version-1 magic, the same header, int64 entries
+        table = coeff_fast(3, 7, 50, 7)
+        path = tmp_path / table.cache_name()
+        path.write_bytes(b"QDCT\x01\x00\x00\x00" + struct.pack("<QQQQQ", 1, 3, 7, 50, 7)
+                         + np.asarray(table.values, dtype="<i8").tobytes())
         with pytest.raises(ValueError):
             CountTable.load(path)
+        served = TableCache(tmp_path).get(SourceSpec("bipartite", 3, 7), 7, 50)
+        assert list(served.values) == list(table.values)
+        assert path.read_bytes()[:8] == CountTable._MAGIC
 
     def test_cache_chooses_by_header_alone(self, tmp_path, monkeypatch):
         # decoys named like the wanted (3,7) mod 7 table, and smaller than the
