@@ -5,7 +5,9 @@ and the congruence families (or any selection of them) and emits a
 human-readable, JSON, or CSV report.  The exit code is 0 exactly when no
 selected, non-skipped check failed, 1 when one did, and 2 on a usage error;
 skipped instances and recorded erratum candidates are listed but do not fail
-the run.  Checks run one at a time, in catalog order or the order given.
+the run.  Checks run one at a time on the calling thread, in catalog order
+or the order given; before the family walk, the oracle tables it reads that
+are not in the cache directory are built on up to ``--jobs`` threads.
 """
 
 from __future__ import annotations
@@ -42,6 +44,14 @@ def _output_path(ctx, param, value: Optional[str]) -> Optional[str]:
     if value is not None and not Path(value).absolute().parent.is_dir():
         raise click.BadParameter(f"directory of {value!r} does not exist")
     return value
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 @click.group()
@@ -178,13 +188,14 @@ def _run_chains(chains, order, blame) -> list[dict]:
     return rows
 
 
-def _run_families(selected, n_max, cache, blame) -> list[dict]:
+def _run_families(selected, n_max, cache, blame, jobs) -> list[dict]:
     needs: dict = {}  # (stream, modulus) -> largest order the batch reads
     for fam in selected:
         with blame("family", fam.id):
             for spec, order in required_order(fam, n_max).items():
                 key = (spec, fam.modulus)
                 needs[key] = max(needs.get(key, 0), order)
+    cache.prefetch(needs, jobs)  # a failed build is raised by get, under blame
     rows = []
     for fam in selected:
         with blame("family", fam.id):
@@ -292,8 +303,9 @@ def _format_csv(report: dict) -> str:
               help="Override truncation order.")
 @click.option("--n-max", type=click.IntRange(min=0), default=None,
               help="Override family n range.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, expose_value=False,
-              help="Accepted and ignored: checks run one at a time.")
+@click.option("--jobs", type=click.IntRange(min=1), default=_usable_cpus,
+              show_default="the usable CPU count",
+              help="Threads that build the oracle tables of a family batch.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
@@ -305,7 +317,7 @@ def _format_csv(report: dict) -> str:
 @click.option("--slow", is_flag=True, help="Include the multi-minute large-index families.")
 @click.option("--cache-dir", default=None,
               help="Directory for cached oracle tables (default: $QDISSECT_CACHE).")
-def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, fmt,
+def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
                output, registry_file, slow, cache_dir) -> None:
     """Run verification suites and report the outcome of every check."""
     cache_dir = cache_dir or os.environ.get("QDISSECT_CACHE")
@@ -340,7 +352,7 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, fmt,
 
     rows = _run_identities(cases, order, blame) + _run_chains(chains, order, blame)
     if families:
-        rows += _run_families(families, n_max, cache, blame)
+        rows += _run_families(families, n_max, cache, blame, jobs)
 
     report = {"suite": suite, "cases": rows, "summary": _summarize(rows)}
     if fmt == "json":

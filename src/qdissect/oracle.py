@@ -31,13 +31,26 @@ products in all, for a regular table as for a bipartite one.  Nothing here
 relies on the congruence f_p = f_1^p (mod p), on a Jacobi identity or on any
 identity of the catalog.
 
-Every product is one truncated product mod p (``_mulmod``).  Residues are
-taken in balanced form, |x| <= p/2, and cut into at most 32 blocks of a
-power-of-two length B.  Each block is transformed once by a float64 real FFT
-of length 2B.  Along each diagonal d the spectral products A_i * B_(d-i) are
-summed, one inverse transform follows, its outputs are rounded to integers,
-and its upper half is carried into block d + 1.  Blocking keeps the transient
-memory near 16 bytes per coefficient and operand.
+Every product is a truncated product mod p (``_mulmod``), of which the
+caller may ask only the coefficients from ``lo`` on.  Residues are taken in
+balanced form, |x| <= p/2, and cut into blocks of a power-of-two length B, at
+most 32 over the n + 1 coefficients of the product.  A block is transformed
+by a float64 real FFT of length 2B.  Along each diagonal d the spectral
+products A_i * B_(d-i) are summed, one inverse transform follows, its outputs
+are rounded to integers, and its upper half is carried into block d + 1.
+
+  - Window: a block's spectrum is computed when the first diagonal that uses
+    it is reached, and dropped after the last.
+  - ``lo``: the diagonals below the one under ``lo`` are skipped, as they
+    carry nothing into the coefficients wanted.  The division asks for D*y
+    from h on, since its low half is N's, and Newton's step for f*g from k
+    on, since f*g = 1 + O(q^k).
+  - Split: the shorter operand is cut at a block boundary near its middle,
+    b = b_lo + q^k * b_hi, and the two halves are multiplied one after the
+    other.  A pass then holds the spectra of about as many blocks as the
+    product has output blocks, 16 bytes per output coefficient.  For the
+    (3,7) table to 1,652,053 the division's traced peak (spectra, transforms
+    and arrays) is 23 MB, against 58 MB with the spectra of whole operands.
 
 Exactness.  For a convolution of length L = 2^m computed in float64 (unit
 roundoff e = 2^-53) with roots of unity accurate to u, Percival (Math. Comp.
@@ -50,6 +63,8 @@ Summing T spectral products before the inverse transform multiplies this by
 (1+e)^T, and by Cauchy-Schwarz the sum over a diagonal of ||A_i|| * ||B_(d-i)||
 is at most ||a|| * ||b|| <= (n+1) * h^2 when every entry is at most h in size.
 ``_error_bound`` evaluates the factor with u = e and T the number of blocks.
+A pass of a split product uses the same B and limbs; each of its diagonals
+sums fewer terms, from parts of the operands, so the bound holds for it too.
 ``_limb_bits`` then splits the operands into balanced limbs of s bits, with
 h = 2^(s-1), just narrow enough that (n+1) * h^2 times the factor is below
 1/4, so every rounded output is the exact integer.  One limb (h = p/2) covers
@@ -59,18 +74,23 @@ modulus near 2^26 needs two limbs at n = 300 and three at n = 1e6.
 The theorem is proved for the radix-2 transform.  numpy's pocketfft splits a
 power-of-two length into radix-4 and radix-2 passes with twiddles accurate to
 about one ulp, and this module takes it to obey the same bound.  A guard
-checks that on every output: if any computed value lies 1/4 or more from an
-integer, the product raises ArithmeticError rather than return a count that
-rounding may have changed.  Tables are held as the smallest unsigned dtype
-that holds p - 1, whether built, loaded or on disk.
+checks that on every output of every diagonal computed: if any value lies 1/4
+or more from an integer, the product raises ArithmeticError rather than
+return a count that rounding may have changed.  The exact integers, below
+2^53 in size, are reduced mod p in float64 as x - floor(x/p) * p.  Tables are
+held as the smallest unsigned dtype that holds p - 1, whether built, loaded or
+on disk.
 
 :class:`TableCache` builds the tables a run needs by that fast path and, given
-a directory, reuses and saves ``*.qdct`` files there.  A file is chosen by its
-header alone (stream, modulus, range); its name plays no part.  A CRC32 of the
-header and the entries ends each file, and a file whose checksum, length or
-format version does not match is a miss, so the table is built again.  Saving
-a table deletes the files of the same stream and modulus that cover a smaller
-range.
+a directory, reuses and saves ``*.qdct`` files there.  ``prefetch`` builds
+the tables of a batch that are not on disk on threads, the longest first; the
+FFTs and the large element-wise loops release the GIL, the sparse pentagonal
+products do not.  A file is chosen by its header alone
+(stream, modulus, range); its name plays no part.  A CRC32 of the header and
+the entries ends each file, and a file whose checksum, length or format
+version does not match is a miss, so the table is built again.  Saving a table
+deletes the files of the same stream and modulus that cover a smaller range,
+and the files of another format version.
 """
 
 from __future__ import annotations
@@ -81,7 +101,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -307,7 +327,7 @@ def _limbs(x: np.ndarray, p: int, bits: Optional[int]) -> list[np.ndarray]:
     """Residues mod p as float limbs: balanced (|x| <= p/2), then, if ``bits``
     is given, cut into balanced base-2^bits digits, least significant first."""
     v = x.astype(np.int64)
-    v[v > p // 2] -= p
+    v -= (v > p // 2).astype(np.int64) * p
     if bits is None:
         return [v.astype(np.float64)]
     half, mask = 1 << (bits - 1), (1 << bits) - 1
@@ -321,67 +341,97 @@ def _limbs(x: np.ndarray, p: int, bits: Optional[int]) -> list[np.ndarray]:
         top = (top + half) >> bits
 
 
-def _rounded_product(sa: list, sb: list, n: int, p: int) -> np.ndarray:
-    """Coefficients 0..n, mod p, of the product of two block-split operands,
-    given the spectra of their blocks: each diagonal's exact integers, its
-    upper half carried into the next block."""
-    step = len(sa[0]) - 1
-    out = np.empty(n + 1, dtype=np.min_scalar_type(p - 1))
-    carry = np.zeros(step, dtype=np.int64)
-    for d in range(-(-(n + 1) // step)):
-        pairs = range(max(0, d - len(sb) + 1), min(d, len(sa) - 1) + 1)
-        if pairs:
-            acc = sa[pairs[0]] * sb[d - pairs[0]]
-            for i in pairs[1:]:
-                acc += sa[i] * sb[d - i]
-            c = np.fft.irfft(acc, 2 * step)
-            r = np.rint(c)
-            if np.max(np.abs(c - r)) >= _GUARD:
-                raise ArithmeticError("FFT rounding error reached the guard; "
-                                      "the product cannot be trusted")
-        else:
-            r = np.zeros(2 * step)
-        r = r.astype(np.int64)
-        low = r[:step] + carry
-        carry = r[step:]
-        out[d * step : (d + 1) * step] = (low % p)[: n + 1 - d * step]
-    return out
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place, for a float array of integers below 2^53 in size:
+    x/p is then rounded so finely that its floor is the exact quotient."""
+    x -= np.floor(x / p) * p
+    return x
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int,
-            bits: Optional[int] = None) -> np.ndarray:
-    """The truncated product (a*b mod q^(n+1)) mod p of residue arrays.
+def _product_pass(a: np.ndarray, b: np.ndarray, p: int, lo: int, n: int,
+                  step: int, bits: Optional[int], out: np.ndarray) -> None:
+    """Add coefficients lo..n of a*b, mod p, into ``out[0 .. n - lo]``.
 
-    Both operands are cut into at most ``_BLOCKS`` blocks of a power of two
-    length B; each block is transformed once at length 2B, and the products
-    along each diagonal are summed before one inverse transform.  ``bits``
-    overrides the limb width the error bound chooses.
+    Diagonal d sums the spectral products of the blocks i of a and d - i of b,
+    one inverse transform gives its exact integers, and its upper half is
+    carried into block d + 1.  A block's spectra are computed at the first
+    diagonal that uses it and dropped after the last.  The first diagonal
+    computed is the one below lo's block, for its carry alone.
     """
-    square = a is b
+    na, nb = -(-len(a) // step), -(-len(b) // step)
+    limbs = len(_limbs(np.zeros(1), p, bits))  # the same for every block
+    weight = [pow(2, (bits or 0) * j, p) for j in range(2 * limbs - 1)]
+    carry = [[np.zeros(step)] * limbs for _ in range(limbs)]
+    sa: dict[int, list] = {}
+    sb: dict[int, list] = {}
+
+    def window(spectra: dict, x: np.ndarray, used: range) -> None:
+        """Drop the spectra of x's blocks before ``used``; compute, one per
+        limb, those in it."""
+        for i in [i for i in spectra if i < used.start]:
+            del spectra[i]
+        for i in used:
+            if i not in spectra:
+                limbs_i = _limbs(x[i * step : (i + 1) * step], p, bits)
+                spectra[i] = [np.fft.rfft(limb, 2 * step) for limb in limbs_i]
+
+    for d in range(max(lo // step - 1, 0), n // step + 1):
+        pairs = range(max(0, d - nb + 1), min(d, na - 1) + 1)
+        window(sa, a, pairs)
+        window(sb, b, range(d - pairs.stop + 1, d - pairs.start + 1))
+        block = None
+        for s in range(limbs):
+            for t in range(limbs):
+                if pairs:
+                    acc = sa[pairs[0]][s] * sb[d - pairs[0]][t]
+                    for i in pairs[1:]:
+                        acc += sa[i][s] * sb[d - i][t]
+                    c = np.fft.irfft(acc, 2 * step)
+                    r = np.rint(c)
+                    c -= r
+                    if np.max(np.abs(c)) >= _GUARD:
+                        raise ArithmeticError("FFT rounding error reached the guard; "
+                                              "the product cannot be trusted")
+                else:
+                    r = np.zeros(2 * step)
+                low = r[:step] + carry[s][t]  # exact coefficients of this limb pair
+                carry[s][t] = r[step:]
+                if limbs > 1:
+                    low = _mod(low, p) * weight[s + t]
+                block = low if block is None else _mod(block + low, p)
+        first, stop = max(d * step, lo), min((d + 1) * step, n + 1)
+        if first < stop:
+            at = slice(first - lo, stop - lo)
+            out[at] = _mod(out[at] + block[first - d * step : stop - d * step], p)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0,
+            bits: Optional[int] = None) -> np.ndarray:
+    """Coefficients lo..n of the truncated product (a*b mod q^(n+1)) mod p of
+    residue arrays.
+
+    Both operands are cut into blocks of a power of two length B, at most
+    ``_BLOCKS`` of them over n + 1 coefficients; each block is transformed at
+    length 2B, and the products along each diagonal are summed before one
+    inverse transform.  The shorter operand is split at a block boundary near
+    its middle, b = b_lo + q^k * b_hi, and the two halves are multiplied one
+    after the other, so that each pass holds the spectra of about as many
+    blocks as the product has output blocks.  ``bits`` overrides the limb
+    width the error bound chooses; 0 <= lo <= n.
+    """
     a, b = a[: n + 1], b[: n + 1]
+    if len(a) < len(b):
+        a, b = b, a
     step = 1 << (-(-(n + 1) // _BLOCKS) - 1).bit_length()
     if bits is None:
         bits = _limb_bits(p, n, 2 * step, -(-(n + 1) // step))
-
-    def spectra(x):
-        per_limb = None
-        for i in range(0, len(x), step):
-            limbs = _limbs(x[i : i + step], p, bits)
-            per_limb = per_limb or [[] for _ in limbs]
-            for acc, limb in zip(per_limb, limbs):
-                acc.append(np.fft.rfft(limb, 2 * step))
-        return per_limb
-
-    sa = spectra(a)
-    sb = sa if square else spectra(b)
-    if len(sa) == len(sb) == 1:
-        return _rounded_product(sa[0], sb[0], n, p)
-    out = np.zeros(n + 1, dtype=np.int64)
-    for i, si in enumerate(sa):
-        for j, sj in enumerate(sb):
-            c = _rounded_product(si, sj, n, p).astype(np.int64)
-            out = (out + c * pow(2, bits * (i + j), p)) % p
-    return out.astype(np.min_scalar_type(p - 1))
+    out = np.zeros(n + 1 - lo, dtype=np.min_scalar_type(p - 1))
+    k = step * (-(-len(b) // step) // 2)  # 0 when b is one block: no split
+    _product_pass(a, b[: k or None], p, lo, n, step, bits, out)
+    if k:
+        _product_pass(a[: n + 1 - k], b[k:], p, max(lo - k, 0), n - k, step, bits,
+                      out[max(k - lo, 0):])
+    return out
 
 
 def _inverse(f: np.ndarray, p: int) -> np.ndarray:
@@ -391,8 +441,8 @@ def _inverse(f: np.ndarray, p: int) -> np.ndarray:
     while len(g) < len(f):
         k = len(g)
         k2 = min(2 * k, len(f))
-        e = _mulmod(f, g, p, k2 - 1)  # f*g = 1 + O(q^k)
-        t = _mulmod(g, e[k:], p, k2 - k - 1).astype(np.int64)
+        e = _mulmod(f, g, p, k2 - 1, lo=k)  # f*g = 1 + O(q^k): terms k..k2-1
+        t = _mulmod(g, e, p, k2 - k - 1).astype(np.int64)
         g = np.concatenate((g, (-t % p).astype(g.dtype)))
     return g
 
@@ -407,7 +457,8 @@ def _divide(num: np.ndarray, den: np.ndarray, p: int) -> np.ndarray:
     y = _mulmod(num, g, p, h - 1)
     if h > n:
         return y
-    rem = num[h:].astype(np.int64) - _mulmod(den, y, p, n)[h:]
+    # num[h:] is a view, so no wide copy of it is held while D*y runs
+    rem = np.subtract(num[h:], _mulmod(den, y, p, n, lo=h), dtype=np.int32)
     rem = (rem % p).astype(num.dtype)
     return np.concatenate((y, _mulmod(g, rem, p, n - h)))
 
@@ -444,28 +495,40 @@ class TableCache:
     """Fast-path tables for one run, kept in memory and, with a cache
     directory, reused from and saved to ``*.qdct`` files there.  Saving a
     table deletes the files it makes redundant: those for the same stream and
-    modulus with a smaller range."""
+    modulus with a smaller range, and those of another format version."""
 
     def __init__(self, cache_dir: Optional[Union[str, Path]]):
         self.cache_dir = Path(cache_dir) if cache_dir else None
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._tables: dict[tuple[SourceSpec, int], CountTable] = {}
+        self._failed: dict[tuple[SourceSpec, int], Exception] = {}
+
+    def _headers(self) -> Iterator[tuple[Path, Optional[tuple]]]:
+        """``(path, header)`` of every ``*.qdct`` file in the cache directory:
+        the ``(kind, l, m, n_max, modulus)`` of a file of this format, or None
+        for one of another format version (a ``QDCT`` magic with another
+        version number).  Any other file is left out."""
+        for path in self.cache_dir.glob("*.qdct"):
+            try:
+                with open(path, "rb") as fh:
+                    magic = fh.read(8)
+                    if (len(magic) == 8 and magic[:4] == CountTable._MAGIC[:4]
+                            and magic != CountTable._MAGIC):
+                        header = None
+                    else:
+                        fh.seek(0)
+                        header = CountTable._read_header(fh, path)
+            except (ValueError, OSError):
+                continue
+            yield path, header
 
     def _cached(self, spec: SourceSpec, p: int) -> list[tuple[int, Path]]:
         """``(n_max, path)`` of every cache file whose header names this
         stream and modulus, read from the 48-byte headers alone."""
         want = (spec.kind, spec.l, spec.m, p)
-        found = []
-        for path in self.cache_dir.glob("*.qdct"):
-            try:
-                with open(path, "rb") as fh:
-                    kind, l, m, n_max, modulus = CountTable._read_header(fh, path)
-            except (ValueError, OSError):
-                continue
-            if (kind, l, m, modulus) == want:
-                found.append((n_max, path))
-        return found
+        return [(header[3], path) for path, header in self._headers()
+                if header and header[:3] + header[4:] == want]
 
     def _from_disk(self, spec: SourceSpec, p: int, order: int) -> Optional[CountTable]:
         """Smallest cached table for this stream covering ``order``.  Only the
@@ -485,22 +548,69 @@ class TableCache:
                 return table
         return None
 
+    def _build(self, spec: SourceSpec, p: int, order: int) -> CountTable:
+        """Build the table and, with a cache directory, save it and delete the
+        files it makes redundant.  Of the cache's state it touches only this
+        stream's files and stale ones, so builds may run on threads."""
+        if spec.kind == "bipartite":
+            table = coeff_fast(spec.l, spec.m, order, p)
+        else:
+            table = regular_coeff_fast(spec.l, order, p)
+        if self.cache_dir:
+            table.save(self.cache_dir / table.cache_name())
+            want = (spec.kind, spec.l, spec.m, p)
+            for path, header in self._headers():
+                if header is None or (header[:3] + header[4:] == want
+                                      and header[3] < table.n_max):
+                    path.unlink(missing_ok=True)
+        return table
+
+    def prefetch(self, needs: dict[tuple[SourceSpec, int], int], jobs: int) -> None:
+        """Make the table of every ``(stream, modulus)`` in ``needs`` to its
+        order: cached files are loaded on the calling thread, and the tables
+        not on disk are built on up to ``jobs`` threads, the longest first,
+        each built, saved and pruned by one thread.  A build's failure is
+        kept, and :meth:`get` raises it for that stream, where a serial run
+        would have."""
+        todo = []
+        for key, order in sorted(needs.items(), key=lambda item: -item[1]):
+            if key in self._tables and self._tables[key].n_max >= order:
+                continue
+            table = self._from_disk(*key, order)
+            if table is None:
+                todo.append((key, order))
+            else:
+                self._tables[key] = table
+
+        def build(item):
+            (spec, p), order = item
+            try:
+                return self._build(spec, p, order)
+            except Exception as exc:
+                return exc
+
+        if jobs == 1 or len(todo) < 2:
+            done = map(build, todo)
+        else:
+            # imported here: it loads logging too, 0.5 MB that a run with
+            # nothing to build on threads does not need
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(min(jobs, len(todo))) as pool:
+                done = list(pool.map(build, todo))
+        for (key, _), result in zip(todo, done):
+            if isinstance(result, CountTable):
+                self._tables[key] = result
+            else:
+                self._failed[key] = result
+
     def get(self, spec: SourceSpec, p: int, order: int) -> CountTable:
         """The table of stream ``spec`` mod ``p`` covering ``0..order``."""
         key = (spec, p)
+        if key in self._failed:
+            raise self._failed.pop(key)
         table = self._tables.get(key)
-        if table is not None and table.n_max >= order:
-            return table
-        table = self._from_disk(spec, p, order)
-        if table is None:
-            if spec.kind == "bipartite":
-                table = coeff_fast(spec.l, spec.m, order, p)
-            else:
-                table = regular_coeff_fast(spec.l, order, p)
-            if self.cache_dir:
-                table.save(self.cache_dir / table.cache_name())
-                for n_max, path in self._cached(spec, p):
-                    if n_max < table.n_max:
-                        path.unlink(missing_ok=True)
-        self._tables[key] = table
+        if table is None or table.n_max < order:
+            table = self._from_disk(spec, p, order) or self._build(spec, p, order)
+            self._tables[key] = table
         return table

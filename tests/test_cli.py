@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
@@ -113,6 +114,114 @@ class TestVerifyIdentities:
         result = runner.invoke(main, ["verify", "--suite", suite, "--jobs", jobs])
         assert result.exit_code == 0, result.output
         assert threads and set(threads) == {threading.get_ident()}
+
+
+# one family for each of the eight streams that `verify --suite families`
+# reads; at --n-max 10 no table is longer than 6,666 entries (the whole suite
+# at --n-max 100 reads a 26.4M-entry 17-regular table for s10 and s11)
+EIGHT_STREAMS = ["w.11", "0a1", "1.x", "2.x", "7.22", "dou", "x1"]
+
+
+def _family_args(*extra):
+    return ["verify", *(a for fam in EIGHT_STREAMS for a in ("--family", fam)),
+            "--n-max", "10", *extra]
+
+
+def _rows_without_runtime(output):
+    rows = json.loads(output)["cases"]
+    for row in rows:
+        del row["runtime_ms"]
+    return rows
+
+
+class TestJobs:
+    """--jobs sets the threads that build a family batch's tables; the
+    report, the cache files and the failures do not depend on it."""
+
+    def test_rows_and_cache_files_equal_at_one_and_two_jobs(self, runner, tmp_path):
+        rows, files = {}, {}
+        for jobs in ("1", "2"):
+            cache = tmp_path / f"jobs{jobs}"
+            result = runner.invoke(main, _family_args("--jobs", jobs, "--format", "json",
+                                                      "--cache-dir", str(cache)))
+            assert result.exit_code == 0, result.output
+            rows[jobs] = _rows_without_runtime(result.output)
+            files[jobs] = {path.name: path.read_bytes() for path in cache.iterdir()}
+        assert rows["1"] == rows["2"]
+        assert [r["id"] for r in rows["1"]] == EIGHT_STREAMS
+        assert files["1"] == files["2"] and len(files["1"]) == 8
+
+    @pytest.mark.parametrize("user", [False, True], ids=["catalog", "registry-file"])
+    def test_a_failed_build_ends_the_run_alike_at_any_jobs(self, runner, monkeypatch,
+                                                           tmp_path, user):
+        # the (5,11) build fails: the families before 1.x are verified, and the
+        # failure surfaces at 1.x, under the same blame, at --jobs 1 and 2
+        real = oracle.coeff_fast
+
+        def flaky(l, m, n_max, p):
+            if (l, m) == (5, 11):
+                raise ArithmeticError("boom")
+            return real(l, m, n_max, p)
+
+        monkeypatch.setattr(oracle, "coeff_fast", flaky)
+        args = _family_args()
+        if user:
+            line = next(l for l in cli.catalog_text().splitlines()
+                        if l.startswith("family 1.x|"))
+            registry_file = tmp_path / "user.txt"
+            registry_file.write_text(line.replace("family 1.x|", "family my-1.x|") + "\n")
+            args = [a.replace("1.x", "my-1.x") for a in args]
+            args += ["--registry-file", str(registry_file)]
+        outcomes = []
+        for jobs in ("1", "2"):
+            verified = []
+            monkeypatch.setattr(cli, "verify_family", self._recording(verified))
+            result = runner.invoke(main, args + ["--jobs", jobs])
+            outcomes.append((result.exit_code, result.output,
+                             type(result.exception), str(result.exception), verified))
+        assert outcomes[0] == outcomes[1]
+        exit_code, output, _, message, verified = outcomes[0]
+        assert verified == ["w.11", "0a1"]
+        if user:
+            assert exit_code == 2 and "'--registry-file'" in output
+            assert f"{registry_file}: boom" in output
+        else:
+            assert exit_code == 1 and message == "boom"
+
+    @staticmethod
+    def _recording(verified):
+        real = congruences.verify_family
+
+        def wrapped(fam, *args, **kwargs):
+            verified.append(fam.id)
+            return real(fam, *args, **kwargs)
+
+        return wrapped
+
+    def test_families_are_verified_on_the_calling_thread(self, runner, monkeypatch):
+        checks, builds = [], []
+
+        def on_thread(fn, seen):
+            def wrapped(*args, **kwargs):
+                seen.append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "verify_family", on_thread(cli.verify_family, checks))
+        monkeypatch.setattr(oracle, "coeff_fast", on_thread(oracle.coeff_fast, builds))
+        result = runner.invoke(main, _family_args("--jobs", "2"))
+        assert result.exit_code == 0, result.output
+        assert len(checks) == len(EIGHT_STREAMS)
+        assert set(checks) == {threading.get_ident()}
+        assert builds and threading.get_ident() not in builds  # built on the pool
+
+    def test_default_is_the_usable_cpu_count(self, runner, monkeypatch):
+        seen = []
+        monkeypatch.setattr(oracle.TableCache, "prefetch",
+                            lambda self, needs, jobs: seen.append(jobs))
+        result = runner.invoke(main, ["verify", "--family", "w.11", "--n-max", "5"])
+        assert result.exit_code == 0, result.output
+        assert seen == [len(os.sched_getaffinity(0))]
 
 
 class TestUsageErrors:

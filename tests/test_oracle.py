@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
+import threading
+import weakref
 import zlib
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qdissect import oracle
-from qdissect.congruences import build_families
+from qdissect.congruences import build_families, required_order
 from qdissect.oracle import (
     CountTable,
     SourceSpec,
@@ -30,15 +33,39 @@ CATALOG_STREAMS = sorted({(f.source, f.modulus) for f in build_families()}, key=
 
 
 def _exact_mulmod(a, b, p, n):
-    """(a*b mod q^(n+1)) mod p by a double loop over Python ints."""
-    out = [0] * (n + 1)
-    for i, x in enumerate(a[: n + 1]):
-        for j, y in enumerate(b[: n + 1 - i]):
-            out[i + j] += int(x) * int(y)
-    return [c % p for c in out]
+    """(a*b mod q^(n+1)) mod p by one product of Python ints (Kronecker
+    substitution): each operand, reduced mod p, becomes an integer with one
+    slot of ``size`` bytes per coefficient, wide enough for any slot of the
+    product, so the slots of the product are its exact coefficients."""
+    size = (2 * (p - 1).bit_length() + (n + 1).bit_length()) // 8 + 1
+
+    def pack(x):
+        return int.from_bytes(b"".join((int(v) % p).to_bytes(size, "little")
+                                       for v in x[: n + 1]), "little")
+
+    prod = (pack(a) * pack(b)).to_bytes(size * (2 * n + 2), "little")
+    return [int.from_bytes(prod[i * size : (i + 1) * size], "little") % p
+            for i in range(n + 1)]
 
 
-MULMOD_MODULI = [2, 3, 17, 251, 65521, 2**26 - 5]
+P26 = 2**26 - 5  # a modulus that needs two or three limbs
+MULMOD_MODULI = [2, 3, 17, 251, 65521, P26]
+
+
+def _residues(p, size, seed):
+    values = np.random.default_rng(seed).integers(0, p, size)
+    return values.astype(np.min_scalar_type(p - 1))
+
+
+def test_exact_mulmod_matches_a_double_loop():
+    # the reference itself, against the schoolbook product
+    for p, n, la, lb in ((2, 0, 1, 1), (7, 40, 41, 13), (2**26 - 5, 30, 9, 31)):
+        a, b = _residues(p, la, 1), _residues(p, lb, 2)
+        want = [0] * (n + 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b[: n + 1 - i]):
+                want[i + j] += int(x) * int(y)
+        assert _exact_mulmod(a, b, p, n) == [c % p for c in want]
 
 
 @st.composite
@@ -69,6 +96,64 @@ def test_mulmod_matches_exact_convolution(case):
     got = oracle._mulmod(a, b, p, n)
     assert got.dtype == np.min_scalar_type(p - 1)
     assert list(got) == _exact_mulmod(a, b, p, n)
+
+
+@st.composite
+def _windows(draw):
+    p = draw(st.sampled_from(MULMOD_MODULI))
+    n = draw(st.integers(min_value=0, max_value=2000))
+
+    def operand():
+        return _residues(p, draw(st.integers(min_value=1, max_value=n + 1)),
+                         draw(st.integers(min_value=0, max_value=99)))
+
+    return operand(), operand(), p, n, draw(st.integers(min_value=0, max_value=n))
+
+
+# blocks are 2^j long, at most 32 of them over n + 1 coefficients: n + 1 at
+# 32 * 2^j and one either side, and lo at k = 0, k = n and next to block edges
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(case=_windows())
+@example(case=(_residues(2, 1, 0), _residues(2, 1, 1), 2, 0, 0))
+@example(case=(_residues(7, 64, 0), _residues(7, 64, 1), 7, 63, 0))
+@example(case=(_residues(7, 64, 0), _residues(7, 64, 1), 7, 63, 63))
+@example(case=(_residues(7, 65, 0), _residues(7, 33, 1), 7, 64, 64))
+@example(case=(_residues(17, 128, 0), _residues(17, 40, 1), 17, 127, 4))
+@example(case=(_residues(17, 129, 0), _residues(17, 129, 1), 17, 128, 7))
+@example(case=(_residues(17, 129, 0), _residues(17, 65, 1), 17, 128, 9))
+@example(case=(_residues(251, 1024, 0), _residues(251, 512, 1), 251, 1023, 512))
+@example(case=(_residues(3, 1025, 0), _residues(3, 513, 1), 3, 1024, 513))
+@example(case=(_residues(65521, 2001, 0), _residues(65521, 1001, 1), 65521, 2000, 1001))
+@example(case=(_residues(P26, 301, 0), _residues(P26, 150, 1), P26, 300, 300))
+@example(case=(_residues(P26, 2000, 0), _residues(P26, 2000, 1), P26, 1999, 0))
+def test_mulmod_from_lo_matches_exact_convolution(case):
+    # operands of unequal length, split into two passes and windowed
+    a, b, p, n, k = case
+    got = oracle._mulmod(a, b, p, n, lo=k)
+    assert got.dtype == np.min_scalar_type(p - 1) and len(got) == n + 1 - k
+    assert list(got) == _exact_mulmod(a, b, p, n)[k:]
+
+
+@pytest.mark.parametrize("len_a,len_b,lo", [(1024, 1024, 0), (2048, 1024, 1024)],
+                         ids=["truncated", "middle"])
+def test_products_hold_spectra_for_about_their_output(monkeypatch, len_a, len_b, lo):
+    # 32 blocks of 32 or 64 over n + 1: a pass holds the spectra of no more
+    # blocks than the product outputs, not of both whole operands
+    live, peak = [0], [0]
+    real_rfft = np.fft.rfft
+
+    def rfft(*args):
+        spectrum = real_rfft(*args)
+        live[0] += 1
+        peak[0] = max(peak[0], live[0])
+        weakref.finalize(spectrum, lambda: live.__setitem__(0, live[0] - 1))
+        return spectrum
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    a, b, n = _residues(7, len_a, 0), _residues(7, len_b, 1), len_a - 1
+    assert list(oracle._mulmod(a, b, 7, n, lo=lo)) == _exact_mulmod(a, b, 7, n)[lo:]
+    step = (n + 1) // 32
+    assert peak[0] <= (n + 1 - lo) // step
 
 
 @st.composite
@@ -316,6 +401,17 @@ class TestFastPath:
         with pytest.raises(ArithmeticError):
             oracle._mulmod(a, b, p, 300, bits=26)
 
+    @pytest.mark.parametrize("lo", [150, 300])
+    def test_rounding_guard_rejects_too_wide_limbs_from_lo(self, lo):
+        # the guard runs on the diagonals that are computed from lo on
+        p = 2**26 - 5
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, p, 301).astype(np.uint32)
+        b = rng.integers(0, p, 151).astype(np.uint32)
+        assert list(oracle._mulmod(a, b, p, 300, lo=lo)) == _exact_mulmod(a, b, p, 300)[lo:]
+        with pytest.raises(ArithmeticError):
+            oracle._mulmod(a, b, p, 300, lo=lo, bits=26)
+
     @pytest.mark.parametrize("scale", [0, -1])
     def test_pentagonal_scale_below_one_rejected(self, scale):
         with pytest.raises(ValueError):
@@ -453,3 +549,158 @@ class TestCache:
         cache.get(SourceSpec("bipartite", 3, 7), 7, 300)
         assert sorted(tmp_path.iterdir()) == sorted(
             decoys + [tmp_path / "bipartite-3-7-300-m7.qdct"])
+
+    def test_saving_prunes_cache_files_of_another_version(self, tmp_path):
+        # files of another version go, whatever stream they hold; a version-1
+        # file outside the directory or under another suffix stays, and so
+        # does a QDCT file too short to carry a version or of this version
+        cache_dir = tmp_path / "cache"
+        (cache_dir / "sub").mkdir(parents=True)
+        v1 = b"QDCT\x01\x00\x00\x00" + struct.pack("<QQQQQ", 1, 3, 7, 100, 7) + bytes(101 * 8)
+        same_name = cache_dir / "bipartite-3-7-100-m7.qdct"  # the new table's name
+        stale = [cache_dir / "other-stream.qdct"]
+        kept = [tmp_path / "outside.qdct", cache_dir / "sub" / "nested.qdct",
+                cache_dir / "old.bin"]
+        for path in [same_name] + stale + kept:
+            path.write_bytes(v1)
+        (cache_dir / "v9.qdct").write_bytes(b"QDCT\x09\x00\x00\x00")
+        stale.append(cache_dir / "v9.qdct")
+        (cache_dir / "short.qdct").write_bytes(b"QDCT")
+        (cache_dir / "damaged.qdct").write_bytes(CountTable._MAGIC + b"\x00" * 7)
+        (cache_dir / "junk.qdct").write_bytes(b"NOTACACHE" * 10)
+        kept += [cache_dir / name for name in ("short.qdct", "damaged.qdct", "junk.qdct")]
+        TableCache(cache_dir).get(SourceSpec("bipartite", 3, 7), 7, 100)
+        assert not any(path.exists() for path in stale)
+        assert all(path.exists() for path in kept)
+        assert same_name.read_bytes()[:8] == CountTable._MAGIC
+
+    def test_loading_prunes_nothing(self, tmp_path):
+        coeff_fast(3, 7, 100, 7).save(tmp_path / "current.qdct")
+        (tmp_path / "old.qdct").write_bytes(b"QDCT\x01\x00\x00\x00" + bytes(40))
+        before = sorted(tmp_path.iterdir())
+        TableCache(tmp_path).get(SourceSpec("bipartite", 3, 7), 7, 100)
+        assert sorted(tmp_path.iterdir()) == before
+
+
+def _families_cold_streams():
+    """The (stream, modulus) keys of `verify --suite families`, in its order."""
+    keys = {}
+    for fam in build_families():
+        if not fam.slow:
+            for spec in required_order(fam):
+                keys.setdefault((spec, fam.modulus), None)
+    return list(keys)
+
+
+class TestPrefetch:
+    NEEDS = {key: 150 + 97 * i for i, key in enumerate(_families_cold_streams())}
+
+    def test_threads_build_equal_tables_and_files(self, tmp_path):
+        assert len(self.NEEDS) == 8
+        tables, files = {}, {}
+        for jobs in (1, 2):
+            cache = TableCache(tmp_path / f"jobs{jobs}")
+            cache.prefetch(self.NEEDS, jobs)
+            tables[jobs] = {key: list(cache.get(*key, order).values)
+                            for key, order in self.NEEDS.items()}
+            files[jobs] = {path.name: path.read_bytes()
+                           for path in (tmp_path / f"jobs{jobs}").iterdir()}
+        assert tables[1] == tables[2]
+        assert files[1] == files[2] and len(files[1]) == 8
+        for (spec, p), order in self.NEEDS.items():
+            if spec.kind == "bipartite":
+                want = bipartition_counts(spec.l, spec.m, order, modulus=p)
+            else:
+                want = regular_counts(spec.l, order, modulus=p)
+            assert tables[2][spec, p] == list(want.values), spec
+
+    def test_cached_tables_are_loaded_on_the_calling_thread(self, tmp_path, monkeypatch):
+        TableCache(tmp_path).prefetch(self.NEEDS, 2)
+        loads = []
+        real_load = CountTable.load
+
+        def load(cls, path):
+            loads.append(threading.get_ident())
+            return real_load(path)
+
+        def no_build(*args):
+            raise AssertionError("a cached table was built again")
+
+        monkeypatch.setattr(CountTable, "load", classmethod(load))
+        monkeypatch.setattr(oracle, "coeff_fast", no_build)
+        monkeypatch.setattr(oracle, "regular_coeff_fast", no_build)
+        TableCache(tmp_path).prefetch(self.NEEDS, 2)
+        assert loads == [threading.get_ident()] * len(self.NEEDS)
+
+    def test_prefetched_tables_are_served_without_a_build(self, monkeypatch):
+        cache = TableCache(None)
+        cache.prefetch(self.NEEDS, 2)
+
+        def no_build(*args):
+            raise AssertionError("a prefetched table was built again")
+
+        monkeypatch.setattr(oracle, "coeff_fast", no_build)
+        monkeypatch.setattr(oracle, "regular_coeff_fast", no_build)
+        for (spec, p), order in self.NEEDS.items():
+            assert cache.get(spec, p, order).n_max == order
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failed_build_is_raised_by_get_for_its_stream(self, monkeypatch, jobs):
+        failing = SourceSpec("bipartite", 5, 13)
+        real = oracle.coeff_fast
+
+        def flaky(l, m, n_max, p):
+            if (l, m) == (failing.l, failing.m):
+                raise ArithmeticError("boom")
+            return real(l, m, n_max, p)
+
+        monkeypatch.setattr(oracle, "coeff_fast", flaky)
+        cache = TableCache(None)
+        cache.prefetch(self.NEEDS, jobs)
+        for (spec, p), order in self.NEEDS.items():
+            if spec == failing:
+                with pytest.raises(ArithmeticError, match="boom"):
+                    cache.get(spec, p, order)
+            else:
+                assert cache.get(spec, p, order).n_max == order
+
+    def test_builds_run_longest_first(self, monkeypatch):
+        started = []
+        real_b, real_r = oracle.coeff_fast, oracle.regular_coeff_fast
+
+        def log(real):
+            def build(*args):
+                started.append(args[-2])  # n_max
+                return real(*args)
+            return build
+
+        monkeypatch.setattr(oracle, "coeff_fast", log(real_b))
+        monkeypatch.setattr(oracle, "regular_coeff_fast", log(real_r))
+        TableCache(None).prefetch(self.NEEDS, 1)
+        assert started == sorted(self.NEEDS.values(), reverse=True)
+
+    def test_many_workers_share_one_directory(self, tmp_path):
+        # more workers than cores and a short switch interval: each stream
+        # saves its table and prunes its smaller one and the stale files,
+        # while the other workers scan and write the same directory
+        needs = {key: 120 + 31 * i for i, key in enumerate(CATALOG_STREAMS)}
+        for i, ((spec, p), order) in enumerate(needs.items()):
+            build = coeff_fast if spec.kind == "bipartite" else regular_coeff_fast
+            args = (spec.l, spec.m) if spec.kind == "bipartite" else (spec.l,)
+            build(*args, order - 50, p).save(tmp_path / f"smaller-{i}.qdct")
+            (tmp_path / f"stale-{i}.qdct").write_bytes(b"QDCT\x01\x00\x00\x00" + bytes(40))
+        serial = TableCache(None)
+        serial.prefetch(needs, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cache = TableCache(tmp_path)
+            cache.prefetch(needs, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        for (spec, p), order in needs.items():
+            want = list(serial.get(spec, p, order).values)
+            assert list(cache.get(spec, p, order).values) == want
+            assert list(CountTable.load(tmp_path / cache.get(spec, p, order).cache_name())
+                        .values) == want
+        assert len(list(tmp_path.iterdir())) == len(needs)
