@@ -180,10 +180,6 @@ class AffineIndex:
         return scale * n + offset
 
 
-def plain_index(scale: int = 1, offset: int = 0) -> AffineIndex:
-    return AffineIndex(str(scale), str(offset))
-
-
 @dataclass(frozen=True)
 class Zero:
     """LHS coefficient vanishes mod p."""
@@ -314,22 +310,23 @@ def required_order(family: CongruenceFamily,
 
 def verify_family(
     family: CongruenceFamily,
-    source: CountTable,
+    source: Optional[CountTable],
     n_max: Optional[int] = None,
     ref_source: Optional[CountTable] = None,
 ) -> FamilyReport:
     """Check every (m, k, n) instance of the family against oracle tables.
 
     ``source`` must be a modular table matching the family's modulus (or an
-    exact table, reduced on the fly).  Instances whose largest index exceeds
-    ``DESK_INDEX_CAP`` or the table are reported in ``skipped`` with the smallest
-    uncovered index.
+    exact table, reduced on the fly), or None when no instance reads it.
+    Instances whose largest index exceeds ``DESK_INDEX_CAP`` or the table are
+    reported in ``skipped`` with the smallest uncovered index.
     """
     t0 = time.perf_counter()
     n_top = family.default_n_max if n_max is None else n_max
     p = family.modulus
     rel = family.relation
     ref_table = ref_source if ref_source is not None else source
+    src_n, ref_n = (-1 if t is None else t.n_max for t in (source, ref_table))
 
     violations: list[Violation] = []
     tested: list[tuple[tuple[str, int], ...]] = []
@@ -345,13 +342,13 @@ def verify_family(
                 skipped.append((params, "index exceeds desk scale",
                                 _first_uncovered(src + ref, n_top, DESK_INDEX_CAP)))
                 continue
-            if src_top > source.n_max:
+            if src_top > src_n:
                 skipped.append((params, "source table too small",
-                                _first_uncovered(src, n_top, source.n_max)))
+                                _first_uncovered(src, n_top, src_n)))
                 continue
-            if ref_top > ref_table.n_max:
+            if ref_top > ref_n:
                 skipped.append((params, "reference table too small",
-                                _first_uncovered(ref, n_top, ref_table.n_max)))
+                                _first_uncovered(ref, n_top, ref_n)))
                 continue
             tested.append(params)
             max_index = max(max_index or 0, src_top, ref_top)
@@ -372,11 +369,12 @@ def verify_family(
                     violations.append(Violation(params, n, idx, got, expected))
 
     status = "fail" if violations else "pass" if tested else "skipped"
+    desc = (f"{family.source.describe()}: no table read" if source is None
+            else f"{family.source.describe()} table to {source.n_max} mod {source.modulus}")
     ms = (time.perf_counter() - t0) * 1000
     return FamilyReport(
         family.id, p, n_top, tuple(tested), tuple(violations), tuple(skipped),
-        status, f"{family.source.describe()} table to {source.n_max} mod {source.modulus}",
-        ms, family.expect, family.note, max_index,
+        status, desc, ms, family.expect, family.note, max_index,
     )
 
 
@@ -385,7 +383,3 @@ def build_families() -> list[CongruenceFamily]:
     from .registry import registry
 
     return registry().families
-
-
-def family_index() -> dict[str, CongruenceFamily]:
-    return {f.id: f for f in build_families()}

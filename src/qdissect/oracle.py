@@ -81,16 +81,14 @@ return a count that rounding may have changed.  The exact integers, below
 held as the smallest unsigned dtype that holds p - 1, whether built, loaded or
 on disk.
 
-:class:`TableCache` builds the tables a run needs by that fast path and, given
-a directory, reuses and saves ``*.qdct`` files there.  ``prefetch`` builds
-the tables of a batch that are not on disk on threads, the longest first; the
-FFTs and the large element-wise loops release the GIL, the sparse pentagonal
-products do not.  A file is chosen by its header alone
-(stream, modulus, range); its name plays no part.  A CRC32 of the header and
-the entries ends each file, and a file whose checksum, length or format
-version does not match is a miss, so the table is built again.  Saving a table
-deletes the files of the same stream and modulus that cover a smaller range,
-and the files of another format version.
+:func:`tables` builds the tables of a batch by that fast path on ``jobs``
+threads, the longest first; the FFTs and the large element-wise loops release
+the GIL, the sparse pentagonal products do not.  Given a directory, each
+(stream, modulus) has one ``*.qdct`` file there, named by
+:meth:`SourceSpec.cache_name`.  The file is served only if its CRC32 passes
+and its header names the same stream and modulus with a range that covers the
+order; anything else is a miss, and the table is built and saved over that
+name.  Saving deletes the directory's files of another format version.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -126,6 +124,10 @@ class SourceSpec:
         if self.kind == "regular":
             return f"b_{self.l}"
         return f"B_{{{self.l},{self.m}}}"
+
+    def cache_name(self, modulus: int) -> str:
+        """The one cache file name of this stream mod ``modulus``."""
+        return f"{self.kind}-{self.l}-{self.m}-m{modulus}.qdct"
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ class CountTable:
 
     # -- binary cache ------------------------------------------------------
 
-    _MAGIC = b"QDCT\x02\x00\x00\x00"
+    _MAGIC = b"QDCT\x03\x00\x00\x00"
 
     @staticmethod
     def _body_dtype(modulus: int) -> np.dtype:
@@ -188,23 +190,16 @@ class CountTable:
             raise
 
     @classmethod
-    def _read_header(cls, fh, path) -> tuple[str, int, int, int, int]:
-        """``(kind, l, m, n_max, modulus)`` from the 48-byte file header.  A
-        file of another format version is not a cache file of this one."""
-        head = fh.read(48)
-        if len(head) != 48 or head[:8] != cls._MAGIC:
-            raise ValueError(f"{path}: not a version-2 count-table cache file")
-        kind_code, l, m, n_max, modulus = struct.unpack("<QQQQQ", head[8:])
+    def load(cls, path: Union[str, Path]) -> "CountTable":
+        """The table in ``path``; a ``ValueError`` if the file is not one of
+        this format version, or its length, checksum or entries are wrong."""
+        with open(path, "rb") as fh:
+            data = memoryview(fh.read())
+        if len(data) < 48 or data[:8] != cls._MAGIC:
+            raise ValueError(f"{path}: not a version-{cls._MAGIC[4]} count-table cache file")
+        kind_code, l, m, n_max, modulus = struct.unpack("<QQQQQ", data[8:48])
         if kind_code > 1:
             raise ValueError(f"{path}: unknown table kind code {kind_code}")
-        return ("regular", "bipartite")[kind_code], l, m, n_max, modulus
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "CountTable":
-        with open(path, "rb") as fh:
-            kind, l, m, n_max, modulus = cls._read_header(fh, path)
-            fh.seek(0)
-            data = memoryview(fh.read())
         dtype = cls._body_dtype(modulus)
         if len(data) != 48 + (n_max + 1) * dtype.itemsize + 4:
             raise ValueError(f"{path}: truncated cache file")
@@ -214,10 +209,8 @@ class CountTable:
         values = np.frombuffer(data[48:-4], dtype=dtype)
         if values.max() >= modulus:
             raise ValueError(f"{path}: entries outside 0..modulus-1")
+        kind = ("regular", "bipartite")[kind_code]
         return cls(kind, int(l), int(m), int(n_max), int(modulus), values)
-
-    def cache_name(self) -> str:
-        return f"{self.kind}-{self.l}-{self.m}-{self.n_max}-m{self.modulus}.qdct"
 
 
 # ---------------------------------------------------------------------------
@@ -488,129 +481,79 @@ def regular_coeff_fast(l: int, n_max: int, p: int) -> CountTable:
 
 
 # ---------------------------------------------------------------------------
-# table cache
+# a batch's tables, and the cache directory
 # ---------------------------------------------------------------------------
 
-class TableCache:
-    """Fast-path tables for one run, kept in memory and, with a cache
-    directory, reused from and saved to ``*.qdct`` files there.  Saving a
-    table deletes the files it makes redundant: those for the same stream and
-    modulus with a smaller range, and those of another format version."""
+def _cached(path: Path, spec: SourceSpec, p: int, order: int) -> Optional[CountTable]:
+    """The table in ``path`` if it passes its checksum and its header names
+    this stream and modulus to at least ``order``; else None."""
+    if not path.exists():  # the usual miss, on an empty cache: no load is tried
+        return None
+    try:
+        table = CountTable.load(path)
+    except (ValueError, OSError):
+        return None
+    stream = (table.kind, table.l, table.m, table.modulus)
+    return table if stream == (spec.kind, spec.l, spec.m, p) and table.n_max >= order else None
 
-    def __init__(self, cache_dir: Optional[Union[str, Path]]):
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        if self.cache_dir:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._tables: dict[tuple[SourceSpec, int], CountTable] = {}
-        self._failed: dict[tuple[SourceSpec, int], Exception] = {}
 
-    def _headers(self) -> Iterator[tuple[Path, Optional[tuple]]]:
-        """``(path, header)`` of every ``*.qdct`` file in the cache directory:
-        the ``(kind, l, m, n_max, modulus)`` of a file of this format, or None
-        for one of another format version (a ``QDCT`` magic with another
-        version number).  Any other file is left out."""
-        for path in self.cache_dir.glob("*.qdct"):
+def _build(spec: SourceSpec, p: int, order: int, cache_dir: Optional[Path]) -> CountTable:
+    """Build the table and, with a cache directory, save it over the stream's
+    file and delete the files of another format version, telling them by
+    their 8-byte magic.  Of the directory it writes only this stream's file
+    and stale ones, so builds may run on threads."""
+    if spec.kind == "bipartite":
+        table = coeff_fast(spec.l, spec.m, order, p)
+    else:
+        table = regular_coeff_fast(spec.l, order, p)
+    if cache_dir:
+        table.save(cache_dir / spec.cache_name(p))
+        for path in cache_dir.glob("*.qdct"):
             try:
                 with open(path, "rb") as fh:
                     magic = fh.read(8)
-                    if (len(magic) == 8 and magic[:4] == CountTable._MAGIC[:4]
-                            and magic != CountTable._MAGIC):
-                        header = None
-                    else:
-                        fh.seek(0)
-                        header = CountTable._read_header(fh, path)
-            except (ValueError, OSError):
+            except OSError:
                 continue
-            yield path, header
+            if len(magic) == 8 and magic[:4] == b"QDCT" and magic != CountTable._MAGIC:
+                path.unlink(missing_ok=True)
+    return table
 
-    def _cached(self, spec: SourceSpec, p: int) -> list[tuple[int, Path]]:
-        """``(n_max, path)`` of every cache file whose header names this
-        stream and modulus, read from the 48-byte headers alone."""
-        want = (spec.kind, spec.l, spec.m, p)
-        return [(header[3], path) for path, header in self._headers()
-                if header and header[:3] + header[4:] == want]
 
-    def _from_disk(self, spec: SourceSpec, p: int, order: int) -> Optional[CountTable]:
-        """Smallest cached table for this stream covering ``order``.  Only the
-        headers are read to choose; the chosen file's header is checked again
-        after it is loaded."""
-        if not self.cache_dir:
-            return None
-        want = (spec.kind, spec.l, spec.m, p)
-        for n_max, path in sorted(self._cached(spec, p)):
-            if n_max < order:
-                continue
-            try:
-                table = CountTable.load(path)
-            except (ValueError, OSError):
-                continue
-            if (table.kind, table.l, table.m, table.modulus) == want and table.n_max >= order:
-                return table
-        return None
+def tables(needs: dict[tuple[SourceSpec, int], int],
+           cache_dir: Optional[Union[str, Path]], jobs: int
+           ) -> dict[tuple[SourceSpec, int], Union[CountTable, Exception]]:
+    """The table of every ``(stream, modulus)`` in ``needs`` to at least its
+    order, or the exception its build raised.
 
-    def _build(self, spec: SourceSpec, p: int, order: int) -> CountTable:
-        """Build the table and, with a cache directory, save it and delete the
-        files it makes redundant.  Of the cache's state it touches only this
-        stream's files and stale ones, so builds may run on threads."""
-        if spec.kind == "bipartite":
-            table = coeff_fast(spec.l, spec.m, order, p)
+    With a cache directory, which must exist, each stream's file is read on
+    the calling thread.  The tables not served from it are built on up to
+    ``jobs`` threads, the longest first, each built and saved by one thread.
+    """
+    cache_dir = Path(cache_dir) if cache_dir else None
+    out: dict = {}
+    todo = []
+    for (spec, p), order in sorted(needs.items(), key=lambda item: -item[1]):
+        table = _cached(cache_dir / spec.cache_name(p), spec, p, order) if cache_dir else None
+        if table is None:
+            todo.append((spec, p, order))
         else:
-            table = regular_coeff_fast(spec.l, order, p)
-        if self.cache_dir:
-            table.save(self.cache_dir / table.cache_name())
-            want = (spec.kind, spec.l, spec.m, p)
-            for path, header in self._headers():
-                if header is None or (header[:3] + header[4:] == want
-                                      and header[3] < table.n_max):
-                    path.unlink(missing_ok=True)
-        return table
+            out[spec, p] = table
 
-    def prefetch(self, needs: dict[tuple[SourceSpec, int], int], jobs: int) -> None:
-        """Make the table of every ``(stream, modulus)`` in ``needs`` to its
-        order: cached files are loaded on the calling thread, and the tables
-        not on disk are built on up to ``jobs`` threads, the longest first,
-        each built, saved and pruned by one thread.  A build's failure is
-        kept, and :meth:`get` raises it for that stream, where a serial run
-        would have."""
-        todo = []
-        for key, order in sorted(needs.items(), key=lambda item: -item[1]):
-            if key in self._tables and self._tables[key].n_max >= order:
-                continue
-            table = self._from_disk(*key, order)
-            if table is None:
-                todo.append((key, order))
-            else:
-                self._tables[key] = table
+    def build(item):
+        try:
+            return _build(*item, cache_dir)
+        except Exception as exc:  # the caller raises it where the table is read
+            return exc
 
-        def build(item):
-            (spec, p), order = item
-            try:
-                return self._build(spec, p, order)
-            except Exception as exc:
-                return exc
+    if jobs == 1 or len(todo) < 2:
+        done = map(build, todo)
+    else:
+        # imported here: it loads logging too, 0.5 MB that a run with
+        # nothing to build on threads does not need
+        from concurrent.futures import ThreadPoolExecutor
 
-        if jobs == 1 or len(todo) < 2:
-            done = map(build, todo)
-        else:
-            # imported here: it loads logging too, 0.5 MB that a run with
-            # nothing to build on threads does not need
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(min(jobs, len(todo))) as pool:
-                done = list(pool.map(build, todo))
-        for (key, _), result in zip(todo, done):
-            if isinstance(result, CountTable):
-                self._tables[key] = result
-            else:
-                self._failed[key] = result
-
-    def get(self, spec: SourceSpec, p: int, order: int) -> CountTable:
-        """The table of stream ``spec`` mod ``p`` covering ``0..order``."""
-        key = (spec, p)
-        if key in self._failed:
-            raise self._failed.pop(key)
-        table = self._tables.get(key)
-        if table is None or table.n_max < order:
-            table = self._from_disk(spec, p, order) or self._build(spec, p, order)
-            self._tables[key] = table
-        return table
+        with ThreadPoolExecutor(min(jobs, len(todo))) as pool:
+            done = list(pool.map(build, todo))
+    for (spec, p, _), result in zip(todo, done):
+        out[spec, p] = result
+    return out

@@ -61,21 +61,10 @@ class Registry:
         self.cases = list(cases)
         self.chains = list(chains)
         self.families = list(families)
-        self._case_index = {c.id: c for c in self.cases}
-        self._chain_index = {c.id: c for c in self.chains}
         for kind, entries in (("identity", self.cases), ("chain", self.chains),
                               ("family", self.families)):
             if len({e.id for e in entries}) != len(entries):
                 raise ValueError(f"duplicate {kind} ids in registry")
-
-    def lookup(self, case_id: str) -> IdentityCase:
-        return self._case_index[case_id]
-
-    def chain(self, chain_id: str) -> ProofChain:
-        return self._chain_index[chain_id]
-
-    def chains_in_section(self, section: str) -> list[ProofChain]:
-        return [c for c in self.chains if c.section == section]
 
 
 def catalog_text() -> str:

@@ -108,10 +108,6 @@ class Series:
             raise IndexError(f"coefficient q^{n} not tracked (order {self.order})")
         return self._coeffs[n]
 
-    def nonzero(self) -> list[tuple[int, int]]:
-        """(exponent, coefficient) pairs of the nonzero coefficients."""
-        return [(i, c) for i, c in enumerate(self._coeffs) if c]
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise PrecisionError(f"cannot extend order {self.order} to {order}")

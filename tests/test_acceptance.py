@@ -22,7 +22,6 @@ import pytest
 from qdissect import oracle
 from qdissect.congruences import (
     SEQUENCES,
-    family_index,
     seq_eval,
     verify_family,
 )
@@ -54,6 +53,8 @@ from qdissect.series import (
 )
 
 REG = registry()
+CASES = {c.id: c for c in REG.cases}
+FAMILIES = {f.id: f for f in REG.families}
 
 # the single allowed erratum candidate among the replayed stages, with the
 # exact mismatch the report must contain
@@ -81,7 +82,7 @@ def test_criterion_1_identity_suite():
     section2 = ["0.2", "0.3", "0.3a", "2a", "2b", "e2", "kp", "kp1", "kp2", "kp3"]
     failures = []
     for cid in section2:
-        case = REG.lookup(cid)
+        case = CASES[cid]
         want = 400 if cid in ("0.2", "0.3", "0.3a") else 500
         assert case.default_order == want
         assert case.modulus == 0
@@ -90,10 +91,10 @@ def test_criterion_1_identity_suite():
         rep = verify(case)
         if rep.status != "pass":
             failures.append((cid, rep.first_mismatch))
-    rep76 = verify(REG.lookup("7.6"))
+    rep76 = verify(CASES["7.6"])
     if rep76.status != "pass" or rep76.order != 600:
         failures.append(("7.6", rep76.first_mismatch))
-    rep73 = verify(REG.lookup("7.3"))
+    rep73 = verify(CASES["7.3"])
     recorded = rep73.status in ("pass", "erratum")
     elapsed = time.perf_counter() - t0
     ok = not failures and recorded and elapsed < 30.0
@@ -118,7 +119,7 @@ def test_criterion_2_proof_chain_replay():
     n_stages = 0
     min_surviving = 10**9
     for section, modulus in sections.items():
-        chains = REG.chains_in_section(section)
+        chains = [c for c in REG.chains if c.section == section]
         assert chains, section
         for chain in chains:
             if section != "s8":
@@ -172,21 +173,20 @@ def test_criterion_3_oracle_series_cross_check():
 
 
 def test_criterion_4_base_relations(b37_table):
-    fams = family_index()
     results = {}
 
-    rep = verify_family(fams["w.11"], b37_table, n_max=5000)
+    rep = verify_family(FAMILIES["w.11"], b37_table, n_max=5000)
     results["w.11 (n<=5000, mod 7)"] = rep
 
     src = oracle.coeff_fast(5, 11, 625 * 2000 + 364, 11)
-    results["1.x (n<=2000, mod 11)"] = verify_family(fams["1.x"], src, n_max=2000)
+    results["1.x (n<=2000, mod 11)"] = verify_family(FAMILIES["1.x"], src, n_max=2000)
 
     src = oracle.coeff_fast(5, 13, 625 * 2000 + 416, 13)
-    results["2.x (n<=2000, mod 13)"] = verify_family(fams["2.x"], src, n_max=2000)
+    results["2.x (n<=2000, mod 13)"] = verify_family(FAMILIES["2.x"], src, n_max=2000)
 
     src = oracle.coeff_fast(9, 5, 5**4 * 2000 + 687, 3)
-    results["s2 (n<=2000, mod 3)"] = verify_family(fams["0a1"], src, n_max=2000)
-    results["s3 (n<=2000, mod 3)"] = verify_family(fams["0a2"], src, n_max=2000)
+    results["s2 (n<=2000, mod 3)"] = verify_family(FAMILIES["0a1"], src, n_max=2000)
+    results["s3 (n<=2000, mod 3)"] = verify_family(FAMILIES["0a2"], src, n_max=2000)
 
     violations = {k: r.violations for k, r in results.items() if r.violations}
     statuses = {k: r.status for k, r in results.items()}
@@ -196,19 +196,18 @@ def test_criterion_4_base_relations(b37_table):
 
 
 def test_criterion_5_families():
-    fams = family_index()
     results = {}
 
     src = oracle.coeff_fast(2, 8, 88 * 500 + 87, 11)
-    results["x1 (k=1..10, n<=500)"] = verify_family(fams["x1"], src, n_max=500)
+    results["x1 (k=1..10, n<=500)"] = verify_family(FAMILIES["x1"], src, n_max=500)
 
     src = oracle.coeff_fast(81, 17, 81 * 500 + 50, 17)
     ref = oracle.regular_coeff_fast(17, 500, 17)
-    results["7.22 (n<=500)"] = verify_family(fams["7.22"], src, n_max=500, ref_source=ref)
-    results["s8 (k=2,3, n<=300)"] = verify_family(fams["s8"], src, n_max=300)
+    results["7.22 (n<=500)"] = verify_family(FAMILIES["7.22"], src, n_max=500, ref_source=ref)
+    results["s8 (k=2,3, n<=300)"] = verify_family(FAMILIES["s8"], src, n_max=300)
 
     src = oracle.coeff_fast(3, 11, 27 * 3000 + 22, 11)
-    results["dou (a=2,3, n<=3000)"] = verify_family(fams["dou"], src, n_max=3000)
+    results["dou (a=2,3, n<=3000)"] = verify_family(FAMILIES["dou"], src, n_max=3000)
 
     violations = {k: r.violations for k, r in results.items() if r.violations}
     ok = not violations and all(r.status == "pass" for r in results.values())
@@ -218,9 +217,8 @@ def test_criterion_5_families():
 
 def test_criterion_6_theorem_order7_at_m1(b37_table):
     t0 = time.perf_counter()
-    fams = family_index()
-    rep = verify_family(fams["ak1"], b37_table, n_max=100)
-    rep2 = verify_family(fams["ak2"], b37_table, n_max=100)
+    rep = verify_family(FAMILIES["ak1"], b37_table, n_max=100)
+    rep2 = verify_family(FAMILIES["ak2"], b37_table, n_max=100)
     elapsed = time.perf_counter() - t0 + _B37_BUILD_SECONDS.get("build", 0.0)
     tested = dict(rep.params_tested[-1]) if rep.params_tested else {}
     ok = (

@@ -217,8 +217,8 @@ class TestJobs:
 
     def test_default_is_the_usable_cpu_count(self, runner, monkeypatch):
         seen = []
-        monkeypatch.setattr(oracle.TableCache, "prefetch",
-                            lambda self, needs, jobs: seen.append(jobs))
+        monkeypatch.setattr(oracle, "tables",
+                            lambda needs, cache_dir, jobs: seen.append(jobs) or {})
         result = runner.invoke(main, ["verify", "--family", "w.11", "--n-max", "5"])
         assert result.exit_code == 0, result.output
         assert seen == [len(os.sched_getaffinity(0))]
@@ -324,16 +324,27 @@ class TestVerifyFamilies:
         assert second.exit_code == 0 and "PASS" in second.output
 
     def test_cache_ignores_file_for_another_stream(self, runner, tmp_path):
-        # a (3,11) mod 11 table saved under the name of a (3,7) mod 7 table
-        oracle.coeff_fast(3, 11, 2000, 11).save(tmp_path / "bipartite-3-7-2000-m7.qdct")
+        # a (3,11) mod 11 table saved under the name of the (3,7) mod 7 stream
+        name = oracle.SourceSpec("bipartite", 3, 7).cache_name(7)
+        oracle.coeff_fast(3, 11, 2000, 11).save(tmp_path / name)
         args = ["verify", "--family", "w.11", "--n-max", "100", "--cache-dir", str(tmp_path)]
         result = runner.invoke(main, args)
         assert result.exit_code == 0 and "PASS" in result.output
         assert "violation" not in result.output
-        # the right table was built and cached next to the mislabelled file
-        right = oracle.CountTable.load(tmp_path / "bipartite-3-7-1605-m7.qdct")
-        assert (right.l, right.m, right.modulus) == (3, 7, 7)
-        assert not list(tmp_path.glob("*.tmp"))
+        # the right table was built and saved over the mislabelled file
+        right = oracle.CountTable.load(tmp_path / name)
+        assert (right.l, right.m, right.n_max, right.modulus) == (3, 7, 1605, 7)
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+
+    def test_family_with_every_instance_skipped_reads_no_table(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        result = runner.invoke(main, ["verify", "--family", "thm13", "--format", "json",
+                                      "--cache-dir", str(cache)])
+        assert result.exit_code == 0, result.output
+        (row,) = json.loads(result.output)["cases"]
+        assert row["status"] == "skipped"
+        assert row["source"] == "B_{5,11}: no table read"
+        assert list(cache.iterdir()) == []
 
     def test_json_rows_carry_formula_and_max_index(self, runner):
         result = runner.invoke(

@@ -20,13 +20,13 @@ from qdissect.congruences import (
     Zero,
     build_families,
     exact_div,
-    family_index,
-    plain_index,
     recurrence_consistency_checks,
     required_order,
     seq_eval,
     verify_family,
 )
+
+FAMILIES = {f.id: f for f in build_families()}
 
 
 class TestSequences:
@@ -70,7 +70,6 @@ class TestIndexMaps:
         ix = AffineIndex("16", "5")
         assert ix.at(3) == 53
         assert ix.coeffs() == (16, 5)
-        assert plain_index(16, 5) == ix
         pow_ix = AffineIndex("4 ** (7 * m)", "(4 ** (7 * m) - 1) / 3")
         assert pow_ix.coeffs(1, 0) == (4**7, 5461)
         assert pow_ix.at(2, 1) == 2 * 4**7 + 5461
@@ -113,8 +112,8 @@ class TestIndexMaps:
             AffineIndex("1", text)
 
     def test_formula_is_derived(self):
-        assert plain_index(16, 5).formula == "16 * n + 5"
-        assert family_index()["ak1"].index.formula == (
+        assert AffineIndex("16", "5").formula == "16 * n + 5"
+        assert FAMILIES["ak1"].index.formula == (
             "4 ** (7 * m) * n + (4 ** (7 * m) - 1) / 3"
         )
 
@@ -126,7 +125,7 @@ class TestIndexMaps:
 class TestVerifyFamily:
     def test_zero_family_passes(self):
         # the (2,8) stream vanishes mod 11 on 8(11n+k)+7
-        fam = family_index()["x1"]
+        fam = FAMILIES["x1"]
         src = oracle.coeff_fast(2, 8, fam.index.at(100, 0, 10), 11)
         rep = verify_family(fam, src, n_max=100)
         assert rep.status == "pass"
@@ -136,7 +135,7 @@ class TestVerifyFamily:
     def test_violations_are_reported(self):
         fam = CongruenceFamily(
             "bogus", "t", 7, SourceSpec("bipartite", 3, 7),
-            plain_index(1, 0), Zero(), default_n_max=10,
+            AffineIndex("1", "0"), Zero(), default_n_max=10,
         )
         src = oracle.bipartition_counts(3, 7, 10, modulus=7)
         rep = verify_family(fam, src)
@@ -147,7 +146,7 @@ class TestVerifyFamily:
         assert not rep.ok
 
     def test_m_zero_is_tautology(self):
-        fam = family_index()["ak1"]
+        fam = FAMILIES["ak1"]
         src = oracle.coeff_fast(3, 7, 200, 7)
         rep = verify_family(
             dataclasses.replace(fam, m_values=(0,)), src, n_max=200
@@ -155,7 +154,7 @@ class TestVerifyFamily:
         assert rep.status == "pass"
 
     def test_desk_cap_skips_with_reason(self):
-        fam = family_index()["thm12"]
+        fam = FAMILIES["thm12"]
         src = oracle.coeff_fast(5, 11, 1000, 11)
         rep = verify_family(fam, src, n_max=10)
         params = dict(rep.skipped[0][0])
@@ -164,7 +163,7 @@ class TestVerifyFamily:
         assert rep.skipped[0][2] > 10**8
 
     def test_small_table_skips(self):
-        fam = family_index()["w.11"]
+        fam = FAMILIES["w.11"]
         src = oracle.bipartition_counts(3, 7, 50, modulus=7)
         rep = verify_family(fam, src, n_max=100)
         assert rep.status == "skipped"
@@ -173,14 +172,14 @@ class TestVerifyFamily:
     def test_record_expectation(self):
         fam = CongruenceFamily(
             "probe", "t", 7, SourceSpec("bipartite", 3, 7),
-            plain_index(1, 0), Zero(), default_n_max=5, expect="record",
+            AffineIndex("1", "0"), Zero(), default_n_max=5, expect="record",
         )
         src = oracle.bipartition_counts(3, 7, 5, modulus=7)
         rep = verify_family(fam, src)
         assert rep.status == "fail" and rep.ok
 
     def test_cross_source_recurrence(self):
-        fam = family_index()["7.22"]
+        fam = FAMILIES["7.22"]
         src = oracle.coeff_fast(81, 17, fam.index.at(60), 17)
         ref = oracle.regular_coeff_fast(17, 60, 17)
         rep = verify_family(fam, src, n_max=60, ref_source=ref)
@@ -189,7 +188,7 @@ class TestVerifyFamily:
     def test_s13_m0_probe_records_refutation(self):
         # the printed m-range includes m = 0, where the progression is the
         # proportional one; the probe must record the violation at n = 0
-        fam = family_index()["s13-m0-probe"]
+        fam = FAMILIES["s13-m0-probe"]
         src = oracle.coeff_fast(81, 17, fam.index.at(10), 17)
         rep = verify_family(fam, src)
         assert rep.status == "fail" and rep.ok
@@ -200,8 +199,8 @@ class TestVerifyFamily:
         # the reference map leaves the desk scale while the main index does not:
         # planning and walking must both skip the instance
         fam = CongruenceFamily(
-            "far-ref", "t", 7, SourceSpec("bipartite", 3, 7), plain_index(1, 0),
-            Recur(1, plain_index(DESK_INDEX_CAP, 0), ref_source=SourceSpec("regular", 7)),
+            "far-ref", "t", 7, SourceSpec("bipartite", 3, 7), AffineIndex("1", "0"),
+            Recur(1, AffineIndex(str(DESK_INDEX_CAP)), ref_source=SourceSpec("regular", 7)),
             default_n_max=2,
         )
         assert required_order(fam) == {}
@@ -210,18 +209,31 @@ class TestVerifyFamily:
         assert rep.status == "skipped" and rep.max_index is None
         assert rep.skipped[0][1:] == ("index exceeds desk scale", 2 * DESK_INDEX_CAP)
 
+    def test_no_table_when_no_instance_reads_one(self):
+        fam = FAMILIES["thm13"]
+        assert required_order(fam) == {}
+        rep = verify_family(fam, None)
+        assert rep.status == "skipped" and rep.max_index is None
+        assert {reason for _, reason, _ in rep.skipped} == {"index exceeds desk scale"}
+        assert rep.source_desc == "B_{5,11}: no table read"
+        # an instance that would read the missing table is skipped, not an
+        # error; the smallest index w.11 reads is its reference's, n = 0
+        rep = verify_family(FAMILIES["w.11"], None, n_max=3)
+        assert rep.status == "skipped"
+        assert rep.skipped[0][1:] == ("source table too small", 0)
+
     def test_max_index_covers_every_read(self):
         # the reference map reads further out than the main index
         fam = CongruenceFamily(
-            "wide-ref", "t", 7, SourceSpec("bipartite", 3, 7), plain_index(1, 0),
-            Recur(1, plain_index(3, 1)), default_n_max=5, expect="record",
+            "wide-ref", "t", 7, SourceSpec("bipartite", 3, 7), AffineIndex("1", "0"),
+            Recur(1, AffineIndex("3", "1")), default_n_max=5, expect="record",
         )
         src = oracle.bipartition_counts(3, 7, 16, modulus=7)
         assert verify_family(fam, src).max_index == 16
         assert required_order(fam) == {SourceSpec("bipartite", 3, 7): 16}
 
     def test_required_order_plans_references(self):
-        fam = family_index()["7.22"]
+        fam = FAMILIES["7.22"]
         needs = required_order(fam, n_max=60)
         assert needs[SourceSpec("bipartite", 81, 17)] == 81 * 60 + 50
         assert needs[SourceSpec("regular", 17)] == 60
@@ -231,8 +243,8 @@ class TestThreeTerm:
     @staticmethod
     def _order16(relation_id, c1, c2, n_max):
         return CongruenceFamily(
-            relation_id, "adhoc", 7, SourceSpec("bipartite", 3, 7), plain_index(16, 5),
-            ThreeTerm(c1, plain_index(1, 0), c2, plain_index(4, 1)), default_n_max=n_max,
+            relation_id, "adhoc", 7, SourceSpec("bipartite", 3, 7), AffineIndex("16", "5"),
+            ThreeTerm(c1, AffineIndex("1", "0"), c2, AffineIndex("4", "1")), default_n_max=n_max,
         )
 
     def test_base_relation_order16(self):

@@ -11,24 +11,25 @@ from __future__ import annotations
 import pytest
 
 from qdissect import oracle
-from qdissect.congruences import family_index, required_order, verify_family
+from qdissect.congruences import build_families, required_order, verify_family
 
 pytestmark = pytest.mark.slow
+
+FAMILIES = {f.id: f for f in build_families()}
 
 
 @pytest.fixture(scope="module")
 def big_b8117():
-    fams = family_index()
     top = 0
     for fid in ("s13", "s13-uniform", "s14", "s15-printed", "s15-unit"):
-        for spec, order in required_order(fams[fid]).items():
+        for spec, order in required_order(FAMILIES[fid]).items():
             if spec.kind == "bipartite":
                 top = max(top, order)
     return oracle.coeff_fast(81, 17, top, 17)
 
 
 def test_s13_printed_reading_holds_from_m1(big_b8117):
-    fam = family_index()["s13"]
+    fam = FAMILIES["s13"]
     rep = verify_family(fam, big_b8117)
     assert rep.status == "pass", rep.violations
     assert dict(rep.params_tested[-1])["m"] == 1
@@ -37,14 +38,14 @@ def test_s13_printed_reading_holds_from_m1(big_b8117):
 def test_s13_uniform_reading_is_the_wrong_one(big_b8117):
     # the uniform-exponent reading lands on the proportional progression,
     # so its vanishing claim must be violated
-    fam = family_index()["s13-uniform"]
+    fam = FAMILIES["s13-uniform"]
     rep = verify_family(fam, big_b8117)
     assert rep.status == "fail" and rep.ok  # expectation "record"
     assert rep.violations
 
 
 def test_s14_proportional_family(big_b8117):
-    fam = family_index()["s14"]
+    fam = FAMILIES["s14"]
     rep = verify_family(fam, big_b8117)
     assert rep.status == "pass", rep.violations
 
@@ -52,21 +53,19 @@ def test_s14_proportional_family(big_b8117):
 def test_s15_constant_readings(big_b8117):
     # composing the cross-stream relation with the order-8 progression gives
     # proportionality constant 1, not the printed 5^m; the probes record it
-    fams = family_index()
-    printed = verify_family(fams["s15-printed"], big_b8117)
-    unit = verify_family(fams["s15-unit"], big_b8117)
+    printed = verify_family(FAMILIES["s15-printed"], big_b8117)
+    unit = verify_family(FAMILIES["s15-unit"], big_b8117)
     assert unit.status == "pass", unit.violations
     assert printed.status == "fail" and printed.ok
     assert all(dict(v.params)["m"] == 1 for v in printed.violations)
 
 
 def test_deep_17_regular_progressions():
-    fams = family_index()
     top = max(
-        max(required_order(fams[fid], n_max=40).values())
+        max(required_order(FAMILIES[fid], n_max=40).values())
         for fid in ("s10", "s11", "s12")
     )
     table = oracle.regular_coeff_fast(17, top, 17)
     for fid in ("s10", "s11", "s12"):
-        rep = verify_family(fams[fid], table, n_max=40)
+        rep = verify_family(FAMILIES[fid], table, n_max=40)
         assert rep.status == "pass", (fid, rep.violations)

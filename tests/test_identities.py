@@ -33,6 +33,10 @@ def reg():
     return registry()
 
 
+CASES = {c.id: c for c in registry().cases}
+CHAINS = {c.id: c for c in registry().chains}
+
+
 class TestCatalogShape:
     def test_minimum_counts(self, reg):
         assert len(reg.cases) >= 14
@@ -44,8 +48,8 @@ class TestCatalogShape:
         cids = [c.id for c in reg.chains]
         assert len(cids) == len(set(cids))
 
-    def test_lookup(self, reg):
-        case = reg.lookup("0.2")
+    def test_lookup(self):
+        case = CASES["0.2"]
         assert case.section == "s2"
         assert case.default_order == 400
 
@@ -62,12 +66,12 @@ class TestCatalogShape:
 
     def test_every_section_has_a_chain(self, reg):
         for section in ("s3", "s4", "s5", "s6", "s7", "s8"):
-            assert reg.chains_in_section(section), section
+            assert [c for c in reg.chains if c.section == section], section
 
     def test_s3_stage_count(self, reg):
         stages = [
             step.stage_id
-            for chain in reg.chains_in_section("s3")
+            for chain in (c for c in reg.chains if c.section == "s3")
             for step in chain.steps
             if isinstance(step, AssertStage)
         ]
@@ -167,15 +171,15 @@ class TestCatalogOutcomes:
                 failures.append((case.id, rep.first_mismatch))
         assert not failures, f"potential erratum candidates: {failures}"
 
-    def test_flagged_cubic_entry_verifies(self, reg):
+    def test_flagged_cubic_entry_verifies(self):
         # the flagged entry is run and its outcome recorded; numerically it holds
-        rep = verify(reg.lookup("7.3"))
+        rep = verify(CASES["7.3"])
         assert rep.status == "pass"
 
-    def test_mode_soundness_exact_cases_reduce(self, reg):
+    def test_mode_soundness_exact_cases_reduce(self):
         # an exact identity must keep holding after reduction mod any modulus
         for cid in ("0.2", "kp2", "e2"):
-            case = reg.lookup(cid)
+            case = CASES[cid]
             for p in (3, 7, 11, 13, 17):
                 reduced = dataclasses.replace(case, modulus=p, default_order=200)
                 assert verify(reduced).status == "pass", (cid, p)
@@ -189,8 +193,8 @@ class TestReplay:
         rep = replay(chain)
         assert rep.ok and rep.stages[0].status == "pass"
 
-    def test_chain_reports_all_stages(self, reg):
-        rep = replay(reg.chain("s8"))
+    def test_chain_reports_all_stages(self):
+        rep = replay(CHAINS["s8"])
         assert [s.stage_id for s in rep.stages] == [
             "5.2", "5.3", "5.4", "5.5", "5.6", "5.7", "5.7-mod11",
         ]
@@ -211,9 +215,9 @@ class TestReplay:
         rep = replay(chain)
         assert rep.stages[0].status == "pass"
 
-    def test_precision_error_when_order_too_small(self, reg):
+    def test_precision_error_when_order_too_small(self):
         with pytest.raises(PrecisionError):
-            replay(reg.chain("s4"), order=60)
+            replay(CHAINS["s4"], order=60)
 
     def test_mismatch_localizes(self):
         # a wrong middle stage is reported once; later stages check against it
@@ -231,8 +235,8 @@ class TestReplay:
         assert rep.stages[1].status == "pass"
         assert not rep.ok
 
-    def test_reduce_mod_midchain(self, reg):
-        rep = replay(reg.chain("s8"))
+    def test_reduce_mod_midchain(self):
+        rep = replay(CHAINS["s8"])
         final = rep.stages[-1]
         assert final.stage_id == "5.7-mod11" and final.status == "pass"
 
@@ -240,24 +244,24 @@ class TestReplay:
 class TestChainOutcomes:
     @pytest.mark.parametrize("chain_id", [c.id for c in registry().chains])
     def test_chain_stages(self, reg, chain_id):
-        chain = reg.chain(chain_id)
+        chain = CHAINS[chain_id]
         rep = replay(chain)
         for stage in rep.stages:
             assert stage.status in ("pass", "erratum"), (
                 chain_id, stage.stage_id, stage.first_mismatch)
             assert stage.surviving >= 200
 
-    def test_known_erratum_candidate(self, reg):
-        rep = replay(reg.chain("s7cor.odd"))
+    def test_known_erratum_candidate(self):
+        rep = replay(CHAINS["s7cor.odd"])
         stage = rep.stages[0]
         assert stage.status == "erratum"
         assert stage.first_mismatch.exponent == 2
-        corrected = replay(reg.chain("s7cor.odd.alt"))
+        corrected = replay(CHAINS["s7cor.odd.alt"])
         assert corrected.stages[0].status == "pass"
 
-    def test_stage_independence(self, reg):
+    def test_stage_independence(self):
         # restarting from an asserted stage reproduces the remaining stages
-        chain = reg.chain("s3")
+        chain = CHAINS["s3"]
         full = replay(chain)
         steps = list(chain.steps)
         idx = next(

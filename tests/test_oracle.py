@@ -18,7 +18,6 @@ from qdissect.congruences import build_families, required_order
 from qdissect.oracle import (
     CountTable,
     SourceSpec,
-    TableCache,
     bipartition_counts,
     coeff_fast,
     regular_coeff_fast,
@@ -432,15 +431,33 @@ class TestSourceSpec:
             SourceSpec(*args)
 
 
+B37 = SourceSpec("bipartite", 3, 7)
+
+
+def _as_version_2(path):
+    """Turn the cache file at ``path`` into a version-2 file, which had this
+    layout (one byte per entry and a CRC32) and n_max in its name."""
+    data = bytearray(path.read_bytes())
+    data[:8] = b"QDCT\x02\x00\x00\x00"
+    data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
+    path.write_bytes(bytes(data))
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         table = coeff_fast(3, 7, 500, 7)
-        path = tmp_path / table.cache_name()
+        path = tmp_path / B37.cache_name(7)
         table.save(path)
         loaded = CountTable.load(path)
         assert loaded.kind == table.kind
         assert (loaded.l, loaded.m, loaded.n_max, loaded.modulus) == (3, 7, 500, 7)
         assert list(loaded.values) == list(table.values)
+
+    def test_one_name_per_stream_and_modulus(self):
+        assert B37.cache_name(7) == "bipartite-3-7-m7.qdct"
+        assert SourceSpec("regular", 17).cache_name(17) == "regular-17-0-m17.qdct"
+        names = {spec.cache_name(p) for spec, p in CATALOG_STREAMS}
+        assert len(names) == len(CATALOG_STREAMS)
 
     def test_exact_tables_not_cacheable(self, tmp_path):
         table = bipartition_counts(3, 7, 10)
@@ -473,41 +490,55 @@ class TestCache:
     def test_changed_entry_is_a_miss(self, tmp_path):
         # an in-range residue that the header and the range check cannot catch
         table = coeff_fast(3, 7, 50, 7)
-        path = tmp_path / table.cache_name()
+        path = tmp_path / B37.cache_name(7)
         table.save(path)
         data = bytearray(path.read_bytes())
         data[48 + 20] = (data[48 + 20] + 1) % 7
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="checksum"):
             CountTable.load(path)
-        served = TableCache(tmp_path).get(SourceSpec("bipartite", 3, 7), 7, 50)
+        served = oracle.tables({(B37, 7): 50}, tmp_path, 1)[B37, 7]
         assert list(served.values) == list(table.values)
         assert list(CountTable.load(path).values) == list(table.values)
 
     def test_version_1_file_is_a_miss(self, tmp_path):
         # the old format: a version-1 magic, the same header, int64 entries
         table = coeff_fast(3, 7, 50, 7)
-        path = tmp_path / table.cache_name()
+        path = tmp_path / B37.cache_name(7)
         path.write_bytes(b"QDCT\x01\x00\x00\x00" + struct.pack("<QQQQQ", 1, 3, 7, 50, 7)
                          + np.asarray(table.values, dtype="<i8").tobytes())
         with pytest.raises(ValueError):
             CountTable.load(path)
-        served = TableCache(tmp_path).get(SourceSpec("bipartite", 3, 7), 7, 50)
+        served = oracle.tables({(B37, 7): 50}, tmp_path, 1)[B37, 7]
         assert list(served.values) == list(table.values)
         assert path.read_bytes()[:8] == CountTable._MAGIC
 
-    def test_cache_chooses_by_header_alone(self, tmp_path, monkeypatch):
-        # decoys named like the wanted (3,7) mod 7 table, and smaller than the
-        # right file, but their headers name another stream or too short a range
-        coeff_fast(3, 11, 600, 7).save(tmp_path / "bipartite-3-7-900-m7.qdct")
-        coeff_fast(3, 7, 600, 11).save(tmp_path / "bipartite-3-7-901-m7.qdct")
-        coeff_fast(3, 7, 100, 7).save(tmp_path / "bipartite-3-7-902-m7.qdct")
-        values = regular_coeff_fast(3, 600, 7).values
-        CountTable("regular", 3, 7, 600, 7, values).save(tmp_path / "bipartite-3-7-903-m7.qdct")
-        coeff_fast(5, 7, 600, 7).save(tmp_path / "bipartite-3-7-904-m7.qdct")
-        (tmp_path / "bipartite-3-7-905-m7.qdct").write_bytes(b"QDCT")
-        coeff_fast(3, 7, 1000, 7).save(tmp_path / "larger.qdct")
-        coeff_fast(3, 7, 800, 7).save(tmp_path / "smallest.qdct")
+    @pytest.mark.parametrize("decoy", ["other-stream", "other-modulus", "other-kind",
+                                       "too-short", "version-2"])
+    def test_file_at_the_streams_name_is_a_miss_unless_it_matches(self, tmp_path, decoy):
+        path = tmp_path / B37.cache_name(7)
+        if decoy == "other-kind":
+            values = regular_coeff_fast(3, 600, 7).values
+            CountTable("regular", 3, 7, 600, 7, values).save(path)
+        else:
+            l, m, n_max, p = {"other-stream": (3, 11, 600, 7), "other-modulus": (3, 7, 600, 11),
+                              "too-short": (3, 7, 499, 7)}.get(decoy, (3, 7, 600, 7))
+            coeff_fast(l, m, n_max, p).save(path)
+        if decoy == "version-2":
+            _as_version_2(path)
+        table = oracle.tables({(B37, 7): 500}, tmp_path, 1)[B37, 7]
+        want = coeff_fast(3, 7, 500, 7)
+        assert (table.kind, table.l, table.m, table.n_max, table.modulus) == (
+            "bipartite", 3, 7, 500, 7)
+        assert list(table.values) == list(want.values)
+        assert list(CountTable.load(path).values) == list(want.values)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_matching_file_is_served_and_no_other_is_read(self, tmp_path, monkeypatch):
+        spec = SourceSpec("regular", 17)
+        saved = regular_coeff_fast(17, 400, 17)
+        saved.save(tmp_path / spec.cache_name(17))
+        regular_coeff_fast(17, 900, 17).save(tmp_path / "regular-17-0-900-m17.qdct")
         before = sorted(tmp_path.iterdir())
         loads = []
         real_load = CountTable.load
@@ -516,69 +547,64 @@ class TestCache:
             loads.append(path.name)
             return real_load(path)
 
-        monkeypatch.setattr(CountTable, "load", classmethod(counting_load))
-        table = TableCache(tmp_path).get(SourceSpec("bipartite", 3, 7), 7, 500)
-        assert loads == ["smallest.qdct"]
-        assert (table.kind, table.l, table.m, table.n_max, table.modulus) == (
-            "bipartite", 3, 7, 800, 7)
-        assert sorted(tmp_path.iterdir()) == before
-
-    def test_cache_serves_any_file_name(self, tmp_path, monkeypatch):
-        saved = regular_coeff_fast(17, 300, 17)
-        saved.save(tmp_path / "x.qdct")
-
         def no_build(*args):
             raise AssertionError("the cached table should have been used")
 
-        monkeypatch.setattr(oracle, "coeff_fast", no_build)
+        monkeypatch.setattr(CountTable, "load", classmethod(counting_load))
         monkeypatch.setattr(oracle, "regular_coeff_fast", no_build)
-        table = TableCache(tmp_path).get(SourceSpec("regular", 17), 17, 300)
-        assert list(table.values) == list(saved.values)
-        assert [p.name for p in tmp_path.iterdir()] == ["x.qdct"]
+        table = oracle.tables({(spec, 17): 300}, tmp_path, 1)[spec, 17]
+        assert loads == [spec.cache_name(17)]
+        assert table.n_max == 400 and list(table.values) == list(saved.values)
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_saving_prunes_smaller_tables_of_the_same_stream(self, tmp_path):
-        # decoys differ in modulus, kind or m, or have no readable header
+        # a larger range replaces the stream's one file; files of this version
+        # under other names, whatever they hold, stay
         coeff_fast(3, 7, 50, 11).save(tmp_path / "other-modulus.qdct")
-        values = regular_coeff_fast(3, 50, 7).values
-        CountTable("regular", 3, 7, 50, 7, values).save(tmp_path / "other-kind.qdct")
-        coeff_fast(3, 11, 50, 7).save(tmp_path / "other-m.qdct")
+        coeff_fast(3, 7, 50, 7).save(tmp_path / "bipartite-3-7-50-m7.qdct")
         (tmp_path / "junk.qdct").write_bytes(b"QDCT")
         decoys = sorted(tmp_path.iterdir())
-        cache = TableCache(tmp_path)
-        cache.get(SourceSpec("bipartite", 3, 7), 7, 100)
-        cache.get(SourceSpec("bipartite", 3, 7), 7, 300)
-        assert sorted(tmp_path.iterdir()) == sorted(
-            decoys + [tmp_path / "bipartite-3-7-300-m7.qdct"])
+        for order in (100, 300):
+            oracle.tables({(B37, 7): order}, tmp_path, 1)
+        assert sorted(tmp_path.iterdir()) == sorted(decoys + [tmp_path / B37.cache_name(7)])
+        assert CountTable.load(tmp_path / B37.cache_name(7)).n_max == 300
 
     def test_saving_prunes_cache_files_of_another_version(self, tmp_path):
-        # files of another version go, whatever stream they hold; a version-1
-        # file outside the directory or under another suffix stays, and so
-        # does a QDCT file too short to carry a version or of this version
+        # files of another version go, whatever stream they hold and whatever
+        # their name; a version-1 file outside the directory or under another
+        # suffix stays, and so does a QDCT file too short to carry a version
+        # or of this version
         cache_dir = tmp_path / "cache"
         (cache_dir / "sub").mkdir(parents=True)
         v1 = b"QDCT\x01\x00\x00\x00" + struct.pack("<QQQQQ", 1, 3, 7, 100, 7) + bytes(101 * 8)
-        same_name = cache_dir / "bipartite-3-7-100-m7.qdct"  # the new table's name
+        same_name = cache_dir / B37.cache_name(7)  # the new table's name
         stale = [cache_dir / "other-stream.qdct"]
         kept = [tmp_path / "outside.qdct", cache_dir / "sub" / "nested.qdct",
                 cache_dir / "old.bin"]
         for path in [same_name] + stale + kept:
             path.write_bytes(v1)
+        # version-2 files under the names that version gave them, n_max included
+        for name, table in [("bipartite-3-7-100-m7.qdct", coeff_fast(3, 7, 100, 7)),
+                            ("regular-17-0-300-m17.qdct", regular_coeff_fast(17, 300, 17))]:
+            table.save(cache_dir / name)
+            _as_version_2(cache_dir / name)
+            stale.append(cache_dir / name)
         (cache_dir / "v9.qdct").write_bytes(b"QDCT\x09\x00\x00\x00")
         stale.append(cache_dir / "v9.qdct")
         (cache_dir / "short.qdct").write_bytes(b"QDCT")
         (cache_dir / "damaged.qdct").write_bytes(CountTable._MAGIC + b"\x00" * 7)
         (cache_dir / "junk.qdct").write_bytes(b"NOTACACHE" * 10)
         kept += [cache_dir / name for name in ("short.qdct", "damaged.qdct", "junk.qdct")]
-        TableCache(cache_dir).get(SourceSpec("bipartite", 3, 7), 7, 100)
+        oracle.tables({(B37, 7): 100}, cache_dir, 1)
         assert not any(path.exists() for path in stale)
         assert all(path.exists() for path in kept)
         assert same_name.read_bytes()[:8] == CountTable._MAGIC
 
     def test_loading_prunes_nothing(self, tmp_path):
-        coeff_fast(3, 7, 100, 7).save(tmp_path / "current.qdct")
+        coeff_fast(3, 7, 100, 7).save(tmp_path / B37.cache_name(7))
         (tmp_path / "old.qdct").write_bytes(b"QDCT\x01\x00\x00\x00" + bytes(40))
         before = sorted(tmp_path.iterdir())
-        TableCache(tmp_path).get(SourceSpec("bipartite", 3, 7), 7, 100)
+        oracle.tables({(B37, 7): 100}, tmp_path, 1)
         assert sorted(tmp_path.iterdir()) == before
 
 
@@ -593,20 +619,22 @@ def _families_cold_streams():
 
 
 class TestPrefetch:
+    """oracle.tables fetches a batch's tables before its family walk."""
+
     NEEDS = {key: 150 + 97 * i for i, key in enumerate(_families_cold_streams())}
 
     def test_threads_build_equal_tables_and_files(self, tmp_path):
         assert len(self.NEEDS) == 8
         tables, files = {}, {}
         for jobs in (1, 2):
-            cache = TableCache(tmp_path / f"jobs{jobs}")
-            cache.prefetch(self.NEEDS, jobs)
-            tables[jobs] = {key: list(cache.get(*key, order).values)
-                            for key, order in self.NEEDS.items()}
+            (tmp_path / f"jobs{jobs}").mkdir()
+            served = oracle.tables(self.NEEDS, tmp_path / f"jobs{jobs}", jobs)
+            tables[jobs] = {key: list(table.values) for key, table in served.items()}
             files[jobs] = {path.name: path.read_bytes()
                            for path in (tmp_path / f"jobs{jobs}").iterdir()}
         assert tables[1] == tables[2]
-        assert files[1] == files[2] and len(files[1]) == 8
+        assert files[1] == files[2]
+        assert sorted(files[1]) == sorted(spec.cache_name(p) for spec, p in self.NEEDS)
         for (spec, p), order in self.NEEDS.items():
             if spec.kind == "bipartite":
                 want = bipartition_counts(spec.l, spec.m, order, modulus=p)
@@ -615,7 +643,7 @@ class TestPrefetch:
             assert tables[2][spec, p] == list(want.values), spec
 
     def test_cached_tables_are_loaded_on_the_calling_thread(self, tmp_path, monkeypatch):
-        TableCache(tmp_path).prefetch(self.NEEDS, 2)
+        oracle.tables(self.NEEDS, tmp_path, 2)
         loads = []
         real_load = CountTable.load
 
@@ -629,23 +657,12 @@ class TestPrefetch:
         monkeypatch.setattr(CountTable, "load", classmethod(load))
         monkeypatch.setattr(oracle, "coeff_fast", no_build)
         monkeypatch.setattr(oracle, "regular_coeff_fast", no_build)
-        TableCache(tmp_path).prefetch(self.NEEDS, 2)
+        served = oracle.tables(self.NEEDS, tmp_path, 2)
         assert loads == [threading.get_ident()] * len(self.NEEDS)
-
-    def test_prefetched_tables_are_served_without_a_build(self, monkeypatch):
-        cache = TableCache(None)
-        cache.prefetch(self.NEEDS, 2)
-
-        def no_build(*args):
-            raise AssertionError("a prefetched table was built again")
-
-        monkeypatch.setattr(oracle, "coeff_fast", no_build)
-        monkeypatch.setattr(oracle, "regular_coeff_fast", no_build)
-        for (spec, p), order in self.NEEDS.items():
-            assert cache.get(spec, p, order).n_max == order
+        assert {key: t.n_max for key, t in served.items()} == self.NEEDS
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_a_failed_build_is_raised_by_get_for_its_stream(self, monkeypatch, jobs):
+    def test_a_failed_build_is_its_streams_value(self, tmp_path, monkeypatch, jobs):
         failing = SourceSpec("bipartite", 5, 13)
         real = oracle.coeff_fast
 
@@ -655,14 +672,15 @@ class TestPrefetch:
             return real(l, m, n_max, p)
 
         monkeypatch.setattr(oracle, "coeff_fast", flaky)
-        cache = TableCache(None)
-        cache.prefetch(self.NEEDS, jobs)
+        served = oracle.tables(self.NEEDS, tmp_path, jobs)
+        assert served.keys() == self.NEEDS.keys()
         for (spec, p), order in self.NEEDS.items():
             if spec == failing:
-                with pytest.raises(ArithmeticError, match="boom"):
-                    cache.get(spec, p, order)
+                assert isinstance(served[spec, p], ArithmeticError)
+                assert str(served[spec, p]) == "boom"
             else:
-                assert cache.get(spec, p, order).n_max == order
+                assert served[spec, p].n_max == order
+        assert len(list(tmp_path.iterdir())) == len(self.NEEDS) - 1
 
     def test_builds_run_longest_first(self, monkeypatch):
         started = []
@@ -676,31 +694,29 @@ class TestPrefetch:
 
         monkeypatch.setattr(oracle, "coeff_fast", log(real_b))
         monkeypatch.setattr(oracle, "regular_coeff_fast", log(real_r))
-        TableCache(None).prefetch(self.NEEDS, 1)
+        oracle.tables(self.NEEDS, None, 1)
         assert started == sorted(self.NEEDS.values(), reverse=True)
 
     def test_many_workers_share_one_directory(self, tmp_path):
         # more workers than cores and a short switch interval: each stream
-        # saves its table and prunes its smaller one and the stale files,
-        # while the other workers scan and write the same directory
+        # replaces its too-short file and sweeps the stale ones, while the
+        # other workers write and sweep the same directory
         needs = {key: 120 + 31 * i for i, key in enumerate(CATALOG_STREAMS)}
         for i, ((spec, p), order) in enumerate(needs.items()):
             build = coeff_fast if spec.kind == "bipartite" else regular_coeff_fast
             args = (spec.l, spec.m) if spec.kind == "bipartite" else (spec.l,)
-            build(*args, order - 50, p).save(tmp_path / f"smaller-{i}.qdct")
+            build(*args, order - 50, p).save(tmp_path / spec.cache_name(p))
             (tmp_path / f"stale-{i}.qdct").write_bytes(b"QDCT\x01\x00\x00\x00" + bytes(40))
-        serial = TableCache(None)
-        serial.prefetch(needs, 1)
+        serial = oracle.tables(needs, None, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            cache = TableCache(tmp_path)
-            cache.prefetch(needs, 8)
+            served = oracle.tables(needs, tmp_path, 8)
         finally:
             sys.setswitchinterval(interval)
         for (spec, p), order in needs.items():
-            want = list(serial.get(spec, p, order).values)
-            assert list(cache.get(spec, p, order).values) == want
-            assert list(CountTable.load(tmp_path / cache.get(spec, p, order).cache_name())
-                        .values) == want
+            want = list(serial[spec, p].values)
+            assert served[spec, p].n_max == order
+            assert list(served[spec, p].values) == want
+            assert list(CountTable.load(tmp_path / spec.cache_name(p)).values) == want
         assert len(list(tmp_path.iterdir())) == len(needs)

@@ -45,9 +45,11 @@ class TestShippedCatalog:
         assert build_families() == reg.families
 
     def test_recorded_probes_survive(self, reg):
-        assert reg.lookup("7.3").expect == "record"
-        assert reg.lookup("7.3").note.startswith("cubic continued-fraction entry")
-        (stage,) = [s for s in reg.chain("s7cor.odd").steps if isinstance(s, AssertStage)]
+        (case,) = [c for c in reg.cases if c.id == "7.3"]
+        assert case.expect == "record"
+        assert case.note.startswith("cubic continued-fraction entry")
+        (chain,) = [c for c in reg.chains if c.id == "s7cor.odd"]
+        (stage,) = [s for s in chain.steps if isinstance(s, AssertStage)]
         assert (stage.stage_id, stage.expect) == ("7.21", "record")
         fams = {f.id: f for f in reg.families}
         assert fams["7.22"].relation.ref_source == SourceSpec("regular", 17)
