@@ -77,11 +77,9 @@ from .congruences import (
     AffineIndex,
     CongruenceFamily,
     FamilyReport,
-    Recur,
     RecurrenceSeq,
     SourceSpec,
-    ThreeTerm,
-    Zero,
+    Term,
     build_families,
     recurrence_consistency_checks,
     seq_eval,

@@ -139,11 +139,10 @@ def _run_identities(cases, order, blame) -> list[dict]:
     for case in cases:
         with blame("identity", case.id):
             rep = verify(case, order=order)
-        status = {"pass": "pass", "mismatch": "fail", "erratum": "erratum"}[rep.status]
         rows.append({
             "id": case.id,
             "kind": "identity",
-            "status": status,
+            "status": rep.status,
             "order": rep.order,
             "modulus": rep.modulus,
             "first_mismatch": _mismatch_dict(rep.first_mismatch),
@@ -161,19 +160,17 @@ def _run_chains(chains, order, blame) -> list[dict]:
         stages = [
             {
                 "stage": st.stage_id,
-                "status": "fail" if st.status == "mismatch" else st.status,
+                "status": st.status,
                 "surviving": st.surviving,
                 "justified_by": list(st.justified_by),
                 "first_mismatch": _mismatch_dict(st.first_mismatch),
             }
             for st in rep.stages
         ]
-        n_errata = sum(1 for st in rep.stages if st.status == "erratum")
-        status = "fail" if rep.failures else ("erratum" if n_errata else "pass")
         rows.append({
             "id": chain.id,
             "kind": "chain",
-            "status": status,
+            "status": rep.status,
             "order": chain.base_order if order is None else order,
             "modulus": chain.modulus,
             "stages": stages,
@@ -184,37 +181,31 @@ def _run_chains(chains, order, blame) -> list[dict]:
 
 
 def _run_families(selected, n_max, cache_dir, blame, jobs) -> list[dict]:
-    needs: dict = {}  # (stream, modulus) -> largest order the batch reads
+    orders = []  # per family: stream -> largest index the family reads
+    needs: dict = {}  # (stream, modulus) -> largest index the batch reads
     for fam in selected:
         with blame("family", fam.id):
-            for spec, order in required_order(fam, n_max).items():
-                key = (spec, fam.modulus)
-                needs[key] = max(needs.get(key, 0), order)
-    tables = oracle.tables(needs, cache_dir, jobs)
+            orders.append(required_order(fam, n_max))
+        for spec, order in orders[-1].items():
+            key = (spec, fam.modulus)
+            needs[key] = max(needs.get(key, 0), order)
+    built = oracle.tables(needs, cache_dir, jobs)
     rows = []
-    for fam in selected:
+    for fam, streams in zip(selected, orders):
         with blame("family", fam.id):
-            rows.append(_family_row(fam, tables, n_max))
+            tables = {spec: built[spec, fam.modulus] for spec in streams}
+            for table in tables.values():
+                if isinstance(table, Exception):  # raised under the family's blame
+                    raise table
+            rows.append(_family_row(fam, verify_family(fam, tables, n_max)))
     return rows
 
 
-def _family_row(fam, tables, n_max) -> dict:
-    def read(spec):
-        """The batch's table of ``spec``, None when no instance reads it; a
-        failed build is raised here, under the family's blame."""
-        table = tables.get((spec, fam.modulus))
-        if isinstance(table, Exception):
-            raise table
-        return table
-
-    ref_spec = getattr(fam.relation, "ref_source", None)
-    rep = verify_family(fam, read(fam.source), n_max=n_max,
-                        ref_source=read(ref_spec) if ref_spec else None)
+def _family_row(fam, rep) -> dict:
     return {
         "id": fam.id,
         "kind": "family",
-        "status": "erratum" if rep.status == "fail" and rep.expect == "record"
-                  else rep.status,
+        "status": rep.status,
         "modulus": fam.modulus,
         "n_max": rep.n_max,
         "params_tested": [dict(p) for p in rep.params_tested],

@@ -1,12 +1,14 @@
 """Theorem-level congruence families and the order-2 recurrence constants.
 
-A :class:`CongruenceFamily` states that a coefficient stream vanishes, is
-proportional to another stream, or satisfies a fixed three-term relation on an
-affine progression of indices.  Verification walks the progression against an
-oracle table and reports every violation; instances whose largest index
-exceeds the desk-scale cap (or the supplied table) are reported as skipped,
-never silently dropped.  The catalog's families are records of the registry
-text format (see :mod:`qdissect.registry`); :func:`build_families` returns them.
+A :class:`CongruenceFamily` states that, on an affine progression of indices,
+a coefficient stream is congruent to a sum of weighted reads: each
+:class:`Term` is ``coeff * base^m`` times the coefficient at another index of
+the same or another stream.  No terms states that the stream vanishes.
+Verification walks the progression against one oracle table per stream read
+and reports every violation; instances whose largest index exceeds the
+desk-scale cap (or a supplied table) are reported as skipped, never silently
+dropped.  The catalog's families are records of the registry text format (see
+:mod:`qdissect.registry`); :func:`build_families` returns them.
 
 The closed-form constants of the lemma combinations live in order-2 integer
 recurrences (``s_{k+1} = alpha*s_k + beta*s_{k-1}``); their initial values
@@ -25,7 +27,7 @@ import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Mapping, Optional
 
 from .oracle import CountTable, SourceSpec
 
@@ -181,30 +183,14 @@ class AffineIndex:
 
 
 @dataclass(frozen=True)
-class Zero:
-    """LHS coefficient vanishes mod p."""
+class Term:
+    """``coeff * base^m`` times the coefficient at ``index`` of ``source``
+    (the family's own stream when None)."""
 
-
-@dataclass(frozen=True)
-class Recur:
-    """LHS = constant^m * reference coefficient mod p."""
-
-    constant: int
-    ref: AffineIndex
-    ref_source: Optional[SourceSpec] = None
-
-
-@dataclass(frozen=True)
-class ThreeTerm:
-    """LHS = c1 * ref1 + c2 * ref2 mod p."""
-
-    c1: int
-    ref1: AffineIndex
-    c2: int
-    ref2: AffineIndex
-
-
-Relation = Union[Zero, Recur, ThreeTerm]
+    coeff: int
+    base: int
+    index: AffineIndex
+    source: Optional[SourceSpec] = None
 
 
 @dataclass(frozen=True)
@@ -214,7 +200,7 @@ class CongruenceFamily:
     modulus: int
     source: SourceSpec
     index: AffineIndex
-    relation: Relation
+    relation: tuple[Term, ...]
     m_values: tuple[int, ...] = (0,)
     k_values: tuple[int, ...] = (0,)
     default_n_max: int = 500
@@ -240,93 +226,77 @@ class FamilyReport:
     params_tested: tuple[tuple[tuple[str, int], ...], ...]
     violations: tuple[Violation, ...]
     skipped: tuple[tuple[tuple[tuple[str, int], ...], str, int], ...]
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | erratum | skipped
     source_desc: str
     runtime_ms: float
-    expect: str = "pass"
-    note: str = ""
     max_index: Optional[int] = None  # largest index read by a tested instance
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail" or self.expect == "record"
+
+_Reads = list[tuple[SourceSpec, int, int]]  # (stream, scale, offset) at one (m, k)
 
 
-_Pairs = list[tuple[int, int]]  # (scale, offset) of index maps at one (m, k)
-
-
-def _instance_maps(family: CongruenceFamily, m: int, k: int) -> tuple[_Pairs, _Pairs]:
-    """``(scale, offset)`` of every map read at instance (m, k): first those
-    read from the source table (the family's index, then the relation's
-    references in order), then those read from a separate reference table.
-    A map that cannot be evaluated, or reads below index 0 or at one index for
-    every n, is a ``ValueError`` naming the family and the instance."""
-    rel = family.relation
+def _instance_maps(family: CongruenceFamily, m: int, k: int) -> _Reads:
+    """Stream and ``(scale, offset)`` of every map read at instance (m, k):
+    the family's index first, then each term's.  A map that cannot be
+    evaluated, or reads below index 0 or at one index for every n, is a
+    ``ValueError`` naming the family and the instance."""
     try:
-        src = [family.index.coeffs(m, k)]
-        ref: _Pairs = []
-        if isinstance(rel, Recur):
-            (src if rel.ref_source is None else ref).append(rel.ref.coeffs(m, k))
-        elif isinstance(rel, ThreeTerm):
-            src += [rel.ref1.coeffs(m, k), rel.ref2.coeffs(m, k)]
+        reads = [(family.source, *family.index.coeffs(m, k))]
+        reads += [(t.source or family.source, *t.index.coeffs(m, k))
+                  for t in family.relation]
     except (ArithmeticError, RecursionError) as exc:
         raise ValueError(f"[family {family.id}] m={m}, k={k}: {exc}") from None
-    for scale, offset in src + ref:
+    for _, scale, offset in reads:
         if scale < 1 or offset < 0:
             raise ValueError(f"[family {family.id}] m={m}, k={k}: index map "
                              f"{scale} * n + {offset} needs scale >= 1 and offset >= 0")
-    return src, ref
+    return reads
 
 
-def _top(pairs: _Pairs, n: int) -> int:
-    return max((scale * n + offset for scale, offset in pairs), default=0)
+def _top(reads: _Reads, n: int) -> int:
+    return max((scale * n + offset for _, scale, offset in reads), default=0)
 
 
-def _first_uncovered(pairs: _Pairs, n_top: int, limit: int) -> int:
+def _first_uncovered(reads: _Reads, n_top: int, limit: int) -> int:
     """Smallest index above ``limit`` that some map reads at an n <= n_top."""
     return min(
         (offset if offset > limit else scale * ((limit - offset) // scale + 1) + offset
-         for scale, offset in pairs if scale * n_top + offset > limit),
+         for _, scale, offset in reads if scale * n_top + offset > limit),
         default=limit + 1,
     )
 
 
 def required_order(family: CongruenceFamily,
                    n_max: Optional[int] = None) -> dict[SourceSpec, int]:
-    """Largest table index each source needs, over the non-skipped instances."""
+    """Largest table index each stream needs, over the non-skipped instances."""
     n = family.default_n_max if n_max is None else n_max
-    ref_spec = getattr(family.relation, "ref_source", None)
     needs: dict[SourceSpec, int] = {}
     for m in family.m_values:
         for k in family.k_values:
-            src, ref = _instance_maps(family, m, k)
-            if _top(src + ref, n) > DESK_INDEX_CAP:
+            reads = _instance_maps(family, m, k)
+            if _top(reads, n) > DESK_INDEX_CAP:
                 continue
-            needs[family.source] = max(needs.get(family.source, 0), _top(src, n))
-            if ref:
-                needs[ref_spec] = max(needs.get(ref_spec, 0), _top(ref, n))
+            for spec, scale, offset in reads:
+                needs[spec] = max(needs.get(spec, 0), scale * n + offset)
     return needs
 
 
 def verify_family(
     family: CongruenceFamily,
-    source: Optional[CountTable],
+    tables: Mapping[SourceSpec, CountTable],
     n_max: Optional[int] = None,
-    ref_source: Optional[CountTable] = None,
 ) -> FamilyReport:
     """Check every (m, k, n) instance of the family against oracle tables.
 
-    ``source`` must be a modular table matching the family's modulus (or an
-    exact table, reduced on the fly), or None when no instance reads it.
-    Instances whose largest index exceeds ``DESK_INDEX_CAP`` or the table are
-    reported in ``skipped`` with the smallest uncovered index.
+    ``tables`` holds a table for each stream an instance reads: modular with
+    the family's modulus, or exact (reduced on the fly).  Instances whose
+    largest index exceeds ``DESK_INDEX_CAP`` or a stream's table (a missing
+    table covers no index) are reported in ``skipped`` with the smallest
+    uncovered index.  A violated ``expect="record"`` family is an erratum.
     """
     t0 = time.perf_counter()
     n_top = family.default_n_max if n_max is None else n_max
     p = family.modulus
-    rel = family.relation
-    ref_table = ref_source if ref_source is not None else source
-    src_n, ref_n = (-1 if t is None else t.n_max for t in (source, ref_table))
 
     violations: list[Violation] = []
     tested: list[tuple[tuple[str, int], ...]] = []
@@ -336,46 +306,54 @@ def verify_family(
     for m in family.m_values:
         for k in family.k_values:
             params = (("m", m), ("k", k))
-            src, ref = _instance_maps(family, m, k)
-            src_top, ref_top = _top(src, n_top), _top(ref, n_top)
-            if max(src_top, ref_top) > DESK_INDEX_CAP:
+            reads = _instance_maps(family, m, k)
+            top = _top(reads, n_top)
+            if top > DESK_INDEX_CAP:
                 skipped.append((params, "index exceeds desk scale",
-                                _first_uncovered(src + ref, n_top, DESK_INDEX_CAP)))
+                                _first_uncovered(reads, n_top, DESK_INDEX_CAP)))
                 continue
-            if src_top > src_n:
-                skipped.append((params, "source table too small",
-                                _first_uncovered(src, n_top, src_n)))
-                continue
-            if ref_top > ref_n:
-                skipped.append((params, "reference table too small",
-                                _first_uncovered(ref, n_top, ref_n)))
+            short = _short_stream(reads, tables, n_top)
+            if short:
+                spec, mine, limit = short
+                reason = ("source table too small" if spec == family.source
+                          else "reference table too small")
+                skipped.append((params, reason, _first_uncovered(mine, n_top, limit)))
                 continue
             tested.append(params)
-            max_index = max(max_index or 0, src_top, ref_top)
-            if isinstance(rel, Recur):
-                weights = [pow(rel.constant, m, p)]
-            elif isinstance(rel, ThreeTerm):
-                weights = [rel.c1, rel.c2]
-            else:
-                weights = []
-            (scale, offset), *pairs = src + ref
-            tables = [source] * (len(src) - 1) + [ref_table] * len(ref)
-            terms = list(zip(weights, tables, pairs))
+            max_index = max(max_index or 0, top)
+            (_, scale, offset), *refs = reads
+            source = tables[family.source]
+            terms = [(t.coeff * pow(t.base, m, p), tables[spec], s, o)
+                     for t, (spec, s, o) in zip(family.relation, refs)]
             for n in range(n_top + 1):
                 idx = scale * n + offset
                 got = source[idx] % p
-                expected = sum(w * table[s * n + o] for w, table, (s, o) in terms) % p
+                expected = sum(w * table[s * n + o] for w, table, s, o in terms) % p
                 if got != expected:
                     violations.append(Violation(params, n, idx, got, expected))
 
-    status = "fail" if violations else "pass" if tested else "skipped"
-    desc = (f"{family.source.describe()}: no table read" if source is None
-            else f"{family.source.describe()} table to {source.n_max} mod {source.modulus}")
+    if violations:
+        status = "erratum" if family.expect == "record" else "fail"
+    else:
+        status = "pass" if tested else "skipped"
+    desc = (f"{family.source.describe()} mod {p}" if tested
+            else f"{family.source.describe()}: no table read")
     ms = (time.perf_counter() - t0) * 1000
-    return FamilyReport(
-        family.id, p, n_top, tuple(tested), tuple(violations), tuple(skipped),
-        status, desc, ms, family.expect, family.note, max_index,
-    )
+    return FamilyReport(family.id, p, n_top, tuple(tested), tuple(violations),
+                        tuple(skipped), status, desc, ms, max_index)
+
+
+def _short_stream(reads: _Reads, tables: Mapping[SourceSpec, CountTable], n_top: int):
+    """The first stream, in read order, whose table misses an index the
+    instance reads: that stream, its reads and the last index its table covers
+    (-1 for a missing table); None when every table covers the instance."""
+    for spec in dict.fromkeys(spec for spec, _, _ in reads):
+        table = tables.get(spec)
+        limit = -1 if table is None else table.n_max
+        mine = [read for read in reads if read[0] == spec]
+        if _top(mine, n_top) > limit:
+            return spec, mine, limit
+    return None
 
 
 def build_families() -> list[CongruenceFamily]:

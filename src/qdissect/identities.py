@@ -62,17 +62,12 @@ class Mismatch:
 @dataclass(frozen=True)
 class IdentityReport:
     id: str
-    status: str  # pass | mismatch | erratum
+    status: str  # pass | fail | erratum
     order: int
     modulus: int
     first_mismatch: Optional[Mismatch]
     runtime_ms: float
     detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        """True when the outcome does not fail a verification run."""
-        return self.status in ("pass", "erratum")
 
 
 def verify(case: IdentityCase, order: Optional[int] = None) -> IdentityReport:
@@ -89,7 +84,7 @@ def verify(case: IdentityCase, order: Optional[int] = None) -> IdentityReport:
     ms = (time.perf_counter() - t0) * 1000
     if ok:
         return IdentityReport(case.id, "pass", n, case.modulus, None, ms, case.note)
-    status = "erratum" if case.expect == "record" else "mismatch"
+    status = "erratum" if case.expect == "record" else "fail"
     mismatch = Mismatch(idx, a[idx], b[idx])
     return IdentityReport(case.id, status, n, case.modulus, mismatch, ms, case.note)
 
@@ -162,30 +157,19 @@ class ProofChain:
 @dataclass(frozen=True)
 class StageReport:
     stage_id: str
-    status: str  # pass | mismatch | erratum
+    status: str  # pass | fail | erratum
     compared_order: int
     surviving: int
     justified_by: tuple[str, ...]
     first_mismatch: Optional[Mismatch]
 
-    @property
-    def ok(self) -> bool:
-        return self.status in ("pass", "erratum")
-
 
 @dataclass(frozen=True)
 class ChainReport:
     chain_id: str
+    status: str  # fail if a stage fails, else erratum if one is, else pass
     stages: tuple[StageReport, ...]
     runtime_ms: float
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.stages)
-
-    @property
-    def failures(self) -> list[StageReport]:
-        return [s for s in self.stages if s.status == "mismatch"]
 
 
 def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
@@ -235,7 +219,7 @@ def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
                     status, mismatch = "pass", None
                 else:
                     mismatch = Mismatch(idx, current[idx], claimed[idx])
-                    status = "erratum" if step.expect == "record" else "mismatch"
+                    status = "erratum" if step.expect == "record" else "fail"
                 stages.append(
                     StageReport(step.stage_id, status, compared, surviving,
                                 tuple(pending), mismatch)
@@ -254,4 +238,6 @@ def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
             raise VerificationError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
     ms = (time.perf_counter() - t0) * 1000
-    return ChainReport(chain.id, tuple(stages), ms)
+    statuses = {stage.status for stage in stages}
+    status = next((s for s in ("fail", "erratum") if s in statuses), "pass")
+    return ChainReport(chain.id, status, tuple(stages), ms)

@@ -31,14 +31,7 @@ from functools import lru_cache
 from importlib.resources import files
 from typing import Optional, Sequence
 
-from .congruences import (
-    AffineIndex,
-    CongruenceFamily,
-    Recur,
-    SourceSpec,
-    ThreeTerm,
-    Zero,
-)
+from .congruences import AffineIndex, CongruenceFamily, SourceSpec, Term
 from .identities import (
     AssertStage,
     DilateBack,
@@ -270,7 +263,7 @@ def _read_source(text: str) -> SourceSpec:
 _RELATION_SHAPES = {"zero": 0, "recur": 1, "three": 2}
 
 
-def _read_relation(text: str, refs: list[str], ref: Optional[str]):
+def _read_relation(text: str, refs: list[str], ref: Optional[str]) -> tuple[Term, ...]:
     word, *constants = text.split() or [""]
     if len(constants) != _RELATION_SHAPES.get(word):
         raise ValueError("relation must be 'zero', 'recur C' or 'three C1 C2', "
@@ -279,11 +272,9 @@ def _read_relation(text: str, refs: list[str], ref: Optional[str]):
         raise ValueError("ref= applies to a recur relation only")
     cs = [_int(c, "relation constant") for c in constants]
     maps = [AffineIndex(refs[i], refs[i + 1]) for i in range(0, len(refs), 2)]
-    if word == "zero":
-        return Zero()
-    if word == "recur":
-        return Recur(cs[0], maps[0], None if ref is None else _read_source(ref))
-    return ThreeTerm(cs[0], maps[0], cs[1], maps[1])
+    if word == "recur":  # C^m times the reference coefficient
+        return (Term(1, cs[0], maps[0], None if ref is None else _read_source(ref)),)
+    return tuple(Term(c, 1, ix) for c, ix in zip(cs, maps))
 
 
 def _read_family(fields: list[str]) -> CongruenceFamily:

@@ -55,6 +55,7 @@ from qdissect.series import (
 REG = registry()
 CASES = {c.id: c for c in REG.cases}
 FAMILIES = {f.id: f for f in REG.families}
+B37 = oracle.SourceSpec("bipartite", 3, 7)
 
 # the single allowed erratum candidate among the replayed stages, with the
 # exact mismatch the report must contain
@@ -175,18 +176,18 @@ def test_criterion_3_oracle_series_cross_check():
 def test_criterion_4_base_relations(b37_table):
     results = {}
 
-    rep = verify_family(FAMILIES["w.11"], b37_table, n_max=5000)
+    rep = verify_family(FAMILIES["w.11"], {B37: b37_table}, n_max=5000)
     results["w.11 (n<=5000, mod 7)"] = rep
 
     src = oracle.coeff_fast(5, 11, 625 * 2000 + 364, 11)
-    results["1.x (n<=2000, mod 11)"] = verify_family(FAMILIES["1.x"], src, n_max=2000)
+    results["1.x (n<=2000, mod 11)"] = verify_family(FAMILIES["1.x"], {FAMILIES["1.x"].source: src}, n_max=2000)
 
     src = oracle.coeff_fast(5, 13, 625 * 2000 + 416, 13)
-    results["2.x (n<=2000, mod 13)"] = verify_family(FAMILIES["2.x"], src, n_max=2000)
+    results["2.x (n<=2000, mod 13)"] = verify_family(FAMILIES["2.x"], {FAMILIES["2.x"].source: src}, n_max=2000)
 
-    src = oracle.coeff_fast(9, 5, 5**4 * 2000 + 687, 3)
-    results["s2 (n<=2000, mod 3)"] = verify_family(FAMILIES["0a1"], src, n_max=2000)
-    results["s3 (n<=2000, mod 3)"] = verify_family(FAMILIES["0a2"], src, n_max=2000)
+    tables = {FAMILIES["0a1"].source: oracle.coeff_fast(9, 5, 5**4 * 2000 + 687, 3)}
+    results["s2 (n<=2000, mod 3)"] = verify_family(FAMILIES["0a1"], tables, n_max=2000)
+    results["s3 (n<=2000, mod 3)"] = verify_family(FAMILIES["0a2"], tables, n_max=2000)
 
     violations = {k: r.violations for k, r in results.items() if r.violations}
     statuses = {k: r.status for k, r in results.items()}
@@ -198,16 +199,16 @@ def test_criterion_4_base_relations(b37_table):
 def test_criterion_5_families():
     results = {}
 
-    src = oracle.coeff_fast(2, 8, 88 * 500 + 87, 11)
-    results["x1 (k=1..10, n<=500)"] = verify_family(FAMILIES["x1"], src, n_max=500)
+    tables = {FAMILIES["x1"].source: oracle.coeff_fast(2, 8, 88 * 500 + 87, 11)}
+    results["x1 (k=1..10, n<=500)"] = verify_family(FAMILIES["x1"], tables, n_max=500)
 
-    src = oracle.coeff_fast(81, 17, 81 * 500 + 50, 17)
-    ref = oracle.regular_coeff_fast(17, 500, 17)
-    results["7.22 (n<=500)"] = verify_family(FAMILIES["7.22"], src, n_max=500, ref_source=ref)
-    results["s8 (k=2,3, n<=300)"] = verify_family(FAMILIES["s8"], src, n_max=300)
+    tables = {FAMILIES["7.22"].source: oracle.coeff_fast(81, 17, 81 * 500 + 50, 17),
+              oracle.SourceSpec("regular", 17): oracle.regular_coeff_fast(17, 500, 17)}
+    results["7.22 (n<=500)"] = verify_family(FAMILIES["7.22"], tables, n_max=500)
+    results["s8 (k=2,3, n<=300)"] = verify_family(FAMILIES["s8"], tables, n_max=300)
 
-    src = oracle.coeff_fast(3, 11, 27 * 3000 + 22, 11)
-    results["dou (a=2,3, n<=3000)"] = verify_family(FAMILIES["dou"], src, n_max=3000)
+    tables = {FAMILIES["dou"].source: oracle.coeff_fast(3, 11, 27 * 3000 + 22, 11)}
+    results["dou (a=2,3, n<=3000)"] = verify_family(FAMILIES["dou"], tables, n_max=3000)
 
     violations = {k: r.violations for k, r in results.items() if r.violations}
     ok = not violations and all(r.status == "pass" for r in results.values())
@@ -217,8 +218,8 @@ def test_criterion_5_families():
 
 def test_criterion_6_theorem_order7_at_m1(b37_table):
     t0 = time.perf_counter()
-    rep = verify_family(FAMILIES["ak1"], b37_table, n_max=100)
-    rep2 = verify_family(FAMILIES["ak2"], b37_table, n_max=100)
+    rep = verify_family(FAMILIES["ak1"], {B37: b37_table}, n_max=100)
+    rep2 = verify_family(FAMILIES["ak2"], {B37: b37_table}, n_max=100)
     elapsed = time.perf_counter() - t0 + _B37_BUILD_SECONDS.get("build", 0.0)
     tested = dict(rep.params_tested[-1]) if rep.params_tested else {}
     ok = (

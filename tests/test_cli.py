@@ -216,9 +216,9 @@ class TestJobs:
         assert builds and threading.get_ident() not in builds  # built on the pool
 
     def test_default_is_the_usable_cpu_count(self, runner, monkeypatch):
-        seen = []
-        monkeypatch.setattr(oracle, "tables",
-                            lambda needs, cache_dir, jobs: seen.append(jobs) or {})
+        seen, real = [], oracle.tables
+        monkeypatch.setattr(oracle, "tables", lambda needs, cache_dir, jobs:
+                            seen.append(jobs) or real(needs, cache_dir, jobs))
         result = runner.invoke(main, ["verify", "--family", "w.11", "--n-max", "5"])
         assert result.exit_code == 0, result.output
         assert seen == [len(os.sched_getaffinity(0))]
@@ -345,6 +345,22 @@ class TestVerifyFamilies:
         assert row["status"] == "skipped"
         assert row["source"] == "B_{5,11}: no table read"
         assert list(cache.iterdir()) == []
+
+    def test_a_row_does_not_depend_on_the_other_families_of_the_run(self, runner):
+        # ak1 reads the (3,7) table much further than w.11, and s8 the (81,17)
+        # table further than 7.22; thm13 reads no table
+        batch = ["w.11", "ak1", "7.22", "s8", "thm13"]
+        result = runner.invoke(main, ["verify", *(a for f in batch for a in ("--family", f)),
+                                      "--n-max", "10", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        together = {row["id"]: row for row in _rows_without_runtime(result.output)}
+        for fam in ("w.11", "7.22", "thm13"):
+            result = runner.invoke(main, ["verify", "--family", fam, "--n-max", "10",
+                                          "--format", "json"])
+            assert result.exit_code == 0, result.output
+            assert _rows_without_runtime(result.output) == [together[fam]]
+        assert together["w.11"]["source"] == "B_{3,7} mod 7"
+        assert together["thm13"]["source"] == "B_{5,11}: no table read"
 
     def test_json_rows_carry_formula_and_max_index(self, runner):
         result = runner.invoke(

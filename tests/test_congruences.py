@@ -13,11 +13,9 @@ from qdissect.congruences import (
     SEQUENCES,
     AffineIndex,
     CongruenceFamily,
-    Recur,
     RecurrenceSeq,
     SourceSpec,
-    ThreeTerm,
-    Zero,
+    Term,
     build_families,
     exact_div,
     recurrence_consistency_checks,
@@ -27,6 +25,7 @@ from qdissect.congruences import (
 )
 
 FAMILIES = {f.id: f for f in build_families()}
+B37 = SourceSpec("bipartite", 3, 7)
 
 
 class TestSequences:
@@ -85,9 +84,7 @@ class TestIndexMaps:
         # every family's index and reference maps must divide exactly at every
         # tested instance; coeffs raises ArithmeticError otherwise
         for fam in build_families():
-            rel = fam.relation
-            maps = [fam.index] + [getattr(rel, a) for a in ("ref", "ref1", "ref2")
-                                  if hasattr(rel, a)]
+            maps = [fam.index] + [term.index for term in fam.relation]
             for m in fam.m_values:
                 for k in fam.k_values:
                     for ix in maps:
@@ -127,36 +124,34 @@ class TestVerifyFamily:
         # the (2,8) stream vanishes mod 11 on 8(11n+k)+7
         fam = FAMILIES["x1"]
         src = oracle.coeff_fast(2, 8, fam.index.at(100, 0, 10), 11)
-        rep = verify_family(fam, src, n_max=100)
+        rep = verify_family(fam, {fam.source: src}, n_max=100)
         assert rep.status == "pass"
         assert len(rep.params_tested) == 10
-        assert rep.ok
 
     def test_violations_are_reported(self):
         fam = CongruenceFamily(
             "bogus", "t", 7, SourceSpec("bipartite", 3, 7),
-            AffineIndex("1", "0"), Zero(), default_n_max=10,
+            AffineIndex("1", "0"), (), default_n_max=10,
         )
         src = oracle.bipartition_counts(3, 7, 10, modulus=7)
-        rep = verify_family(fam, src)
+        rep = verify_family(fam, {fam.source: src})
         assert rep.status == "fail"
         assert rep.violations
         v = rep.violations[0]
         assert v.n == v.index and v.expected == 0
-        assert not rep.ok
 
     def test_m_zero_is_tautology(self):
         fam = FAMILIES["ak1"]
         src = oracle.coeff_fast(3, 7, 200, 7)
         rep = verify_family(
-            dataclasses.replace(fam, m_values=(0,)), src, n_max=200
+            dataclasses.replace(fam, m_values=(0,)), {fam.source: src}, n_max=200
         )
         assert rep.status == "pass"
 
     def test_desk_cap_skips_with_reason(self):
         fam = FAMILIES["thm12"]
         src = oracle.coeff_fast(5, 11, 1000, 11)
-        rep = verify_family(fam, src, n_max=10)
+        rep = verify_family(fam, {fam.source: src}, n_max=10)
         params = dict(rep.skipped[0][0])
         assert params["m"] == 1
         assert rep.skipped[0][1] == "index exceeds desk scale"
@@ -165,24 +160,33 @@ class TestVerifyFamily:
     def test_small_table_skips(self):
         fam = FAMILIES["w.11"]
         src = oracle.bipartition_counts(3, 7, 50, modulus=7)
-        rep = verify_family(fam, src, n_max=100)
+        rep = verify_family(fam, {fam.source: src}, n_max=100)
         assert rep.status == "skipped"
         assert rep.skipped[0][1] == "source table too small"
+
+    def test_short_reference_table_skips(self):
+        # the source table covers n <= 60, the 17-regular table only n <= 30
+        fam = FAMILIES["7.22"]
+        tables = {fam.source: oracle.coeff_fast(81, 17, fam.index.at(60), 17),
+                  SourceSpec("regular", 17): oracle.regular_coeff_fast(17, 30, 17)}
+        rep = verify_family(fam, tables, n_max=60)
+        assert rep.status == "skipped" and rep.max_index is None
+        assert rep.skipped == (((("m", 1), ("k", 0)), "reference table too small", 31),)
 
     def test_record_expectation(self):
         fam = CongruenceFamily(
             "probe", "t", 7, SourceSpec("bipartite", 3, 7),
-            AffineIndex("1", "0"), Zero(), default_n_max=5, expect="record",
+            AffineIndex("1", "0"), (), default_n_max=5, expect="record",
         )
         src = oracle.bipartition_counts(3, 7, 5, modulus=7)
-        rep = verify_family(fam, src)
-        assert rep.status == "fail" and rep.ok
+        rep = verify_family(fam, {fam.source: src})
+        assert rep.status == "erratum" and rep.violations
 
     def test_cross_source_recurrence(self):
         fam = FAMILIES["7.22"]
         src = oracle.coeff_fast(81, 17, fam.index.at(60), 17)
         ref = oracle.regular_coeff_fast(17, 60, 17)
-        rep = verify_family(fam, src, n_max=60, ref_source=ref)
+        rep = verify_family(fam, {fam.source: src, SourceSpec("regular", 17): ref}, n_max=60)
         assert rep.status == "pass"
 
     def test_s13_m0_probe_records_refutation(self):
@@ -190,8 +194,8 @@ class TestVerifyFamily:
         # proportional one; the probe must record the violation at n = 0
         fam = FAMILIES["s13-m0-probe"]
         src = oracle.coeff_fast(81, 17, fam.index.at(10), 17)
-        rep = verify_family(fam, src)
-        assert rep.status == "fail" and rep.ok
+        rep = verify_family(fam, {fam.source: src})
+        assert rep.status == "erratum"
         first = rep.violations[0]
         assert (first.n, first.index, first.got, first.expected) == (0, 50, 5, 0)
 
@@ -200,25 +204,26 @@ class TestVerifyFamily:
         # planning and walking must both skip the instance
         fam = CongruenceFamily(
             "far-ref", "t", 7, SourceSpec("bipartite", 3, 7), AffineIndex("1", "0"),
-            Recur(1, AffineIndex(str(DESK_INDEX_CAP)), ref_source=SourceSpec("regular", 7)),
+            (Term(1, 1, AffineIndex(str(DESK_INDEX_CAP)), SourceSpec("regular", 7)),),
             default_n_max=2,
         )
         assert required_order(fam) == {}
-        src = oracle.bipartition_counts(3, 7, 2, modulus=7)
-        rep = verify_family(fam, src, ref_source=oracle.regular_counts(7, 2, modulus=7))
+        tables = {fam.source: oracle.bipartition_counts(3, 7, 2, modulus=7),
+                  SourceSpec("regular", 7): oracle.regular_counts(7, 2, modulus=7)}
+        rep = verify_family(fam, tables)
         assert rep.status == "skipped" and rep.max_index is None
         assert rep.skipped[0][1:] == ("index exceeds desk scale", 2 * DESK_INDEX_CAP)
 
     def test_no_table_when_no_instance_reads_one(self):
         fam = FAMILIES["thm13"]
         assert required_order(fam) == {}
-        rep = verify_family(fam, None)
+        rep = verify_family(fam, {})
         assert rep.status == "skipped" and rep.max_index is None
         assert {reason for _, reason, _ in rep.skipped} == {"index exceeds desk scale"}
         assert rep.source_desc == "B_{5,11}: no table read"
         # an instance that would read the missing table is skipped, not an
         # error; the smallest index w.11 reads is its reference's, n = 0
-        rep = verify_family(FAMILIES["w.11"], None, n_max=3)
+        rep = verify_family(FAMILIES["w.11"], {}, n_max=3)
         assert rep.status == "skipped"
         assert rep.skipped[0][1:] == ("source table too small", 0)
 
@@ -226,10 +231,10 @@ class TestVerifyFamily:
         # the reference map reads further out than the main index
         fam = CongruenceFamily(
             "wide-ref", "t", 7, SourceSpec("bipartite", 3, 7), AffineIndex("1", "0"),
-            Recur(1, AffineIndex("3", "1")), default_n_max=5, expect="record",
+            (Term(1, 1, AffineIndex("3", "1")),), default_n_max=5, expect="record",
         )
         src = oracle.bipartition_counts(3, 7, 16, modulus=7)
-        assert verify_family(fam, src).max_index == 16
+        assert verify_family(fam, {fam.source: src}).max_index == 16
         assert required_order(fam) == {SourceSpec("bipartite", 3, 7): 16}
 
     def test_required_order_plans_references(self):
@@ -243,13 +248,14 @@ class TestThreeTerm:
     @staticmethod
     def _order16(relation_id, c1, c2, n_max):
         return CongruenceFamily(
-            relation_id, "adhoc", 7, SourceSpec("bipartite", 3, 7), AffineIndex("16", "5"),
-            ThreeTerm(c1, AffineIndex("1", "0"), c2, AffineIndex("4", "1")), default_n_max=n_max,
+            relation_id, "adhoc", 7, B37, AffineIndex("16", "5"),
+            (Term(c1, 1, AffineIndex("1", "0")), Term(c2, 1, AffineIndex("4", "1"))),
+            default_n_max=n_max,
         )
 
     def test_base_relation_order16(self):
         src = oracle.coeff_fast(3, 7, 16 * 300 + 5, 7)
-        rep = verify_family(self._order16("w.11-adhoc", 5, 6, 300), src)
+        rep = verify_family(self._order16("w.11-adhoc", 5, 6, 300), {B37: src})
         assert rep.status == "pass"
 
     def test_direct_value_at_zero(self):
@@ -259,7 +265,7 @@ class TestThreeTerm:
 
     def test_violation_detection(self):
         src = oracle.coeff_fast(3, 7, 16 * 50 + 5, 7)
-        rep = verify_family(self._order16("broken", 5, 5, 50), src)
+        rep = verify_family(self._order16("broken", 5, 5, 50), {B37: src})
         assert rep.status == "fail"
 
 

@@ -25,7 +25,7 @@ def big_b8117():
         for spec, order in required_order(FAMILIES[fid]).items():
             if spec.kind == "bipartite":
                 top = max(top, order)
-    return oracle.coeff_fast(81, 17, top, 17)
+    return {oracle.SourceSpec("bipartite", 81, 17): oracle.coeff_fast(81, 17, top, 17)}
 
 
 def test_s13_printed_reading_holds_from_m1(big_b8117):
@@ -40,7 +40,7 @@ def test_s13_uniform_reading_is_the_wrong_one(big_b8117):
     # so its vanishing claim must be violated
     fam = FAMILIES["s13-uniform"]
     rep = verify_family(fam, big_b8117)
-    assert rep.status == "fail" and rep.ok  # expectation "record"
+    assert rep.status == "erratum"  # expectation "record"
     assert rep.violations
 
 
@@ -56,7 +56,7 @@ def test_s15_constant_readings(big_b8117):
     printed = verify_family(FAMILIES["s15-printed"], big_b8117)
     unit = verify_family(FAMILIES["s15-unit"], big_b8117)
     assert unit.status == "pass", unit.violations
-    assert printed.status == "fail" and printed.ok
+    assert printed.status == "erratum"
     assert all(dict(v.params)["m"] == 1 for v in printed.violations)
 
 
@@ -65,7 +65,7 @@ def test_deep_17_regular_progressions():
         max(required_order(FAMILIES[fid], n_max=40).values())
         for fid in ("s10", "s11", "s12")
     )
-    table = oracle.regular_coeff_fast(17, top, 17)
+    tables = {oracle.SourceSpec("regular", 17): oracle.regular_coeff_fast(17, top, 17)}
     for fid in ("s10", "s11", "s12"):
-        rep = verify_family(FAMILIES[fid], table, n_max=40)
+        rep = verify_family(FAMILIES[fid], tables, n_max=40)
         assert rep.status == "pass", (fid, rep.violations)

@@ -98,9 +98,8 @@ class TestVerify:
             default_order=30,
         )
         rep = verify(case)
-        assert rep.status == "mismatch"
+        assert rep.status == "fail"
         assert rep.first_mismatch.exponent == 5
-        assert not rep.ok
 
     def test_record_expectation_becomes_erratum(self):
         case = IdentityCase(
@@ -108,7 +107,6 @@ class TestVerify:
         )
         rep = verify(case)
         assert rep.status == "erratum"
-        assert rep.ok
 
     def test_order_override(self):
         case = IdentityCase("short", "t", EtaF(1), EtaF(1), default_order=400)
@@ -150,7 +148,7 @@ class TestVerify:
             Sum(((1, EtaF(1)), (1, Q(610)))), default_order=620,
         )
         rep = verify(case)
-        assert rep.status == "mismatch"
+        assert rep.status == "fail"
         assert rep.first_mismatch == Mismatch(610, 1, 2)
 
     def test_exact_large_order_reports_integer_coefficients(self):
@@ -167,7 +165,7 @@ class TestCatalogOutcomes:
         failures = []
         for case in reg.cases:
             rep = verify(case)
-            if rep.status == "mismatch":
+            if rep.status == "fail":
                 failures.append((case.id, rep.first_mismatch))
         assert not failures, f"potential erratum candidates: {failures}"
 
@@ -191,14 +189,14 @@ class TestReplay:
             "noop", "t", EtaF(1), (AssertStage("only", EtaF(1)),), base_order=64
         )
         rep = replay(chain)
-        assert rep.ok and rep.stages[0].status == "pass"
+        assert rep.status == rep.stages[0].status == "pass"
 
     def test_chain_reports_all_stages(self):
         rep = replay(CHAINS["s8"])
         assert [s.stage_id for s in rep.stages] == [
             "5.2", "5.3", "5.4", "5.5", "5.6", "5.7", "5.7-mod11",
         ]
-        assert rep.ok
+        assert rep.status == "pass"
 
     def test_extract_tracks_lattice(self):
         # extraction keeps the q^s lattice until the relabeling move
@@ -231,9 +229,9 @@ class TestReplay:
             base_order=32,
         )
         rep = replay(chain)
-        assert rep.stages[0].status == "mismatch"
+        assert rep.stages[0].status == "fail"
         assert rep.stages[1].status == "pass"
-        assert not rep.ok
+        assert rep.status == "fail"
 
     def test_reduce_mod_midchain(self):
         rep = replay(CHAINS["s8"])
@@ -254,7 +252,7 @@ class TestChainOutcomes:
     def test_known_erratum_candidate(self):
         rep = replay(CHAINS["s7cor.odd"])
         stage = rep.stages[0]
-        assert stage.status == "erratum"
+        assert rep.status == stage.status == "erratum"
         assert stage.first_mismatch.exponent == 2
         corrected = replay(CHAINS["s7cor.odd.alt"])
         assert corrected.stages[0].status == "pass"

@@ -11,10 +11,8 @@ import pytest
 from qdissect.congruences import (
     AffineIndex,
     CongruenceFamily,
-    Recur,
     SourceSpec,
-    ThreeTerm,
-    Zero,
+    Term,
     build_families,
 )
 from qdissect.identities import (
@@ -52,10 +50,36 @@ class TestShippedCatalog:
         (stage,) = [s for s in chain.steps if isinstance(s, AssertStage)]
         assert (stage.stage_id, stage.expect) == ("7.21", "record")
         fams = {f.id: f for f in reg.families}
-        assert fams["7.22"].relation.ref_source == SourceSpec("regular", 17)
+        assert fams["7.22"].relation == (
+            Term(1, 5, AffineIndex("1", "0"), SourceSpec("regular", 17)),)
         assert fams["s13"].slow and not fams["x1"].slow
         assert fams["s15-unit"].expect == "record"
         assert fams["x1"].k_values == tuple(range(1, 11))
+
+    def test_relations_are_the_terms_their_records_state(self, reg):
+        # 'zero' is no term, 'recur C' one term C^m * ref (of the ref= stream,
+        # else the family's own), 'three C1 C2' the terms C1 * ref1 + C2 * ref2
+        records = [line.split("|") for line in SHIPPED.splitlines()
+                   if line.startswith("family ")]
+        assert [r[0][len("family "):] for r in records] == [f.id for f in reg.families]
+        for fields, fam in zip(records, reg.families):
+            word, *constants = fields[5].split()
+            maps = [AffineIndex(fields[i], fields[i + 1])
+                    for i in range(6, 6 + 2 * len(constants), 2)]
+            refs = [SourceSpec("regular", int(f.split()[-1]))
+                    for f in fields if f.startswith("ref=regular ")]
+            if word == "recur":
+                want = (Term(1, int(constants[0]), maps[0], *refs),)
+            else:
+                want = tuple(Term(int(c), 1, ix) for c, ix in zip(constants, maps))
+            assert fam.relation == want, fam.id
+        terms = {fam.id: fam.relation for fam in reg.families}
+        assert terms["7.22"][0].source == SourceSpec("regular", 17)
+        assert [t.source for ts in terms.values() for t in ts if t.source] == [
+            SourceSpec("regular", 17)]
+        assert terms["ak2"] == ()
+        assert terms["w.11"] == (Term(5, 1, AffineIndex("1", "0")),
+                                 Term(6, 1, AffineIndex("4", "1")))
 
     def test_named_atoms_are_written(self):
         assert "(pow u -1)" in SHIPPED and " S)" in SHIPPED
@@ -100,11 +124,12 @@ chain c|exact|64|(eta 1)|note=demo
         f, g, h = parse_registry(text).families
         assert f == CongruenceFamily(
             "f", "user", 17, SourceSpec("bipartite", 81, 17), AffineIndex("81", "50"),
-            Recur(5, AffineIndex("1", "0"), SourceSpec("regular", 17)),
+            (Term(1, 5, AffineIndex("1", "0"), SourceSpec("regular", 17)),),
             m_values=(1,), default_n_max=9, slow=True, expect="record", note="a note",
         )
-        assert g.relation == ThreeTerm(2, AffineIndex("4", "2"), 13, AffineIndex("1", "0"))
-        assert (h.relation, h.k_values, h.default_n_max) == (Zero(), (1, 2), 500)
+        assert g.relation == (Term(2, 1, AffineIndex("4", "2")),
+                              Term(13, 1, AffineIndex("1", "0")))
+        assert (h.relation, h.k_values, h.default_n_max) == ((), (1, 2), 500)
 
     def test_each_kind_has_its_own_ids(self, reg):
         # "s8" names a chain and a family; a new kind may reuse an id
