@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +27,8 @@ import click
 from . import congruences, oracle
 from .registry import Registry, catalog_text, parse_registry
 from .registry import registry as build_registry
-from .congruences import recurrence_consistency_checks, required_order, verify_family
+from .congruences import (FamilyReport, recurrence_consistency_checks, required_order,
+                          verify_family)
 from .identities import replay, verify
 from .series import PrecisionError
 
@@ -94,12 +96,6 @@ def cmd_coeff(l: int, m: int, n: int, modulus: int) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def _mismatch_dict(mismatch) -> Optional[dict]:
-    if mismatch is None:
-        return None
-    return {"exponent": mismatch.exponent, "lhs": mismatch.lhs, "rhs": mismatch.rhs}
-
-
 def _select(ids, entries, option):
     """The entries named by ``ids``, in that order."""
     index = {e.id: e for e in entries}
@@ -134,53 +130,7 @@ def _blamer(user: Registry, registry_file, order):
     return blame
 
 
-def _run_identities(cases, order, blame) -> list[dict]:
-    rows = []
-    for case in cases:
-        with blame("identity", case.id):
-            rep = verify(case, order=order)
-        rows.append({
-            "id": case.id,
-            "kind": "identity",
-            "status": rep.status,
-            "order": rep.order,
-            "modulus": rep.modulus,
-            "first_mismatch": _mismatch_dict(rep.first_mismatch),
-            "runtime_ms": round(rep.runtime_ms, 1),
-            "detail": rep.detail,
-        })
-    return rows
-
-
-def _run_chains(chains, order, blame) -> list[dict]:
-    rows = []
-    for chain in chains:
-        with blame("chain", chain.id):
-            rep = replay(chain, order=order)
-        stages = [
-            {
-                "stage": st.stage_id,
-                "status": st.status,
-                "surviving": st.surviving,
-                "justified_by": list(st.justified_by),
-                "first_mismatch": _mismatch_dict(st.first_mismatch),
-            }
-            for st in rep.stages
-        ]
-        rows.append({
-            "id": chain.id,
-            "kind": "chain",
-            "status": rep.status,
-            "order": chain.base_order if order is None else order,
-            "modulus": chain.modulus,
-            "stages": stages,
-            "runtime_ms": round(rep.runtime_ms, 1),
-            "detail": chain.note,
-        })
-    return rows
-
-
-def _run_families(selected, n_max, cache_dir, blame, jobs) -> list[dict]:
+def _run_families(selected, n_max, cache_dir, blame, jobs) -> list[FamilyReport]:
     orders = []  # per family: stream -> largest index the family reads
     needs: dict = {}  # (stream, modulus) -> largest index the batch reads
     for fam in selected:
@@ -190,41 +140,23 @@ def _run_families(selected, n_max, cache_dir, blame, jobs) -> list[dict]:
             key = (spec, fam.modulus)
             needs[key] = max(needs.get(key, 0), order)
     built = oracle.tables(needs, cache_dir, jobs)
-    rows = []
+    reports = []
     for fam, streams in zip(selected, orders):
         with blame("family", fam.id):
             tables = {spec: built[spec, fam.modulus] for spec in streams}
             for table in tables.values():
                 if isinstance(table, Exception):  # raised under the family's blame
                     raise table
-            rows.append(_family_row(fam, verify_family(fam, tables, n_max)))
-    return rows
+            reports.append(verify_family(fam, tables, n_max))
+    return reports
 
 
-def _family_row(fam, rep) -> dict:
-    return {
-        "id": fam.id,
-        "kind": "family",
-        "status": rep.status,
-        "modulus": fam.modulus,
-        "n_max": rep.n_max,
-        "params_tested": [dict(p) for p in rep.params_tested],
-        "violations": [
-            {"params": dict(v.params), "n": v.n, "index": v.index,
-             "got": v.got, "expected": v.expected}
-            for v in rep.violations[:8]
-        ],
-        "n_violations": len(rep.violations),
-        "skipped": [
-            {"params": dict(p), "reason": reason, "smallest_index": idx}
-            for p, reason, idx in rep.skipped
-        ],
-        "source": rep.source_desc,
-        "formula": fam.index.formula,
-        "max_index": rep.max_index,
-        "runtime_ms": round(rep.runtime_ms, 1),
-        "detail": fam.note,
-    }
+def _row(report) -> dict:
+    """A report's JSON row: its fields, with a family's first eight violations."""
+    row = asdict(report)
+    if report.kind == "family":
+        row["violations"] = row["violations"][:8]
+    return row
 
 
 def _summarize(rows: list[dict]) -> dict:
@@ -267,6 +199,10 @@ def _format_text(report: dict) -> str:
         for v in row.get("violations", []):
             print(f"         violation {v['params']} n={v['n']} index={v['index']}: "
                   f"got {v['got']}, expected {v['expected']}", file=out)
+        hidden = row.get("n_violations", 0) - len(row.get("violations", []))
+        if hidden:
+            print(f"         … {hidden} more violations ({row['n_violations']} in all)",
+                  file=out)
     s = report["summary"]
     print(f"summary: {s['total']} checks -- {s['pass']} pass, {s['fail']} fail, "
           f"{s['erratum']} erratum, {s['skipped']} skipped", file=out)
@@ -308,13 +244,11 @@ def _format_csv(report: dict) -> str:
               default=None,
               help="Also verify the identities, chains and families of a registry text file.")
 @click.option("--slow", is_flag=True, help="Include the multi-minute large-index families.")
-@click.option("--cache-dir", default=None,
-              help="Directory for cached oracle tables (default: $QDISSECT_CACHE).")
+@click.option("--cache-dir", default=None, envvar="QDISSECT_CACHE", show_envvar=True,
+              help="Directory for cached oracle tables.")
 def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
                output, registry_file, slow, cache_dir) -> None:
     """Run verification suites and report the outcome of every check."""
-    cache_dir = cache_dir or os.environ.get("QDISSECT_CACHE")
-
     reg, user = build_registry(), Registry()
     if registry_file:
         try:
@@ -343,9 +277,16 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
         except OSError as exc:
             raise click.BadParameter(str(exc), param_hint="'--cache-dir'") from None
 
-    rows = _run_identities(cases, order, blame) + _run_chains(chains, order, blame)
+    reports = []
+    for case in cases:
+        with blame("identity", case.id):
+            reports.append(verify(case, order=order))
+    for chain in chains:
+        with blame("chain", chain.id):
+            reports.append(replay(chain, order=order))
     if families:
-        rows += _run_families(families, n_max, cache_dir, blame, jobs)
+        reports += _run_families(families, n_max, cache_dir, blame, jobs)
+    rows = [_row(r) for r in reports]
 
     report = {"suite": suite, "cases": rows, "summary": _summarize(rows)}
     if fmt == "json":

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional
 
@@ -211,7 +211,7 @@ class CongruenceFamily:
 
 @dataclass(frozen=True)
 class Violation:
-    params: tuple[tuple[str, int], ...]
+    params: dict[str, int]  # {"m": m, "k": k}
     n: int
     index: int
     got: int
@@ -219,17 +219,34 @@ class Violation:
 
 
 @dataclass(frozen=True)
+class Skip:
+    """An instance left unchecked, and the smallest index it would read that
+    no table (or the desk-scale cap) covers."""
+
+    params: dict[str, int]  # {"m": m, "k": k}
+    reason: str
+    smallest_index: int
+
+
+@dataclass(frozen=True)
 class FamilyReport:
+    """A family walk's outcome; its fields, in order, are the family's report
+    row (which lists only the first eight violations)."""
+
     id: str
+    kind: str = field(default="family", init=False)
+    status: str  # pass | fail | erratum | skipped
     modulus: int
     n_max: int
-    params_tested: tuple[tuple[tuple[str, int], ...], ...]
+    params_tested: tuple[dict[str, int], ...]
     violations: tuple[Violation, ...]
-    skipped: tuple[tuple[tuple[tuple[str, int], ...], str, int], ...]
-    status: str  # pass | fail | erratum | skipped
-    source_desc: str
-    runtime_ms: float
-    max_index: Optional[int] = None  # largest index read by a tested instance
+    n_violations: int
+    skipped: tuple[Skip, ...]
+    source: str  # the stream and modulus read, or that no table was read
+    formula: str  # the family's index map
+    max_index: Optional[int]  # largest index read by a tested instance
+    runtime_ms: float  # rounded to 0.1 ms
+    detail: str = ""
 
 
 _Reads = list[tuple[SourceSpec, int, int]]  # (stream, scale, offset) at one (m, k)
@@ -299,25 +316,25 @@ def verify_family(
     p = family.modulus
 
     violations: list[Violation] = []
-    tested: list[tuple[tuple[str, int], ...]] = []
-    skipped: list[tuple[tuple[tuple[str, int], ...], str, int]] = []
+    tested: list[dict[str, int]] = []
+    skipped: list[Skip] = []
     max_index: Optional[int] = None
 
     for m in family.m_values:
         for k in family.k_values:
-            params = (("m", m), ("k", k))
+            params = {"m": m, "k": k}
             reads = _instance_maps(family, m, k)
             top = _top(reads, n_top)
             if top > DESK_INDEX_CAP:
-                skipped.append((params, "index exceeds desk scale",
-                                _first_uncovered(reads, n_top, DESK_INDEX_CAP)))
+                skipped.append(Skip(params, "index exceeds desk scale",
+                                    _first_uncovered(reads, n_top, DESK_INDEX_CAP)))
                 continue
             short = _short_stream(reads, tables, n_top)
             if short:
                 spec, mine, limit = short
                 reason = ("source table too small" if spec == family.source
                           else "reference table too small")
-                skipped.append((params, reason, _first_uncovered(mine, n_top, limit)))
+                skipped.append(Skip(params, reason, _first_uncovered(mine, n_top, limit)))
                 continue
             tested.append(params)
             max_index = max(max_index or 0, top)
@@ -338,9 +355,10 @@ def verify_family(
         status = "pass" if tested else "skipped"
     desc = (f"{family.source.describe()} mod {p}" if tested
             else f"{family.source.describe()}: no table read")
-    ms = (time.perf_counter() - t0) * 1000
-    return FamilyReport(family.id, p, n_top, tuple(tested), tuple(violations),
-                        tuple(skipped), status, desc, ms, max_index)
+    ms = round((time.perf_counter() - t0) * 1000, 1)
+    return FamilyReport(family.id, status, p, n_top, tuple(tested), tuple(violations),
+                        len(violations), tuple(skipped), desc, family.index.formula,
+                        max_index, ms, family.note)
 
 
 def _short_stream(reads: _Reads, tables: Mapping[SourceSpec, CountTable], n_top: int):

@@ -16,7 +16,7 @@ transcription slip cannot cascade through the remaining stages.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import series
@@ -61,12 +61,15 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """A case's outcome; its fields, in order, are the case's report row."""
+
     id: str
+    kind: str = field(default="identity", init=False)
     status: str  # pass | fail | erratum
     order: int
     modulus: int
     first_mismatch: Optional[Mismatch]
-    runtime_ms: float
+    runtime_ms: float  # rounded to 0.1 ms
     detail: str = ""
 
 
@@ -81,7 +84,7 @@ def verify(case: IdentityCase, order: Optional[int] = None) -> IdentityReport:
         ok, idx = series.eq_to_order(a, b, n)
     except Exception as exc:
         raise VerificationError(f"[case {case.id}] {type(exc).__name__}: {exc}") from exc
-    ms = (time.perf_counter() - t0) * 1000
+    ms = round((time.perf_counter() - t0) * 1000, 1)
     if ok:
         return IdentityReport(case.id, "pass", n, case.modulus, None, ms, case.note)
     status = "erratum" if case.expect == "record" else "fail"
@@ -156,9 +159,10 @@ class ProofChain:
 
 @dataclass(frozen=True)
 class StageReport:
-    stage_id: str
+    """An asserted stage's outcome, as it appears in its chain's row."""
+
+    stage: str
     status: str  # pass | fail | erratum
-    compared_order: int
     surviving: int
     justified_by: tuple[str, ...]
     first_mismatch: Optional[Mismatch]
@@ -166,10 +170,16 @@ class StageReport:
 
 @dataclass(frozen=True)
 class ChainReport:
-    chain_id: str
+    """A replay's outcome; its fields, in order, are the chain's report row."""
+
+    id: str
+    kind: str = field(default="chain", init=False)
     status: str  # fail if a stage fails, else erratum if one is, else pass
+    order: int  # the order replayed
+    modulus: int  # the starting ring's
     stages: tuple[StageReport, ...]
-    runtime_ms: float
+    runtime_ms: float  # rounded to 0.1 ms
+    detail: str = ""
 
 
 def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
@@ -221,8 +231,7 @@ def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
                     mismatch = Mismatch(idx, current[idx], claimed[idx])
                     status = "erratum" if step.expect == "record" else "fail"
                 stages.append(
-                    StageReport(step.stage_id, status, compared, surviving,
-                                tuple(pending), mismatch)
+                    StageReport(step.stage_id, status, surviving, tuple(pending), mismatch)
                 )
                 pending = []
                 # continue from the claimed stage at full order (re-inflate); on a
@@ -237,7 +246,7 @@ def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
                 raise PrecisionError(f"{where}: {exc}") from exc
             raise VerificationError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
-    ms = (time.perf_counter() - t0) * 1000
+    ms = round((time.perf_counter() - t0) * 1000, 1)
     statuses = {stage.status for stage in stages}
     status = next((s for s in ("fail", "erratum") if s in statuses), "pass")
-    return ChainReport(chain.id, status, tuple(stages), ms)
+    return ChainReport(chain.id, status, n, chain.modulus, tuple(stages), ms, chain.note)

@@ -131,10 +131,10 @@ def test_criterion_2_proof_chain_replay():
                 min_surviving = min(min_surviving, stage.surviving)
                 if stage.status == "pass":
                     continue
-                if stage.stage_id in KNOWN_ERRATA and stage.status == "erratum":
-                    errata_seen[stage.stage_id] = stage.first_mismatch.exponent
+                if stage.stage in KNOWN_ERRATA and stage.status == "erratum":
+                    errata_seen[stage.stage] = stage.first_mismatch.exponent
                 else:
-                    unexplained.append((chain.id, stage.stage_id, stage.first_mismatch))
+                    unexplained.append((chain.id, stage.stage, stage.first_mismatch))
     elapsed = time.perf_counter() - t0
     ok = (
         not unexplained

@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import os
 import threading
+from dataclasses import asdict
 
 import pytest
 from click.testing import CliRunner
 
 from qdissect import cli, congruences, oracle
 from qdissect.cli import main
+from qdissect.identities import replay, verify
+from qdissect.registry import registry
 
 
 @pytest.fixture
@@ -323,6 +326,19 @@ class TestVerifyFamilies:
         second = runner.invoke(main, args)
         assert second.exit_code == 0 and "PASS" in second.output
 
+    def test_cache_dir_from_environment(self, runner, tmp_path):
+        env, flag = tmp_path / "env", tmp_path / "flag"
+        args = ["verify", "--family", "w.11", "--n-max", "10"]
+        result = runner.invoke(main, args, env={"QDISSECT_CACHE": str(env)})
+        assert result.exit_code == 0, result.output
+        assert [p.name for p in env.iterdir()] == ["bipartite-3-7-m7.qdct"]
+        # --cache-dir wins over the variable
+        result = runner.invoke(main, args + ["--cache-dir", str(flag)],
+                               env={"QDISSECT_CACHE": str(tmp_path / "unused")})
+        assert result.exit_code == 0, result.output
+        assert [p.name for p in flag.iterdir()] == ["bipartite-3-7-m7.qdct"]
+        assert not (tmp_path / "unused").exists()
+
     def test_cache_ignores_file_for_another_stream(self, runner, tmp_path):
         # a (3,11) mod 11 table saved under the name of the (3,7) mod 7 stream
         name = oracle.SourceSpec("bipartite", 3, 7).cache_name(7)
@@ -375,25 +391,62 @@ class TestVerifyFamilies:
         assert thm12["max_index"] == 10
 
 
+IDENTITY_KEYS = ["id", "kind", "status", "order", "modulus", "first_mismatch",
+                 "runtime_ms", "detail"]
+CHAIN_KEYS = ["id", "kind", "status", "order", "modulus", "stages", "runtime_ms", "detail"]
+STAGE_KEYS = ["stage", "status", "surviving", "justified_by", "first_mismatch"]
+FAMILY_KEYS = ["id", "kind", "status", "modulus", "n_max", "params_tested", "violations",
+               "n_violations", "skipped", "source", "formula", "max_index", "runtime_ms",
+               "detail"]
+
+
 class TestReportFormats:
     def test_json_schema_and_round_trip(self, runner, tmp_path):
+        # a stage mismatch (s7cor.odd), violations (s13-m0-probe), a skip (thm12)
         out = tmp_path / "report.json"
         result = runner.invoke(
             main,
             ["verify", "--case", "0.2", "--case", "7.3", "--chain", "s7cor.odd",
+             "--family", "s13-m0-probe", "--family", "thm12",
              "--format", "json", "--output", str(out)],
         )
         assert result.exit_code == 0
         report = json.loads(out.read_text())
-        assert set(report) == {"suite", "cases", "summary"}
-        for row in report["cases"]:
-            assert {"id", "kind", "status", "runtime_ms"} <= set(row)
+        assert list(report) == ["suite", "cases", "summary"]
+        case, _, chain, probe, thm12 = report["cases"]
+        assert list(case) == IDENTITY_KEYS
+        assert list(chain) == CHAIN_KEYS
+        (stage,) = chain["stages"]
+        assert list(stage) == STAGE_KEYS
+        assert list(stage["first_mismatch"]) == ["exponent", "lhs", "rhs"]
+        assert list(probe) == list(thm12) == FAMILY_KEYS
+        assert (len(probe["violations"]), probe["n_violations"]) == (8, 11)
+        assert list(probe["violations"][0]) == ["params", "n", "index", "got", "expected"]
+        assert list(probe["violations"][0]["params"]) == ["m", "k"]
+        (skip,) = thm12["skipped"]
+        assert list(skip) == ["params", "reason", "smallest_index"]
+        # a row is the library's report, field for field
+        reg = registry()
+        reports = [verify(next(c for c in reg.cases if c.id == "0.2")),
+                   replay(next(c for c in reg.chains if c.id == "s7cor.odd"))]
+        for rep, row in zip(reports, (case, chain)):
+            # through JSON, which writes a tuple as a list
+            rep = json.loads(json.dumps(asdict(rep)))
+            assert {**rep, "runtime_ms": row["runtime_ms"]} == row
         # re-summarizing the parsed cases reproduces the summary
         resummed = {"total": len(report["cases"]), "pass": 0, "fail": 0,
                     "erratum": 0, "skipped": 0}
         for row in report["cases"]:
             resummed[row["status"]] += 1
         assert resummed == report["summary"]
+
+    def test_text_counts_the_violations_it_does_not_list(self, runner):
+        result = runner.invoke(main, ["verify", "--family", "s13-m0-probe"])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        shown = [i for i, line in enumerate(lines) if line.lstrip().startswith("violation ")]
+        assert len(shown) == 8
+        assert lines[shown[-1] + 1].strip() == "… 3 more violations (11 in all)"
 
     def test_output_in_missing_directory_is_usage_error(self, runner, tmp_path):
         out = tmp_path / "missing" / "report.json"

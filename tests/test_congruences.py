@@ -14,6 +14,7 @@ from qdissect.congruences import (
     AffineIndex,
     CongruenceFamily,
     RecurrenceSeq,
+    Skip,
     SourceSpec,
     Term,
     build_families,
@@ -152,17 +153,17 @@ class TestVerifyFamily:
         fam = FAMILIES["thm12"]
         src = oracle.coeff_fast(5, 11, 1000, 11)
         rep = verify_family(fam, {fam.source: src}, n_max=10)
-        params = dict(rep.skipped[0][0])
-        assert params["m"] == 1
-        assert rep.skipped[0][1] == "index exceeds desk scale"
-        assert rep.skipped[0][2] > 10**8
+        (skip,) = rep.skipped
+        assert skip.params == {"m": 1, "k": 0}
+        assert skip.reason == "index exceeds desk scale"
+        assert skip.smallest_index > 10**8
 
     def test_small_table_skips(self):
         fam = FAMILIES["w.11"]
         src = oracle.bipartition_counts(3, 7, 50, modulus=7)
         rep = verify_family(fam, {fam.source: src}, n_max=100)
         assert rep.status == "skipped"
-        assert rep.skipped[0][1] == "source table too small"
+        assert rep.skipped[0].reason == "source table too small"
 
     def test_short_reference_table_skips(self):
         # the source table covers n <= 60, the 17-regular table only n <= 30
@@ -171,7 +172,7 @@ class TestVerifyFamily:
                   SourceSpec("regular", 17): oracle.regular_coeff_fast(17, 30, 17)}
         rep = verify_family(fam, tables, n_max=60)
         assert rep.status == "skipped" and rep.max_index is None
-        assert rep.skipped == (((("m", 1), ("k", 0)), "reference table too small", 31),)
+        assert rep.skipped == (Skip({"m": 1, "k": 0}, "reference table too small", 31),)
 
     def test_record_expectation(self):
         fam = CongruenceFamily(
@@ -212,20 +213,21 @@ class TestVerifyFamily:
                   SourceSpec("regular", 7): oracle.regular_counts(7, 2, modulus=7)}
         rep = verify_family(fam, tables)
         assert rep.status == "skipped" and rep.max_index is None
-        assert rep.skipped[0][1:] == ("index exceeds desk scale", 2 * DESK_INDEX_CAP)
+        assert rep.skipped == (Skip({"m": 0, "k": 0}, "index exceeds desk scale",
+                                    2 * DESK_INDEX_CAP),)
 
     def test_no_table_when_no_instance_reads_one(self):
         fam = FAMILIES["thm13"]
         assert required_order(fam) == {}
         rep = verify_family(fam, {})
         assert rep.status == "skipped" and rep.max_index is None
-        assert {reason for _, reason, _ in rep.skipped} == {"index exceeds desk scale"}
-        assert rep.source_desc == "B_{5,11}: no table read"
+        assert {skip.reason for skip in rep.skipped} == {"index exceeds desk scale"}
+        assert rep.source == "B_{5,11}: no table read"
         # an instance that would read the missing table is skipped, not an
         # error; the smallest index w.11 reads is its reference's, n = 0
         rep = verify_family(FAMILIES["w.11"], {}, n_max=3)
         assert rep.status == "skipped"
-        assert rep.skipped[0][1:] == ("source table too small", 0)
+        assert rep.skipped[0] == Skip({"m": 0, "k": 0}, "source table too small", 0)
 
     def test_max_index_covers_every_read(self):
         # the reference map reads further out than the main index

@@ -193,7 +193,7 @@ class TestReplay:
 
     def test_chain_reports_all_stages(self):
         rep = replay(CHAINS["s8"])
-        assert [s.stage_id for s in rep.stages] == [
+        assert [s.stage for s in rep.stages] == [
             "5.2", "5.3", "5.4", "5.5", "5.6", "5.7", "5.7-mod11",
         ]
         assert rep.status == "pass"
@@ -236,7 +236,7 @@ class TestReplay:
     def test_reduce_mod_midchain(self):
         rep = replay(CHAINS["s8"])
         final = rep.stages[-1]
-        assert final.stage_id == "5.7-mod11" and final.status == "pass"
+        assert final.stage == "5.7-mod11" and final.status == "pass"
 
 
 class TestChainOutcomes:
@@ -246,7 +246,7 @@ class TestChainOutcomes:
         rep = replay(chain)
         for stage in rep.stages:
             assert stage.status in ("pass", "erratum"), (
-                chain_id, stage.stage_id, stage.first_mismatch)
+                chain_id, stage.stage, stage.first_mismatch)
             assert stage.surviving >= 200
 
     def test_known_erratum_candidate(self):
@@ -271,9 +271,9 @@ class TestChainOutcomes:
             modulus=chain.modulus, base_order=chain.base_order,
         )
         partial = replay(tail)
-        full_tail = [s for s in full.stages if s.stage_id in
-                     {t.stage_id for t in partial.stages}]
-        assert [s.stage_id for s in partial.stages] == [s.stage_id for s in full_tail]
+        full_tail = [s for s in full.stages if s.stage in
+                     {t.stage for t in partial.stages}]
+        assert [s.stage for s in partial.stages] == [s.stage for s in full_tail]
         assert all(s.status == "pass" for s in partial.stages)
 
 
