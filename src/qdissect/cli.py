@@ -108,9 +108,10 @@ def _select(ids, entries, option):
 
 def _blamer(user: Registry, registry_file, order):
     """``blame(kind, id)``: a context that turns a failure to evaluate an
-    entry into a usage error.  Too few coefficients under ``--order`` blames
-    that option; any failure of an entry read from ``--registry-file`` blames
-    the file.  Other failures (the built-in catalog's) propagate."""
+    entry into a usage error.  Too few coefficients, or too little memory
+    (raised or carried as the cause), under ``--order`` blames that option;
+    any failure of an entry read from ``--registry-file`` blames the file.
+    Other failures (the built-in catalog's) propagate."""
     user_ids = {"identity": {c.id for c in user.cases},
                 "chain": {c.id for c in user.chains},
                 "family": {f.id for f in user.families}}
@@ -122,6 +123,9 @@ def _blamer(user: Registry, registry_file, order):
         except Exception as exc:
             if order is not None and isinstance(exc, PrecisionError):
                 raise click.BadParameter(str(exc), param_hint="'--order'") from None
+            if order is not None and any(isinstance(e, MemoryError) for e in (exc, exc.__cause__)):
+                raise click.BadParameter(f"not enough memory for {kind} {entry_id} "
+                                         f"at order {order}", param_hint="'--order'") from None
             if entry_id not in user_ids[kind]:
                 raise
             raise click.BadParameter(f"{registry_file}: {exc}",

@@ -19,13 +19,25 @@ against an independent reference in the tests:
 - :func:`invert`: Newton's iteration over Z/M for a series with more than
   ``_NEWTON_MIN_TAPS`` nonzero coefficients; the coefficient recurrence for
   sparser series and over Z, where Newton's iterates grow.
+
+Before choosing a route, :func:`mul` and :func:`pow_` take the lattice step: when
+every nonzero coefficient past ``q^0`` sits at a multiple of some ``k > 1``
+(``f_k^e``, a dilated atom), the series is ``a(q) = A(q^k)``; the product or
+power is taken of ``A`` at order ``N // k`` and spread back with zeros off the
+lattice.  This is exact over Z and Z/M alike: ``ab = (AB)(q^k)`` and ``a^e =
+A^e(q^k)``, and the coefficients of ``AB`` and ``A^e`` through ``q^(N // k)``
+are those of the result at the multiples of ``k`` through ``q^N``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import compress, islice
+from math import gcd
 from typing import Optional, Sequence
+
+import numpy as np
 
 try:  # libmpdec; the pure-Python _pydecimal would be slower than int
     import _decimal
@@ -211,18 +223,54 @@ def mul(a: Series, b: Series) -> Series:
       ``str(int)``, the ``int`` route is taken.
 
     One routine serves Z and Z/M: modular results are reduced by the
-    :class:`Series` constructor.
+    :class:`Series` constructor.  When both operands are series in ``q^k``
+    for a common ``k > 1`` (``k`` the gcd of their supports' indices past
+    ``q^0``), the product is taken of every ``k``-th coefficient, at order
+    ``n // k``, and spread back: ``a(q) b(q) = (AB)(q^k)``.
     """
     _same_ring(a, b)
     n = min(a.order, b.order)
     av = a._coeffs[: n + 1]
-    return Series(a.ring, _product(av, av if a is b else b._coeffs[: n + 1]))
+    bv = av if a is b else b._coeffs[: n + 1]
+    k = gcd(_lattice(av), _lattice(bv)) or n + 1  # n + 1: two constants
+    if k == 1:
+        return Series(a.ring, _product(av, bv))
+    sa = av[::k]
+    return Series(a.ring, _spread(_product(sa, sa if bv is av else bv[::k]), k, n))
+
+
+def _lattice(cs: Sequence[int]) -> int:
+    """The gcd ``k`` of the indices past ``q^0`` of the nonzero coefficients,
+    0 for a constant: ``cs`` is then a series in ``q^k``.
+
+    The first nonzero index is the candidate; each residue class off its
+    lattice is tested by one slice, and a nonzero one shrinks the candidate
+    to a divisor.  A dense series leaves at index 1.
+    """
+    k = next(compress(range(1, len(cs)), islice(cs, 1, None)), 0)
+    j = 1
+    while j < k:
+        if any(cs[j::k]):
+            k, j = gcd(k, j), 0
+        j += 1
+    return k
+
+
+def _spread(cs: Sequence[int], k: int, order: int) -> list[int]:
+    """``A(q^k)`` truncated at ``order`` from the coefficients of ``A``, which
+    run to ``order // k``: zeros off the lattice."""
+    out = [0] * (order + 1)
+    out[::k] = cs
+    return out
 
 
 # Crossover of the two product routes, in bits of one packed operand
-# ((n+1) slots of the bit length of B).  Measured at orders 256 to 2048: int
-# is faster up to about 1.6e5 bits (1.14x at 155k), libmpdec from about
-# 2.6e5 (1.26x at 264k, 3.5x at 2.1M).
+# ((n+1) slots of the bit length of B).  Measured at orders 256 to 8192: with
+# slots of 8 bytes or more, int and libmpdec are level from about 1.1e5 to
+# 2.1e5 bits, and libmpdec is faster above (1.2x at 268k, 2.8-3.2x at 842k).
+# Numpy-packed slots of at most 7 bytes keep int faster to about 3e5 bits
+# (0.86x at 277k-311k, 1.1x at 326k-369k); they pass 3 << 16 bits only
+# beyond order 3500, so the switch stays where wide slots cross.
 _DECIMAL_MIN_BITS = 3 << 16
 
 
@@ -245,7 +293,11 @@ def _product_int(av: Sequence[int], bv: Sequence[int], bound: int) -> list[int]:
     """Kronecker product in base ``2^w``: slots packed as bytes into ints.
 
     The slot width in bytes is chosen so that ``2^(w-1) > B``; the low
-    ``n+1`` slots of the biased product hold ``c_0 .. c_n`` exactly.
+    ``n+1`` slots of the biased product hold ``c_0 .. c_n`` exactly.  Slots
+    of at most 7 bytes are packed and read back through little-endian int64
+    arrays: a biased slot lies below ``2^56``, so no int64 overflows.  An
+    8-byte slot would overflow at the bias, so wider slots are joined and cut
+    as Python ints.
     """
     n = len(av) - 1
     width = bound.bit_length() // 8 + 1  # slot bytes, so that 2^(w-1) > B
@@ -254,12 +306,21 @@ def _product_int(av: Sequence[int], bv: Sequence[int], bound: int) -> list[int]:
     bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * (n + 1), "little")
 
     def pack(cs: Sequence[int]) -> int:
-        slots = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        if width <= 7:
+            biased = np.array(cs, dtype="<i8")
+            biased += half
+            slots = biased.view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
+        else:
+            slots = b"".join((c + half).to_bytes(width, "little") for c in cs)
         return int.from_bytes(slots, "little") - bias
 
     pa = pack(av)
     pb = pa if av is bv else pack(bv)
     raw = ((pa * pb + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    if width <= 7:
+        padded = np.zeros((n + 1, 8), dtype=np.uint8)
+        padded[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(n + 1, width)
+        return (padded.view("<i8").reshape(-1) - half).tolist()
     return [int.from_bytes(raw[k : k + width], "little") - half for k in range(0, size, width)]
 
 
@@ -318,15 +379,28 @@ def pow_(a: Series, e: int) -> Series:
       positive powers, where a handful of products beats the recurrence
       (``f_1^3``: 3.5 ms against 10 ms at order 2048).  A non-unit ``a_0``
       with ``e < 0`` raises :class:`NonUnitError` from :func:`invert`.
+
+    A series ``a(q) = A(q^k)`` in ``q^k``, ``k > 1``, is powered as ``A`` at
+    order ``a.order // k`` by these routes, and the result spread back:
+    ``a^e = A^e(q^k)``.  ``A`` keeps ``a_0``, so the unit check is the same.
     """
     if e == 0:
         return one(a.ring, a.order)
     if e == 1:
         return a
+    k = _lattice(a._coeffs) or a.order + 1  # a.order + 1: a constant
+    if k == 1:
+        return _pow(a, e)
+    power = _pow(Series(a.ring, a._coeffs[::k]), e)  # A^e, where A(q^k) = a
+    return Series(a.ring, _spread(power._coeffs, k, a.order))
+
+
+def _pow(a: Series, e: int) -> Series:
+    """``a^e`` for ``e`` other than 0 and 1 by the routes of :func:`pow_`."""
     if e < -1 and a.ring.is_exact and a._coeffs[0] in (1, -1):
         return Series(a.ring, _miller_pow(a._coeffs[0], _taps(a), e, a.order))
     if e < 0:
-        return pow_(invert(a), -e)
+        a, e = invert(a), -e
     result: Optional[Series] = None
     base = a
     while e:
@@ -362,9 +436,12 @@ def _miller_pow(a0: int, taps: list[tuple[int, int]], e: int, order: int) -> lis
 
 
 # Newton's iteration costs a few products whatever the density, the recurrence
-# O(N) per nonzero coefficient; measured mod 7, 17 and 2^31-1 at orders 500 to
-# 8192, Newton wins above about 130 nonzero coefficients (256 at order 8192).
-_NEWTON_MIN_TAPS = 192
+# O(N) per nonzero coefficient.  Measured at orders 500, 2048 and 8192: mod 7
+# and 17 (the catalog's moduli are 3 to 17), whose products take the numpy
+# slots, Newton wins above about 50 nonzero coefficients (80 at order 8192),
+# by 1.4-2.8x at 128; mod 2^31-1, whose 8-byte slots do not, above about 65,
+# 170 and 256 (1.1x and 1.6x slower at 128 taps, orders 2048 and 8192).
+_NEWTON_MIN_TAPS = 128
 
 
 def invert(a: Series) -> Series:

@@ -94,6 +94,17 @@ class TestVerifyIdentities:
         result = runner.invoke(main, ["verify", "--order", "0", "--case", "0.2"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("selector", [["--case", "2a"], ["--chain", "s3"]])
+    def test_order_beyond_memory_is_usage_error(self, runner, selector):
+        # a list of 10^12 + 1 coefficients fails to allocate at once, without
+        # touching memory
+        result = runner.invoke(main, ["verify", *selector, "--order", "1000000000000"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--order'" in result.output
+        assert "1000000000000" in result.output
+        assert "Traceback" not in result.output
+
     def test_jobs_output_deterministic(self, runner):
         seq = runner.invoke(main, ["verify", "--suite", "identities", "--jobs", "1"])
         par = runner.invoke(main, ["verify", "--suite", "identities", "--jobs", "4"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 
@@ -356,6 +357,26 @@ def test_mul_at_slot_bound(top, order):
     assert mul(pos, neg).coeffs == tuple(-c for c in square)
 
 
+@pytest.mark.parametrize("width", [7, 8])
+@pytest.mark.parametrize("order", [0, 30])
+def test_mul_at_int64_slot_edge(width, order):
+    # slots of at most 7 bytes go through int64 arrays, 8 bytes and more
+    # through Python ints: the largest bound of a 7-byte slot is 2^55 - 1,
+    # the smallest of an 8-byte slot 2^55
+    top = math.isqrt((2**55 - 1) // (order + 1))
+    if width == 8:
+        while top * top * (order + 1) < 2**55:
+            top += 1
+    assert (top * top * (order + 1)).bit_length() // 8 + 1 == width
+    pos, neg = [top] * (order + 1), [-top] * (order + 1)
+    for a, b in ((pos, pos), (neg, neg), (pos, neg), (neg, pos)):
+        assert mul(Series(EXACT, a), Series(EXACT, b)).coeffs == tuple(brute_mul(a, b, order))
+    p = 2**31 - 1
+    ring = CoeffRing(p)
+    for a, b in ((pos, pos), (pos, [p - 1] * (order + 1))):
+        assert mul(Series(ring, a), Series(ring, b)) == Series(ring, brute_mul(a, b, order))
+
+
 # ---------------------------------------------------------------------------
 # each fast route against an independent reference, on both sides of the
 # switch that picks it
@@ -537,3 +558,82 @@ class TestNewtonInverse:
             invert(Series(CoeffRing(7), [0] + dense))
         with pytest.raises(NonUnitError):
             invert(Series(CoeffRing(6), [3] + dense))
+
+
+# ---------------------------------------------------------------------------
+# the lattice step: mul and pow_ of series in q^k work on the series in q
+# ---------------------------------------------------------------------------
+
+LATTICE_MODULI = [0, 7, 17, 2**31 - 1]
+
+
+def _brute_pow(a: list[int], e: int, modulus: int) -> list[int]:
+    """``a^e`` by the double loop, after the inverse's coefficient recurrence
+    for ``e < 0``; reduced mod ``modulus`` when it is not 0."""
+    order = len(a) - 1
+    red = (lambda cs: [c % modulus for c in cs]) if modulus else list
+    if e < 0:
+        inv0 = pow(a[0], -1, modulus) if modulus else a[0]  # a_0 = +-1 over Z
+        b = [inv0] + [0] * order
+        for n in range(1, order + 1):
+            b[n] = -inv0 * sum(a[k] * b[n - k] for k in range(1, n + 1))
+            b[n] = b[n] % modulus if modulus else b[n]
+        a, e = b, -e
+    out = red([1] + [0] * order)
+    for _ in range(e):
+        out = red(brute_mul(out, a, order))
+    return out
+
+
+@st.composite
+def _lattice_series(draw, modulus: int, k: int, order: int) -> list[int]:
+    """A series in ``q^k`` with a unit constant term."""
+    hi = modulus - 1 if modulus else 9
+    coeff = st.integers(min_value=0 if modulus else -9, max_value=hi)
+    lead = draw(st.integers(min_value=1, max_value=hi) if modulus else st.sampled_from([1, -1]))
+    return [lead] + [draw(coeff) if i % k == 0 else 0 for i in range(1, order + 1)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(min_value=2, max_value=7),
+    modulus=st.sampled_from(LATTICE_MODULI),
+    order=st.integers(min_value=0, max_value=50),
+    e=st.integers(min_value=-5, max_value=5),
+    off_lattice=st.booleans(),
+)
+def test_lattice_route_matches_references(data, k, modulus, order, e, off_lattice):
+    ring = EXACT if modulus == 0 else CoeffRing(modulus)
+    a = data.draw(_lattice_series(modulus, k, order))
+    b = data.draw(_lattice_series(modulus, k, order))
+    if off_lattice and order % k:
+        # one coefficient off the lattice: the other side of the switch
+        a[data.draw(st.sampled_from([i for i in range(1, order + 1) if i % k]))] = 1
+    assert series._lattice(a) == math.gcd(*[i for i, c in enumerate(a) if i and c])
+    sa, sb = Series(ring, a), Series(ring, b)
+    got_mul, got_pow = mul(sa, sb), pow_(sa, e)
+    assert got_mul == Series(ring, brute_mul(a, b, order))
+    assert got_pow == Series(ring, _brute_pow(a, e, modulus))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_lattice", lambda cs: 1)
+        assert mul(sa, sb) == got_mul
+        assert pow_(sa, e) == got_pow
+
+
+def test_lattice_keeps_non_unit_check():
+    a = Series(CoeffRing(17), [17, 0, 0, 1, 0, 0, 5])
+    with pytest.raises(NonUnitError):
+        pow_(a, -1)
+    with pytest.raises(NonUnitError):
+        pow_(Series(EXACT, [2, 0, 3, 0, 1]), -3)
+    assert pow_(Series(EXACT, [2, 0, 0]), 3).coeffs == (8, 0, 0)  # a constant
+
+
+def test_f17_to_minus_5_mod_17():
+    ring = CoeffRing(17)
+    f17 = Series(ring, brute_pochhammer(17, 17, 2048))
+    got = pow_(f17, -5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_lattice", lambda cs: 1)
+        assert got == _square_and_multiply(f17, -5)
