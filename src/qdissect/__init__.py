@@ -32,17 +32,14 @@ from .qexpr import (
     Dilate,
     EtaF,
     Mul,
-    Phi,
     Pochhammer,
     Pow,
-    Psi,
     Q,
     QExpr,
     Sum,
     Theta,
     cubic_u,
     cubic_v,
-    eta_quotient,
     eval_qexpr,
     parse_sexpr,
     rr_quotient,
@@ -51,10 +48,8 @@ from .qexpr import (
 )
 from .oracle import (
     CountTable,
-    bipartition_counts,
     coeff_fast,
-    regular_coeff_fast,
-    regular_counts,
+    dp_counts,
 )
 from .identities import (
     AssertStage,

@@ -70,8 +70,10 @@ def cmd_coeff(l: int, m: int, n: int, modulus: int) -> None:
     """Print the (L, M)-regular bipartition count at index N."""
     if n < 0:
         raise click.UsageError("index must be >= 0")
-    if l < 2 or m < 2:
-        raise click.UsageError("regularity indices L and M must be >= 2")
+    try:
+        source = oracle.SourceSpec("bipartite", l, m)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     if modulus and not 2 <= modulus <= oracle.FAST_MOD_CAP:
         raise click.BadParameter(
             f"must be 0 (exact) or in [2, {oracle.FAST_MOD_CAP}]", param_hint="'--mod'"
@@ -81,14 +83,14 @@ def cmd_coeff(l: int, m: int, n: int, modulus: int) -> None:
             raise click.UsageError(
                 f"the fast path is capped at index {congruences.DESK_INDEX_CAP}"
             )
-        table = oracle.coeff_fast(l, m, n, modulus)
+        table = oracle.coeff_fast(source, n, modulus)
         click.echo(table[n])
         return
     if n > oracle.EXACT_CAP:
         raise click.UsageError(
             f"exact mode is capped at index {oracle.EXACT_CAP}; pass --mod P"
         )
-    table = oracle.bipartition_counts(l, m, n)
+    table = oracle.dp_counts(source, n)
     click.echo(table[n])
 
 

@@ -23,6 +23,8 @@ from . import series
 from .qexpr import QExpr, eval_qexpr
 from .series import EXACT, CoeffRing, PrecisionError
 
+MIN_SURVIVING = 32  # fewest coefficients an asserted stage may be compared on
+
 
 class VerificationError(Exception):
     """A case or chain could not be evaluated.  The message names it and the
@@ -153,7 +155,6 @@ class ProofChain:
     steps: tuple[ProofStep, ...]
     modulus: int = 0
     base_order: int = 512
-    min_surviving: int = 32
     note: str = ""
 
 
@@ -205,9 +206,9 @@ def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
             if isinstance(step, Substitute):
                 pending.append(step.identity_id)
             elif isinstance(step, Extract):
-                eff_r = step.r * lattice if lattice > 1 else step.r
+                r = step.r * lattice
                 lattice *= step.s
-                current = series.dilate(series.extract(current, eff_r, lattice), lattice)
+                current = series.dilate(series.extract(current, r, lattice), lattice)
             elif isinstance(step, DilateBack):
                 if lattice % step.s:
                     raise ValueError(f"the lattice is {lattice}, not a multiple of {step.s}")
@@ -220,10 +221,10 @@ def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
                 claimed = eval_qexpr(step.expr, ring, n)
                 compared = min(current.order, claimed.order)
                 surviving = compared // lattice + 1
-                if surviving < chain.min_surviving:
+                if surviving < MIN_SURVIVING:
                     raise PrecisionError(
                         f"only {surviving} coefficients survive (need "
-                        f"{chain.min_surviving}); raise the base order")
+                        f"{MIN_SURVIVING}); raise the base order")
                 ok, idx = series.eq_to_order(current, claimed, compared)
                 if ok:
                     status, mismatch = "pass", None

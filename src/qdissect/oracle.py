@@ -4,20 +4,22 @@ This module uses no code from the series engine.  Agreement between its counts
 and the series evaluation of the corresponding eta quotients is what the
 verification harness leans on.
 
-``regular_counts(l)`` counts partitions with no part divisible by ``l``;
-``bipartition_counts(l, m)`` counts pairs (one ``l``-regular, one ``m``-regular
-partition) by total size.  Both run one dynamic program over parts: the
-bipartition generating function is the product of the two regular ones, so the
-parts of both regularities are added into one array.
+A stream is named by one :class:`SourceSpec`: the regular b_l counts
+partitions with no part divisible by ``l``, the bipartite B_{l,m} counts pairs
+(one ``l``-regular, one ``m``-regular partition) by total size.  Its
+``regularities`` are ``(l,)`` or ``(l, m)``, and both builders take the spec.
+:func:`dp_counts` runs one dynamic program over parts: the bipartition
+generating function is the product of the two regular ones, so the parts of
+both regularities are added into one array.
 
-``coeff_fast`` and ``regular_coeff_fast`` reproduce the same streams modulo
-any p in [2, 2^26], prime or not, at indices in the millions, in O(N log N)
-time.  A stream is prod_l f_l / f_1^r, where f_k = prod_j (1 - q^(kj)) and r
-is the number of regularities.  Both the numerator N = prod_l f_l and the
-denominator D = f_1^r are exact products of sparse series, each f_k given by
-the taps of Euler's pentagonal number theorem, reduced mod p as they are
-summed (about 4.4e6 tap pairs at 1.65M, and no FFT).  One division N/D to q^n
-follows (Karp and Markstein, ACM TOMS 23, 1997):
+:func:`coeff_fast` reproduces the same streams modulo any p in [2, 2^26],
+prime or not, at indices in the millions, in O(N log N) time.  A stream is
+prod_l f_l / f_1^r, where f_k = prod_j (1 - q^(kj)) and r is the number of
+regularities.  Both the numerator N = prod_l f_l and the denominator
+D = f_1^r are exact products of sparse series, each f_k given by the taps of
+Euler's pentagonal number theorem, reduced mod p as they are summed (about
+4.4e6 tap pairs at 1.65M, and no FFT).  One division N/D to q^n follows (Karp
+and Markstein, ACM TOMS 23, 1997):
 
   - Newton's iteration g <- g*(2 - D*g), which doubles the number of correct
     terms per step, gives g = 1/D to h = ceil((n+1)/2) terms only;
@@ -104,6 +106,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 EXACT_CAP = 20000  # policy cap for exact-mode tables
+_KINDS = ("regular", "bipartite")  # a stream's kind, by its code in a cache file
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,11 @@ class SourceSpec:
             raise ValueError("a source is regular L (m=0) or bipartite L M, "
                              f"with L, M >= 2; got {self!r}")
 
+    @property
+    def regularities(self) -> tuple[int, ...]:
+        """The ``l`` of every regular factor: ``(l,)`` or ``(l, m)``."""
+        return (self.l,) if self.kind == "regular" else (self.l, self.m)
+
     def describe(self) -> str:
         if self.kind == "regular":
             return f"b_{self.l}"
@@ -132,24 +140,17 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class CountTable:
-    """A computed coefficient table.
-
-    ``kind`` is ``"regular"`` (then ``m == 0``) or ``"bipartite"``;
-    ``modulus == 0`` means exact counts.  ``values[n]`` is the count at n.
+    """The counts of the stream ``source`` at ``n = 0..n_max``:
+    ``values[n]`` is the count at n, mod ``modulus`` (0 means exact).
     """
 
-    kind: str
-    l: int
-    m: int
-    n_max: int
+    source: SourceSpec
     modulus: int
     values: Sequence[int]
 
-    def __post_init__(self):
-        if self.kind not in ("regular", "bipartite"):
-            raise ValueError(f"unknown table kind {self.kind!r}")
-        if len(self.values) != self.n_max + 1:
-            raise ValueError("values length must be n_max + 1")
+    @property
+    def n_max(self) -> int:
+        return len(self.values) - 1
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.n_max:
@@ -171,9 +172,9 @@ class CountTable:
         (modular tables only)."""
         if self.modulus < 2:
             raise ValueError("only modular tables are cacheable")
-        kind_code = 0 if self.kind == "regular" else 1
+        src = self.source
         header = self._MAGIC + struct.pack(
-            "<QQQQQ", kind_code, self.l, self.m, self.n_max, self.modulus
+            "<QQQQQ", _KINDS.index(src.kind), src.l, src.m, self.n_max, self.modulus
         )
         body = np.asarray(self.values, dtype=self._body_dtype(self.modulus)).tobytes()
         crc = zlib.crc32(body, zlib.crc32(header))
@@ -192,14 +193,16 @@ class CountTable:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CountTable":
         """The table in ``path``; a ``ValueError`` if the file is not one of
-        this format version, or its length, checksum or entries are wrong."""
+        this format version, its header names no valid stream, or its length,
+        checksum or entries are wrong."""
         with open(path, "rb") as fh:
             data = memoryview(fh.read())
         if len(data) < 48 or data[:8] != cls._MAGIC:
             raise ValueError(f"{path}: not a version-{cls._MAGIC[4]} count-table cache file")
         kind_code, l, m, n_max, modulus = struct.unpack("<QQQQQ", data[8:48])
-        if kind_code > 1:
+        if kind_code >= len(_KINDS):
             raise ValueError(f"{path}: unknown table kind code {kind_code}")
+        source = SourceSpec(_KINDS[kind_code], int(l), int(m))
         dtype = cls._body_dtype(modulus)
         if len(data) != 48 + (n_max + 1) * dtype.itemsize + 4:
             raise ValueError(f"{path}: truncated cache file")
@@ -209,23 +212,21 @@ class CountTable:
         values = np.frombuffer(data[48:-4], dtype=dtype)
         if values.max() >= modulus:
             raise ValueError(f"{path}: entries outside 0..modulus-1")
-        kind = ("regular", "bipartite")[kind_code]
-        return cls(kind, int(l), int(m), int(n_max), int(modulus), values)
+        return cls(source, int(modulus), values)
 
 
 # ---------------------------------------------------------------------------
 # dynamic-programming counters (ground truth)
 # ---------------------------------------------------------------------------
 
-def _dp(regularities: Sequence[int], n_max: int, modulus: int) -> list[int]:
-    """Unbounded-parts DP for the product over ``l`` of the l-regular
-    generating functions: every part not divisible by ``l``, for each ``l``."""
-    if min(regularities) < 2:
-        raise ValueError("regularity indices must be >= 2")
+def dp_counts(source: SourceSpec, n_max: int, modulus: int = 0) -> CountTable:
+    """The counts of ``source`` for ``n = 0..n_max`` by the unbounded-parts DP
+    for the product over its regularities ``l`` of the l-regular generating
+    functions: every part not divisible by ``l``, for each ``l``."""
     if modulus == 0 and n_max > EXACT_CAP:
         raise ValueError(f"exact mode capped at n_max = {EXACT_CAP}")
     counts = [1] + [0] * n_max
-    for l in regularities:
+    for l in source.regularities:
         for part in range(1, n_max + 1):
             if part % l == 0:
                 continue
@@ -233,19 +234,7 @@ def _dp(regularities: Sequence[int], n_max: int, modulus: int) -> list[int]:
                 counts[n] += counts[n - part]
             if modulus:
                 counts = [c % modulus for c in counts]
-    return counts
-
-
-def regular_counts(l: int, n_max: int, modulus: int = 0) -> CountTable:
-    """Count ``l``-regular partitions (no part divisible by ``l``) for
-    ``n = 0..n_max``."""
-    return CountTable("regular", l, 0, n_max, modulus, _dp((l,), n_max, modulus))
-
-
-def bipartition_counts(l: int, m: int, n_max: int, modulus: int = 0) -> CountTable:
-    """Count (l, m)-regular bipartitions: pairs of an l-regular and an
-    m-regular partition, by total size."""
-    return CountTable("bipartite", l, m, n_max, modulus, _dp((l, m), n_max, modulus))
+    return CountTable(source, modulus, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -456,28 +445,20 @@ def _divide(num: np.ndarray, den: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate((y, _mulmod(g, rem, p, n - h)))
 
 
-def _fast(regularities: Sequence[int], n_max: int, p: int) -> np.ndarray:
-    """The product over ``l`` of ``f_l / f_1``, mod p, to ``n_max``: one
-    division of prod_l f_l by f_1^r, both built from pentagonal taps."""
+def coeff_fast(source: SourceSpec, n_max: int, p: int) -> CountTable:
+    """The counts of ``source`` mod any p in [2, 2^26], prime or not, to
+    ``n_max``: the product over its regularities ``l`` of ``f_l / f_1``, by
+    one division of prod_l f_l by f_1^r, both built from pentagonal taps (see
+    the module docstring).
+
+    Agrees with :func:`dp_counts` everywhere both are computed.
+    """
     if not 2 <= p <= FAST_MOD_CAP:
         raise ValueError(f"the fast path needs a modulus in [2, {FAST_MOD_CAP}]")
-    num = _pentagonal_product(regularities, n_max, p)
-    den = _pentagonal_product((1,) * len(regularities), n_max, p)
-    return _divide(num, den, p)
-
-
-def coeff_fast(l: int, m: int, n_max: int, p: int) -> CountTable:
-    """Bipartition counts mod any p in [2, 2^26], prime or not, by one
-    division of pentagonal products (see the module docstring).
-
-    Agrees with :func:`bipartition_counts` everywhere both are computed.
-    """
-    return CountTable("bipartite", l, m, n_max, p, _fast((l, m), n_max, p))
-
-
-def regular_coeff_fast(l: int, n_max: int, p: int) -> CountTable:
-    """Regular-partition counts mod any p in [2, 2^26] by the same division."""
-    return CountTable("regular", l, 0, n_max, p, _fast((l,), n_max, p))
+    regs = source.regularities
+    num = _pentagonal_product(regs, n_max, p)
+    den = _pentagonal_product((1,) * len(regs), n_max, p)
+    return CountTable(source, p, _divide(num, den, p))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +474,7 @@ def _cached(path: Path, spec: SourceSpec, p: int, order: int) -> Optional[CountT
         table = CountTable.load(path)
     except (ValueError, OSError):
         return None
-    stream = (table.kind, table.l, table.m, table.modulus)
-    return table if stream == (spec.kind, spec.l, spec.m, p) and table.n_max >= order else None
+    return table if (table.source, table.modulus) == (spec, p) and table.n_max >= order else None
 
 
 def _build(spec: SourceSpec, p: int, order: int, cache_dir: Optional[Path]) -> CountTable:
@@ -502,10 +482,7 @@ def _build(spec: SourceSpec, p: int, order: int, cache_dir: Optional[Path]) -> C
     file and delete the files of another format version, telling them by
     their 8-byte magic.  Of the directory it writes only this stream's file
     and stale ones, so builds may run on threads."""
-    if spec.kind == "bipartite":
-        table = coeff_fast(spec.l, spec.m, order, p)
-    else:
-        table = regular_coeff_fast(spec.l, order, p)
+    table = coeff_fast(spec, order, p)
     if cache_dir:
         table.save(cache_dir / spec.cache_name(p))
         for path in cache_dir.glob("*.qdct"):

@@ -10,9 +10,10 @@ instead of being silently repaired.
 Atoms
 -----
 ``Const(c)``, ``Q(e)`` for the monomial ``q^e``, ``Pochhammer(a, m)`` for the
-infinite product ``(q^a; q^m)``, ``EtaF(k)`` for ``f_k = (q^k; q^k)``,
-``Phi(k)`` / ``Psi(k)`` for the classical theta series in ``q^k``, and
+infinite product ``(q^a; q^m)``, ``EtaF(k)`` for ``f_k = (q^k; q^k)``, and
 ``Theta(sa, ua, sb, ub)`` for the two-variable theta ``f(sa*q^ua, sb*q^ub)``.
+The classical theta series phi(q^k) and psi(q^k), written ``(phi k)`` and
+``(psi k)``, parse to ``Theta(1, k, 1, k)`` and ``Theta(1, k, 1, 3k)``.
 Composite nodes are ``Mul``, ``Pow``, ``Sum`` (integer-weighted terms) and
 ``Dilate`` (``q -> q^k``).
 """
@@ -69,28 +70,6 @@ class EtaF(QExpr):
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("EtaF index must be positive")
-
-
-@dataclass(frozen=True)
-class Phi(QExpr):
-    """``phi(q^k) = 1 + 2*sum q^(k*n^2)``."""
-
-    k: int = 1
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("Phi index must be positive")
-
-
-@dataclass(frozen=True)
-class Psi(QExpr):
-    """``psi(q^k) = sum q^(k*n(n+1)/2)``."""
-
-    k: int = 1
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("Psi index must be positive")
 
 
 @dataclass(frozen=True)
@@ -179,19 +158,6 @@ def cubic_v() -> QExpr:
     return Mul((EtaF(1), Pow(EtaF(6), 3), Pow(EtaF(2), -1), Pow(EtaF(3), -3)))
 
 
-def eta_quotient(powers: dict[int, int]) -> QExpr:
-    """Product ``prod f_k^e`` from a ``{k: e}`` mapping (e may be negative)."""
-    factors: list[QExpr] = []
-    for k in sorted(powers):
-        e = powers[k]
-        if e == 0:
-            continue
-        factors.append(EtaF(k) if e == 1 else Pow(EtaF(k), e))
-    if not factors:
-        return Const(1)
-    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -225,7 +191,7 @@ def _pentagonal(ring: CoeffRing, order: int, k: int) -> Series:
     """``f_k`` by Euler's pentagonal theorem,
     ``sum_n (-1)^n q^(k*n(3n-1)/2)`` over all integers ``n``: O(sqrt(N)) terms.
 
-    ``Pochhammer``, ``Theta``, ``Phi`` and ``Psi`` keep the product form, so a
+    ``Pochhammer`` and ``Theta`` keep the product form, so a
     catalog case equating ``f_k`` with one of them compares two routes.
     """
     coeffs = [0] * (order + 1)
@@ -301,12 +267,6 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
         result = _binomial_product(ring, order, _poch_factors(expr.a, expr.m, 1, order))
     elif isinstance(expr, EtaF):
         result = _pentagonal(ring, order, expr.k)
-    elif isinstance(expr, Phi):
-        # phi(q^k) = f(q^k, q^k) = (-q^k; q^2k)^2 (q^2k; q^2k)
-        result = _eval_theta_product(Theta(1, expr.k, 1, expr.k), ring, order)
-    elif isinstance(expr, Psi):
-        # psi(q^k) = f(q^k, q^3k) = (-q^k; q^4k)(-q^3k; q^4k)(q^4k; q^4k)
-        result = _eval_theta_product(Theta(1, expr.k, 1, 3 * expr.k), ring, order)
     elif isinstance(expr, Theta):
         result = _eval_theta_product(expr, ring, order)
     elif isinstance(expr, Mul):
@@ -393,9 +353,13 @@ def parse_sexpr(text: str) -> QExpr:
         elif head == "eta":
             node = EtaF(parse_int())
         elif head == "phi":
-            node = Phi(parse_int())
+            # phi(q^k) = f(q^k, q^k) = (-q^k; q^2k)^2 (q^2k; q^2k)
+            k = parse_int()
+            node = Theta(1, k, 1, k)
         elif head == "psi":
-            node = Psi(parse_int())
+            # psi(q^k) = f(q^k, q^3k) = (-q^k; q^4k)(-q^3k; q^4k)(q^4k; q^4k)
+            k = parse_int()
+            node = Theta(1, k, 1, 3 * k)
         elif head == "theta":
             node = Theta(parse_int(), parse_int(), parse_int(), parse_int())
         elif head == "mul":

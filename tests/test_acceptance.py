@@ -66,6 +66,12 @@ def _line(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'} -- {detail}")
 
 
+def _source_table(fid: str, n_max: int, p: int) -> dict:
+    """Family ``fid``'s source table mod p to ``n_max``, keyed by its stream."""
+    source = FAMILIES[fid].source
+    return {source: oracle.coeff_fast(source, n_max, p)}
+
+
 _B37_BUILD_SECONDS = {}
 
 
@@ -73,7 +79,7 @@ _B37_BUILD_SECONDS = {}
 def b37_table():
     # shared by criteria 4 and 6: covers 4^7 * 100 + (10*4^6 - 1)/3
     t0 = time.perf_counter()
-    table = oracle.coeff_fast(3, 7, 4**7 * 100 + 13653, 7)
+    table = oracle.coeff_fast(B37, 4**7 * 100 + 13653, 7)
     _B37_BUILD_SECONDS["build"] = time.perf_counter() - t0
     return table
 
@@ -160,7 +166,7 @@ def test_criterion_3_oracle_series_cross_check():
     order = 300
     bad = []
     for l, m in pairs:
-        table = oracle.bipartition_counts(l, m, order)
+        table = oracle.dp_counts(oracle.SourceSpec("bipartite", l, m), order)
         srs = eval_qexpr(Mul((EtaF(l), EtaF(m), Pow(EtaF(1), -2))), EXACT, order)
         if tuple(table.values) != srs.coeffs:
             bad.append((l, m))
@@ -179,13 +185,13 @@ def test_criterion_4_base_relations(b37_table):
     rep = verify_family(FAMILIES["w.11"], {B37: b37_table}, n_max=5000)
     results["w.11 (n<=5000, mod 7)"] = rep
 
-    src = oracle.coeff_fast(5, 11, 625 * 2000 + 364, 11)
-    results["1.x (n<=2000, mod 11)"] = verify_family(FAMILIES["1.x"], {FAMILIES["1.x"].source: src}, n_max=2000)
+    tables = _source_table("1.x", 625 * 2000 + 364, 11)
+    results["1.x (n<=2000, mod 11)"] = verify_family(FAMILIES["1.x"], tables, n_max=2000)
 
-    src = oracle.coeff_fast(5, 13, 625 * 2000 + 416, 13)
-    results["2.x (n<=2000, mod 13)"] = verify_family(FAMILIES["2.x"], {FAMILIES["2.x"].source: src}, n_max=2000)
+    tables = _source_table("2.x", 625 * 2000 + 416, 13)
+    results["2.x (n<=2000, mod 13)"] = verify_family(FAMILIES["2.x"], tables, n_max=2000)
 
-    tables = {FAMILIES["0a1"].source: oracle.coeff_fast(9, 5, 5**4 * 2000 + 687, 3)}
+    tables = _source_table("0a1", 5**4 * 2000 + 687, 3)
     results["s2 (n<=2000, mod 3)"] = verify_family(FAMILIES["0a1"], tables, n_max=2000)
     results["s3 (n<=2000, mod 3)"] = verify_family(FAMILIES["0a2"], tables, n_max=2000)
 
@@ -199,15 +205,15 @@ def test_criterion_4_base_relations(b37_table):
 def test_criterion_5_families():
     results = {}
 
-    tables = {FAMILIES["x1"].source: oracle.coeff_fast(2, 8, 88 * 500 + 87, 11)}
+    tables = _source_table("x1", 88 * 500 + 87, 11)
     results["x1 (k=1..10, n<=500)"] = verify_family(FAMILIES["x1"], tables, n_max=500)
 
-    tables = {FAMILIES["7.22"].source: oracle.coeff_fast(81, 17, 81 * 500 + 50, 17),
-              oracle.SourceSpec("regular", 17): oracle.regular_coeff_fast(17, 500, 17)}
+    r17 = oracle.SourceSpec("regular", 17)
+    tables = {**_source_table("7.22", 81 * 500 + 50, 17), r17: oracle.coeff_fast(r17, 500, 17)}
     results["7.22 (n<=500)"] = verify_family(FAMILIES["7.22"], tables, n_max=500)
     results["s8 (k=2,3, n<=300)"] = verify_family(FAMILIES["s8"], tables, n_max=300)
 
-    tables = {FAMILIES["dou"].source: oracle.coeff_fast(3, 11, 27 * 3000 + 22, 11)}
+    tables = _source_table("dou", 27 * 3000 + 22, 11)
     results["dou (a=2,3, n<=3000)"] = verify_family(FAMILIES["dou"], tables, n_max=3000)
 
     violations = {k: r.violations for k, r in results.items() if r.violations}

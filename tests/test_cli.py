@@ -47,7 +47,7 @@ class TestCoeff:
     def test_regularity_index_below_two_rejected(self, runner, args):
         result = runner.invoke(main, ["coeff"] + args)
         assert result.exit_code == 2, result.output
-        assert "must be >= 2" in result.output
+        assert "L, M >= 2" in result.output
 
     @pytest.mark.parametrize("modulus", ["1", "-5", str(2**40)])
     def test_bad_modulus_rejected(self, runner, modulus):
@@ -58,7 +58,7 @@ class TestCoeff:
     def test_modular_index_capped_before_any_table(self, runner, monkeypatch):
         built = []
 
-        def fake_coeff_fast(l, m, n_max, p):
+        def fake_coeff_fast(source, n_max, p):
             built.append(n_max)
             return {n_max: 0}
 
@@ -172,10 +172,10 @@ class TestJobs:
         # failure surfaces at 1.x, under the same blame, at --jobs 1 and 2
         real = oracle.coeff_fast
 
-        def flaky(l, m, n_max, p):
-            if (l, m) == (5, 11):
+        def flaky(source, n_max, p):
+            if source == oracle.SourceSpec("bipartite", 5, 11):
                 raise ArithmeticError("boom")
-            return real(l, m, n_max, p)
+            return real(source, n_max, p)
 
         monkeypatch.setattr(oracle, "coeff_fast", flaky)
         args = _family_args()
@@ -353,14 +353,15 @@ class TestVerifyFamilies:
     def test_cache_ignores_file_for_another_stream(self, runner, tmp_path):
         # a (3,11) mod 11 table saved under the name of the (3,7) mod 7 stream
         name = oracle.SourceSpec("bipartite", 3, 7).cache_name(7)
-        oracle.coeff_fast(3, 11, 2000, 11).save(tmp_path / name)
+        oracle.coeff_fast(oracle.SourceSpec("bipartite", 3, 11), 2000, 11).save(tmp_path / name)
         args = ["verify", "--family", "w.11", "--n-max", "100", "--cache-dir", str(tmp_path)]
         result = runner.invoke(main, args)
         assert result.exit_code == 0 and "PASS" in result.output
         assert "violation" not in result.output
         # the right table was built and saved over the mislabelled file
         right = oracle.CountTable.load(tmp_path / name)
-        assert (right.l, right.m, right.n_max, right.modulus) == (3, 7, 1605, 7)
+        assert (right.source, right.n_max, right.modulus) == (
+            oracle.SourceSpec("bipartite", 3, 7), 1605, 7)
         assert [path.name for path in tmp_path.iterdir()] == [name]
 
     def test_family_with_every_instance_skipped_reads_no_table(self, runner, tmp_path):

@@ -124,7 +124,7 @@ class TestVerifyFamily:
     def test_zero_family_passes(self):
         # the (2,8) stream vanishes mod 11 on 8(11n+k)+7
         fam = FAMILIES["x1"]
-        src = oracle.coeff_fast(2, 8, fam.index.at(100, 0, 10), 11)
+        src = oracle.coeff_fast(fam.source, fam.index.at(100, 0, 10), 11)
         rep = verify_family(fam, {fam.source: src}, n_max=100)
         assert rep.status == "pass"
         assert len(rep.params_tested) == 10
@@ -134,7 +134,7 @@ class TestVerifyFamily:
             "bogus", "t", 7, SourceSpec("bipartite", 3, 7),
             AffineIndex("1", "0"), (), default_n_max=10,
         )
-        src = oracle.bipartition_counts(3, 7, 10, modulus=7)
+        src = oracle.dp_counts(fam.source, 10, modulus=7)
         rep = verify_family(fam, {fam.source: src})
         assert rep.status == "fail"
         assert rep.violations
@@ -143,7 +143,7 @@ class TestVerifyFamily:
 
     def test_m_zero_is_tautology(self):
         fam = FAMILIES["ak1"]
-        src = oracle.coeff_fast(3, 7, 200, 7)
+        src = oracle.coeff_fast(fam.source, 200, 7)
         rep = verify_family(
             dataclasses.replace(fam, m_values=(0,)), {fam.source: src}, n_max=200
         )
@@ -151,7 +151,7 @@ class TestVerifyFamily:
 
     def test_desk_cap_skips_with_reason(self):
         fam = FAMILIES["thm12"]
-        src = oracle.coeff_fast(5, 11, 1000, 11)
+        src = oracle.coeff_fast(fam.source, 1000, 11)
         rep = verify_family(fam, {fam.source: src}, n_max=10)
         (skip,) = rep.skipped
         assert skip.params == {"m": 1, "k": 0}
@@ -160,7 +160,7 @@ class TestVerifyFamily:
 
     def test_small_table_skips(self):
         fam = FAMILIES["w.11"]
-        src = oracle.bipartition_counts(3, 7, 50, modulus=7)
+        src = oracle.dp_counts(fam.source, 50, modulus=7)
         rep = verify_family(fam, {fam.source: src}, n_max=100)
         assert rep.status == "skipped"
         assert rep.skipped[0].reason == "source table too small"
@@ -168,8 +168,9 @@ class TestVerifyFamily:
     def test_short_reference_table_skips(self):
         # the source table covers n <= 60, the 17-regular table only n <= 30
         fam = FAMILIES["7.22"]
-        tables = {fam.source: oracle.coeff_fast(81, 17, fam.index.at(60), 17),
-                  SourceSpec("regular", 17): oracle.regular_coeff_fast(17, 30, 17)}
+        r17 = SourceSpec("regular", 17)
+        tables = {fam.source: oracle.coeff_fast(fam.source, fam.index.at(60), 17),
+                  r17: oracle.coeff_fast(r17, 30, 17)}
         rep = verify_family(fam, tables, n_max=60)
         assert rep.status == "skipped" and rep.max_index is None
         assert rep.skipped == (Skip({"m": 1, "k": 0}, "reference table too small", 31),)
@@ -179,22 +180,23 @@ class TestVerifyFamily:
             "probe", "t", 7, SourceSpec("bipartite", 3, 7),
             AffineIndex("1", "0"), (), default_n_max=5, expect="record",
         )
-        src = oracle.bipartition_counts(3, 7, 5, modulus=7)
+        src = oracle.dp_counts(fam.source, 5, modulus=7)
         rep = verify_family(fam, {fam.source: src})
         assert rep.status == "erratum" and rep.violations
 
     def test_cross_source_recurrence(self):
         fam = FAMILIES["7.22"]
-        src = oracle.coeff_fast(81, 17, fam.index.at(60), 17)
-        ref = oracle.regular_coeff_fast(17, 60, 17)
-        rep = verify_family(fam, {fam.source: src, SourceSpec("regular", 17): ref}, n_max=60)
+        src = oracle.coeff_fast(fam.source, fam.index.at(60), 17)
+        r17 = SourceSpec("regular", 17)
+        ref = oracle.coeff_fast(r17, 60, 17)
+        rep = verify_family(fam, {fam.source: src, r17: ref}, n_max=60)
         assert rep.status == "pass"
 
     def test_s13_m0_probe_records_refutation(self):
         # the printed m-range includes m = 0, where the progression is the
         # proportional one; the probe must record the violation at n = 0
         fam = FAMILIES["s13-m0-probe"]
-        src = oracle.coeff_fast(81, 17, fam.index.at(10), 17)
+        src = oracle.coeff_fast(fam.source, fam.index.at(10), 17)
         rep = verify_family(fam, {fam.source: src})
         assert rep.status == "erratum"
         first = rep.violations[0]
@@ -209,8 +211,9 @@ class TestVerifyFamily:
             default_n_max=2,
         )
         assert required_order(fam) == {}
-        tables = {fam.source: oracle.bipartition_counts(3, 7, 2, modulus=7),
-                  SourceSpec("regular", 7): oracle.regular_counts(7, 2, modulus=7)}
+        r7 = SourceSpec("regular", 7)
+        tables = {fam.source: oracle.dp_counts(fam.source, 2, modulus=7),
+                  r7: oracle.dp_counts(r7, 2, modulus=7)}
         rep = verify_family(fam, tables)
         assert rep.status == "skipped" and rep.max_index is None
         assert rep.skipped == (Skip({"m": 0, "k": 0}, "index exceeds desk scale",
@@ -235,7 +238,7 @@ class TestVerifyFamily:
             "wide-ref", "t", 7, SourceSpec("bipartite", 3, 7), AffineIndex("1", "0"),
             (Term(1, 1, AffineIndex("3", "1")),), default_n_max=5, expect="record",
         )
-        src = oracle.bipartition_counts(3, 7, 16, modulus=7)
+        src = oracle.dp_counts(fam.source, 16, modulus=7)
         assert verify_family(fam, {fam.source: src}).max_index == 16
         assert required_order(fam) == {SourceSpec("bipartite", 3, 7): 16}
 
@@ -256,17 +259,17 @@ class TestThreeTerm:
         )
 
     def test_base_relation_order16(self):
-        src = oracle.coeff_fast(3, 7, 16 * 300 + 5, 7)
+        src = oracle.coeff_fast(B37, 16 * 300 + 5, 7)
         rep = verify_family(self._order16("w.11-adhoc", 5, 6, 300), {B37: src})
         assert rep.status == "pass"
 
     def test_direct_value_at_zero(self):
         # indices 364, 14, 0 straight from the oracle
-        src = oracle.bipartition_counts(5, 11, 364, modulus=11)
+        src = oracle.dp_counts(SourceSpec("bipartite", 5, 11), 364, modulus=11)
         assert (src[364] - (src[14] + 7 * src[0])) % 11 == 0
 
     def test_violation_detection(self):
-        src = oracle.coeff_fast(3, 7, 16 * 50 + 5, 7)
+        src = oracle.coeff_fast(B37, 16 * 50 + 5, 7)
         rep = verify_family(self._order16("broken", 5, 5, 50), {B37: src})
         assert rep.status == "fail"
 

@@ -20,12 +20,10 @@ FAMILIES = {f.id: f for f in build_families()}
 
 @pytest.fixture(scope="module")
 def big_b8117():
-    top = 0
-    for fid in ("s13", "s13-uniform", "s14", "s15-printed", "s15-unit"):
-        for spec, order in required_order(FAMILIES[fid]).items():
-            if spec.kind == "bipartite":
-                top = max(top, order)
-    return {oracle.SourceSpec("bipartite", 81, 17): oracle.coeff_fast(81, 17, top, 17)}
+    source = FAMILIES["s13"].source
+    top = max(required_order(FAMILIES[fid])[source]
+              for fid in ("s13", "s13-uniform", "s14", "s15-printed", "s15-unit"))
+    return {source: oracle.coeff_fast(source, top, 17)}
 
 
 def test_s13_printed_reading_holds_from_m1(big_b8117):
@@ -65,7 +63,8 @@ def test_deep_17_regular_progressions():
         max(required_order(FAMILIES[fid], n_max=40).values())
         for fid in ("s10", "s11", "s12")
     )
-    tables = {oracle.SourceSpec("regular", 17): oracle.regular_coeff_fast(17, top, 17)}
+    source = FAMILIES["s10"].source
+    tables = {source: oracle.coeff_fast(source, top, 17)}
     for fid in ("s10", "s11", "s12"):
         rep = verify_family(FAMILIES[fid], tables, n_max=40)
         assert rep.status == "pass", (fid, rep.violations)

@@ -15,20 +15,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from qdissect import oracle
 from qdissect.congruences import build_families, required_order
-from qdissect.oracle import (
-    CountTable,
-    SourceSpec,
-    bipartition_counts,
-    coeff_fast,
-    regular_coeff_fast,
-    regular_counts,
-)
+from qdissect.oracle import CountTable, SourceSpec, coeff_fast, dp_counts
 from qdissect.qexpr import EtaF, Mul, Pow, eval_qexpr
 from qdissect.series import EXACT
 from conftest import count_bipartitions, count_regular, distinct_part_counts
 
 # every (stream, modulus) pair a congruence family reads
 CATALOG_STREAMS = sorted({(f.source, f.modulus) for f in build_families()}, key=repr)
+B37 = SourceSpec("bipartite", 3, 7)
+R17 = SourceSpec("regular", 17)
 
 
 def _exact_mulmod(a, b, p, n):
@@ -203,75 +198,75 @@ def test_pentagonal_product_matches_dense_convolution(scales, p):
 
 class TestRegularCounts:
     def test_two_regular_prefix(self):
-        assert list(regular_counts(2, 5).values) == [1, 1, 1, 2, 2, 3]
+        assert list(dp_counts(SourceSpec("regular", 2), 5).values) == [1, 1, 1, 2, 2, 3]
 
     def test_three_regular_at_four(self):
         # partitions of 4 avoiding multiples of 3: 4, 2+2, 2+1+1, 1^4
-        assert regular_counts(3, 4)[4] == 4
+        assert dp_counts(SourceSpec("regular", 3), 4)[4] == 4
 
     def test_empty_partition(self):
         for l in (2, 3, 7, 17):
-            assert regular_counts(l, 0)[0] == 1
+            assert dp_counts(SourceSpec("regular", l), 0)[0] == 1
 
     @pytest.mark.parametrize("l", [2, 3, 5, 7])
     def test_matches_enumeration(self, l):
-        table = regular_counts(l, 12)
+        table = dp_counts(SourceSpec("regular", l), 12)
         for n in range(13):
             assert table[n] == count_regular(n, l)
 
     def test_euler_distinct_parts(self):
         # 2-regular (odd-part) counts equal distinct-part counts
         n = 300
-        odd = regular_counts(2, n)
+        odd = dp_counts(SourceSpec("regular", 2), n)
         distinct = distinct_part_counts(n)
         assert tuple(odd.values) == distinct
 
     def test_regular_counts_match_eta_quotient(self):
         n = 300
         for l in (2, 7, 17):
-            table = regular_counts(l, n)
+            table = dp_counts(SourceSpec("regular", l), n)
             srs = eval_qexpr(Mul((EtaF(l), Pow(EtaF(1), -1))), EXACT, n)
             assert tuple(table.values) == srs.coeffs
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            regular_counts(1, 5)
+            dp_counts(SourceSpec("regular", 1), 5)
         with pytest.raises(ValueError):
-            regular_counts(2, oracle.EXACT_CAP + 1)
+            dp_counts(SourceSpec("regular", 2), oracle.EXACT_CAP + 1)
 
 
 class TestBipartitionCounts:
     def test_empty(self):
-        assert bipartition_counts(3, 7, 0)[0] == 1
+        assert dp_counts(B37, 0)[0] == 1
 
     def test_single_cell(self):
         # ({1}, empty) and (empty, {1})
-        assert bipartition_counts(3, 7, 1)[1] == 2
+        assert dp_counts(B37, 1)[1] == 2
 
     def test_convolution_value(self):
         # b_3 = 1,1,2 and b_7 = 1,1,2 give 1*2 + 1*1 + 2*1 at n = 2
-        assert bipartition_counts(3, 7, 2)[2] == 5
+        assert dp_counts(B37, 2)[2] == 5
 
     @pytest.mark.parametrize("pair", [(3, 7), (2, 8), (9, 5)])
     def test_matches_enumeration(self, pair):
         l, m = pair
-        table = bipartition_counts(l, m, 10)
+        table = dp_counts(SourceSpec("bipartite", l, m), 10)
         for n in range(11):
             assert table[n] == count_bipartitions(n, l, m)
 
     def test_symmetry(self):
-        a = bipartition_counts(5, 11, 150)
-        b = bipartition_counts(11, 5, 150)
+        a = dp_counts(SourceSpec("bipartite", 5, 11), 150)
+        b = dp_counts(SourceSpec("bipartite", 11, 5), 150)
         assert list(a.values) == list(b.values)
 
     def test_modular_matches_exact(self):
-        exact = bipartition_counts(3, 7, 200)
-        mod = bipartition_counts(3, 7, 200, modulus=7)
+        exact = dp_counts(B37, 200)
+        mod = dp_counts(B37, 200, modulus=7)
         assert [v % 7 for v in exact.values] == list(mod.values)
 
     def test_known_residue_mod_seven(self):
         # 5*B(0) + 6*B(1) = 17 = 3 mod 7 must match the direct count at 5
-        table = bipartition_counts(3, 7, 5)
+        table = dp_counts(B37, 5)
         assert table[5] % 7 == 3
 
 
@@ -281,7 +276,7 @@ class TestOracleSeriesEquivalence:
         n = 300
         pairs = {(rng.randint(2, 20), rng.randint(2, 20)) for _ in range(10)}
         for l, m in pairs:
-            table = bipartition_counts(l, m, n)
+            table = dp_counts(SourceSpec("bipartite", l, m), n)
             srs = eval_qexpr(
                 Mul((EtaF(l), EtaF(m), Pow(EtaF(1), -2))), EXACT, n
             )
@@ -290,8 +285,8 @@ class TestOracleSeriesEquivalence:
 
 class TestFastPath:
     def test_agrees_with_dp_large(self):
-        fast = coeff_fast(3, 7, 2000, 7)
-        slow = bipartition_counts(3, 7, 2000, modulus=7)
+        fast = coeff_fast(B37, 2000, 7)
+        slow = dp_counts(B37, 2000, modulus=7)
         assert list(fast.values) == list(slow.values)
 
     @pytest.mark.parametrize("spec,p", [
@@ -299,39 +294,36 @@ class TestFastPath:
     ])
     def test_agrees_with_dp_pairs(self, spec, p):
         # 2100 spans 17 product blocks of 128 entries and 12 Newton steps
-        if spec.kind == "bipartite":
-            fast = coeff_fast(spec.l, spec.m, 2100, p)
-            slow = bipartition_counts(spec.l, spec.m, 2100, modulus=p)
-        else:
-            fast = regular_coeff_fast(spec.l, 2100, p)
-            slow = regular_counts(spec.l, 2100, modulus=p)
+        fast = coeff_fast(spec, 2100, p)
+        slow = dp_counts(spec, 2100, modulus=p)
         assert list(fast.values) == list(slow.values)
 
     def test_trivial_order(self):
-        assert list(coeff_fast(3, 7, 0, 7).values) == [1]
+        assert list(coeff_fast(B37, 0, 7).values) == [1]
 
     def test_block_boundaries(self):
         # straddle several block sizes to exercise the blocked products
-        fast = coeff_fast(3, 7, 3000, 7)
-        slow = bipartition_counts(3, 7, 3000, modulus=7)
+        fast = coeff_fast(B37, 3000, 7)
+        slow = dp_counts(B37, 3000, modulus=7)
         assert list(fast.values) == list(slow.values)
 
     def test_regular_fast_agrees(self):
-        fast = regular_coeff_fast(17, 1500, 17)
-        slow = regular_counts(17, 1500, modulus=17)
+        fast = coeff_fast(R17, 1500, 17)
+        slow = dp_counts(R17, 1500, modulus=17)
         assert list(fast.values) == list(slow.values)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17])
     def test_fast_matches_dp_at_block_edges(self, n):
         # 2^k - 1, 2^k and 2^k + 1 entries change the block length and count;
         # test_agrees_with_dp_pairs covers n = 2100 for every catalog stream
-        assert list(oracle._fast((3, 7), n, 7)) == list(oracle._dp((3, 7), n, 7))
-        assert list(oracle._fast((17,), n, 17)) == list(oracle._dp((17,), n, 17))
+        for spec, p in ((B37, 7), (R17, 17)):
+            assert list(coeff_fast(spec, n, p).values) == list(dp_counts(spec, n, p).values)
 
     @pytest.fixture(scope="class")
     def dp_1025(self):
-        streams = (((3, 7), 7), ((9, 5), 3), ((17,), 17), ((2, 8), 2**26 - 5))
-        return {(regs, p): oracle._dp(regs, 1025, p) for regs, p in streams}
+        streams = ((B37, 7), (SourceSpec("bipartite", 9, 5), 3), (R17, 17),
+                   (SourceSpec("bipartite", 2, 8), 2**26 - 5))
+        return {(spec, p): dp_counts(spec, 1025, p).values for spec, p in streams}
 
     # n = 2h - 2 and 2h - 1 share the half length h = ceil((n+1)/2); the
     # half-length products change block length where h - 1 or n - h crosses
@@ -339,20 +331,20 @@ class TestFastPath:
     @pytest.mark.parametrize("n", [62, 63, 64, 65, 126, 127, 128, 129, 130,
                                    254, 255, 256, 257, 258, 1022, 1023, 1024, 1025])
     def test_fast_matches_dp_next_to_the_half_length(self, n, dp_1025):
-        for (regs, p), counts in dp_1025.items():
-            assert list(oracle._fast(regs, n, p)) == counts[: n + 1], (regs, p)
+        for (spec, p), counts in dp_1025.items():
+            assert list(coeff_fast(spec, n, p).values) == counts[: n + 1], (spec, p)
 
     @pytest.mark.parametrize("p", [4, 9, 12, 1009, 2**26 - 5])
     @pytest.mark.parametrize("n", [0, 1, 9, 300])
     def test_fast_matches_dp_for_any_modulus(self, p, n):
         # composite moduli, a prime above n, and a modulus that needs two limbs
-        for regs in ((2, 8), (5,)):
-            assert list(oracle._fast(regs, n, p)) == list(oracle._dp(regs, n, p))
+        for spec in (SourceSpec("bipartite", 2, 8), SourceSpec("regular", 5)):
+            assert list(coeff_fast(spec, n, p).values) == list(dp_counts(spec, n, p).values)
 
     def test_tables_use_the_smallest_unsigned_dtype(self, tmp_path):
         for p, dtype in ((7, np.uint8), (256, np.uint8), (257, np.uint16),
                          (2**26 - 5, np.uint32)):
-            table = coeff_fast(3, 7, 50, p)
+            table = coeff_fast(B37, 50, p)
             assert table.values.dtype == dtype
             table.save(tmp_path / "t.qdct")
             # header, entries at the table's width, checksum
@@ -431,9 +423,6 @@ class TestSourceSpec:
             SourceSpec(*args)
 
 
-B37 = SourceSpec("bipartite", 3, 7)
-
-
 def _as_version_2(path):
     """Turn the cache file at ``path`` into a version-2 file, which had this
     layout (one byte per entry and a CRC32) and n_max in its name."""
@@ -445,22 +434,21 @@ def _as_version_2(path):
 
 class TestCache:
     def test_round_trip(self, tmp_path):
-        table = coeff_fast(3, 7, 500, 7)
+        table = coeff_fast(B37, 500, 7)
         path = tmp_path / B37.cache_name(7)
         table.save(path)
         loaded = CountTable.load(path)
-        assert loaded.kind == table.kind
-        assert (loaded.l, loaded.m, loaded.n_max, loaded.modulus) == (3, 7, 500, 7)
+        assert (loaded.source, loaded.n_max, loaded.modulus) == (B37, 500, 7)
         assert list(loaded.values) == list(table.values)
 
     def test_one_name_per_stream_and_modulus(self):
         assert B37.cache_name(7) == "bipartite-3-7-m7.qdct"
-        assert SourceSpec("regular", 17).cache_name(17) == "regular-17-0-m17.qdct"
+        assert R17.cache_name(17) == "regular-17-0-m17.qdct"
         names = {spec.cache_name(p) for spec, p in CATALOG_STREAMS}
         assert len(names) == len(CATALOG_STREAMS)
 
     def test_exact_tables_not_cacheable(self, tmp_path):
-        table = bipartition_counts(3, 7, 10)
+        table = dp_counts(B37, 10)
         with pytest.raises(ValueError):
             table.save(tmp_path / "t.qdct")
 
@@ -470,7 +458,7 @@ class TestCache:
         with pytest.raises(ValueError):
             CountTable.load(path)
         # a valid file whose kind code (bytes 8..16) is neither 0 nor 1
-        coeff_fast(3, 7, 50, 7).save(path)
+        coeff_fast(B37, 50, 7).save(path)
         data = bytearray(path.read_bytes())
         data[8] = 9
         path.write_bytes(bytes(data))
@@ -479,7 +467,7 @@ class TestCache:
 
     def test_entry_outside_modulus_rejected(self, tmp_path):
         path = tmp_path / "t.qdct"
-        coeff_fast(3, 7, 50, 7).save(path)
+        coeff_fast(B37, 50, 7).save(path)
         data = bytearray(path.read_bytes())
         data[48 + 20] = 7  # entry 20 of a mod-7 table, one byte per entry
         data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))  # a valid checksum
@@ -489,7 +477,7 @@ class TestCache:
 
     def test_changed_entry_is_a_miss(self, tmp_path):
         # an in-range residue that the header and the range check cannot catch
-        table = coeff_fast(3, 7, 50, 7)
+        table = coeff_fast(B37, 50, 7)
         path = tmp_path / B37.cache_name(7)
         table.save(path)
         data = bytearray(path.read_bytes())
@@ -503,7 +491,7 @@ class TestCache:
 
     def test_version_1_file_is_a_miss(self, tmp_path):
         # the old format: a version-1 magic, the same header, int64 entries
-        table = coeff_fast(3, 7, 50, 7)
+        table = coeff_fast(B37, 50, 7)
         path = tmp_path / B37.cache_name(7)
         path.write_bytes(b"QDCT\x01\x00\x00\x00" + struct.pack("<QQQQQ", 1, 3, 7, 50, 7)
                          + np.asarray(table.values, dtype="<i8").tobytes())
@@ -513,32 +501,43 @@ class TestCache:
         assert list(served.values) == list(table.values)
         assert path.read_bytes()[:8] == CountTable._MAGIC
 
+    def test_header_naming_no_valid_stream_is_a_miss(self, tmp_path):
+        # a checksummed version-3 file whose header reads regular 3 with m = 7
+        table = coeff_fast(B37, 50, 7)
+        path = tmp_path / B37.cache_name(7)
+        data = (CountTable._MAGIC + struct.pack("<QQQQQ", 0, 3, 7, 50, 7)
+                + np.asarray(table.values, dtype="<u1").tobytes())
+        path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+        with pytest.raises(ValueError, match="a source is regular L"):
+            CountTable.load(path)
+        served = oracle.tables({(B37, 7): 50}, tmp_path, 1)[B37, 7]
+        assert list(served.values) == list(table.values)
+        loaded = CountTable.load(path)
+        assert (loaded.source, list(loaded.values)) == (B37, list(table.values))
+
     @pytest.mark.parametrize("decoy", ["other-stream", "other-modulus", "other-kind",
                                        "too-short", "version-2"])
     def test_file_at_the_streams_name_is_a_miss_unless_it_matches(self, tmp_path, decoy):
         path = tmp_path / B37.cache_name(7)
-        if decoy == "other-kind":
-            values = regular_coeff_fast(3, 600, 7).values
-            CountTable("regular", 3, 7, 600, 7, values).save(path)
-        else:
-            l, m, n_max, p = {"other-stream": (3, 11, 600, 7), "other-modulus": (3, 7, 600, 11),
-                              "too-short": (3, 7, 499, 7)}.get(decoy, (3, 7, 600, 7))
-            coeff_fast(l, m, n_max, p).save(path)
+        spec, n_max, p = {"other-stream": (SourceSpec("bipartite", 3, 11), 600, 7),
+                          "other-modulus": (B37, 600, 11),
+                          "other-kind": (SourceSpec("regular", 3), 600, 7),
+                          "too-short": (B37, 499, 7)}.get(decoy, (B37, 600, 7))
+        coeff_fast(spec, n_max, p).save(path)
         if decoy == "version-2":
             _as_version_2(path)
         table = oracle.tables({(B37, 7): 500}, tmp_path, 1)[B37, 7]
-        want = coeff_fast(3, 7, 500, 7)
-        assert (table.kind, table.l, table.m, table.n_max, table.modulus) == (
-            "bipartite", 3, 7, 500, 7)
+        want = coeff_fast(B37, 500, 7)
+        assert (table.source, table.n_max, table.modulus) == (B37, 500, 7)
         assert list(table.values) == list(want.values)
         assert list(CountTable.load(path).values) == list(want.values)
         assert list(tmp_path.iterdir()) == [path]
 
     def test_matching_file_is_served_and_no_other_is_read(self, tmp_path, monkeypatch):
-        spec = SourceSpec("regular", 17)
-        saved = regular_coeff_fast(17, 400, 17)
+        spec = R17
+        saved = coeff_fast(R17, 400, 17)
         saved.save(tmp_path / spec.cache_name(17))
-        regular_coeff_fast(17, 900, 17).save(tmp_path / "regular-17-0-900-m17.qdct")
+        coeff_fast(R17, 900, 17).save(tmp_path / "regular-17-0-900-m17.qdct")
         before = sorted(tmp_path.iterdir())
         loads = []
         real_load = CountTable.load
@@ -551,7 +550,7 @@ class TestCache:
             raise AssertionError("the cached table should have been used")
 
         monkeypatch.setattr(CountTable, "load", classmethod(counting_load))
-        monkeypatch.setattr(oracle, "regular_coeff_fast", no_build)
+        monkeypatch.setattr(oracle, "coeff_fast", no_build)
         table = oracle.tables({(spec, 17): 300}, tmp_path, 1)[spec, 17]
         assert loads == [spec.cache_name(17)]
         assert table.n_max == 400 and list(table.values) == list(saved.values)
@@ -560,8 +559,8 @@ class TestCache:
     def test_saving_prunes_smaller_tables_of_the_same_stream(self, tmp_path):
         # a larger range replaces the stream's one file; files of this version
         # under other names, whatever they hold, stay
-        coeff_fast(3, 7, 50, 11).save(tmp_path / "other-modulus.qdct")
-        coeff_fast(3, 7, 50, 7).save(tmp_path / "bipartite-3-7-50-m7.qdct")
+        coeff_fast(B37, 50, 11).save(tmp_path / "other-modulus.qdct")
+        coeff_fast(B37, 50, 7).save(tmp_path / "bipartite-3-7-50-m7.qdct")
         (tmp_path / "junk.qdct").write_bytes(b"QDCT")
         decoys = sorted(tmp_path.iterdir())
         for order in (100, 300):
@@ -584,8 +583,8 @@ class TestCache:
         for path in [same_name] + stale + kept:
             path.write_bytes(v1)
         # version-2 files under the names that version gave them, n_max included
-        for name, table in [("bipartite-3-7-100-m7.qdct", coeff_fast(3, 7, 100, 7)),
-                            ("regular-17-0-300-m17.qdct", regular_coeff_fast(17, 300, 17))]:
+        for name, table in [("bipartite-3-7-100-m7.qdct", coeff_fast(B37, 100, 7)),
+                            ("regular-17-0-300-m17.qdct", coeff_fast(R17, 300, 17))]:
             table.save(cache_dir / name)
             _as_version_2(cache_dir / name)
             stale.append(cache_dir / name)
@@ -601,7 +600,7 @@ class TestCache:
         assert same_name.read_bytes()[:8] == CountTable._MAGIC
 
     def test_loading_prunes_nothing(self, tmp_path):
-        coeff_fast(3, 7, 100, 7).save(tmp_path / B37.cache_name(7))
+        coeff_fast(B37, 100, 7).save(tmp_path / B37.cache_name(7))
         (tmp_path / "old.qdct").write_bytes(b"QDCT\x01\x00\x00\x00" + bytes(40))
         before = sorted(tmp_path.iterdir())
         oracle.tables({(B37, 7): 100}, tmp_path, 1)
@@ -636,10 +635,7 @@ class TestPrefetch:
         assert files[1] == files[2]
         assert sorted(files[1]) == sorted(spec.cache_name(p) for spec, p in self.NEEDS)
         for (spec, p), order in self.NEEDS.items():
-            if spec.kind == "bipartite":
-                want = bipartition_counts(spec.l, spec.m, order, modulus=p)
-            else:
-                want = regular_counts(spec.l, order, modulus=p)
+            want = dp_counts(spec, order, modulus=p)
             assert tables[2][spec, p] == list(want.values), spec
 
     def test_cached_tables_are_loaded_on_the_calling_thread(self, tmp_path, monkeypatch):
@@ -656,7 +652,6 @@ class TestPrefetch:
 
         monkeypatch.setattr(CountTable, "load", classmethod(load))
         monkeypatch.setattr(oracle, "coeff_fast", no_build)
-        monkeypatch.setattr(oracle, "regular_coeff_fast", no_build)
         served = oracle.tables(self.NEEDS, tmp_path, 2)
         assert loads == [threading.get_ident()] * len(self.NEEDS)
         assert {key: t.n_max for key, t in served.items()} == self.NEEDS
@@ -666,10 +661,10 @@ class TestPrefetch:
         failing = SourceSpec("bipartite", 5, 13)
         real = oracle.coeff_fast
 
-        def flaky(l, m, n_max, p):
-            if (l, m) == (failing.l, failing.m):
+        def flaky(source, n_max, p):
+            if source == failing:
                 raise ArithmeticError("boom")
-            return real(l, m, n_max, p)
+            return real(source, n_max, p)
 
         monkeypatch.setattr(oracle, "coeff_fast", flaky)
         served = oracle.tables(self.NEEDS, tmp_path, jobs)
@@ -684,16 +679,13 @@ class TestPrefetch:
 
     def test_builds_run_longest_first(self, monkeypatch):
         started = []
-        real_b, real_r = oracle.coeff_fast, oracle.regular_coeff_fast
+        real = oracle.coeff_fast
 
-        def log(real):
-            def build(*args):
-                started.append(args[-2])  # n_max
-                return real(*args)
-            return build
+        def build(source, n_max, p):
+            started.append(n_max)
+            return real(source, n_max, p)
 
-        monkeypatch.setattr(oracle, "coeff_fast", log(real_b))
-        monkeypatch.setattr(oracle, "regular_coeff_fast", log(real_r))
+        monkeypatch.setattr(oracle, "coeff_fast", build)
         oracle.tables(self.NEEDS, None, 1)
         assert started == sorted(self.NEEDS.values(), reverse=True)
 
@@ -703,9 +695,7 @@ class TestPrefetch:
         # other workers write and sweep the same directory
         needs = {key: 120 + 31 * i for i, key in enumerate(CATALOG_STREAMS)}
         for i, ((spec, p), order) in enumerate(needs.items()):
-            build = coeff_fast if spec.kind == "bipartite" else regular_coeff_fast
-            args = (spec.l, spec.m) if spec.kind == "bipartite" else (spec.l,)
-            build(*args, order - 50, p).save(tmp_path / spec.cache_name(p))
+            coeff_fast(spec, order - 50, p).save(tmp_path / spec.cache_name(p))
             (tmp_path / f"stale-{i}.qdct").write_bytes(b"QDCT\x01\x00\x00\x00" + bytes(40))
         serial = oracle.tables(needs, None, 1)
         interval = sys.getswitchinterval()

@@ -11,16 +11,13 @@ from qdissect.qexpr import (
     Dilate,
     EtaF,
     Mul,
-    Phi,
     Pochhammer,
     Pow,
-    Psi,
     Q,
     Sum,
     Theta,
     cubic_u,
     cubic_v,
-    eta_quotient,
     eval_qexpr,
     parse_sexpr,
     rr_quotient,
@@ -55,10 +52,11 @@ class TestAtomEvaluation:
         assert got.coeffs == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1)
 
     def test_phi_squares(self):
-        assert eval_qexpr(Phi(1), EXACT, 9).coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
+        got = eval_qexpr(parse_sexpr("(phi 1)"), EXACT, 9)
+        assert got.coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
 
     def test_psi_triangular(self):
-        got = eval_qexpr(Psi(1), EXACT, 10)
+        got = eval_qexpr(parse_sexpr("(psi 1)"), EXACT, 10)
         assert got.coeffs == (1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1)
 
     def test_pochhammer_matches_brute_product(self):
@@ -99,8 +97,8 @@ class TestThetaCrossChecks:
 
     def test_phi_psi_euler_specializations(self):
         n = 50
-        assert theta_sum(Theta(1, 1, 1, 1), EXACT, n) == eval_qexpr(Phi(1), EXACT, n)
-        assert theta_sum(Theta(1, 1, 1, 3), EXACT, n) == eval_qexpr(Psi(1), EXACT, n)
+        for text, theta in (("(phi 1)", Theta(1, 1, 1, 1)), ("(psi 1)", Theta(1, 1, 1, 3))):
+            assert theta_sum(theta, EXACT, n) == eval_qexpr(parse_sexpr(text), EXACT, n)
         assert theta_sum(Theta(-1, 1, -1, 2), EXACT, n) == eval_qexpr(EtaF(1), EXACT, n)
 
 
@@ -170,8 +168,8 @@ class TestSerialization:
         ("(q 7)", Q(7)),
         ("(poch 5 25)", Pochhammer(5, 25)),
         ("(eta 12)", EtaF(12)),
-        ("(phi 2)", Phi(2)),
-        ("(psi 3)", Psi(3)),
+        ("(phi 2)", Theta(1, 2, 1, 2)),
+        ("(psi 3)", Theta(1, 3, 1, 9)),
         ("(theta -1 1 -1 2)", Theta(-1, 1, -1, 2)),
         ("(mul (eta 1) (pow (eta 5) -6) (q 2))", Mul((EtaF(1), Pow(EtaF(5), -6), Q(2)))),
         ("(sum (2 (eta 1)) (-11 (q 5)) (1 (pow S -5)))",
@@ -179,7 +177,10 @@ class TestSerialization:
         ("(dilate (mul (eta 2) (q 1)) 13)", Dilate(Mul((EtaF(2), Q(1))), 13)),
     ]
 
-    @pytest.mark.parametrize("text,expr", CASES, ids=[type(e).__name__ for _, e in CASES])
+    # phi and psi parse to Theta nodes; their cases keep the shorthands' names
+    IDS = [{"phi": "Phi", "psi": "Psi"}.get(t[1:4], type(e).__name__) for t, e in CASES]
+
+    @pytest.mark.parametrize("text,expr", CASES, ids=IDS)
     def test_round_trip(self, text, expr):
         assert parse_sexpr(text) == expr
 
@@ -195,16 +196,6 @@ class TestSerialization:
                     "(mul (eta 1)", "(sum (1 (eta 1))", "(sum", "(", "(mul " * 5000]:
             with pytest.raises(ValueError):
                 parse_sexpr(bad)
-
-    def test_eta_quotient_builder(self):
-        expr = eta_quotient({4: 6, 6: 3, 2: -9, 12: -2})
-        got = eval_qexpr(expr, EXACT, 50)
-        manual = eval_qexpr(
-            Mul((Pow(EtaF(2), -9), Pow(EtaF(4), 6), Pow(EtaF(6), 3), Pow(EtaF(12), -2))),
-            EXACT,
-            50,
-        )
-        assert got == manual
 
 
 @settings(derandomize=True, max_examples=25)
