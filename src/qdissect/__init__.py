@@ -52,7 +52,6 @@ from .oracle import (
     dp_counts,
 )
 from .identities import (
-    AssertStage,
     ChainReport,
     DilateBack,
     Extract,
@@ -60,8 +59,8 @@ from .identities import (
     IdentityReport,
     ProofChain,
     ReduceMod,
+    Stage,
     StageReport,
-    Substitute,
     VerificationError,
     replay,
     verify,

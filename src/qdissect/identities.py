@@ -2,9 +2,9 @@
 
 An :class:`IdentityCase` is a claimed equality between two expressions,
 checked coefficientwise to an explicit order (exactly, or in Z/M).  A
-:class:`ProofChain` mechanizes a derivation: starting from an expression, it
-applies extraction/relabel/reduction moves to a concrete series and compares
-the running value against each claimed stage.
+:class:`ProofChain` mechanizes a derivation as a sequence of stages: each
+:class:`Stage` applies its extraction/relabel/reduction moves to a concrete
+series and compares the running value with its claim.
 
 Chains follow two reporting rules.  A stage whose expectation is ``"record"``
 is allowed to mismatch: the outcome (pass, or first mismatching coefficient)
@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from . import series
 from .qexpr import QExpr, eval_qexpr
-from .series import EXACT, CoeffRing, PrecisionError
+from .series import CoeffRing, PrecisionError
 
 MIN_SURVIVING = 32  # fewest coefficients an asserted stage may be compared on
 
@@ -80,30 +80,28 @@ def verify(case: IdentityCase, order: Optional[int] = None) -> IdentityReport:
     n = case.default_order if order is None else order
     t0 = time.perf_counter()
     try:
-        ring = EXACT if case.modulus == 0 else CoeffRing(case.modulus)
+        ring = CoeffRing(case.modulus)
         a = eval_qexpr(case.lhs, ring, n)
         b = eval_qexpr(case.rhs, ring, n)
-        ok, idx = series.eq_to_order(a, b, n)
+        status, mismatch = _compare(a, b, n, case.expect)
     except Exception as exc:
         raise VerificationError(f"[case {case.id}] {type(exc).__name__}: {exc}") from exc
     ms = round((time.perf_counter() - t0) * 1000, 1)
-    if ok:
-        return IdentityReport(case.id, "pass", n, case.modulus, None, ms, case.note)
-    status = "erratum" if case.expect == "record" else "fail"
-    mismatch = Mismatch(idx, a[idx], b[idx])
     return IdentityReport(case.id, status, n, case.modulus, mismatch, ms, case.note)
+
+
+def _compare(a: series.Series, b: series.Series, order: int,
+             expect: str) -> tuple[str, Optional[Mismatch]]:
+    """``pass``, or the status that ``expect`` gives the first mismatch."""
+    ok, idx = series.eq_to_order(a, b, order)
+    if ok:
+        return "pass", None
+    return "erratum" if expect == "record" else "fail", Mismatch(idx, a[idx], b[idx])
 
 
 # ---------------------------------------------------------------------------
 # proof chains
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Substitute:
-    """Annotation step: the upcoming stage is justified by a catalog identity."""
-
-    identity_id: str
-
 
 @dataclass(frozen=True)
 class Extract:
@@ -126,36 +124,44 @@ class ReduceMod:
     modulus: int
 
 
+Move = Union[Extract, DilateBack, ReduceMod]
+
+
 @dataclass(frozen=True)
-class AssertStage:
-    """Compare the running series against a claimed stage expression."""
+class Stage:
+    """A claimed stage: the moves that lead to it from the previous stage (or
+    the start), the catalog identities it cites, and the claim."""
 
-    stage_id: str
+    id: str
     expr: QExpr
+    moves: tuple[Move, ...] = ()
+    justified_by: tuple[str, ...] = ()
     expect: str = "pass"  # "record" for erratum-candidate stages
-
-
-ProofStep = Union[Substitute, Extract, DilateBack, ReduceMod, AssertStage]
 
 
 @dataclass(frozen=True)
 class ProofChain:
-    """One replayable derivation segment.
+    """One replayable derivation segment: one or more stages, ids unique.
 
     ``modulus`` is the ring of the starting expression (0 = exact; a
-    :class:`ReduceMod` step may switch it mid-chain).  ``base_order`` is the
-    evaluation order; after every passing assertion the running series is
+    :class:`ReduceMod` move may switch it mid-chain).  ``base_order`` is the
+    evaluation order; after every stage, pass or not, the running series is
     re-evaluated from the claimed stage at full order, so precision is spent
-    only between consecutive assertions.
+    only between consecutive stages.
     """
 
     id: str
     section: str
     start: QExpr
-    steps: tuple[ProofStep, ...]
+    stages: tuple[Stage, ...]
     modulus: int = 0
     base_order: int = 512
     note: str = ""
+
+    def __post_init__(self) -> None:
+        ids = [stage.id for stage in self.stages]
+        if not ids or len(set(ids)) < len(ids):
+            raise ValueError(f"chain {self.id} needs one or more stages, ids unique; got {ids}")
 
 
 @dataclass(frozen=True)
@@ -184,68 +190,49 @@ class ChainReport:
 
 
 def replay(chain: ProofChain, order: Optional[int] = None) -> ChainReport:
-    """Execute a chain's steps on a concrete series and report every stage.
+    """Apply each stage's moves to a concrete series and report every stage.
 
-    Too few surviving coefficients is a :class:`PrecisionError`, any other
-    failure a :class:`VerificationError`; both name the chain and the stage
-    or step."""
+    Too few coefficients is a :class:`PrecisionError`, any other failure a
+    :class:`VerificationError`; both name the chain and its start, or the
+    stage and the move if a move failed."""
     n = chain.base_order if order is None else order
     t0 = time.perf_counter()
-    ring = EXACT if chain.modulus == 0 else CoeffRing(chain.modulus)
-    try:
-        current = eval_qexpr(chain.start, ring, n)
-    except Exception as exc:
-        raise VerificationError(
-            f"[chain {chain.id}] start: {type(exc).__name__}: {exc}") from exc
     lattice = 1  # current coordinate scale: q^lattice is the step
-    pending: list[str] = []
     stages: list[StageReport] = []
-
-    for i, step in enumerate(chain.steps, start=1):
-        try:
-            if isinstance(step, Substitute):
-                pending.append(step.identity_id)
-            elif isinstance(step, Extract):
-                r = step.r * lattice
-                lattice *= step.s
-                current = series.dilate(series.extract(current, r, lattice), lattice)
-            elif isinstance(step, DilateBack):
-                if lattice % step.s:
-                    raise ValueError(f"the lattice is {lattice}, not a multiple of {step.s}")
-                current = series.extract(current, 0, step.s)
-                lattice //= step.s
-            elif isinstance(step, ReduceMod):
-                current = series.reduce_mod(current, step.modulus)
-                ring = CoeffRing(step.modulus)
-            elif isinstance(step, AssertStage):
-                claimed = eval_qexpr(step.expr, ring, n)
-                compared = min(current.order, claimed.order)
-                surviving = compared // lattice + 1
-                if surviving < MIN_SURVIVING:
-                    raise PrecisionError(
-                        f"only {surviving} coefficients survive (need "
-                        f"{MIN_SURVIVING}); raise the base order")
-                ok, idx = series.eq_to_order(current, claimed, compared)
-                if ok:
-                    status, mismatch = "pass", None
+    where = f"[chain {chain.id}] start"
+    try:
+        current = eval_qexpr(chain.start, CoeffRing(chain.modulus), n)
+        for stage in chain.stages:
+            for move in stage.moves:
+                where = f"[chain {chain.id}] stage {stage.id}: {move}"
+                if isinstance(move, Extract):
+                    r = move.r * lattice
+                    lattice *= move.s
+                    current = series.dilate(series.extract(current, r, lattice), lattice)
+                elif isinstance(move, DilateBack):
+                    if lattice % move.s:
+                        raise ValueError(f"the lattice is {lattice}, not a multiple of {move.s}")
+                    current = series.extract(current, 0, move.s)
+                    lattice //= move.s
                 else:
-                    mismatch = Mismatch(idx, current[idx], claimed[idx])
-                    status = "erratum" if step.expect == "record" else "fail"
-                stages.append(
-                    StageReport(step.stage_id, status, surviving, tuple(pending), mismatch)
-                )
-                pending = []
-                # continue from the claimed stage at full order (re-inflate); on a
-                # mismatch this also localizes the discrepancy to one stage
-                current = claimed
-            else:  # pragma: no cover
-                raise TypeError(f"unknown proof step {step!r}")
-        except Exception as exc:
-            where = (f"[chain {chain.id}] stage {step.stage_id}" if isinstance(step, AssertStage)
-                     else f"[chain {chain.id}] step {i} {step}")
-            if isinstance(exc, PrecisionError):
-                raise PrecisionError(f"{where}: {exc}") from exc
-            raise VerificationError(f"{where}: {type(exc).__name__}: {exc}") from exc
+                    current = series.reduce_mod(current, move.modulus)
+            where = f"[chain {chain.id}] stage {stage.id}"
+            claimed = eval_qexpr(stage.expr, current.ring, n)
+            compared = min(current.order, claimed.order)
+            surviving = compared // lattice + 1
+            if surviving < MIN_SURVIVING:
+                raise PrecisionError(
+                    f"only {surviving} coefficients survive (need "
+                    f"{MIN_SURVIVING}); raise the base order")
+            status, mismatch = _compare(current, claimed, compared, stage.expect)
+            stages.append(StageReport(stage.id, status, surviving, stage.justified_by, mismatch))
+            # continue from the claimed stage at full order (re-inflate); on a
+            # mismatch this also localizes the discrepancy to one stage
+            current = claimed
+    except Exception as exc:
+        if isinstance(exc, PrecisionError):
+            raise PrecisionError(f"{where}: {exc}") from exc
+        raise VerificationError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
     ms = round((time.perf_counter() - t0) * 1000, 1)
     statuses = {stage.status for stage in stages}

@@ -25,7 +25,6 @@ field left out takes its default.  The README gives the full grammar.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from functools import lru_cache
 from importlib.resources import files
@@ -33,14 +32,12 @@ from typing import Optional, Sequence
 
 from .congruences import AffineIndex, CongruenceFamily, SourceSpec, Term
 from .identities import (
-    AssertStage,
     DilateBack,
     Extract,
     IdentityCase,
     ProofChain,
-    ProofStep,
     ReduceMod,
-    Substitute,
+    Stage,
 )
 from .qexpr import parse_sexpr
 
@@ -82,25 +79,24 @@ def registry() -> Registry:
 
 def parse_registry(text: str, taken: Optional[Registry] = None) -> Registry:
     """Entries from registry text (a record that names no section is in
-    section ``user``).  Every malformed line, or an id that repeats one of its
-    kind in ``taken`` or earlier in the text, is a ``ValueError`` naming the
-    line."""
+    section ``user``).  A malformed line, an id already defined in ``taken`` or
+    above, a ``sub`` that names no such identity, or a chain that does not end
+    in an ``assert`` is a ``ValueError`` naming the line."""
     taken = taken or Registry()
     seen = {"identity": {c.id for c in taken.cases},
             "chain": {c.id for c in taken.chains},
             "family": {f.id for f in taken.families}}
-    cases, families = [], []
-    chains: list[tuple[ProofChain, list[ProofStep]]] = []  # header, steps
-    steps: Optional[list[ProofStep]] = None  # those of the open chain record
+    cases, chains, families = [], [], []
+    chain: Optional[_ChainRecord] = None  # the open chain record
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             if "|" not in line:
-                if steps is None:
+                if chain is None:
                     raise ValueError("a chain step must follow a chain header or step")
-                steps.append(_read_step(line))
+                chain.read(line, seen["identity"])
                 continue
             fields = [f.strip() for f in line.split("|")]
             word, _, entry_id = fields[0].partition(" ")
@@ -109,18 +105,17 @@ def parse_registry(text: str, taken: Optional[Registry] = None) -> Registry:
             else:
                 word = "identity"
             _claim(word, fields[0], seen)
-            steps = None
+            chain = None
             if word == "identity":
                 cases.append(_read_case(fields))
             elif word == "chain":
-                steps = []
-                chains.append((_read_chain(fields), steps))
+                chain = _ChainRecord(lineno, fields)
+                chains.append(chain)
             else:
                 families.append(_read_family(fields))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return Registry(cases, [dataclasses.replace(head, steps=tuple(body))
-                            for head, body in chains], families)
+    return Registry(cases, [record.close() for record in chains], families)
 
 
 def _claim(kind: str, entry_id: str, seen: dict[str, set[str]]) -> None:
@@ -216,36 +211,53 @@ def _read_case(fields: list[str]) -> IdentityCase:
                         **_read_options(opts))
 
 
-def _read_chain(fields: list[str]) -> ProofChain:
-    pos, opts = _split(fields, _CHAIN_KEYS, "chain ID|MODE|ORDER|START")
-    chain_id, mode, order, start = pos
-    return ProofChain(id=chain_id, modulus=_mode(mode),
-                      base_order=_int(order, "base order", 1),
-                      start=parse_sexpr(start), steps=(), **_read_options(opts))
+class _ChainRecord:
+    """A chain record: its header's line and fields, its stages so far, and
+    the moves and citations that its next ``assert`` takes."""
 
+    def __init__(self, lineno: int, fields: list[str]):
+        pos, opts = _split(fields, _CHAIN_KEYS, "chain ID|MODE|ORDER|START")
+        chain_id, mode, order, start = pos
+        self.header = dict(id=chain_id, modulus=_mode(mode), start=parse_sexpr(start),
+                           base_order=_int(order, "base order", 1), **_read_options(opts))
+        self.lineno, self.stages, self.moves, self.cited = lineno, [], [], []
 
-def _read_step(line: str) -> ProofStep:
-    word, *args = line.split()
-    if word == "sub" and len(args) == 1:
-        return Substitute(args[0])
-    if word == "extract" and len(args) == 2:
-        s = _int(args[1], "extract step", 1)
-        r = _int(args[0], "extract residue", 0)
-        if r >= s:
-            raise ValueError(f"extract needs 0 <= R < S, got R={r} S={s}")
-        return Extract(r, s)
-    if word == "dilate" and len(args) == 1:
-        return DilateBack(_int(args[0], "dilate factor", 1))
-    if word == "reduce" and len(args) == 1:
-        return ReduceMod(_int(args[0], "reduce modulus", 2))
-    if word == "assert" and len(args) >= 2:
-        stage_id, expr = line.split(None, 2)[1:]
-        parts = expr.rsplit(None, 1)
-        if parts[1:] == ["record"]:
-            return AssertStage(stage_id, parse_sexpr(parts[0]), expect="record")
-        return AssertStage(stage_id, parse_sexpr(expr))
-    raise ValueError("a chain step is 'sub ID', 'extract R S', 'dilate S', "
-                     f"'reduce M' or 'assert ID EXPR [record]', got {line!r}")
+    def read(self, line: str, identities: set[str]) -> None:
+        """Take one step line; a ``sub`` may cite any of ``identities``."""
+        word, *args = line.split()
+        if word == "sub" and len(args) == 1:
+            if args[0] not in identities:
+                raise ValueError(f"sub {args[0]!r} names no identity")
+            self.cited.append(args[0])
+        elif word == "extract" and len(args) == 2:
+            s = _int(args[1], "extract step", 1)
+            r = _int(args[0], "extract residue", 0)
+            if r >= s:
+                raise ValueError(f"extract needs 0 <= R < S, got R={r} S={s}")
+            self.moves.append(Extract(r, s))
+        elif word == "dilate" and len(args) == 1:
+            self.moves.append(DilateBack(_int(args[0], "dilate factor", 1)))
+        elif word == "reduce" and len(args) == 1:
+            self.moves.append(ReduceMod(_int(args[0], "reduce modulus", 2)))
+        elif word == "assert" and len(args) >= 2:
+            stage_id, expr = line.split(None, 2)[1:]
+            if any(stage.id == stage_id for stage in self.stages):
+                raise ValueError(f"stage id {stage_id!r} is already defined in this chain")
+            parts = expr.rsplit(None, 1)
+            expr, expect = (parts[0], "record") if parts[1:] == ["record"] else (expr, "pass")
+            self.stages.append(Stage(stage_id, parse_sexpr(expr), tuple(self.moves),
+                                     tuple(self.cited), expect))
+            self.moves, self.cited = [], []
+        else:
+            raise ValueError("a chain step is 'sub ID', 'extract R S', 'dilate S', "
+                             f"'reduce M' or 'assert ID EXPR [record]', got {line!r}")
+
+    def close(self) -> ProofChain:
+        """The chain; a record that does not end in an ``assert`` is an error."""
+        if self.moves or self.cited or not self.stages:
+            raise ValueError(f"line {self.lineno}: chain {self.header['id']} "
+                             "must end in an 'assert' line")
+        return ProofChain(stages=tuple(self.stages), **self.header)
 
 
 def _read_source(text: str) -> SourceSpec:

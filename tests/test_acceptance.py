@@ -25,7 +25,7 @@ from qdissect.congruences import (
     seq_eval,
     verify_family,
 )
-from qdissect.identities import AssertStage, replay, verify
+from qdissect.identities import replay, verify
 from qdissect.qexpr import (
     EtaF,
     Mul,

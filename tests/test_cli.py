@@ -533,7 +533,12 @@ class TestRegistryFile:
          ("a|mod0|40|(eta 1)|(eta 1)\n", "line 1"),
          ("a|modx|40|(eta 1)|(eta 1)\n", "line 1"),
          ("a|exact|40|(eta 1)\n", "line 1"),
-         ("ok|exact|40|(eta 1)|(eta 1)\n0.2|exact|40|(eta 1)|(eta 1)\n", "line 2")],
+         ("ok|exact|40|(eta 1)|(eta 1)\n0.2|exact|40|(eta 1)|(eta 1)\n", "line 2"),
+         # chains that check nothing, or cite what is not there
+         ("# no stage\nchain c|exact|64|(eta 1)\n", "line 2"),
+         ("chain c|exact|64|(eta 1)\n  sub no-such-identity\n  assert st (eta 1)\n", "line 2"),
+         ("chain c|exact|64|(eta 1)\n  assert st (eta 1)\n  sub e2\n", "line 1"),
+         ("chain c|exact|64|(eta 1)\n  assert st (eta 1)\n  assert st (eta 1)\n", "line 3")],
     )
     def test_bad_registry_file_is_usage_error(self, runner, tmp_path, text, where):
         bad = tmp_path / "user.txt"
@@ -555,7 +560,8 @@ class TestRegistryFile:
         ("a|exact|10|(pow (const 2) -1)|(eta 1)\n", "[case a] NonUnitError"),
         ("chain a|exact|64|(eta 1)\n  assert st (pow (const 2) -1)\n",
          "[chain a] stage st: NonUnitError"),
-        ("chain a|exact|64|(eta 1)\n  dilate 2\n", "[chain a] step 1 DilateBack"),
+        ("chain a|exact|64|(eta 1)\n  dilate 2\n  assert st (eta 1)\n",
+         "[chain a] stage st: DilateBack(s=2): ValueError: the lattice is 1"),
         ("chain a|exact|40|(eta 1)\n  extract 1 2\n  assert st (eta 1)\n",
          "[chain a] stage st: only 20 coefficients survive"),
         ("family a|regular 17|mod17|1|(m - 1) / 2|zero\n",
@@ -612,3 +618,5 @@ class TestRegistryFile:
         result = runner.invoke(main, ["constants"])
         assert result.exit_code == 0
         assert "E:" in result.output and "ok" in result.output
+        assert "E/e: ok -- M^7 = [[3, 0], [0, 3]] mod 7" in result.output
+        assert result.output.count("for every m") == 4

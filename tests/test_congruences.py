@@ -63,6 +63,34 @@ class TestSequences:
     def test_consistency_checks_pass(self):
         for label, ok, detail in recurrence_consistency_checks():
             assert ok, (label, detail)
+            assert detail.endswith("for every m"), detail
+
+    @pytest.mark.parametrize("main,comp,step,p,const", [
+        ("E", "e", 7, 7, 3), ("A", "a", 6, 11, 2), ("C", "c", 3, 13, 8), ("D", "d", 9, 17, 8),
+    ])
+    def test_closure_holds_for_every_m(self, main, comp, step, p, const):
+        # M = [[alpha, beta], [1, 0]] and M^k = [[s_(k+1), c_(k+1)], [s_k, c_k]],
+        # so M^(step*m) = (C*I)^m = C^m * I, by products of 2x2 matrices mod p
+        def times(x, y):
+            return [[sum(x[i][k] * y[k][j] for k in range(2)) % p for j in range(2)]
+                    for i in range(2)]
+
+        s, c = SEQUENCES[main], SEQUENCES[comp]
+        assert (s.alpha, s.beta) == (c.alpha, c.beta)
+        power = [[1, 0], [0, 1]]
+        for _ in range(step):
+            power = times(power, [[s.alpha, s.beta], [1, 0]])
+        total = [[1, 0], [0, 1]]
+        for m in range(1, 6):
+            total = times(total, power)
+            want = pow(const, m, p)
+            assert total == [[want, 0], [0, want]], (main, m)
+            assert (seq_eval(s, step * m, p), seq_eval(c, step * m, p)) == (0, want)
+
+    def test_closure_fails_for_a_companion_off_the_recurrence(self, monkeypatch):
+        monkeypatch.setitem(SEQUENCES, "e", RecurrenceSeq("e", 6, 4, 1, 0))
+        checks = {label: ok for label, ok, _ in recurrence_consistency_checks()}
+        assert checks == {"E/e": False, "A/a": True, "C/c": True, "D/d": True}
 
 
 class TestIndexMaps:

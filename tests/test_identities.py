@@ -11,14 +11,11 @@ from hypothesis import given, settings, strategies as st
 from qdissect import identities
 from qdissect.congruences import CongruenceFamily
 from qdissect.identities import (
-    AssertStage,
-    DilateBack,
     Extract,
     IdentityCase,
     Mismatch,
     ProofChain,
-    ReduceMod,
-    Substitute,
+    Stage,
     VerificationError,
     replay,
     verify,
@@ -56,10 +53,10 @@ class TestCatalogShape:
     def test_chain_citations_name_catalog_identities(self, reg):
         ids = {c.id for c in reg.cases}
         cited = [
-            (chain.id, step.identity_id)
+            (chain.id, identity_id)
             for chain in reg.chains
-            for step in chain.steps
-            if isinstance(step, Substitute)
+            for stage in chain.stages
+            for identity_id in stage.justified_by
         ]
         assert cited
         assert [c for c in cited if c[1] not in ids] == []
@@ -70,19 +67,11 @@ class TestCatalogShape:
 
     def test_s3_stage_count(self, reg):
         stages = [
-            step.stage_id
+            stage.id
             for chain in (c for c in reg.chains if c.section == "s3")
-            for step in chain.steps
-            if isinstance(step, AssertStage)
+            for stage in chain.stages
         ]
         assert len(stages) >= 11
-
-    def test_substitutions_reference_known_cases(self, reg):
-        known = {c.id for c in reg.cases}
-        for chain in reg.chains:
-            for step in chain.steps:
-                if isinstance(step, Substitute):
-                    assert step.identity_id in known, (chain.id, step.identity_id)
 
 
 class TestVerify:
@@ -131,7 +120,7 @@ class TestVerify:
         with pytest.raises(VerificationError, match=r"^\[case coded\] CodedError") as info:
             verify(case)
         assert isinstance(info.value.__cause__, CodedError)
-        chain = ProofChain("coded-chain", "t", EtaF(1), (), base_order=5)
+        chain = ProofChain("coded-chain", "t", EtaF(1), (Stage("st", EtaF(1)),), base_order=5)
         with pytest.raises(VerificationError, match=r"^\[chain coded-chain\] start: ") as info:
             replay(chain)
         assert isinstance(info.value.__cause__, CodedError)
@@ -186,7 +175,7 @@ class TestCatalogOutcomes:
 class TestReplay:
     def test_zero_step_chain(self):
         chain = ProofChain(
-            "noop", "t", EtaF(1), (AssertStage("only", EtaF(1)),), base_order=64
+            "noop", "t", EtaF(1), (Stage("only", EtaF(1)),), base_order=64
         )
         rep = replay(chain)
         assert rep.status == rep.stages[0].status == "pass"
@@ -203,11 +192,7 @@ class TestReplay:
         chain = ProofChain(
             "lattice", "t",
             EtaF(1),
-            (
-                Extract(1, 2),
-                AssertStage("on-lattice", _even_part_of_f1_odd()),
-                DilateBack(2),
-            ),
+            (Stage("on-lattice", _even_part_of_f1_odd(), moves=(Extract(1, 2),)),),
             base_order=128,
         )
         rep = replay(chain)
@@ -223,8 +208,8 @@ class TestReplay:
             "local", "t",
             EtaF(1),
             (
-                AssertStage("wrong", EtaF(2)),
-                AssertStage("follows-claimed", EtaF(2)),
+                Stage("wrong", EtaF(2)),
+                Stage("follows-claimed", EtaF(2)),
             ),
             base_order=32,
         )
@@ -232,6 +217,13 @@ class TestReplay:
         assert rep.stages[0].status == "fail"
         assert rep.stages[1].status == "pass"
         assert rep.status == "fail"
+
+    def test_chain_needs_stages_with_distinct_ids(self):
+        # a chain that checks nothing, or names two stages alike, cannot be built
+        with pytest.raises(ValueError, match="chain empty needs one or more stages"):
+            ProofChain("empty", "t", EtaF(1), ())
+        with pytest.raises(ValueError, match="chain twice needs .*'a', 'a'"):
+            ProofChain("twice", "t", EtaF(1), (Stage("a", EtaF(1)), Stage("a", EtaF(2))))
 
     def test_reduce_mod_midchain(self):
         rep = replay(CHAINS["s8"])
@@ -261,13 +253,10 @@ class TestChainOutcomes:
         # restarting from an asserted stage reproduces the remaining stages
         chain = CHAINS["s3"]
         full = replay(chain)
-        steps = list(chain.steps)
-        idx = next(
-            i for i, s in enumerate(steps)
-            if isinstance(s, AssertStage) and s.stage_id == "w.6"
-        )
+        stages = chain.stages
+        idx = next(i for i, s in enumerate(stages) if s.id == "w.6")
         tail = ProofChain(
-            "s3-from-w6", "t", steps[idx].expr, tuple(steps[idx + 1 :]),
+            "s3-from-w6", "t", stages[idx].expr, stages[idx + 1 :],
             modulus=chain.modulus, base_order=chain.base_order,
         )
         partial = replay(tail)

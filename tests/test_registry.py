@@ -16,13 +16,12 @@ from qdissect.congruences import (
     build_families,
 )
 from qdissect.identities import (
-    AssertStage,
     DilateBack,
     Extract,
     IdentityCase,
     ProofChain,
     ReduceMod,
-    Substitute,
+    Stage,
 )
 from qdissect.qexpr import EtaF, Pow, rr_quotient
 from qdissect.registry import parse_registry, registry
@@ -47,8 +46,8 @@ class TestShippedCatalog:
         assert case.expect == "record"
         assert case.note.startswith("cubic continued-fraction entry")
         (chain,) = [c for c in reg.chains if c.id == "s7cor.odd"]
-        (stage,) = [s for s in chain.steps if isinstance(s, AssertStage)]
-        assert (stage.stage_id, stage.expect) == ("7.21", "record")
+        (stage,) = chain.stages
+        assert (stage.id, stage.expect) == ("7.21", "record")
         fams = {f.id: f for f in reg.families}
         assert fams["7.22"].relation == (
             Term(1, 5, AffineIndex("1", "0"), SourceSpec("regular", 17)),)
@@ -97,7 +96,7 @@ class TestRecords:
         (case,) = parse_registry(text).cases
         assert (case.section, case.expect, case.note) == ("s9", "record", "x = y; z")
 
-    def test_chain_record(self):
+    def test_chain_record(self, reg):
         text = """
 chain c|exact|64|(eta 1)|note=demo
   sub e2
@@ -107,14 +106,22 @@ chain c|exact|64|(eta 1)|note=demo
   assert st.1 (pow (eta 1) 2) record
   assert st.2 S
 """
-        (chain,) = parse_registry(text).chains
+        (chain,) = parse_registry(text, taken=reg).chains
         assert chain == ProofChain(
             "c", "user", EtaF(1),
-            (Substitute("e2"), Extract(1, 2), DilateBack(2), ReduceMod(11),
-             AssertStage("st.1", Pow(EtaF(1), 2), expect="record"),
-             AssertStage("st.2", rr_quotient())),
+            (Stage("st.1", Pow(EtaF(1), 2), (Extract(1, 2), DilateBack(2), ReduceMod(11)),
+                   ("e2",), expect="record"),
+             Stage("st.2", rr_quotient())),
             base_order=64, note="demo",
         )
+
+    def test_chain_cites_builtin_and_earlier_identities(self, reg):
+        # a stage may cite a built-in identity or one defined above it in the file
+        text = ("mine|mod17|40|(eta 17)|(pow (eta 1) 17)\n"
+                "chain c|mod17|1024|(mul (pow (eta 1) -1) (eta 17))\n"
+                "  sub k1@17\n  sub mine\n  assert st (pow (eta 1) 16)\n")
+        (chain,) = parse_registry(text, taken=reg).chains
+        assert [stage.justified_by for stage in chain.stages] == [("k1@17", "mine")]
 
     def test_family_record(self):
         text = ("family f|bipartite 81 17|mod17|81|50|recur 5|1|0|ref=regular 17"
@@ -133,7 +140,8 @@ chain c|exact|64|(eta 1)|note=demo
 
     def test_each_kind_has_its_own_ids(self, reg):
         # "s8" names a chain and a family; a new kind may reuse an id
-        text = "chain s8x|exact|64|(eta 1)\nfamily s8x|regular 17|mod17|1|0|zero\n"
+        text = ("chain s8x|exact|64|(eta 1)\n  assert st (eta 1)\n"
+                "family s8x|regular 17|mod17|1|0|zero\n")
         back = parse_registry(text, taken=reg)
         assert [c.id for c in back.chains] == [f.id for f in back.families] == ["s8x"]
 
@@ -148,6 +156,16 @@ chain c|exact|64|(eta 1)|note=demo
         ("chain c|exact|64\n", "chain ID|MODE|ORDER|START"),
         ("chain c|exact|64|(eta 1)|expect=record\n", "'expect=record' is not key=value"),
         ("chain c|exact|64|(eta 1)\nchain c|exact|64|(eta 1)\n", "chain id 'c'"),
+        # a chain must check something, and each step belongs to a stage
+        ("chain c|exact|64|(eta 1)\n", "chain c must end in an 'assert' line"),
+        ("chain c|exact|64|(eta 1)\n  assert st (eta 1)\n  dilate 2\n",
+         "chain c must end in an 'assert' line"),
+        ("k1@7|mod7|40|(eta 7)|(pow (eta 1) 7)\nchain c|exact|64|(eta 1)\n"
+         "  assert st (eta 1)\n  sub k1@7\n", "chain c must end in an 'assert' line"),
+        ("chain c|exact|64|(eta 1)\n  sub no-such-identity\n  assert st (eta 1)\n",
+         "sub 'no-such-identity' names no identity"),
+        ("chain c|exact|64|(eta 1)\n  assert st (eta 1)\n  assert st (eta 2)\n",
+         "stage id 'st' is already defined"),
         ("a b|exact|9|(eta 1)|(eta 1)\n", "contains whitespace"),
         ("a|exact|9|(eta 1)|(eta 1)|note=x|note=y\n", "is not key=value"),
         ("a|exact|9|(eta 1)|(eta 1)|expect=maybe\n", "expect must be"),
