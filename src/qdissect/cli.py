@@ -146,6 +146,10 @@ def _run_families(selected, n_max, cache_dir, blame, jobs) -> list[FamilyReport]
             key = (spec, fam.modulus)
             needs[key] = max(needs.get(key, 0), order)
     built = oracle.tables(needs, cache_dir, jobs)
+    for (spec, p), table in built.items():
+        if cache_dir and isinstance(table, OSError):  # of a build, only cache writes raise one
+            raise click.BadParameter(f"cannot save {Path(cache_dir) / spec.cache_name(p)}: "
+                                     f"{table.strerror or table}", param_hint="'--cache-dir'")
     reports = []
     for fam, streams in zip(selected, orders):
         with blame("family", fam.id):

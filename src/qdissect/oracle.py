@@ -36,10 +36,14 @@ identity of the catalog.
 Every product is a truncated product mod p (``_mulmod``), of which the
 caller may ask only the coefficients from ``lo`` on.  Residues are taken in
 balanced form, |x| <= p/2, and cut into blocks of a power-of-two length B, at
-most 32 over the n + 1 coefficients of the product.  A block is transformed
-by a float64 real FFT of length 2B.  Along each diagonal d the spectral
-products A_i * B_(d-i) are summed, one inverse transform follows, its outputs
-are rounded to integers, and its upper half is carried into block d + 1.
+most 32 over the n + 1 coefficients of the product and at least 1024 long, so
+a product of up to 1024 coefficients is one block: two forward transforms
+and one inverse.  That floor keeps Newton's early steps, and the whole of a
+small table, from cutting a few terms into 32 tiny blocks.  A block is
+transformed by a float64 real FFT of length 2B.  Along each diagonal d the
+spectral products A_i * B_(d-i) are summed, one inverse transform follows, its
+outputs are rounded to integers, and its upper half is carried into block
+d + 1.
 
   - Window: a block's spectrum is computed when the first diagonal that uses
     it is reached, and dropped after the last.
@@ -52,7 +56,15 @@ are rounded to integers, and its upper half is carried into block d + 1.
     other.  A pass then holds the spectra of about as many blocks as the
     product has output blocks, 16 bytes per output coefficient.  For the
     (3,7) table to 1,652,053 the division's traced peak (spectra, transforms
-    and arrays) is 23 MB, against 58 MB with the spectra of whole operands.
+    and arrays) is 23.1 MB, against 58 MB with the spectra of whole operands.
+  - Hand-off: the b_hi pass runs first, and at lo = 0 the b_lo pass starts
+    from the spectra of a's whole blocks that it still holds, so a block of
+    a is transformed once.  A block cut short by the b_hi pass's shorter
+    range has another spectrum, and is not handed on.  At lo > 0 the b_lo
+    pass starts with a full window of its own, and handed-on spectra would
+    wait beside it, so none are; D*y, the division's largest product, is
+    such a one.  The (3,7) table to 1,652,053 takes 1,610 transforms, where
+    3,922 without the floor and the hand-off.
 
 Exactness.  For a convolution of length L = 2^m computed in float64 (unit
 roundoff e = 2^-53) with roots of unity accurate to u, Percival (Math. Comp.
@@ -85,12 +97,14 @@ on disk.
 
 :func:`tables` builds the tables of a batch by that fast path on ``jobs``
 threads, the longest first; the FFTs and the large element-wise loops release
-the GIL, the sparse pentagonal products do not.  Given a directory, each
-(stream, modulus) has one ``*.qdct`` file there, named by
-:meth:`SourceSpec.cache_name`.  The file is served only if its CRC32 passes
-and its header names the same stream and modulus with a range that covers the
-order; anything else is a miss, and the table is built and saved over that
-name.  Saving deletes the directory's files of another format version.
+the GIL.  The sparse pentagonal products hold it for most of their time, in
+one small numpy call per tap of every factor after the first (the first
+factor's taps go in with one call).  Given a directory, each (stream, modulus)
+has one ``*.qdct`` file there, named by :meth:`SourceSpec.cache_name`.  The
+file is served only if its CRC32 passes and its header names the same stream
+and modulus with a range that covers the order; anything else is a miss, and
+the table is built and saved over that name.  Saving deletes the directory's
+files of another format version.
 """
 
 from __future__ import annotations
@@ -244,6 +258,7 @@ def dp_counts(source: SourceSpec, n_max: int, modulus: int = 0) -> CountTable:
 FAST_MOD_CAP = 1 << 26
 
 _BLOCKS = 32  # operands are cut into at most this many blocks per product
+_MIN_BLOCK = 1024  # ... each at least this long: a shorter product is one block
 _EPS = 2.0 ** -53  # unit roundoff of float64
 _GUARD = 0.25  # an FFT output this far from an integer is an ArithmeticError
 
@@ -273,9 +288,12 @@ def _pentagonal_product(scales: Sequence[int], n: int, p: int) -> np.ndarray:
     the sparse pentagonal series: each tap of the next factor adds a shifted
     copy of the nonzero entries so far, reduced mod p at once, so no array
     wider than the result is held."""
+    first, *rest = sorted(scales)  # one row per tap: the largest scale, with the fewest, last
     out = np.zeros(n + 1, dtype=np.min_scalar_type(p - 1))
     out[0] = 1
-    for s in sorted(scales):  # one row per tap: the largest scale, with the fewest, last
+    taps = np.array(_pentagonal_taps(n, first), dtype=np.int64).reshape(-1, 2)
+    out[taps[:, 0]] = taps[:, 1] % p  # the first factor's taps, in one step
+    for s in rest:
         idx = np.flatnonzero(out)
         val = out[idx].astype(np.int64)
         for g, sign in _pentagonal_taps(n, s):
@@ -331,20 +349,21 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _product_pass(a: np.ndarray, b: np.ndarray, p: int, lo: int, n: int,
-                  step: int, bits: Optional[int], out: np.ndarray) -> None:
-    """Add coefficients lo..n of a*b, mod p, into ``out[0 .. n - lo]``.
+                  step: int, bits: Optional[int], out: np.ndarray, sa: dict) -> dict:
+    """Add coefficients lo..n of a*b, mod p, into ``out[0 .. n - lo]``, and
+    return the spectra of a's blocks still held at the end.
 
     Diagonal d sums the spectral products of the blocks i of a and d - i of b,
     one inverse transform gives its exact integers, and its upper half is
     carried into block d + 1.  A block's spectra are computed at the first
-    diagonal that uses it and dropped after the last.  The first diagonal
-    computed is the one below lo's block, for its carry alone.
+    diagonal that uses it, unless ``sa`` holds those of a's already, and
+    dropped after the last.  The first diagonal computed is the one below lo's block, for
+    its carry alone.
     """
     na, nb = -(-len(a) // step), -(-len(b) // step)
     limbs = len(_limbs(np.zeros(1), p, bits))  # the same for every block
     weight = [pow(2, (bits or 0) * j, p) for j in range(2 * limbs - 1)]
     carry = [[np.zeros(step)] * limbs for _ in range(limbs)]
-    sa: dict[int, list] = {}
     sb: dict[int, list] = {}
 
     def window(spectra: dict, x: np.ndarray, used: range) -> None:
@@ -385,6 +404,7 @@ def _product_pass(a: np.ndarray, b: np.ndarray, p: int, lo: int, n: int,
         if first < stop:
             at = slice(first - lo, stop - lo)
             out[at] = _mod(out[at] + block[first - d * step : stop - d * step], p)
+    return sa
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0,
@@ -392,27 +412,32 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0,
     """Coefficients lo..n of the truncated product (a*b mod q^(n+1)) mod p of
     residue arrays.
 
-    Both operands are cut into blocks of a power of two length B, at most
-    ``_BLOCKS`` of them over n + 1 coefficients; each block is transformed at
-    length 2B, and the products along each diagonal are summed before one
-    inverse transform.  The shorter operand is split at a block boundary near
-    its middle, b = b_lo + q^k * b_hi, and the two halves are multiplied one
-    after the other, so that each pass holds the spectra of about as many
-    blocks as the product has output blocks.  ``bits`` overrides the limb
+    Both operands are cut into blocks of a power of two length B, at least
+    ``_MIN_BLOCK`` and at most ``_BLOCKS`` of them over n + 1 coefficients;
+    each block is transformed at length 2B, and the products along each
+    diagonal are summed before one inverse transform.  The shorter operand is
+    split at a block boundary near its middle, b = b_lo + q^k * b_hi, and the
+    two halves are multiplied one after the other, so that each pass holds the
+    spectra of about as many blocks as the product has output blocks.  At
+    lo = 0 the b_hi pass, run first, hands the spectra of a's whole blocks to
+    the b_lo pass (see the module docstring).  ``bits`` overrides the limb
     width the error bound chooses; 0 <= lo <= n.
     """
     a, b = a[: n + 1], b[: n + 1]
     if len(a) < len(b):
         a, b = b, a
-    step = 1 << (-(-(n + 1) // _BLOCKS) - 1).bit_length()
+    step = max(1 << (-(-(n + 1) // _BLOCKS) - 1).bit_length(), _MIN_BLOCK)
     if bits is None:
         bits = _limb_bits(p, n, 2 * step, -(-(n + 1) // step))
     out = np.zeros(n + 1 - lo, dtype=np.min_scalar_type(p - 1))
     k = step * (-(-len(b) // step) // 2)  # 0 when b is one block: no split
-    _product_pass(a, b[: k or None], p, lo, n, step, bits, out)
+    spectra = {}
     if k:
-        _product_pass(a[: n + 1 - k], b[k:], p, max(lo - k, 0), n - k, step, bits,
-                      out[max(k - lo, 0):])
+        spectra = _product_pass(a[: n + 1 - k], b[k:], p, max(lo - k, 0), n - k, step,
+                                bits, out[max(k - lo, 0):], {})
+        # a block cut short by a[: n + 1 - k] has another spectrum
+        spectra = {i: s for i, s in spectra.items() if lo == 0 and (i + 1) * step <= n + 1 - k}
+    _product_pass(a, b[: k or None], p, lo, n, step, bits, out, spectra)
     return out
 
 

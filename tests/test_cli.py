@@ -262,6 +262,26 @@ class TestUsageErrors:
         assert "'--cache-dir'" in result.output
         assert "kp2" not in result.output  # no check ran
 
+    @pytest.mark.parametrize("user", [False, True], ids=["catalog", "registry-file"])
+    def test_cache_file_that_cannot_be_saved(self, runner, tmp_path, user):
+        # a directory at the stream's file name: the table is built, its save
+        # fails, and the cache directory is blamed, not the registry file
+        name = oracle.SourceSpec("bipartite", 3, 7).cache_name(7)
+        (tmp_path / name).mkdir()
+        family, args = "w.11", []
+        if user:
+            line = next(l for l in cli.catalog_text().splitlines()
+                        if l.startswith("family w.11|"))
+            registry_file = tmp_path / "user.txt"
+            registry_file.write_text(line.replace("family w.11|", "family my-w.11|") + "\n")
+            family, args = "my-w.11", ["--registry-file", str(registry_file)]
+        result = runner.invoke(main, ["verify", "--family", family, "--n-max", "10",
+                                      "--cache-dir", str(tmp_path)] + args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "'--cache-dir'" in result.output
+        assert f"cannot save {tmp_path / name}: Is a directory" in result.output
+
 
 class TestVerifyChains:
     def test_stage_by_stage_report(self, runner):

@@ -8,6 +8,7 @@ import sys
 import threading
 import weakref
 import zlib
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ def _exact_mulmod(a, b, p, n):
 
 P26 = 2**26 - 5  # a modulus that needs two or three limbs
 MULMOD_MODULI = [2, 3, 17, 251, 65521, P26]
+
+
+@contextmanager
+def _without_block_floor():
+    """Products cut into blocks as short as 1 inside: n <= 2000 then spans up
+    to 32 blocks, as n + 1 = 32 * 1024 does with the shipped floor."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_MIN_BLOCK", 1)
+        yield
 
 
 def _residues(p, size, seed):
@@ -83,13 +93,24 @@ def _operands(draw):
     return a, b, p, n
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(case=_operands())
-def test_mulmod_matches_exact_convolution(case):
+def _check_mulmod(case):
     a, b, p, n = case
     got = oracle._mulmod(a, b, p, n)
     assert got.dtype == np.min_scalar_type(p - 1)
     assert list(got) == _exact_mulmod(a, b, p, n)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_operands())
+def test_mulmod_matches_exact_convolution(case):
+    _check_mulmod(case)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_operands())
+def test_mulmod_matches_exact_convolution_without_block_floor(case):
+    with _without_block_floor():
+        _check_mulmod(case)
 
 
 @st.composite
@@ -104,23 +125,30 @@ def _windows(draw):
     return operand(), operand(), p, n, draw(st.integers(min_value=0, max_value=n))
 
 
-# blocks are 2^j long, at most 32 of them over n + 1 coefficients: n + 1 at
-# 32 * 2^j and one either side, and lo at k = 0, k = n and next to block edges
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(case=_windows())
-@example(case=(_residues(2, 1, 0), _residues(2, 1, 1), 2, 0, 0))
-@example(case=(_residues(7, 64, 0), _residues(7, 64, 1), 7, 63, 0))
-@example(case=(_residues(7, 64, 0), _residues(7, 64, 1), 7, 63, 63))
-@example(case=(_residues(7, 65, 0), _residues(7, 33, 1), 7, 64, 64))
-@example(case=(_residues(17, 128, 0), _residues(17, 40, 1), 17, 127, 4))
-@example(case=(_residues(17, 129, 0), _residues(17, 129, 1), 17, 128, 7))
-@example(case=(_residues(17, 129, 0), _residues(17, 65, 1), 17, 128, 9))
-@example(case=(_residues(251, 1024, 0), _residues(251, 512, 1), 251, 1023, 512))
-@example(case=(_residues(3, 1025, 0), _residues(3, 513, 1), 3, 1024, 513))
-@example(case=(_residues(65521, 2001, 0), _residues(65521, 1001, 1), 65521, 2000, 1001))
-@example(case=(_residues(P26, 301, 0), _residues(P26, 150, 1), P26, 300, 300))
-@example(case=(_residues(P26, 2000, 0), _residues(P26, 2000, 1), P26, 1999, 0))
-def test_mulmod_from_lo_matches_exact_convolution(case):
+def _window_examples(test):
+    """Without the floor, blocks are 2^j long, at most 32 of them over n + 1
+    coefficients: n + 1 at 32 * 2^j and one either side, and lo at k = 0,
+    k = n and next to block edges.  With it, n + 1 = 1024 and 1025 are one
+    block and two."""
+    for case in [
+        (_residues(2, 1, 0), _residues(2, 1, 1), 2, 0, 0),
+        (_residues(7, 64, 0), _residues(7, 64, 1), 7, 63, 0),
+        (_residues(7, 64, 0), _residues(7, 64, 1), 7, 63, 63),
+        (_residues(7, 65, 0), _residues(7, 33, 1), 7, 64, 64),
+        (_residues(17, 128, 0), _residues(17, 40, 1), 17, 127, 4),
+        (_residues(17, 129, 0), _residues(17, 129, 1), 17, 128, 7),
+        (_residues(17, 129, 0), _residues(17, 65, 1), 17, 128, 9),
+        (_residues(251, 1024, 0), _residues(251, 512, 1), 251, 1023, 512),
+        (_residues(3, 1025, 0), _residues(3, 513, 1), 3, 1024, 513),
+        (_residues(65521, 2001, 0), _residues(65521, 1001, 1), 65521, 2000, 1001),
+        (_residues(P26, 301, 0), _residues(P26, 150, 1), P26, 300, 300),
+        (_residues(P26, 2000, 0), _residues(P26, 2000, 1), P26, 1999, 0),
+    ]:
+        test = example(case=case)(test)
+    return test
+
+
+def _check_mulmod_from_lo(case):
     # operands of unequal length, split into two passes and windowed
     a, b, p, n, k = case
     got = oracle._mulmod(a, b, p, n, lo=k)
@@ -128,11 +156,70 @@ def test_mulmod_from_lo_matches_exact_convolution(case):
     assert list(got) == _exact_mulmod(a, b, p, n)[k:]
 
 
-@pytest.mark.parametrize("len_a,len_b,lo", [(1024, 1024, 0), (2048, 1024, 1024)],
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(case=_windows())
+@_window_examples
+def test_mulmod_from_lo_matches_exact_convolution(case):
+    _check_mulmod_from_lo(case)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(case=_windows())
+@_window_examples
+def test_mulmod_from_lo_without_block_floor(case):
+    with _without_block_floor():
+        _check_mulmod_from_lo(case)
+
+
+@pytest.mark.parametrize("lo", [0, 5000])
+@pytest.mark.parametrize("p", [7, P26])
+def test_mulmod_past_32_blocks_of_the_floor(p, lo):
+    # n + 1 = 32 * 1024 + 1: 17 blocks of 2048
+    n = 32 * 1024
+    a, b = _residues(p, n + 1, 0), _residues(p, n + 1, 1)
+    assert list(oracle._mulmod(a, b, p, n, lo=lo)) == _exact_mulmod(a, b, p, n)[lo:]
+
+
+def _counting_transforms(monkeypatch):
+    """Count the calls of np.fft.rfft and irfft from now on."""
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def counted(*args, real=getattr(np.fft, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("n,lo", [(0, 0), (1, 1), (700, 0), (1023, 0), (1023, 500)])
+@pytest.mark.parametrize("p", [2, 7, 65521])
+def test_a_product_of_one_block_makes_three_transforms(monkeypatch, p, n, lo):
+    counts = _counting_transforms(monkeypatch)
+    a, b = _residues(p, n + 1, 0), _residues(p, n // 2 + 1, 1)
+    assert list(oracle._mulmod(a, b, p, n, lo=lo)) == _exact_mulmod(a, b, p, n)[lo:]
+    assert counts == {"rfft": 2, "irfft": 1}
+
+
+@pytest.mark.parametrize("floor", ["shipped", "none"])
+def test_a_split_product_from_zero_transforms_each_block_once(monkeypatch, floor):
+    # 32 blocks of each operand: the b_hi pass transforms a's first 16 blocks,
+    # and the b_lo pass starts from them
+    n = 32 * 1024 - 1 if floor == "shipped" else 2047
+    counts = _counting_transforms(monkeypatch)
+    a, b = _residues(7, n + 1, 0), _residues(7, n + 1, 1)
+    with _without_block_floor() if floor == "none" else nullcontext():
+        got = oracle._mulmod(a, b, 7, n)
+    assert list(got) == _exact_mulmod(a, b, 7, n)
+    assert counts["rfft"] == 32 + 32
+
+
+@pytest.mark.parametrize("len_a,len_b,lo", [(32 * 1024, 32 * 1024, 0),
+                                             (64 * 1024, 32 * 1024, 32 * 1024)],
                          ids=["truncated", "middle"])
 def test_products_hold_spectra_for_about_their_output(monkeypatch, len_a, len_b, lo):
-    # 32 blocks of 32 or 64 over n + 1: a pass holds the spectra of no more
-    # blocks than the product outputs, not of both whole operands
+    # 32 blocks of 1024 or 2048 over n + 1: a pass holds the spectra of no
+    # more blocks than the product outputs, not of both whole operands; at
+    # lo = 0 that counts the spectra handed from one pass to the other
     live, peak = [0], [0]
     real_rfft = np.fft.rfft
 
@@ -162,18 +249,36 @@ def _quotients(draw):
     return num, den, p
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(case=_quotients())
-@example(case=(np.array([5], np.uint8), np.array([1], np.uint8), 7))
-@example(case=(np.array([5, 3], np.uint8), np.array([1, 6], np.uint8), 7))
-@example(case=(np.array([5, 3, 0], np.uint32), np.array([1, 2**26 - 6, 9], np.uint32),
-               2**26 - 5))
-def test_divide_times_denominator_is_numerator(case):
+def _quotient_examples(test):
+    for case in [(np.array([5], np.uint8), np.array([1], np.uint8), 7),
+                 (np.array([5, 3], np.uint8), np.array([1, 6], np.uint8), 7),
+                 (np.array([5, 3, 0], np.uint32), np.array([1, 2**26 - 6, 9], np.uint32),
+                  2**26 - 5)]:
+        test = example(case=case)(test)
+    return test
+
+
+def _check_divide(case):
     num, den, p = case
     n = len(num) - 1
     w = oracle._divide(num, den, p)
     assert w.dtype == num.dtype and len(w) == n + 1
     assert _exact_mulmod(den, w, p, n) == [int(x) for x in num]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=_quotients())
+@_quotient_examples
+def test_divide_times_denominator_is_numerator(case):
+    _check_divide(case)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=_quotients())
+@_quotient_examples
+def test_divide_without_block_floor(case):
+    with _without_block_floor():
+        _check_divide(case)
 
 
 def _dense_pentagonal(n, scale):
@@ -293,7 +398,7 @@ class TestFastPath:
         pytest.param(spec, p, id=f"{spec.l}-{spec.m}-{p}") for spec, p in CATALOG_STREAMS
     ])
     def test_agrees_with_dp_pairs(self, spec, p):
-        # 2100 spans 17 product blocks of 128 entries and 12 Newton steps
+        # 2100 spans 3 product blocks of 1024 entries and 12 Newton steps
         fast = coeff_fast(spec, 2100, p)
         slow = dp_counts(spec, 2100, modulus=p)
         assert list(fast.values) == list(slow.values)
@@ -302,7 +407,7 @@ class TestFastPath:
         assert list(coeff_fast(B37, 0, 7).values) == [1]
 
     def test_block_boundaries(self):
-        # straddle several block sizes to exercise the blocked products
+        # straddle the floor's block length to exercise the blocked products
         fast = coeff_fast(B37, 3000, 7)
         slow = dp_counts(B37, 3000, modulus=7)
         assert list(fast.values) == list(slow.values)
@@ -314,7 +419,8 @@ class TestFastPath:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17])
     def test_fast_matches_dp_at_block_edges(self, n):
-        # 2^k - 1, 2^k and 2^k + 1 entries change the block length and count;
+        # 2^k - 1, 2^k and 2^k + 1 entries change the Newton steps (without
+        # the floor, the block length and count too);
         # test_agrees_with_dp_pairs covers n = 2100 for every catalog stream
         for spec, p in ((B37, 7), (R17, 17)):
             assert list(coeff_fast(spec, n, p).values) == list(dp_counts(spec, n, p).values)
@@ -325,14 +431,31 @@ class TestFastPath:
                    (SourceSpec("bipartite", 2, 8), 2**26 - 5))
         return {(spec, p): dp_counts(spec, 1025, p).values for spec, p in streams}
 
-    # n = 2h - 2 and 2h - 1 share the half length h = ceil((n+1)/2); the
-    # half-length products change block length where h - 1 or n - h crosses
-    # 32 * 2^k, and the full-length ones where n does
-    @pytest.mark.parametrize("n", [62, 63, 64, 65, 126, 127, 128, 129, 130,
-                                   254, 255, 256, 257, 258, 1022, 1023, 1024, 1025])
+    # n = 2h - 2 and 2h - 1 share the half length h = ceil((n+1)/2); without
+    # the floor, the half-length products change block length where h - 1 or
+    # n - h crosses 32 * 2^k, and the full-length ones where n does
+    HALF_LENGTH_N = [62, 63, 64, 65, 126, 127, 128, 129, 130,
+                     254, 255, 256, 257, 258, 1022, 1023, 1024, 1025]
+
+    @pytest.mark.parametrize("n", HALF_LENGTH_N)
     def test_fast_matches_dp_next_to_the_half_length(self, n, dp_1025):
         for (spec, p), counts in dp_1025.items():
             assert list(coeff_fast(spec, n, p).values) == counts[: n + 1], (spec, p)
+
+    @pytest.mark.parametrize("n", HALF_LENGTH_N)
+    def test_fast_matches_dp_next_to_the_half_length_without_block_floor(self, n, dp_1025):
+        with _without_block_floor():
+            self.test_fast_matches_dp_next_to_the_half_length(n, dp_1025)
+
+    # the DP cannot run this far: CRC32s of the tables as first built, at
+    # sizes whose products cross the floor's changes of block length
+    @pytest.mark.parametrize("spec,p,n,crc", [
+        (B37, 7, 131_071, 0xCA57A193),
+        (R17, 17, 131_071, 0xCECECB67),
+        (SourceSpec("bipartite", 2, 8), P26, 100_000, 0xDEB72B7A),
+    ], ids=["B37", "R17", "B28"])
+    def test_large_tables_keep_their_checksum(self, spec, p, n, crc):
+        assert zlib.crc32(coeff_fast(spec, n, p).values.tobytes()) == crc
 
     @pytest.mark.parametrize("p", [4, 9, 12, 1009, 2**26 - 5])
     @pytest.mark.parametrize("n", [0, 1, 9, 300])
