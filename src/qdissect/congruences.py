@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .oracle import CountTable, SourceSpec
+from .qexpr import _INT
 
 DESK_INDEX_CAP = 30_000_000  # largest coefficient index attempted by policy
 _POW_BITS_CAP = 4096  # an index expression's power may not exceed 2^4096
@@ -145,6 +146,10 @@ def _parse(text: str) -> ast.expr:
                 or isinstance(node, ast.Name) and node.id not in ("m", "k")):
             raise ValueError(f"index expression {text!r}: "
                              f"{ast.unparse(node) or type(node).__name__} is not allowed")
+    for node in ast.walk(tree):
+        digits = isinstance(node, ast.Constant) and ast.get_source_segment(text, node)
+        if digits and not _INT.fullmatch(digits):
+            raise ValueError(f"index expression {text!r}: {digits} is not allowed")
     return tree.body
 
 

@@ -16,10 +16,13 @@ The classical theta series phi(q^k) and psi(q^k), written ``(phi k)`` and
 ``(psi k)``, parse to ``Theta(1, k, 1, k)`` and ``Theta(1, k, 1, 3k)``.
 Composite nodes are ``Mul``, ``Pow``, ``Sum`` (integer-weighted terms) and
 ``Dilate`` (``q -> q^k``).
+The parser reads every head but the variadic ``mul`` and ``sum`` from one
+table, ``_HEADS``; ``README.md`` gives the grammar.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -166,25 +169,15 @@ _MEMO: dict[tuple[QExpr, CoeffRing, int], Series] = {}
 
 
 def _binomial_product(ring: CoeffRing, order: int, factors: Iterable[tuple[int, int]]) -> Series:
-    """Product of binomials ``(1 - s*q^d)`` for (d, s) pairs with d >= 1."""
+    """Product of binomials ``(1 - s*q^d)`` for (d, s) pairs with 0 <= d <= order."""
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     mod = ring.modulus
     for d, s in factors:
-        if d > order:
-            continue
         for n in range(order, d - 1, -1):
             v = coeffs[n] - s * coeffs[n - d]
             coeffs[n] = v % mod if mod else v
     return Series(ring, coeffs)
-
-
-def _poch_factors(a: int, m: int, sign: int, order: int):
-    """Binomial factors of ``prod_j (1 - sign*q^(a + j*m))`` up to the order."""
-    d = a
-    while d <= order:
-        yield d, sign
-        d += m
 
 
 def _pentagonal(ring: CoeffRing, order: int, k: int) -> Series:
@@ -213,16 +206,9 @@ def _eval_theta_product(node: Theta, ring: CoeffRing, order: int) -> Series:
     """
     period = node.ua + node.ub
     sab = node.sa * node.sb
-    factors = []
-    for start, s0 in ((node.ua, node.sa), (node.ub, node.sb)):
-        j = 0
-        while start + j * period <= order:
-            factors.append((start + j * period, -s0 * sab**j))
-            j += 1
-    j = 1
-    while j * period <= order:
-        factors.append((j * period, sab**j))
-        j += 1
+    factors = [(d, -s0 * sab**j) for start, s0 in ((node.ua, node.sa), (node.ub, node.sb))
+               for j, d in enumerate(range(start, order + 1, period))]
+    factors += [(d, sab**j) for j, d in enumerate(range(period, order + 1, period), 1)]
     return _binomial_product(ring, order, factors)
 
 
@@ -232,20 +218,14 @@ def theta_sum(node: Theta, ring: CoeffRing, order: int) -> Series:
     Independent of the product form; the two must agree (triple product).
     """
     coeffs = [0] * (order + 1)
-    n = 0
-    while True:
+    n, hit = 0, True
+    while hit:  # the terms of n and -n; a set, so that n = 0 counts once
         hit = False
-        for m in ((n, n * (n + 1) // 2, n * (n - 1) // 2),) if n == 0 else (
-            (n, n * (n + 1) // 2, n * (n - 1) // 2),
-            (-n, n * (n - 1) // 2, n * (n + 1) // 2),
-        ):
-            _, ta, tb = m
+        for ta, tb in {(n * (n + 1) // 2, n * (n - 1) // 2), (n * (n - 1) // 2, n * (n + 1) // 2)}:
             e = node.ua * ta + node.ub * tb
             if e <= order:
                 hit = True
                 coeffs[e] += node.sa**ta * node.sb**tb
-        if not hit and n > 0:
-            break
         n += 1
     return Series(ring, coeffs)
 
@@ -260,11 +240,11 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
         return cached
 
     if isinstance(expr, Const):
-        result = series.scalar_mul(expr.value, series.one(ring, order))
+        result = series.monomial(ring, order, 0, expr.value)
     elif isinstance(expr, Q):
         result = series.monomial(ring, order, expr.exponent)
     elif isinstance(expr, Pochhammer):
-        result = _binomial_product(ring, order, _poch_factors(expr.a, expr.m, 1, order))
+        result = _binomial_product(ring, order, ((d, 1) for d in range(expr.a, order + 1, expr.m)))
     elif isinstance(expr, EtaF):
         result = _pentagonal(ring, order, expr.k)
     elif isinstance(expr, Theta):
@@ -281,9 +261,7 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
             result = series.add(result, series.scalar_mul(c, eval_qexpr(t, ring, order)))
     elif isinstance(expr, Dilate):
         inner = eval_qexpr(expr.child, ring, order // expr.k)
-        dil = series.dilate(inner, expr.k)
-        coeffs = list(dil.coeffs) + [0] * (order - dil.order)
-        result = Series(ring, coeffs[: order + 1])
+        result = Series(ring, series._spread(inner.coeffs, expr.k, order))
     else:  # pragma: no cover
         raise TypeError(f"unknown QExpr node {type(expr).__name__}")
 
@@ -294,10 +272,24 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
 # ---------------------------------------------------------------------------
 # parsing the plain-text prefix notation
 # ---------------------------------------------------------------------------
-#
-# expr := (const INT) | (q INT) | (poch INT INT) | (eta INT) | (phi INT)
-#       | (psi INT) | (theta INT INT INT INT) | (mul expr+) | (pow expr INT)
-#       | (dilate expr INT) | (sum (INT expr)+) | S | S1 | u | v
+
+# head -> (node constructor, argument kinds in order: "i" integer, "e" expression)
+_HEADS = {
+    "const": (Const, "i"),
+    "q": (Q, "i"),
+    "poch": (Pochhammer, "ii"),
+    "eta": (EtaF, "i"),
+    # phi(q^k) = f(q^k, q^k) = (-q^k; q^2k)^2 (q^2k; q^2k)
+    "phi": (lambda k: Theta(1, k, 1, k), "i"),
+    # psi(q^k) = f(q^k, q^3k) = (-q^k; q^4k)(-q^3k; q^4k)(q^4k; q^4k)
+    "psi": (lambda k: Theta(1, k, 1, 3 * k), "i"),
+    "theta": (Theta, "iiii"),
+    "pow": (Pow, "ei"),
+    "dilate": (Dilate, "ei"),
+}
+
+# An integer anywhere in the text format: no "+3", "1_0" or non-ASCII digits
+_INT = re.compile(r"-?[0-9]+")
 
 _NAMED = {"S": rr_quotient(), "S1": rr_quotient_13(), "u": cubic_u(), "v": cubic_v()}
 
@@ -307,7 +299,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_sexpr(text: str) -> QExpr:
-    """Parse an expression in the prefix notation above.
+    """Parse an expression in the prefix notation of ``README.md``.
 
     The shorthand atoms ``S``, ``S1``, ``u``, ``v`` expand to the named
     composite quotients.
@@ -331,10 +323,9 @@ def parse_sexpr(text: str) -> QExpr:
 
     def parse_int() -> int:
         tok = next_tok()
-        try:
-            return int(tok)
-        except ValueError:
+        if not _INT.fullmatch(tok):
             fail(f"expected integer, got {tok!r}")
+        return int(tok)
 
     def parse_expr() -> QExpr:
         nonlocal pos
@@ -344,35 +335,14 @@ def parse_sexpr(text: str) -> QExpr:
                 return _NAMED[tok]
             fail(f"expected '(' or named atom, got {tok!r}")
         head = next_tok()
-        if head == "const":
-            node: QExpr = Const(parse_int())
-        elif head == "q":
-            node = Q(parse_int())
-        elif head == "poch":
-            node = Pochhammer(parse_int(), parse_int())
-        elif head == "eta":
-            node = EtaF(parse_int())
-        elif head == "phi":
-            # phi(q^k) = f(q^k, q^k) = (-q^k; q^2k)^2 (q^2k; q^2k)
-            k = parse_int()
-            node = Theta(1, k, 1, k)
-        elif head == "psi":
-            # psi(q^k) = f(q^k, q^3k) = (-q^k; q^4k)(-q^3k; q^4k)(q^4k; q^4k)
-            k = parse_int()
-            node = Theta(1, k, 1, 3 * k)
-        elif head == "theta":
-            node = Theta(parse_int(), parse_int(), parse_int(), parse_int())
+        if head in _HEADS:
+            make, kinds = _HEADS[head]
+            node: QExpr = make(*[parse_int() if kind == "i" else parse_expr() for kind in kinds])
         elif head == "mul":
             factors = []
             while peek() != ")":
                 factors.append(parse_expr())
             node = Mul(tuple(factors))
-        elif head == "pow":
-            base = parse_expr()
-            node = Pow(base, parse_int())
-        elif head == "dilate":
-            child = parse_expr()
-            node = Dilate(child, parse_int())
         elif head == "sum":
             terms = []
             while peek() != ")":

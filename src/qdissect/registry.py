@@ -25,7 +25,6 @@ field left out takes its default.  The README gives the full grammar.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from importlib.resources import files
 from typing import Optional, Sequence
@@ -39,7 +38,7 @@ from .identities import (
     ReduceMod,
     Stage,
 )
-from .qexpr import parse_sexpr
+from .qexpr import _INT, parse_sexpr
 
 
 class Registry:
@@ -146,7 +145,7 @@ def _split(fields: list[str], keys: tuple[str, ...],
 
 
 def _int(text: str, what: str, least: Optional[int] = None) -> int:
-    if not re.fullmatch(r"-?[0-9]+", text):
+    if not _INT.fullmatch(text):
         raise ValueError(f"{what} must be an integer, got {text!r}")
     value = int(text)
     if least is not None and value < least:
@@ -157,7 +156,7 @@ def _int(text: str, what: str, least: Optional[int] = None) -> int:
 def _mode(text: str, exact: bool = True) -> int:
     if exact and text == "exact":
         return 0
-    if text.startswith("mod") and text[3:].isdecimal() and int(text[3:]) >= 2:
+    if text.startswith("mod") and _INT.fullmatch(text[3:]) and int(text[3:]) >= 2:
         return int(text[3:])
     allowed = "'exact' or 'modM'" if exact else "'modM'"
     raise ValueError(f"mode must be {allowed} with M >= 2, got {text!r}")

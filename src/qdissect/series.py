@@ -165,9 +165,7 @@ def zero(ring: CoeffRing, order: int) -> Series:
 
 
 def one(ring: CoeffRing, order: int) -> Series:
-    c = [0] * (order + 1)
-    c[0] = 1
-    return Series(ring, c)
+    return monomial(ring, order, 0)
 
 
 def monomial(ring: CoeffRing, order: int, exponent: int, coeff: int = 1) -> Series:
@@ -498,10 +496,7 @@ def dilate(a: Series, k: int) -> Series:
     """Replace ``q`` by ``q^k``; result order is ``a.order * k``."""
     if k <= 0:
         raise ValueError("dilation factor must be positive")
-    out = [0] * (a.order * k + 1)
-    for i, c in enumerate(a._coeffs):
-        out[i * k] = c
-    return Series(a.ring, out)
+    return Series(a.ring, _spread(a._coeffs, k, a.order * k))
 
 
 def extract(a: Series, r: int, s: int) -> Series:

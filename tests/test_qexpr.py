@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdissect import series
+from qdissect import qexpr, series
 from qdissect.qexpr import (
     Const,
     Dilate,
@@ -193,9 +196,18 @@ class TestSerialization:
 
     def test_parse_errors(self):
         for bad in ["", "(mul)", "(q x)", "(pow (eta 1))", "(eta 1) junk", "(what 1)",
-                    "(mul (eta 1)", "(sum (1 (eta 1))", "(sum", "(", "(mul " * 5000]:
+                    "(mul (eta 1)", "(sum (1 (eta 1))", "(sum", "(", "(mul " * 5000,
+                    "(eta 1_0)", "(eta +3)", "(eta \u0663)", "(q \uff15)"]:
             with pytest.raises(ValueError):
                 parse_sexpr(bad)
+
+    def test_readme_grammar_names_the_parser_heads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (grammar,) = re.findall(r"^expr := (.*?)\n```", readme, re.M | re.S)
+        alternatives = [alt.strip() for alt in grammar.split("|")]
+        heads = {alt[1:].split()[0] for alt in alternatives if alt.startswith("(")}
+        assert heads == set(qexpr._HEADS) | {"mul", "sum"}
+        assert {alt for alt in alternatives if not alt.startswith("(")} == set(qexpr._NAMED)
 
 
 @settings(derandomize=True, max_examples=25)

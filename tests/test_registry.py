@@ -145,7 +145,20 @@ chain c|exact|64|(eta 1)|note=demo
         back = parse_registry(text, taken=reg)
         assert [c.id for c in back.chains] == [f.id for f in back.families] == ["s8x"]
 
+    # one rule for an integer, -?[0-9]+, in expressions, modes, fields and indices
+    INTEGER_FORMS = [
+        ("a|exact|9|(eta 1_0)|(eta 10)\n", "expected integer, got '1_0'"),
+        ("a|exact|9|(eta +3)|(eta 3)\n", "expected integer, got '+3'"),
+        ("a|exact|9|(eta \u0663)|(eta 3)\n", "expected integer, got '\u0663'"),
+        ("a|exact|9|(q \uff15)|(q 5)\n", "expected integer, got '\uff15'"),
+        ("a|mod\u0667|40|(eta 7)|(pow (eta 1) 7)\n", "mode must be 'exact' or 'modM'"),
+        ("a|exact|4\u0660|(eta 1)|(eta 1)\n", "order must be an integer"),
+        ("family f|regular 17|mod17|0x10|0|zero\n", "0x10 is not allowed"),
+        ("family f|regular 17|mod17|1|1_0|zero\n", "1_0 is not allowed"),
+    ]
+
     @pytest.mark.parametrize("text,message", [
+        *INTEGER_FORMS,
         ("  sub e2\n", "must follow a chain header"),
         ("a|exact|9|(eta 1)|(eta 1)\n  sub e2\n", "must follow a chain header"),
         ("chain c|exact|64|(eta 1)\n  extract 2 2\n", "0 <= R < S"),
@@ -182,3 +195,9 @@ chain c|exact|64|(eta 1)|note=demo
     def test_bad_record_names_its_line(self, text, message):
         with pytest.raises(ValueError, match=r"^line [0-9]+: .*" + re.escape(message)):
             parse_registry(text)
+
+    @pytest.mark.parametrize("text,message", INTEGER_FORMS)
+    def test_bad_integer_names_its_line(self, text, message):
+        good = "ok|exact|9|(eta 1)|(eta 1)\n"
+        with pytest.raises(ValueError, match=r"^line 2: .*" + re.escape(message)):
+            parse_registry(good + text)
