@@ -327,14 +327,16 @@ def cmd_export_registry(output) -> None:
 
 @main.command("constants")
 def cmd_constants() -> None:
-    """Print the recurrence-constant checks used by the induction steps."""
+    """Print the induction steps' recurrence-constant checks; exit 1 if one fails."""
     rows = []
     for name, seq in congruences.SEQUENCES.items():
         rows.append(f"{name}: s(k+1) = {seq.alpha} s(k) + {seq.beta} s(k-1), "
                     f"s0={seq.s0}, s1={seq.s1}")
-    for label, ok, detail in recurrence_consistency_checks():
+    checks = recurrence_consistency_checks()
+    for label, ok, detail in checks:
         rows.append(f"{label}: {'ok' if ok else 'FAIL'} -- {detail}")
     click.echo("\n".join(rows))
+    sys.exit(0 if all(ok for _, ok, _ in checks) else 1)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,11 +4,11 @@ A :class:`CongruenceFamily` states that, on an affine progression of indices,
 a coefficient stream is congruent to a sum of weighted reads: each
 :class:`Term` is ``coeff * base^m`` times the coefficient at another index of
 the same or another stream.  No terms states that the stream vanishes.
-Verification walks the progression against one oracle table per stream read
-and reports every violation; instances whose largest index exceeds the
-desk-scale cap (or a supplied table) are reported as skipped, never silently
-dropped.  The catalog's families are records of the registry text format (see
-:mod:`qdissect.registry`); :func:`build_families` returns them.
+Verification walks the progression against one oracle table per stream read,
+each covering :func:`required_order`, and reports every violation; instances
+whose largest index exceeds the desk-scale cap are reported as skipped, never
+silently dropped.  The catalog's families are records of the registry text
+format (see :mod:`qdissect.registry`); :func:`build_families` returns them.
 
 The closed-form constants of the lemma combinations live in order-2 integer
 recurrences (``s_{k+1} = alpha*s_k + beta*s_{k-1}``); their initial values
@@ -99,8 +99,9 @@ def recurrence_consistency_checks() -> list[tuple[str, bool, str]]:
         power = [[seq_eval(s, k, p), seq_eval(c, k, p)] for k in (step + 1, step)]
         ok = ((s.alpha, s.beta, s.s0, s.s1, c.s0, c.s1) == (c.alpha, c.beta, 0, 1, 1, 0)
               and power == [[const % p, 0], [0, const % p]])
-        results.append((label, ok, f"M^{step} = {power} mod {p}, want {const}*I: then "
-                        f"{main}({step}m) = 0 and {comp}({step}m) = {const}^m for every m"))
+        then = (f": then {main}({step}m) = 0 and {comp}({step}m) = {const}^m for every m"
+                if ok else "")  # a failed check proves nothing
+        results.append((label, ok, f"M^{step} = {power} mod {p}, want {const}*I{then}"))
     return results
 
 
@@ -225,8 +226,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class Skip:
-    """An instance left unchecked, and the smallest index it would read that
-    no table (or the desk-scale cap) covers."""
+    """An instance left unchecked, and the smallest index it would read above
+    the desk-scale cap."""
 
     params: dict[str, int]  # {"m": m, "k": k}
     reason: str
@@ -275,29 +276,29 @@ def _instance_maps(family: CongruenceFamily, m: int, k: int) -> _Reads:
     return reads
 
 
-def _top(reads: _Reads, n: int) -> int:
-    return max((scale * n + offset for _, scale, offset in reads), default=0)
+def _instances(family: CongruenceFamily, n_top: int):
+    """``(params, reads, top)`` of every (m, k) instance: its reads and the
+    largest index they reach at an n <= n_top."""
+    for m in family.m_values:
+        for k in family.k_values:
+            reads = _instance_maps(family, m, k)
+            yield {"m": m, "k": k}, reads, max(s * n_top + o for _, s, o in reads)
 
 
-def _first_uncovered(reads: _Reads, n_top: int, limit: int) -> int:
-    """Smallest index above ``limit`` that some map reads at an n <= n_top."""
-    return min(
-        (offset if offset > limit else scale * ((limit - offset) // scale + 1) + offset
-         for _, scale, offset in reads if scale * n_top + offset > limit),
-        default=limit + 1,
-    )
+def _first_uncovered(reads: _Reads, n_top: int) -> int:
+    """Smallest index above ``DESK_INDEX_CAP`` that some map reads at an n <= n_top."""
+    cap = DESK_INDEX_CAP
+    return min(offset if offset > cap else scale * ((cap - offset) // scale + 1) + offset
+               for _, scale, offset in reads if scale * n_top + offset > cap)
 
 
 def required_order(family: CongruenceFamily,
                    n_max: Optional[int] = None) -> dict[SourceSpec, int]:
-    """Largest table index each stream needs, over the non-skipped instances."""
+    """Largest index of each stream read by the instances within the desk cap."""
     n = family.default_n_max if n_max is None else n_max
     needs: dict[SourceSpec, int] = {}
-    for m in family.m_values:
-        for k in family.k_values:
-            reads = _instance_maps(family, m, k)
-            if _top(reads, n) > DESK_INDEX_CAP:
-                continue
+    for _, reads, top in _instances(family, n):
+        if top <= DESK_INDEX_CAP:
             for spec, scale, offset in reads:
                 needs[spec] = max(needs.get(spec, 0), scale * n + offset)
     return needs
@@ -310,49 +311,44 @@ def verify_family(
 ) -> FamilyReport:
     """Check every (m, k, n) instance of the family against oracle tables.
 
-    ``tables`` holds a table for each stream an instance reads: modular with
-    the family's modulus, or exact (reduced on the fly).  Instances whose
-    largest index exceeds ``DESK_INDEX_CAP`` or a stream's table (a missing
-    table covers no index) are reported in ``skipped`` with the smallest
-    uncovered index.  A violated ``expect="record"`` family is an erratum.
+    ``tables`` must cover :func:`required_order` (a ``ValueError`` names the
+    first stream it does not), each modular with the family's modulus or exact
+    (reduced on the fly).  Instances whose largest index exceeds
+    ``DESK_INDEX_CAP`` are reported in ``skipped`` with the smallest index
+    above the cap.  A violated ``expect="record"`` family is an erratum.
     """
     t0 = time.perf_counter()
     n_top = family.default_n_max if n_max is None else n_max
     p = family.modulus
+    for spec, order in required_order(family, n_top).items():
+        table = tables.get(spec)
+        if table is None or table.n_max < order:
+            covers = "none" if table is None else f"only 0..{table.n_max}"
+            raise ValueError(f"[family {family.id}] reads {spec.describe()} to index "
+                             f"{order}; the table given covers {covers}")
 
     violations: list[Violation] = []
     tested: list[dict[str, int]] = []
     skipped: list[Skip] = []
     max_index: Optional[int] = None
 
-    for m in family.m_values:
-        for k in family.k_values:
-            params = {"m": m, "k": k}
-            reads = _instance_maps(family, m, k)
-            top = _top(reads, n_top)
-            if top > DESK_INDEX_CAP:
-                skipped.append(Skip(params, "index exceeds desk scale",
-                                    _first_uncovered(reads, n_top, DESK_INDEX_CAP)))
-                continue
-            short = _short_stream(reads, tables, n_top)
-            if short:
-                spec, mine, limit = short
-                reason = ("source table too small" if spec == family.source
-                          else "reference table too small")
-                skipped.append(Skip(params, reason, _first_uncovered(mine, n_top, limit)))
-                continue
-            tested.append(params)
-            max_index = max(max_index or 0, top)
-            (_, scale, offset), *refs = reads
-            source = tables[family.source]
-            terms = [(t.coeff * pow(t.base, m, p), tables[spec], s, o)
-                     for t, (spec, s, o) in zip(family.relation, refs)]
-            for n in range(n_top + 1):
-                idx = scale * n + offset
-                got = source[idx] % p
-                expected = sum(w * table[s * n + o] for w, table, s, o in terms) % p
-                if got != expected:
-                    violations.append(Violation(params, n, idx, got, expected))
+    for params, reads, top in _instances(family, n_top):
+        if top > DESK_INDEX_CAP:
+            skipped.append(Skip(params, "index exceeds desk scale",
+                                _first_uncovered(reads, n_top)))
+            continue
+        tested.append(params)
+        max_index = max(max_index or 0, top)
+        (_, scale, offset), *refs = reads
+        source = tables[family.source]
+        terms = [(t.coeff * pow(t.base, params["m"], p), tables[spec], s, o)
+                 for t, (spec, s, o) in zip(family.relation, refs)]
+        for n in range(n_top + 1):
+            idx = scale * n + offset
+            got = source[idx] % p
+            expected = sum(w * table[s * n + o] for w, table, s, o in terms) % p
+            if got != expected:
+                violations.append(Violation(params, n, idx, got, expected))
 
     if violations:
         status = "erratum" if family.expect == "record" else "fail"
@@ -364,19 +360,6 @@ def verify_family(
     return FamilyReport(family.id, status, p, n_top, tuple(tested), tuple(violations),
                         len(violations), tuple(skipped), desc, family.index.formula,
                         max_index, ms, family.note)
-
-
-def _short_stream(reads: _Reads, tables: Mapping[SourceSpec, CountTable], n_top: int):
-    """The first stream, in read order, whose table misses an index the
-    instance reads: that stream, its reads and the last index its table covers
-    (-1 for a missing table); None when every table covers the instance."""
-    for spec in dict.fromkeys(spec for spec, _, _ in reads):
-        table = tables.get(spec)
-        limit = -1 if table is None else table.n_max
-        mine = [read for read in reads if read[0] == spec]
-        if _top(mine, n_top) > limit:
-            return spec, mine, limit
-    return None
 
 
 def build_families() -> list[CongruenceFamily]:

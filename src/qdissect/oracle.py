@@ -407,8 +407,7 @@ def _product_pass(a: np.ndarray, b: np.ndarray, p: int, lo: int, n: int,
     return sa
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0,
-            bits: Optional[int] = None) -> np.ndarray:
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0) -> np.ndarray:
     """Coefficients lo..n of the truncated product (a*b mod q^(n+1)) mod p of
     residue arrays.
 
@@ -420,15 +419,13 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0,
     two halves are multiplied one after the other, so that each pass holds the
     spectra of about as many blocks as the product has output blocks.  At
     lo = 0 the b_hi pass, run first, hands the spectra of a's whole blocks to
-    the b_lo pass (see the module docstring).  ``bits`` overrides the limb
-    width the error bound chooses; 0 <= lo <= n.
+    the b_lo pass (see the module docstring); 0 <= lo <= n.
     """
     a, b = a[: n + 1], b[: n + 1]
     if len(a) < len(b):
         a, b = b, a
     step = max(1 << (-(-(n + 1) // _BLOCKS) - 1).bit_length(), _MIN_BLOCK)
-    if bits is None:
-        bits = _limb_bits(p, n, 2 * step, -(-(n + 1) // step))
+    bits = _limb_bits(p, n, 2 * step, -(-(n + 1) // step))
     out = np.zeros(n + 1 - lo, dtype=np.min_scalar_type(p - 1))
     k = step * (-(-len(b) // step) // 2)  # 0 when b is one block: no split
     spectra = {}

@@ -640,3 +640,11 @@ class TestRegistryFile:
         assert "E:" in result.output and "ok" in result.output
         assert "E/e: ok -- M^7 = [[3, 0], [0, 3]] mod 7" in result.output
         assert result.output.count("for every m") == 4
+
+    def test_constants_command_fails_on_a_failed_closure(self, runner, monkeypatch):
+        off = congruences.RecurrenceSeq("e", 6, 4, 1, 0)  # e's beta is not E's
+        monkeypatch.setitem(congruences.SEQUENCES, "e", off)
+        result = runner.invoke(main, ["constants"])
+        assert result.exit_code == 1
+        assert "E/e: FAIL -- M^7 = [[3, 3], [0, 6]] mod 7, want 3*I\n" in result.output
+        assert result.output.count("for every m") == 3

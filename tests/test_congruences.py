@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import re
 
 import pytest
 
@@ -89,8 +90,11 @@ class TestSequences:
 
     def test_closure_fails_for_a_companion_off_the_recurrence(self, monkeypatch):
         monkeypatch.setitem(SEQUENCES, "e", RecurrenceSeq("e", 6, 4, 1, 0))
-        checks = {label: ok for label, ok, _ in recurrence_consistency_checks()}
-        assert checks == {"E/e": False, "A/a": True, "C/c": True, "D/d": True}
+        checks = {label: (ok, detail) for label, ok, detail in recurrence_consistency_checks()}
+        assert {label: ok for label, (ok, _) in checks.items()} == {
+            "E/e": False, "A/a": True, "C/c": True, "D/d": True}
+        # a failed check states what it found, not the conclusion it would give
+        assert checks["E/e"][1] == "M^7 = [[3, 3], [0, 6]] mod 7, want 3*I"
 
 
 class TestIndexMaps:
@@ -186,22 +190,24 @@ class TestVerifyFamily:
         assert skip.reason == "index exceeds desk scale"
         assert skip.smallest_index > 10**8
 
-    def test_small_table_skips(self):
+    def test_small_table_raises(self):
         fam = FAMILIES["w.11"]
         src = oracle.dp_counts(fam.source, 50, modulus=7)
-        rep = verify_family(fam, {fam.source: src}, n_max=100)
-        assert rep.status == "skipped"
-        assert rep.skipped[0].reason == "source table too small"
+        with pytest.raises(ValueError) as exc:
+            verify_family(fam, {fam.source: src}, n_max=100)
+        assert str(exc.value) == ("[family w.11] reads B_{3,7} to index 1605; "
+                                  "the table given covers only 0..50")
 
-    def test_short_reference_table_skips(self):
+    def test_short_reference_table_raises(self):
         # the source table covers n <= 60, the 17-regular table only n <= 30
         fam = FAMILIES["7.22"]
         r17 = SourceSpec("regular", 17)
         tables = {fam.source: oracle.coeff_fast(fam.source, fam.index.at(60), 17),
                   r17: oracle.coeff_fast(r17, 30, 17)}
-        rep = verify_family(fam, tables, n_max=60)
-        assert rep.status == "skipped" and rep.max_index is None
-        assert rep.skipped == (Skip({"m": 1, "k": 0}, "reference table too small", 31),)
+        with pytest.raises(ValueError) as exc:
+            verify_family(fam, tables, n_max=60)
+        assert str(exc.value) == ("[family 7.22] reads b_17 to index 60; "
+                                  "the table given covers only 0..30")
 
     def test_record_expectation(self):
         fam = CongruenceFamily(
@@ -254,11 +260,11 @@ class TestVerifyFamily:
         assert rep.status == "skipped" and rep.max_index is None
         assert {skip.reason for skip in rep.skipped} == {"index exceeds desk scale"}
         assert rep.source == "B_{5,11}: no table read"
-        # an instance that would read the missing table is skipped, not an
-        # error; the smallest index w.11 reads is its reference's, n = 0
-        rep = verify_family(FAMILIES["w.11"], {}, n_max=3)
-        assert rep.status == "skipped"
-        assert rep.skipped[0] == Skip({"m": 0, "k": 0}, "source table too small", 0)
+        # a family that reads a stream must be given its table
+        with pytest.raises(ValueError) as exc:
+            verify_family(FAMILIES["w.11"], {}, n_max=3)
+        assert str(exc.value) == ("[family w.11] reads B_{3,7} to index 53; "
+                                  "the table given covers none")
 
     def test_max_index_covers_every_read(self):
         # the reference map reads further out than the main index
@@ -275,6 +281,44 @@ class TestVerifyFamily:
         needs = required_order(fam, n_max=60)
         assert needs[SourceSpec("bipartite", 81, 17)] == 81 * 60 + 50
         assert needs[SourceSpec("regular", 17)] == 60
+
+
+def _cut(table: oracle.CountTable, n_max: int) -> oracle.CountTable:
+    return oracle.CountTable(table.source, table.modulus, table.values[: n_max + 1])
+
+
+class TestPlanCoverage:
+    """A walk needs exactly the tables its plan names, each to its order."""
+
+    FAST = [fam for fam in FAMILIES.values() if not fam.slow]
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        needs = {}
+        for fam in self.FAST:
+            for n_max in (0, 2):
+                for spec, order in required_order(fam, n_max).items():
+                    key = (spec, fam.modulus)
+                    needs[key] = max(needs.get(key, 0), order)
+        return oracle.tables(needs, None, 1)
+
+    @pytest.mark.parametrize("n_max", [0, 2])
+    def test_tables_cut_to_required_order_walk(self, built, n_max):
+        for fam in self.FAST:
+            needs = required_order(fam, n_max)
+            full = {spec: built[spec, fam.modulus] for spec in needs}
+            cut = {spec: _cut(full[spec], order) for spec, order in needs.items()}
+            rep = verify_family(fam, cut, n_max)
+            assert rep == dataclasses.replace(verify_family(fam, full, n_max),
+                                              runtime_ms=rep.runtime_ms), fam.id
+            for spec, order in needs.items():
+                # one entry short; a table of no entries is no table
+                short = {**cut, spec: _cut(cut[spec], order - 1)}
+                if not order:
+                    del short[spec]
+                prefix = f"[family {fam.id}] reads {spec.describe()} to index {order};"
+                with pytest.raises(ValueError, match=re.escape(prefix)):
+                    verify_family(fam, short, n_max)
 
 
 class TestThreeTerm:

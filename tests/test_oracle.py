@@ -505,26 +505,28 @@ class TestFastPath:
         top = p // 2 if bits is None else 2 ** (bits - 1)
         assert max(np.abs(limb).max() for limb in limbs) <= top
 
-    def test_rounding_guard_rejects_too_wide_limbs(self):
+    def test_rounding_guard_rejects_too_wide_limbs(self, monkeypatch):
         # one 26-bit limb puts (n+1)*(p/2)^2 far beyond what float64 rounds exactly
         p = 2**26 - 5
         rng = np.random.default_rng(5)
         a = rng.integers(0, p, 301).astype(np.uint32)
         b = rng.integers(0, p, 301).astype(np.uint32)
         assert list(oracle._mulmod(a, b, p, 300)) == _exact_mulmod(a, b, p, 300)
+        monkeypatch.setattr(oracle, "_limb_bits", lambda *args: 26)
         with pytest.raises(ArithmeticError):
-            oracle._mulmod(a, b, p, 300, bits=26)
+            oracle._mulmod(a, b, p, 300)
 
     @pytest.mark.parametrize("lo", [150, 300])
-    def test_rounding_guard_rejects_too_wide_limbs_from_lo(self, lo):
+    def test_rounding_guard_rejects_too_wide_limbs_from_lo(self, lo, monkeypatch):
         # the guard runs on the diagonals that are computed from lo on
         p = 2**26 - 5
         rng = np.random.default_rng(5)
         a = rng.integers(0, p, 301).astype(np.uint32)
         b = rng.integers(0, p, 151).astype(np.uint32)
         assert list(oracle._mulmod(a, b, p, 300, lo=lo)) == _exact_mulmod(a, b, p, 300)[lo:]
+        monkeypatch.setattr(oracle, "_limb_bits", lambda *args: 26)
         with pytest.raises(ArithmeticError):
-            oracle._mulmod(a, b, p, 300, lo=lo, bits=26)
+            oracle._mulmod(a, b, p, 300, lo=lo)
 
     @pytest.mark.parametrize("scale", [0, -1])
     def test_pentagonal_scale_below_one_rejected(self, scale):
