@@ -5,10 +5,11 @@ a coefficient stream is congruent to a sum of weighted reads: each
 :class:`Term` is ``coeff * base^m`` times the coefficient at another index of
 the same or another stream.  No terms states that the stream vanishes.
 Verification walks the progression against one oracle table per stream read,
-each covering :func:`required_order`, and reports every violation; instances
-whose largest index exceeds the desk-scale cap are reported as skipped, never
-silently dropped.  The catalog's families are records of the registry text
-format (see :mod:`qdissect.registry`); :func:`build_families` returns them.
+each covering :func:`required_order`; it counts every violation and lists the
+first eight.  Instances whose largest index exceeds the desk-scale cap are
+reported as skipped, never silently dropped.  The catalog's families are
+records of the registry text format (see :mod:`qdissect.registry`);
+:func:`build_families` returns them.
 
 The closed-form constants of the lemma combinations live in order-2 integer
 recurrences (``s_{k+1} = alpha*s_k + beta*s_{k-1}``); their initial values
@@ -33,6 +34,7 @@ from .oracle import CountTable, SourceSpec
 from .qexpr import _INT
 
 DESK_INDEX_CAP = 30_000_000  # largest coefficient index attempted by policy
+_LISTED = 8  # violations a family report lists; it counts the rest
 _POW_BITS_CAP = 4096  # an index expression's power may not exceed 2^4096
 
 
@@ -237,7 +239,7 @@ class Skip:
 @dataclass(frozen=True)
 class FamilyReport:
     """A family walk's outcome; its fields, in order, are the family's report
-    row (which lists only the first eight violations)."""
+    row: ``violations`` holds the first eight, and ``n_violations`` counts all."""
 
     id: str
     kind: str = field(default="family", init=False)
@@ -315,7 +317,8 @@ def verify_family(
     first stream it does not), each modular with the family's modulus or exact
     (reduced on the fly).  Instances whose largest index exceeds
     ``DESK_INDEX_CAP`` are reported in ``skipped`` with the smallest index
-    above the cap.  A violated ``expect="record"`` family is an erratum.
+    above the cap.  The report lists the first eight violations and counts
+    all of them.  A violated ``expect="record"`` family is an erratum.
     """
     t0 = time.perf_counter()
     n_top = family.default_n_max if n_max is None else n_max
@@ -328,6 +331,7 @@ def verify_family(
                              f"{order}; the table given covers {covers}")
 
     violations: list[Violation] = []
+    n_violations = 0
     tested: list[dict[str, int]] = []
     skipped: list[Skip] = []
     max_index: Optional[int] = None
@@ -348,9 +352,11 @@ def verify_family(
             got = source[idx] % p
             expected = sum(w * table[s * n + o] for w, table, s, o in terms) % p
             if got != expected:
-                violations.append(Violation(params, n, idx, got, expected))
+                n_violations += 1
+                if n_violations <= _LISTED:
+                    violations.append(Violation(params, n, idx, got, expected))
 
-    if violations:
+    if n_violations:
         status = "erratum" if family.expect == "record" else "fail"
     else:
         status = "pass" if tested else "skipped"
@@ -358,7 +364,7 @@ def verify_family(
             else f"{family.source.describe()}: no table read")
     ms = round((time.perf_counter() - t0) * 1000, 1)
     return FamilyReport(family.id, status, p, n_top, tuple(tested), tuple(violations),
-                        len(violations), tuple(skipped), desc, family.index.formula,
+                        n_violations, tuple(skipped), desc, family.index.formula,
                         max_index, ms, family.note)
 
 

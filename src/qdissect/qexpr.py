@@ -17,7 +17,9 @@ The classical theta series phi(q^k) and psi(q^k), written ``(phi k)`` and
 Composite nodes are ``Mul``, ``Pow``, ``Sum`` (integer-weighted terms) and
 ``Dilate`` (``q -> q^k``).
 The parser reads every head but the variadic ``mul`` and ``sum`` from one
-table, ``_HEADS``; ``README.md`` gives the grammar.
+table, ``_HEADS``; ``README.md`` gives the grammar.  The named atoms ``S``,
+``S1``, ``u`` and ``v`` are composites of these nodes, and
+``parse_sexpr("S")`` is the way to get one.
 """
 
 from __future__ import annotations
@@ -127,38 +129,6 @@ class Dilate(QExpr):
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("Dilate factor must be positive")
-
-
-# ---------------------------------------------------------------------------
-# named composites
-# ---------------------------------------------------------------------------
-
-def rr_quotient() -> QExpr:
-    """The Rogers-Ramanujan quotient with integer exponents:
-    ``(q^5;q^25)(q^20;q^25) / ((q^10;q^25)(q^15;q^25))``."""
-    return Mul(
-        (
-            Pochhammer(5, 25),
-            Pochhammer(20, 25),
-            Pow(Pochhammer(10, 25), -1),
-            Pow(Pochhammer(15, 25), -1),
-        )
-    )
-
-
-def rr_quotient_13() -> QExpr:
-    """The Rogers-Ramanujan quotient with ``q`` replaced by ``q^13``."""
-    return Dilate(rr_quotient(), 13)
-
-
-def cubic_u() -> QExpr:
-    """Cubic continued-fraction quotient ``f3*f18^3 / (f6*f9^3)`` (a series in q^3)."""
-    return Mul((EtaF(3), Pow(EtaF(18), 3), Pow(EtaF(6), -1), Pow(EtaF(9), -3)))
-
-
-def cubic_v() -> QExpr:
-    """Cubic continued-fraction quotient ``f1*f6^3 / (f2*f3^3)``."""
-    return Mul((EtaF(1), Pow(EtaF(6), 3), Pow(EtaF(2), -1), Pow(EtaF(3), -3)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +261,20 @@ _HEADS = {
 # An integer anywhere in the text format: no "+3", "1_0" or non-ASCII digits
 _INT = re.compile(r"-?[0-9]+")
 
-_NAMED = {"S": rr_quotient(), "S1": rr_quotient_13(), "u": cubic_u(), "v": cubic_v()}
-
-
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+# The named atoms: the Rogers-Ramanujan quotient S = (q^5;q^25)(q^20;q^25) /
+# ((q^10;q^25)(q^15;q^25)), S1 = S at q -> q^13, and the cubic continued-fraction
+# quotients u = f3*f18^3 / (f6*f9^3) (a series in q^3) and v = f1*f6^3 / (f2*f3^3).
+_S = Mul((Pochhammer(5, 25), Pochhammer(20, 25),
+          Pow(Pochhammer(10, 25), -1), Pow(Pochhammer(15, 25), -1)))
+_NAMED = {"S": _S, "S1": Dilate(_S, 13),
+          "u": Mul((EtaF(3), Pow(EtaF(18), 3), Pow(EtaF(6), -1), Pow(EtaF(9), -3))),
+          "v": Mul((EtaF(1), Pow(EtaF(6), 3), Pow(EtaF(2), -1), Pow(EtaF(3), -3)))}
 
 
 def parse_sexpr(text: str) -> QExpr:
-    """Parse an expression in the prefix notation of ``README.md``.
-
-    The shorthand atoms ``S``, ``S1``, ``u``, ``v`` expand to the named
-    composite quotients.
-    """
-    tokens = _tokenize(text)
+    """Parse an expression in the prefix notation of ``README.md``; the named
+    atoms ``S``, ``S1``, ``u`` and ``v`` stand for the trees of ``_NAMED``."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
     def fail(msg: str):

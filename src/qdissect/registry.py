@@ -25,11 +25,12 @@ field left out takes its default.  The README gives the full grammar.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from importlib.resources import files
 from typing import Optional, Sequence
 
-from .congruences import AffineIndex, CongruenceFamily, SourceSpec, Term
+from .congruences import AffineIndex, CongruenceFamily, Term
 from .identities import (
     DilateBack,
     Extract,
@@ -38,6 +39,7 @@ from .identities import (
     ReduceMod,
     Stage,
 )
+from .oracle import SourceSpec
 from .qexpr import _INT, parse_sexpr
 
 
@@ -174,14 +176,19 @@ def _read_flag(text: str) -> bool:
     return text == "true"
 
 
-def _read_values(text: str) -> tuple[int, ...]:
-    return tuple(_int(v.strip(), "an m or k value") for v in text.split(","))
+def _read_values(key: str, text: str) -> tuple[int, ...]:
+    """``m=`` or ``k=``; a repeated value would check one instance twice."""
+    values = tuple(_int(v.strip(), "an m or k value") for v in text.split(","))
+    repeated = [v for v, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{key} value {repeated[0]} is repeated")
+    return values
 
 
 # key -> (dataclass field, reader)
 _OPTIONS = {
-    "m": ("m_values", _read_values),
-    "k": ("k_values", _read_values),
+    "m": ("m_values", lambda t: _read_values("m", t)),
+    "k": ("k_values", lambda t: _read_values("k", t)),
     "n_max": ("default_n_max", lambda t: _int(t, "n_max", 0)),
     "slow": ("slow", _read_flag),
     "section": ("section", str),

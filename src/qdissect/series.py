@@ -143,22 +143,6 @@ class Series:
         tail = ", ..." if self.order >= 8 else ""
         return f"Series({self.ring}, O(q^{self.order + 1}); [{head}{tail}])"
 
-    # Operator sugar; the module-level functions are the documented API.
-    def __add__(self, other: "Series") -> "Series":
-        return add(self, other)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return sub(self, other)
-
-    def __mul__(self, other: "Series") -> "Series":
-        return mul(self, other)
-
-    def __pow__(self, e: int) -> "Series":
-        return pow_(self, e)
-
-    def __neg__(self) -> "Series":
-        return scalar_mul(-1, self)
-
 
 def zero(ring: CoeffRing, order: int) -> Series:
     return Series(ring, [0] * (order + 1))

@@ -244,11 +244,20 @@ class TestUsageErrors:
     @pytest.mark.parametrize("args", [
         ["--case", "nope"], ["--chain", "nope"], ["--family", "nope"],
         ["--order", "0"], ["--n-max", "-1"], ["--case", "kp2", "--jobs", "0"],
+        ["--case", "2a", "--case", "2a"], ["--family", "w.11", "--family", "w.11"],
     ], ids=" ".join)
     def test_exit_code_is_2(self, runner, args):
         result = runner.invoke(main, ["verify"] + args)
         assert result.exit_code == 2, result.output
         assert f"'{args[-2]}'" in result.output  # the option at fault is named
+
+    def test_repeated_id_is_named_before_any_check(self, runner):
+        # a repeated id would run its check twice
+        result = runner.invoke(main, ["verify", "--case", "kp2", "--chain", "s8",
+                                      "--chain", "s3", "--chain", "s8"])
+        assert result.exit_code == 2, result.output
+        assert "'--chain'" in result.output and "repeated ids: s8" in result.output
+        assert "summary" not in result.output
 
     @pytest.mark.parametrize("under_file", [False, True])
     def test_cache_dir_that_is_a_file(self, runner, tmp_path, under_file):

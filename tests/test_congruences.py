@@ -16,7 +16,6 @@ from qdissect.congruences import (
     CongruenceFamily,
     RecurrenceSeq,
     Skip,
-    SourceSpec,
     Term,
     build_families,
     exact_div,
@@ -25,6 +24,7 @@ from qdissect.congruences import (
     seq_eval,
     verify_family,
 )
+from qdissect.oracle import SourceSpec
 
 FAMILIES = {f.id: f for f in build_families()}
 B37 = SourceSpec("bipartite", 3, 7)
@@ -172,6 +172,21 @@ class TestVerifyFamily:
         assert rep.violations
         v = rep.violations[0]
         assert v.n == v.index and v.expected == 0
+
+    @pytest.mark.parametrize("n_max,m_values", [(200, (0,)), (4, (0, 1, 2))])
+    def test_report_lists_the_first_eight_violations(self, n_max, m_values):
+        # b_17(n) = b_17(n + 1) mod 17 fails at most n; the report counts every
+        # violation and lists the first eight in walk order (m, then n)
+        r17 = SourceSpec("regular", 17)
+        fam = CongruenceFamily("f", "t", 17, r17, AffineIndex("1", "0"),
+                               (Term(1, 1, AffineIndex("1", "1")),),
+                               m_values=m_values, default_n_max=n_max)
+        table = oracle.coeff_fast(r17, n_max + 1, 17)
+        every = [(m, n) for m in m_values for n in range(n_max + 1)
+                 if table[n] % 17 != table[n + 1] % 17]
+        rep = verify_family(fam, {r17: table})
+        assert rep.status == "fail" and rep.n_violations == len(every) > 8
+        assert [(v.params["m"], v.n) for v in rep.violations] == every[:8]
 
     def test_m_zero_is_tautology(self):
         fam = FAMILIES["ak1"]

@@ -19,12 +19,8 @@ from qdissect.qexpr import (
     Q,
     Sum,
     Theta,
-    cubic_u,
-    cubic_v,
     eval_qexpr,
     parse_sexpr,
-    rr_quotient,
-    rr_quotient_13,
     theta_sum,
 )
 from qdissect.series import EXACT, CoeffRing, Series, eq_to_order
@@ -75,15 +71,15 @@ class TestAtomEvaluation:
         n = 30
         num = brute_mul(brute_pochhammer(5, 25, n), brute_pochhammer(20, 25, n), n)
         den = brute_mul(brute_pochhammer(10, 25, n), brute_pochhammer(15, 25, n), n)
-        got = eval_qexpr(rr_quotient(), EXACT, n)
+        got = eval_qexpr(parse_sexpr("S"), EXACT, n)
         # got * den == num  (avoids an independent inversion routine)
         prod = series.mul(got, series.Series(EXACT, den))
         assert prod == series.Series(EXACT, num)
         assert got[0] == 1
 
     def test_composites_constant_terms(self):
-        for expr in (rr_quotient(), cubic_u(), cubic_v()):
-            assert eval_qexpr(expr, EXACT, 40)[0] == 1
+        for name in ("S", "u", "v"):
+            assert eval_qexpr(parse_sexpr(name), EXACT, 40)[0] == 1
 
 
 class TestThetaCrossChecks:
@@ -160,12 +156,22 @@ class TestCompositeEvaluation:
             eval_qexpr(Pow(Sum(((2, Const(1)),)), -1), EXACT, 5)
 
     def test_s13_is_dilated_quotient(self):
-        s = eval_qexpr(rr_quotient(), EXACT, 20)
-        s13 = eval_qexpr(rr_quotient_13(), EXACT, 260)
+        s = eval_qexpr(parse_sexpr("S"), EXACT, 20)
+        s13 = eval_qexpr(parse_sexpr("S1"), EXACT, 260)
         assert series.dilate(s, 13) == s13
 
 
 class TestSerialization:
+    # the named atoms, written out from their definitions
+    S = Mul((Pochhammer(5, 25), Pochhammer(20, 25),
+             Pow(Pochhammer(10, 25), -1), Pow(Pochhammer(15, 25), -1)))
+    NAMED = {
+        "S": S,
+        "S1": Dilate(S, 13),
+        "u": Mul((EtaF(3), Pow(EtaF(18), 3), Pow(EtaF(6), -1), Pow(EtaF(9), -3))),
+        "v": Mul((EtaF(1), Pow(EtaF(6), 3), Pow(EtaF(2), -1), Pow(EtaF(3), -3))),
+    }
+
     CASES = [
         ("(const -3)", Const(-3)),
         ("(q 7)", Q(7)),
@@ -176,7 +182,7 @@ class TestSerialization:
         ("(theta -1 1 -1 2)", Theta(-1, 1, -1, 2)),
         ("(mul (eta 1) (pow (eta 5) -6) (q 2))", Mul((EtaF(1), Pow(EtaF(5), -6), Q(2)))),
         ("(sum (2 (eta 1)) (-11 (q 5)) (1 (pow S -5)))",
-         Sum(((2, EtaF(1)), (-11, Q(5)), (1, Pow(rr_quotient(), -5))))),
+         Sum(((2, EtaF(1)), (-11, Q(5)), (1, Pow(S, -5))))),
         ("(dilate (mul (eta 2) (q 1)) 13)", Dilate(Mul((EtaF(2), Q(1))), 13)),
     ]
 
@@ -188,11 +194,9 @@ class TestSerialization:
         assert parse_sexpr(text) == expr
 
     def test_named_shorthands(self):
-        assert parse_sexpr("S") == rr_quotient()
-        assert parse_sexpr("S1") == rr_quotient_13()
-        assert parse_sexpr("u") == cubic_u()
-        assert parse_sexpr("v") == cubic_v()
-        assert parse_sexpr("(mul (eta 25) S)") == Mul((EtaF(25), rr_quotient()))
+        for name, tree in self.NAMED.items():
+            assert parse_sexpr(name) == tree
+        assert parse_sexpr("(mul (eta 25) S)") == Mul((EtaF(25), self.S))
 
     def test_parse_errors(self):
         for bad in ["", "(mul)", "(q x)", "(pow (eta 1))", "(eta 1) junk", "(what 1)",

@@ -11,7 +11,6 @@ import pytest
 from qdissect.congruences import (
     AffineIndex,
     CongruenceFamily,
-    SourceSpec,
     Term,
     build_families,
 )
@@ -23,7 +22,8 @@ from qdissect.identities import (
     ReduceMod,
     Stage,
 )
-from qdissect.qexpr import EtaF, Pow, rr_quotient
+from qdissect.oracle import SourceSpec
+from qdissect.qexpr import EtaF, Pow, parse_sexpr
 from qdissect.registry import parse_registry, registry
 
 SHIPPED = files("qdissect").joinpath("catalog.txt").read_text(encoding="utf-8")
@@ -111,7 +111,7 @@ chain c|exact|64|(eta 1)|note=demo
             "c", "user", EtaF(1),
             (Stage("st.1", Pow(EtaF(1), 2), (Extract(1, 2), DilateBack(2), ReduceMod(11)),
                    ("e2",), expect="record"),
-             Stage("st.2", rr_quotient())),
+             Stage("st.2", parse_sexpr("S"))),
             base_order=64, note="demo",
         )
 
@@ -190,6 +190,9 @@ chain c|exact|64|(eta 1)|note=demo
         ("family f|regular 17|mod17|1|0|zero|ref=regular 5\n", "recur relation only"),
         ("family f|regular 17|mod17|1|m.real|zero\n", "is not allowed"),
         ("family f|regular 17|mod17|1|0|zero|m=1,,2\n", "m or k value"),
+        # a repeated value would check one instance twice
+        ("family f|regular 17|mod17|1|0|zero|m=0,0\n", "m value 0 is repeated"),
+        ("family f|regular 17|mod17|1|0|zero|k=1,1\n", "k value 1 is repeated"),
         ("family f|regular 17|mod17|1|0|zero|slow=yes\n", "slow must be"),
     ])
     def test_bad_record_names_its_line(self, text, message):

@@ -473,7 +473,7 @@ class TestMillerPower:
             if j * j <= n:
                 phi[j * j] = 2
         return {"f1": f1, "f2": Series(EXACT, brute_pochhammer(2, 2, n)),
-                "phi": Series(EXACT, phi), "-f1": -f1}
+                "phi": Series(EXACT, phi), "-f1": scalar_mul(-1, f1)}
 
     @pytest.mark.parametrize("name", ["f1", "f2", "phi", "-f1"])
     def test_matches_repeated_multiplication(self, monkeypatch, bases, name):
