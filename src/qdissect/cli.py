@@ -63,27 +63,24 @@ def main() -> None:
 @main.command("coeff")
 @click.argument("l", type=int)
 @click.argument("m", type=int)
-@click.argument("n", type=int)
+@click.argument("n", type=click.IntRange(min=0))
 @click.option("--mod", "modulus", type=int, default=0,
               help="Report the count modulo P, any P in [2, 2^26] (enables the fast path).")
 def cmd_coeff(l: int, m: int, n: int, modulus: int) -> None:
     """Print the (L, M)-regular bipartition count at index N."""
-    if n < 0:
-        raise click.UsageError("index must be >= 0")
     try:
         source = oracle.SourceSpec("bipartite", l, m)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    if modulus and not 2 <= modulus <= oracle.FAST_MOD_CAP:
-        raise click.BadParameter(
-            f"must be 0 (exact) or in [2, {oracle.FAST_MOD_CAP}]", param_hint="'--mod'"
-        )
     if modulus:
         if n > congruences.DESK_INDEX_CAP:
             raise click.UsageError(
                 f"the fast path is capped at index {congruences.DESK_INDEX_CAP}"
             )
-        table = oracle.coeff_fast(source, n, modulus)
+        try:  # the fast path refuses a modulus outside its range before any work
+            table = oracle.coeff_fast(source, n, modulus)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), param_hint="'--mod'") from None
         click.echo(table[n])
         return
     if n > oracle.EXACT_CAP:
@@ -262,8 +259,7 @@ def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,
         except (ValueError, OSError) as exc:
             raise click.BadParameter(f"{registry_file}: {exc}",
                                      param_hint="'--registry-file'") from None
-        reg = Registry(reg.cases + user.cases, reg.chains + user.chains,
-                       reg.families + user.families)
+        reg = Registry(*(built_in + read for built_in, read in zip(reg, user)))
     blame = _blamer(user, registry_file, order)
 
     # an unknown id or a bad cache directory is a usage error before any check runs

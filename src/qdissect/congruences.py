@@ -313,18 +313,23 @@ def verify_family(
 ) -> FamilyReport:
     """Check every (m, k, n) instance of the family against oracle tables.
 
-    ``tables`` must cover :func:`required_order` (a ``ValueError`` names the
-    first stream it does not), each modular with the family's modulus or exact
-    (reduced on the fly).  Instances whose largest index exceeds
-    ``DESK_INDEX_CAP`` are reported in ``skipped`` with the smallest index
-    above the cap.  The report lists the first eight violations and counts
-    all of them.  A violated ``expect="record"`` family is an erratum.
+    ``tables`` must cover :func:`required_order`, each of the stream it is
+    given under, exact or modulo a multiple of the family's modulus (reduced
+    on the fly); a ``ValueError`` names the first stream that is not so.
+    Instances whose largest index exceeds ``DESK_INDEX_CAP`` are reported in
+    ``skipped`` with the smallest index above the cap.  The report lists the
+    first eight violations and counts all of them.  A violated
+    ``expect="record"`` family is an erratum.
     """
     t0 = time.perf_counter()
     n_top = family.default_n_max if n_max is None else n_max
     p = family.modulus
     for spec, order in required_order(family, n_top).items():
         table = tables.get(spec)
+        if table is not None and (table.source != spec or table.modulus % p):
+            given = f"mod {table.modulus}" if table.modulus else "exact"
+            raise ValueError(f"[family {family.id}] reads {spec.describe()} mod {p}; "
+                             f"the table given is {table.source.describe()} {given}")
         if table is None or table.n_max < order:
             covers = "none" if table is None else f"only 0..{table.n_max}"
             raise ValueError(f"[family {family.id}] reads {spec.describe()} to index "
@@ -368,7 +373,7 @@ def verify_family(
                         max_index, ms, family.note)
 
 
-def build_families() -> list[CongruenceFamily]:
+def build_families() -> tuple[CongruenceFamily, ...]:
     """All congruence families of the built-in catalog, in catalog order."""
     from .registry import registry
 

@@ -103,8 +103,9 @@ factor's taps go in with one call).  Given a directory, each (stream, modulus)
 has one ``*.qdct`` file there, named by :meth:`SourceSpec.cache_name`.  The
 file is served only if its CRC32 passes and its header names the same stream
 and modulus with a range that covers the order; anything else is a miss, and
-the table is built and saved over that name.  Saving deletes the directory's
-files of another format version.
+the table is built and saved over that name, through a temporary file and a
+rename.  A build writes only its stream's file, and leaves every other file
+in the directory alone.
 """
 
 from __future__ import annotations
@@ -499,25 +500,6 @@ def _cached(path: Path, spec: SourceSpec, p: int, order: int) -> Optional[CountT
     return table if (table.source, table.modulus) == (spec, p) and table.n_max >= order else None
 
 
-def _build(spec: SourceSpec, p: int, order: int, cache_dir: Optional[Path]) -> CountTable:
-    """Build the table and, with a cache directory, save it over the stream's
-    file and delete the files of another format version, telling them by
-    their 8-byte magic.  Of the directory it writes only this stream's file
-    and stale ones, so builds may run on threads."""
-    table = coeff_fast(spec, order, p)
-    if cache_dir:
-        table.save(cache_dir / spec.cache_name(p))
-        for path in cache_dir.glob("*.qdct"):
-            try:
-                with open(path, "rb") as fh:
-                    magic = fh.read(8)
-            except OSError:
-                continue
-            if len(magic) == 8 and magic[:4] == b"QDCT" and magic != CountTable._MAGIC:
-                path.unlink(missing_ok=True)
-    return table
-
-
 def tables(needs: dict[tuple[SourceSpec, int], int],
            cache_dir: Optional[Union[str, Path]], jobs: int
            ) -> dict[tuple[SourceSpec, int], Union[CountTable, Exception]]:
@@ -526,7 +508,8 @@ def tables(needs: dict[tuple[SourceSpec, int], int],
 
     With a cache directory, which must exist, each stream's file is read on
     the calling thread.  The tables not served from it are built on up to
-    ``jobs`` threads, the longest first, each built and saved by one thread.
+    ``jobs`` threads, the longest first, each built and saved over its
+    stream's file by one thread; no other file in the directory is touched.
     """
     cache_dir = Path(cache_dir) if cache_dir else None
     out: dict = {}
@@ -539,8 +522,12 @@ def tables(needs: dict[tuple[SourceSpec, int], int],
             out[spec, p] = table
 
     def build(item):
+        spec, p, order = item
         try:
-            return _build(*item, cache_dir)
+            table = coeff_fast(spec, order, p)
+            if cache_dir:
+                table.save(cache_dir / spec.cache_name(p))
+            return table
         except Exception as exc:  # the caller raises it where the table is read
             return exc
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from importlib.resources import files
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .congruences import AffineIndex, CongruenceFamily, Term
 from .identities import (
@@ -43,19 +43,12 @@ from .oracle import SourceSpec
 from .qexpr import _INT, parse_sexpr
 
 
-class Registry:
+class Registry(NamedTuple):
     """Identity cases, chains and families; ids are unique within each kind."""
 
-    def __init__(self, cases: Sequence[IdentityCase] = (),
-                 chains: Sequence[ProofChain] = (),
-                 families: Sequence[CongruenceFamily] = ()):
-        self.cases = list(cases)
-        self.chains = list(chains)
-        self.families = list(families)
-        for kind, entries in (("identity", self.cases), ("chain", self.chains),
-                              ("family", self.families)):
-            if len({e.id for e in entries}) != len(entries):
-                raise ValueError(f"duplicate {kind} ids in registry")
+    cases: tuple[IdentityCase, ...] = ()
+    chains: tuple[ProofChain, ...] = ()
+    families: tuple[CongruenceFamily, ...] = ()
 
 
 def catalog_text() -> str:
@@ -69,21 +62,19 @@ def _builtin() -> Registry:
 
 
 def registry() -> Registry:
-    """The full built-in catalog (the file is parsed once per process)."""
-    catalog = _builtin()
-    return Registry(catalog.cases, catalog.chains, catalog.families)
+    """The built-in catalog, parsed once per process and shared (it is immutable)."""
+    return _builtin()
 
 
 # ---------------------------------------------------------------------------
 # reading
 # ---------------------------------------------------------------------------
 
-def parse_registry(text: str, taken: Optional[Registry] = None) -> Registry:
+def parse_registry(text: str, taken: Registry = Registry()) -> Registry:
     """Entries from registry text (a record that names no section is in
     section ``user``).  A malformed line, an id already defined in ``taken`` or
     above, a ``sub`` that names no such identity, or a chain that does not end
     in an ``assert`` is a ``ValueError`` naming the line."""
-    taken = taken or Registry()
     seen = {"identity": {c.id for c in taken.cases},
             "chain": {c.id for c in taken.chains},
             "family": {f.id for f in taken.families}}
@@ -116,7 +107,8 @@ def parse_registry(text: str, taken: Optional[Registry] = None) -> Registry:
                 families.append(_read_family(fields))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return Registry(cases, [record.close() for record in chains], families)
+    return Registry(tuple(cases), tuple(record.close() for record in chains),
+                    tuple(families))
 
 
 def _claim(kind: str, entry_id: str, seen: dict[str, set[str]]) -> None:

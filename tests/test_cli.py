@@ -49,11 +49,23 @@ class TestCoeff:
         assert result.exit_code == 2, result.output
         assert "L, M >= 2" in result.output
 
-    @pytest.mark.parametrize("modulus", ["1", "-5", str(2**40)])
+    @pytest.mark.parametrize("modulus", ["1", "-5", str(2**26 + 1), str(2**40)])
     def test_bad_modulus_rejected(self, runner, modulus):
         result = runner.invoke(main, ["coeff", "3", "7", "10", "--mod", modulus])
         assert result.exit_code == 2, result.output
-        assert "--mod" in result.output
+        assert "'--mod'" in result.output
+
+    def test_largest_modulus_accepted(self, runner):
+        result = runner.invoke(main, ["coeff", "3", "7", "5", "--mod", str(2**26)])
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == "31"
+
+    @pytest.mark.parametrize("mod", [[], ["--mod", "7"]])
+    def test_negative_index_rejected(self, runner, mod):
+        # without "--", click reads -1 as an unknown option
+        result = runner.invoke(main, ["coeff", "3", "7"] + mod + ["--", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "'N'" in result.output
 
     def test_modular_index_capped_before_any_table(self, runner, monkeypatch):
         built = []

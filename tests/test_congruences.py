@@ -224,6 +224,24 @@ class TestVerifyFamily:
         assert str(exc.value) == ("[family 7.22] reads b_17 to index 60; "
                                   "the table given covers only 0..30")
 
+    @pytest.mark.parametrize("spec,p", [(SourceSpec("bipartite", 3, 7), 11),
+                                        (SourceSpec("bipartite", 3, 11), 7)])
+    def test_table_of_another_stream_or_modulus_raises(self, spec, p):
+        # walked, either table would read as some 80 violations of w.11
+        fam = FAMILIES["w.11"]
+        table = oracle.coeff_fast(spec, required_order(fam, 100)[fam.source], p)
+        with pytest.raises(ValueError) as exc:
+            verify_family(fam, {fam.source: table}, n_max=100)
+        assert str(exc.value) == ("[family w.11] reads B_{3,7} mod 7; "
+                                  f"the table given is {spec.describe()} mod {p}")
+
+    @pytest.mark.parametrize("modulus", [0, 14])
+    def test_exact_table_or_one_modulo_a_multiple_is_read(self, modulus):
+        fam = FAMILIES["w.11"]
+        table = oracle.dp_counts(fam.source, required_order(fam, 100)[fam.source], modulus)
+        rep = verify_family(fam, {fam.source: table}, n_max=100)
+        assert (rep.status, rep.source) == ("pass", "B_{3,7} mod 7")
+
     def test_record_expectation(self):
         fam = CongruenceFamily(
             "probe", "t", 7, SourceSpec("bipartite", 3, 7),

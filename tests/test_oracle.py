@@ -693,35 +693,32 @@ class TestCache:
         assert sorted(tmp_path.iterdir()) == sorted(decoys + [tmp_path / B37.cache_name(7)])
         assert CountTable.load(tmp_path / B37.cache_name(7)).n_max == 300
 
-    def test_saving_prunes_cache_files_of_another_version(self, tmp_path):
-        # files of another version go, whatever stream they hold and whatever
-        # their name; a version-1 file outside the directory or under another
-        # suffix stays, and so does a QDCT file too short to carry a version
-        # or of this version
+    def test_a_build_leaves_every_other_file_as_it_was(self, tmp_path):
+        # files of another version, damaged, foreign or nested stay byte for
+        # byte; only a file at the stream's own name is replaced
         cache_dir = tmp_path / "cache"
         (cache_dir / "sub").mkdir(parents=True)
         v1 = b"QDCT\x01\x00\x00\x00" + struct.pack("<QQQQQ", 1, 3, 7, 100, 7) + bytes(101 * 8)
         same_name = cache_dir / B37.cache_name(7)  # the new table's name
-        stale = [cache_dir / "other-stream.qdct"]
-        kept = [tmp_path / "outside.qdct", cache_dir / "sub" / "nested.qdct",
-                cache_dir / "old.bin"]
-        for path in [same_name] + stale + kept:
+        for path in (same_name, cache_dir / "other-stream.qdct", cache_dir / "old.bin",
+                     cache_dir / "sub" / "nested.qdct", tmp_path / "outside.qdct"):
             path.write_bytes(v1)
         # version-2 files under the names that version gave them, n_max included
         for name, table in [("bipartite-3-7-100-m7.qdct", coeff_fast(B37, 100, 7)),
                             ("regular-17-0-300-m17.qdct", coeff_fast(R17, 300, 17))]:
             table.save(cache_dir / name)
             _as_version_2(cache_dir / name)
-            stale.append(cache_dir / name)
         (cache_dir / "v9.qdct").write_bytes(b"QDCT\x09\x00\x00\x00")
-        stale.append(cache_dir / "v9.qdct")
         (cache_dir / "short.qdct").write_bytes(b"QDCT")
         (cache_dir / "damaged.qdct").write_bytes(CountTable._MAGIC + b"\x00" * 7)
         (cache_dir / "junk.qdct").write_bytes(b"NOTACACHE" * 10)
-        kept += [cache_dir / name for name in ("short.qdct", "damaged.qdct", "junk.qdct")]
+        others = {path: path.read_bytes() for path in tmp_path.rglob("*")
+                  if path.is_file() and path != same_name}
+        assert len(others) == 10
         oracle.tables({(B37, 7): 100}, cache_dir, 1)
-        assert not any(path.exists() for path in stale)
-        assert all(path.exists() for path in kept)
+        assert {path: path.read_bytes() for path in others} == others
+        assert sorted(tmp_path.rglob("*")) == sorted([*others, same_name, cache_dir,
+                                                      cache_dir / "sub"])
         assert same_name.read_bytes()[:8] == CountTable._MAGIC
 
     def test_loading_prunes_nothing(self, tmp_path):
@@ -816,12 +813,15 @@ class TestPrefetch:
 
     def test_many_workers_share_one_directory(self, tmp_path):
         # more workers than cores and a short switch interval: each stream
-        # replaces its too-short file and sweeps the stale ones, while the
-        # other workers write and sweep the same directory
+        # replaces its too-short file while the other workers write the same
+        # directory, and the stale files stay as they were
         needs = {key: 120 + 31 * i for i, key in enumerate(CATALOG_STREAMS)}
+        stale = {}
         for i, ((spec, p), order) in enumerate(needs.items()):
             coeff_fast(spec, order - 50, p).save(tmp_path / spec.cache_name(p))
-            (tmp_path / f"stale-{i}.qdct").write_bytes(b"QDCT\x01\x00\x00\x00" + bytes(40))
+            stale[tmp_path / f"stale-{i}.qdct"] = b"QDCT\x01\x00\x00\x00" + bytes([i] * 40)
+        for path, data in stale.items():
+            path.write_bytes(data)
         serial = oracle.tables(needs, None, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -834,4 +834,5 @@ class TestPrefetch:
             assert served[spec, p].n_max == order
             assert list(served[spec, p].values) == want
             assert list(CountTable.load(tmp_path / spec.cache_name(p)).values) == want
-        assert len(list(tmp_path.iterdir())) == len(needs)
+        assert {path: path.read_bytes() for path in stale} == stale
+        assert len(list(tmp_path.iterdir())) == len(needs) + len(stale)

@@ -24,7 +24,7 @@ from qdissect.identities import (
 )
 from qdissect.oracle import SourceSpec
 from qdissect.qexpr import EtaF, Pow, parse_sexpr
-from qdissect.registry import parse_registry, registry
+from qdissect.registry import Registry, parse_registry, registry
 
 SHIPPED = files("qdissect").joinpath("catalog.txt").read_text(encoding="utf-8")
 
@@ -40,6 +40,11 @@ class TestShippedCatalog:
 
     def test_build_families_reads_the_catalog(self, reg):
         assert build_families() == reg.families
+
+    def test_one_immutable_parse(self, reg):
+        assert registry() is registry() is reg
+        assert all(type(field) is tuple for field in reg)
+        assert Registry() == ((), (), ())
 
     def test_recorded_probes_survive(self, reg):
         (case,) = [c for c in reg.cases if c.id == "7.3"]
