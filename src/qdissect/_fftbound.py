@@ -1,0 +1,38 @@
+"""The rounding bound of an exact float64 FFT convolution, shared by the
+oracle's products mod p and the series engine's wide exact products.
+
+For a convolution of length L = 2^m computed in float64 (unit roundoff
+e = 2^-53) with roots of unity accurate to u, Percival (Math. Comp. 72, 2003;
+Brent and Zimmermann, *Modern Computer Arithmetic*, Thm. 3.3.2) bounds the
+error of every output by
+
+    ||x||_2 * ||y||_2 * ((1+e)^(3m) * (1+e*sqrt(5))^(3m+1) * (1+u)^(3m) - 1).
+
+Summing T spectral products before the inverse transform multiplies this by
+(1+e)^T.  :func:`_error_bound` evaluates the factor with u = e.  A caller
+cuts its operands into limbs narrow enough that the norms times the factor
+stay below ``_GUARD`` = 1/4: every output then lies within 1/4 of its exact
+integer, and rounds to it.
+
+The theorem is proved for the radix-2 transform.  numpy's pocketfft splits a
+power-of-two length into radix-4 and radix-2 passes with twiddles accurate to
+about one ulp, and both callers take it to obey the same bound.  Each checks
+that on every output it uses: a value 1/4 or more from an integer raises
+ArithmeticError rather than return a number that rounding may have changed.
+"""
+
+from __future__ import annotations
+
+import math
+
+_EPS = 2.0 ** -53  # unit roundoff of float64
+_GUARD = 0.25  # an FFT output this far from an integer is an ArithmeticError
+
+
+def _error_bound(length: int, terms: int) -> float:
+    """Bound on max |computed - exact| of a float64 FFT convolution of power
+    of two ``length``, per unit of ||x||_2 * ||y||_2, with ``terms`` products
+    summed in the frequency domain (see the module docstring)."""
+    m = length.bit_length() - 1
+    return math.expm1((6 * m + terms) * math.log1p(_EPS)
+                      + (3 * m + 1) * math.log1p(_EPS * math.sqrt(5)))

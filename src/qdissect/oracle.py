@@ -66,34 +66,22 @@ d + 1.
     such a one.  The (3,7) table to 1,652,053 takes 1,610 transforms, where
     3,922 without the floor and the hand-off.
 
-Exactness.  For a convolution of length L = 2^m computed in float64 (unit
-roundoff e = 2^-53) with roots of unity accurate to u, Percival (Math. Comp.
-72, 2003; Brent and Zimmermann, *Modern Computer Arithmetic*, Thm. 3.3.2)
-bounds the error of every output by
-
-    ||x||_2 * ||y||_2 * ((1+e)^(3m) * (1+e*sqrt(5))^(3m+1) * (1+u)^(3m) - 1).
-
-Summing T spectral products before the inverse transform multiplies this by
-(1+e)^T, and by Cauchy-Schwarz the sum over a diagonal of ||A_i|| * ||B_(d-i)||
-is at most ||a|| * ||b|| <= (n+1) * h^2 when every entry is at most h in size.
-``_error_bound`` evaluates the factor with u = e and T the number of blocks.
-A pass of a split product uses the same B and limbs; each of its diagonals
-sums fewer terms, from parts of the operands, so the bound holds for it too.
-``_limb_bits`` then splits the operands into balanced limbs of s bits, with
-h = 2^(s-1), just narrow enough that (n+1) * h^2 times the factor is below
-1/4, so every rounded output is the exact integer.  One limb (h = p/2) covers
-every catalog stream: for (81,17) mod 17 to 2.5e7 the bound is 5.2e-5.  A
-modulus near 2^26 needs two limbs at n = 300 and three at n = 1e6.
-
-The theorem is proved for the radix-2 transform.  numpy's pocketfft splits a
-power-of-two length into radix-4 and radix-2 passes with twiddles accurate to
-about one ulp, and this module takes it to obey the same bound.  A guard
-checks that on every output of every diagonal computed: if any value lies 1/4
-or more from an integer, the product raises ArithmeticError rather than
-return a count that rounding may have changed.  The exact integers, below
-2^53 in size, are reduced mod p in float64 as x - floor(x/p) * p.  Tables are
-held as the smallest unsigned dtype that holds p - 1, whether built, loaded or
-on disk.
+Exactness.  Every product obeys Percival's bound on a float64 FFT
+convolution, behind the rounding guard; both live in ``_fftbound``, which
+the series engine's wide exact products share.  By Cauchy-Schwarz the sum
+over a diagonal of ||A_i|| * ||B_(d-i)|| is at most ||a|| * ||b|| <=
+(n+1) * h^2 when every entry is at most h in size, so ``_error_bound`` is
+taken with T the number of blocks.  A pass of a split product uses the same
+B and limbs; each of its diagonals sums fewer terms, from parts of the
+operands, so the bound holds for it too.  ``_limb_bits`` then splits the
+operands into balanced limbs of s bits, with h = 2^(s-1), just narrow enough
+that (n+1) * h^2 times the factor is below 1/4, so every rounded output is
+the exact integer.  One limb (h = p/2) covers every catalog stream: for
+(81,17) mod 17 to 2.5e7 the bound is 5.2e-5.  A modulus near 2^26 needs two
+limbs at n = 300 and three at n = 1e6.  The guard runs on every output of
+every diagonal computed.  The exact integers, below 2^53 in size, are
+reduced mod p in float64 as x - floor(x/p) * p.  Tables are held as the
+smallest unsigned dtype that holds p - 1, whether built, loaded or on disk.
 
 :func:`tables` builds the tables of a batch by that fast path on ``jobs``
 threads, the longest first; the FFTs and the large element-wise loops release
@@ -119,6 +107,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
+
+from ._fftbound import _GUARD, _error_bound
 
 EXACT_CAP = 20000  # policy cap for exact-mode tables
 _KINDS = ("regular", "bipartite")  # a stream's kind, by its code in a cache file
@@ -260,8 +250,6 @@ FAST_MOD_CAP = 1 << 26
 
 _BLOCKS = 32  # operands are cut into at most this many blocks per product
 _MIN_BLOCK = 1024  # ... each at least this long: a shorter product is one block
-_EPS = 2.0 ** -53  # unit roundoff of float64
-_GUARD = 0.25  # an FFT output this far from an integer is an ArithmeticError
 
 
 def _pentagonal_taps(limit: int, scale: int = 1) -> list[tuple[int, int]]:
@@ -301,15 +289,6 @@ def _pentagonal_product(scales: Sequence[int], n: int, p: int) -> np.ndarray:
             at = idx[: np.searchsorted(idx, n - g, side="right")] + g
             out[at] = (out[at] + sign * val[: len(at)]) % p
     return out
-
-
-def _error_bound(length: int, terms: int) -> float:
-    """Bound on max |computed - exact| of a float64 FFT convolution of power
-    of two ``length``, per unit of ||x||_2 * ||y||_2, with ``terms`` products
-    summed in the frequency domain (see the module docstring)."""
-    m = length.bit_length() - 1
-    return math.expm1((6 * m + terms) * math.log1p(_EPS)
-                      + (3 * m + 1) * math.log1p(_EPS * math.sqrt(5)))
 
 
 def _limb_bits(p: int, n: int, length: int, terms: int) -> Optional[int]:

@@ -2,17 +2,19 @@
 
 A :class:`Series` carries its own truncation order: coefficients of
 ``q^0 .. q^order`` are tracked explicitly and every operation documents the
-order of its result.  There is no global precision and no floating point.
+order of its result.  There is no global precision, and floating point
+enters only behind a written bound (the FFT route of :func:`mul`).
 
 Exact coefficients are arbitrary-precision Python ints; modular series keep
 coefficients reduced to ``[0, M)``.  Every route below is exact; each is
 picked by a switch on size, ring, exponent or density, and each is checked
 against an independent reference in the tests:
 
-- :func:`mul`: one Kronecker-substitution product, over Z or Z/M.  Packed
-  operands below ``_DECIMAL_MIN_BITS`` multiply as Python ints; larger ones
-  through libmpdec (the C ``decimal`` module) in a context that traps any
-  rounding, so an inexact result raises instead of being returned.
+- :func:`mul`: one Kronecker-substitution product, over Z or Z/M.  Operands
+  whose slots fit in 7 bytes multiply as Python ints; wider ones by one
+  float64 FFT convolution of balanced limbs, exact by Percival's bound and
+  checked by a rounding guard that raises instead of returning a wrong
+  integer.
 - :func:`pow_`: Miller's recurrence for ``e <= -2`` over Z when ``a_0`` is
   +-1 (its division by ``n`` is exact, and a remainder raises); repeated
   squaring otherwise.
@@ -31,7 +33,6 @@ are those of the result at the multiples of ``k`` through ``q^N``.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import compress, islice
 from math import gcd
@@ -39,10 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-try:  # libmpdec; the pure-Python _pydecimal would be slower than int
-    import _decimal
-except ImportError:  # pragma: no cover - CPython built without libmpdec
-    _decimal = None
+from ._fftbound import _GUARD, _error_bound
 
 
 class RingMismatchError(ValueError):
@@ -185,24 +183,25 @@ def scalar_mul(c: int, a: Series) -> Series:
 def mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated at ``n = min(a.order, b.order)``.
 
-    Kronecker substitution: each factor becomes one number whose ``w``-wide
-    slot ``i`` holds its coefficient ``i``, the two numbers are multiplied
-    once, exactly, and the slots of the product are the coefficients
-    ``c_k``.  Each ``c_k`` is a sum of at most ``n+1`` products, so
-    ``|c_k| <= B`` with ``B = max(1, |a|) * max(1, |b|) * (n+1)``, where
-    ``|a|`` is the largest coefficient magnitude of ``a`` (the ``max(1, .)``
-    also keeps the factors' own coefficients within ``B``).  The slot holds
-    ``c_k`` plus a half-slot bias larger than ``B``, so every biased slot
-    lies in ``[0, slot base)`` and no carry or borrow crosses a slot
-    boundary.  The size switch picks one of two exact routes:
+    Each coefficient ``c_k`` of the product is a sum of at most ``n+1``
+    products, so ``|c_k| <= B`` with ``B = max(1, |a|) * max(1, |b|) *
+    (n+1)``, where ``|a|`` is the largest coefficient magnitude of ``a`` (the
+    ``max(1, .)`` also keeps the factors' own coefficients within ``B``).
+    ``B`` sets the width of a Kronecker slot, ``w`` bytes with ``2^(8w-1) >
+    B``, and the width picks one of two exact routes:
 
-    - ``(n+1)`` slots of ``bit_length(B)`` bits below ``_DECIMAL_MIN_BITS``:
-      base ``2^w``, slots packed as bytes into a Python ``int`` (Karatsuba);
-    - at or above it: base ``10^w`` through libmpdec, the C core of the
-      stdlib ``decimal`` module, whose number-theoretic transform beats
-      Karatsuba on large operands (see :func:`_product_decimal` for why it
-      is exact).  Without the C module, or when a slot would be too long for
-      ``str(int)``, the ``int`` route is taken.
+    - at most 7 bytes (``B < 2^55``), Kronecker substitution: each factor
+      becomes one Python ``int`` whose slot ``i`` holds its coefficient ``i``
+      plus a half-slot bias larger than ``B``, packed through int64 arrays.
+      Every biased slot lies in ``[0, 2^(8w))``, so no carry or borrow
+      crosses a slot boundary; the two ints are multiplied once
+      (Karatsuba), and the slots of the product are the ``c_k``.
+    - wider: the coefficients are cut into balanced limbs of ``s`` bits and
+      the limb rows convolved by one float64 FFT (:func:`_product_fft`).
+      ``s`` is the widest for which Percival's bound keeps every output
+      within 1/4 of its integer, so rounding gives the exact value; a guard
+      checks every output, and one that lies 1/4 or more from an integer
+      raises ``ArithmeticError``.
 
     One routine serves Z and Z/M: modular results are reduced by the
     :class:`Series` constructor.  When both operands are series in ``q^k``
@@ -246,98 +245,171 @@ def _spread(cs: Sequence[int], k: int, order: int) -> list[int]:
     return out
 
 
-# Crossover of the two product routes, in bits of one packed operand
-# ((n+1) slots of the bit length of B).  Measured at orders 256 to 8192: with
-# slots of 8 bytes or more, int and libmpdec are level from about 1.1e5 to
-# 2.1e5 bits, and libmpdec is faster above (1.2x at 268k, 2.8-3.2x at 842k).
-# Numpy-packed slots of at most 7 bytes keep int faster to about 3e5 bits
-# (0.86x at 277k-311k, 1.1x at 326k-369k); they pass 3 << 16 bits only
-# beyond order 3500, so the switch stays where wide slots cross.
-_DECIMAL_MIN_BITS = 3 << 16
-
-
 def _product(av: Sequence[int], bv: Sequence[int]) -> list[int]:
     """Coefficients ``0..n`` of ``av * bv`` for two length-``n+1`` sequences,
     exact and unreduced (the routes are described in :func:`mul`)."""
     n = len(av) - 1
-    bound = max(1, max(map(abs, av))) * max(1, max(map(abs, bv))) * (n + 1)
-    bits = bound.bit_length()
-    if _decimal is not None and (n + 1) * bits >= _DECIMAL_MIN_BITS:
-        # 10^(w-1) >= 2^bits > B, as log10(2) < 0.30103
-        width = bits * 30103 // 100000 + 2
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        if not limit or width <= limit:
-            return _product_decimal(av, bv, width)
-    return _product_int(av, bv, bound)
+    top_a = max(map(abs, av))
+    top_b = top_a if av is bv else max(map(abs, bv))
+    width = (max(1, top_a) * max(1, top_b) * (n + 1)).bit_length() // 8 + 1
+    if width <= 7:
+        return _product_int(av, bv, width)
+    return _product_fft(av, bv, top_a.bit_length(), top_b.bit_length())
 
 
-def _product_int(av: Sequence[int], bv: Sequence[int], bound: int) -> list[int]:
-    """Kronecker product in base ``2^w``: slots packed as bytes into ints.
+def _product_int(av: Sequence[int], bv: Sequence[int], width: int) -> list[int]:
+    """Kronecker product with slots of ``width`` bytes, at most 7, packed
+    into ints.
 
-    The slot width in bytes is chosen so that ``2^(w-1) > B``; the low
+    :func:`mul` chooses ``width`` so that ``2^(8*width - 1) > B``; the low
     ``n+1`` slots of the biased product hold ``c_0 .. c_n`` exactly.  Slots
-    of at most 7 bytes are packed and read back through little-endian int64
-    arrays: a biased slot lies below ``2^56``, so no int64 overflows.  An
-    8-byte slot would overflow at the bias, so wider slots are joined and cut
-    as Python ints.
+    are packed and read back through little-endian int64 arrays: a biased
+    slot lies below ``2^56``, so no int64 overflows.
     """
     n = len(av) - 1
-    width = bound.bit_length() // 8 + 1  # slot bytes, so that 2^(w-1) > B
     half = 1 << (8 * width - 1)
     size = width * (n + 1)
     bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * (n + 1), "little")
 
     def pack(cs: Sequence[int]) -> int:
-        if width <= 7:
-            biased = np.array(cs, dtype="<i8")
-            biased += half
-            slots = biased.view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
-        else:
-            slots = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        biased = np.array(cs, dtype="<i8")
+        biased += half
+        slots = biased.view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
         return int.from_bytes(slots, "little") - bias
 
     pa = pack(av)
     pb = pa if av is bv else pack(bv)
     raw = ((pa * pb + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    if width <= 7:
-        padded = np.zeros((n + 1, 8), dtype=np.uint8)
-        padded[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(n + 1, width)
-        return (padded.view("<i8").reshape(-1) - half).tolist()
-    return [int.from_bytes(raw[k : k + width], "little") - half for k in range(0, size, width)]
+    padded = np.zeros((n + 1, 8), dtype=np.uint8)
+    padded[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(n + 1, width)
+    return (padded.view("<i8").reshape(-1) - half).tolist()
 
 
-def _product_decimal(av: Sequence[int], bv: Sequence[int], width: int) -> list[int]:
-    """Kronecker product in base ``10^w`` through libmpdec.
+def _limb_count(bits: int, s: int) -> int:
+    """Balanced base-``2^s`` digits that hold every integer of at most
+    ``bits`` bits: ``s * count >= bits + 2``."""
+    return (bits + 1) // s + 1
 
-    Each factor is written as one decimal string of ``w``-digit slots holding
-    ``c + h`` with ``h = 5*10^(w-1) > B``, and read as a ``Decimal``; the
-    bias over ``n+1`` slots is subtracted, the two factors are multiplied,
-    and the bias over all ``2n+1`` slots of the full product is added back
-    (every product slot, the top ones included, may be negative before it).
-    All arithmetic runs in a context of its own, never the caller's, with
-    ``prec = MAX_PREC`` and ``Inexact``, ``Rounded``, ``InvalidOperation``
-    and ``Overflow`` trapped, so a result that is not the exact integer
-    raises instead of being returned.  The low ``n+1`` slots of
-    ``str(product)`` are ``c_0 + h .. c_n + h``.
+
+def _limb_bits(bits_a: int, bits_b: int, n: int) -> int:
+    """The widest limb ``s`` for which :func:`_product_fft` of length-``n+1``
+    operands of ``bits_a``- and ``bits_b``-bit coefficients is exact:
+    ``T * (n+1) * h^2`` times the error factor stays below the guard, with
+    ``h = 2^(s-1)`` and ``T`` the limb count of the operand with fewer.  No
+    product takes ``s > 25``: ``2^50 * _error_bound(1, 1)`` exceeds 1/4."""
+    length = 1 << (2 * n).bit_length()
+    for s in range(25, 1, -1):
+        terms = min(_limb_count(bits_a, s), _limb_count(bits_b, s))
+        if terms * (n + 1) * 4 ** (s - 1) * _error_bound(length, terms) < _GUARD:
+            return s
+    raise ArithmeticError(f"no limb width keeps a product to q^{n} exact")
+
+
+def _limbs(cs: Sequence[int], s: int, count: int):
+    """Yield the ``count`` rows of balanced base-``2^s`` digits of ``cs``,
+    least significant first, as float64: ``cs[i]`` is the sum over ``j`` of
+    ``row_j[i] * 2^(s*j)``, with ``|row_j[i]| <= 2^(s-1)``.
+
+    Each coefficient is written in two's complement as little-endian 32-bit
+    words, and the words are read ``s`` bits at a time across all
+    coefficients at once; a digit of ``2^(s-1)`` or more becomes negative
+    and carries 1 into the next.
     """
-    dec = _decimal
+    mask, half = (1 << s) - 1, 1 << (s - 1)
+    size = 4 * -(-s * count // 32)
+    raw = b"".join([c.to_bytes(size, "little", signed=True) for c in cs])
+    words = iter(np.frombuffer(raw, "<u4").reshape(len(cs), -1).T.astype(np.int64, order="C"))
+    acc = carry = np.zeros(len(cs), np.int64)
+    held = 0
+    for _ in range(count):
+        if held < s:
+            acc = acc | next(words) << held
+            held += 32
+        v = (acc & mask) + carry
+        acc = acc >> s
+        held -= s
+        carry = (v + half) >> s
+        yield (v - (carry << s)).astype(np.float64)
+
+
+def _product_fft(av: Sequence[int], bv: Sequence[int], bits_a: int, bits_b: int) -> list[int]:
+    """Coefficients ``0..n`` of ``av * bv`` by one float64 FFT convolution of
+    balanced limbs, exact.
+
+    Each coefficient is cut into balanced base-``2^s`` digits (limbs) with
+    ``|digit| <= h = 2^(s-1)``, ``s`` from :func:`_limb_bits`: operand ``a``
+    is the sum over ``j`` of ``a_j * 2^(s*j)``, each ``a_j`` a length-``n+1``
+    row of digits.  Every row is transformed once by a real FFT of the power
+    of two length ``L >= 2n+1``, so no output wraps around.  The product is
+    the sum over limb diagonals ``t`` of ``c_t * 2^(s*t)``, where ``c_t`` is
+    the convolution of the pairs ``a_j, b_(t-j)``: their spectral products are
+    summed, and one inverse transform and a rounding give ``c_t``.
+
+    Exactness.  By Percival's bound (see ``_fftbound``), every output of
+    diagonal ``t`` lies within ``sum_j ||a_j|| * ||b_(t-j)|| *
+    _error_bound(L, T)`` of its exact integer, where ``T`` is the most pairs a
+    diagonal sums, the smaller of the two limb counts.  Each ``||a_j||_2`` is
+    at most ``sqrt(n+1) * h``, so the sum is at most ``T * (n+1) * h^2``.
+    :func:`_limb_bits` takes the widest ``s`` for which that times the factor
+    is below 1/4: every rounded output is then the exact integer, and below
+    ``2^53`` in size.  A guard checks it on every output used: if any lies
+    1/4 or more from an integer, the product raises ``ArithmeticError``.
+
+    The spectra of the operand with fewer limbs are all held; those of the
+    other are computed at the first diagonal that uses them and dropped
+    after the last.  Each ``c_t`` is carried into base-``2^s`` digits in
+    int64, the digits are gathered as 32-bit words, and each coefficient is
+    read back from its words in two's complement.
+    """
     n = len(av) - 1
-    half = 5 * 10 ** (width - 1)
-    slot = "5" + "0" * (width - 1)
-    ctx = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN,
-                      traps=[dec.Inexact, dec.Rounded, dec.InvalidOperation, dec.Overflow])
-    bias = dec.Decimal(slot * (n + 1))
+    length = 1 << (2 * n).bit_length()
+    s = _limb_bits(bits_a, bits_b, n)
+    ka, kb = _limb_count(bits_a, s), _limb_count(bits_b, s)
+    if ka > kb:
+        av, bv, ka, kb = bv, av, kb, ka
+    fa = [np.fft.rfft(row, length) for row in _limbs(av, s, ka)]
+    rows_b = None if bv is av else _limbs(bv, s, kb)
+    fb = fa if rows_b is None else {}
+    mask = (1 << s) - 1
+    words: list[np.ndarray] = []
+    acc = carry = np.zeros(n + 1, np.int64)
+    held = 0
 
-    def pack(cs: Sequence[int]):
-        # most significant slot first
-        return ctx.subtract(dec.Decimal("".join([f"{c + half:0{width}d}" for c in reversed(cs)])),
-                            bias)
+    def push(c: np.ndarray) -> None:
+        """Append the digit ``(c + carry) mod 2^s`` to every coefficient."""
+        nonlocal acc, carry, held
+        v = c + carry
+        carry = v >> s
+        acc = acc | (v & mask) << held
+        held += s
+        if held >= 32:
+            words.append((acc & 0xFFFFFFFF).astype("<u4"))
+            acc = acc >> 32
+            held -= 32
 
-    pa = pack(av)
-    pb = pa if av is bv else pack(bv)
-    full = ctx.add(ctx.multiply(pa, pb), dec.Decimal(slot * (2 * n + 1)))
-    digits = str(full)[-(n + 1) * width :].zfill((n + 1) * width)
-    return [int(digits[i - width : i]) - half for i in range(len(digits), 0, -width)]
+    for t in range(ka + kb - 1):
+        if rows_b is not None and t < kb:
+            fb.pop(t - ka, None)  # no diagonal from t on reads b's limb t - ka
+            fb[t] = np.fft.rfft(next(rows_b), length)
+        pairs = range(max(0, t - kb + 1), min(t, ka - 1) + 1)
+        spectrum = fa[pairs[0]] * fb[t - pairs[0]]
+        for j in pairs[1:]:
+            spectrum += fa[j] * fb[t - j]
+        c = np.fft.irfft(spectrum, length)[: n + 1]
+        r = np.rint(c)
+        if np.max(np.abs(c - r)) >= _GUARD:
+            raise ArithmeticError("FFT rounding error reached the guard; "
+                                  "the product cannot be trusted")
+        push(r.astype(np.int64))
+    zero = np.zeros(n + 1, np.int64)
+    while np.any(carry >> s != carry):
+        push(zero)
+    # every carry is now 0 or -1, the sign, which fills the last word
+    words.append(((acc | (carry & 0xFFFFFFFF) << held) & 0xFFFFFFFF).astype("<u4"))
+    raw = np.array(words).T.tobytes()
+    size = 4 * len(words)
+    return [int.from_bytes(raw[i : i + size], "little", signed=True)
+            for i in range(0, len(raw), size)]
 
 
 def pow_(a: Series, e: int) -> Series:
@@ -418,11 +490,12 @@ def _miller_pow(a0: int, taps: list[tuple[int, int]], e: int, order: int) -> lis
 
 
 # Newton's iteration costs a few products whatever the density, the recurrence
-# O(N) per nonzero coefficient.  Measured at orders 500, 2048 and 8192: mod 7
-# and 17 (the catalog's moduli are 3 to 17), whose products take the numpy
-# slots, Newton wins above about 50 nonzero coefficients (80 at order 8192),
-# by 1.4-2.8x at 128; mod 2^31-1, whose 8-byte slots do not, above about 65,
-# 170 and 256 (1.1x and 1.6x slower at 128 taps, orders 2048 and 8192).
+# O(N) per nonzero coefficient.  Newton's time over the recurrence's, at orders
+# 2048 and 8192 (two runs, BENCH_25.json): mod 7 and 17 (the catalog's moduli
+# are 3 to 17), whose products take the numpy slots, 0.8-0.9x and 1.2-1.4x at
+# 64 nonzero coefficients, 0.4-0.75x at 128 and 0.2-0.4x at 256; mod 2^31-1,
+# whose 8-byte slots take the FFT route, 1.4-1.5x and 1.0-1.1x at 64, 0.6-0.75x
+# at 128 and 0.3-0.4x at 256.  Every modulus crosses between 64 and 128.
 _NEWTON_MIN_TAPS = 128
 
 

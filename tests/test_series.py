@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdissect import series
+from qdissect._fftbound import _GUARD, _error_bound
 from qdissect.series import (
     EXACT,
     CoeffRing,
@@ -359,10 +360,11 @@ def test_mul_at_slot_bound(top, order):
 
 @pytest.mark.parametrize("width", [7, 8])
 @pytest.mark.parametrize("order", [0, 30])
-def test_mul_at_int64_slot_edge(width, order):
-    # slots of at most 7 bytes go through int64 arrays, 8 bytes and more
-    # through Python ints: the largest bound of a 7-byte slot is 2^55 - 1,
-    # the smallest of an 8-byte slot 2^55
+def test_mul_at_int64_slot_edge(monkeypatch, width, order):
+    # Kronecker slots of at most 7 bytes take the int route through int64
+    # arrays, 8 bytes and more the FFT route: the largest bound of a 7-byte
+    # slot is 2^55 - 1, the smallest of an 8-byte slot 2^55
+    fft, narrow = _spy(monkeypatch, "_product_fft"), _spy(monkeypatch, "_product_int")
     top = math.isqrt((2**55 - 1) // (order + 1))
     if width == 8:
         while top * top * (order + 1) < 2**55:
@@ -371,10 +373,13 @@ def test_mul_at_int64_slot_edge(width, order):
     pos, neg = [top] * (order + 1), [-top] * (order + 1)
     for a, b in ((pos, pos), (neg, neg), (pos, neg), (neg, pos)):
         assert mul(Series(EXACT, a), Series(EXACT, b)).coeffs == tuple(brute_mul(a, b, order))
+    assert (len(narrow), len(fft)) == ((4, 0) if width == 7 else (0, 4))
     p = 2**31 - 1
     ring = CoeffRing(p)
     for a, b in ((pos, pos), (pos, [p - 1] * (order + 1))):
         assert mul(Series(ring, a), Series(ring, b)) == Series(ring, brute_mul(a, b, order))
+    # (p - 1) * top * (n+1) needs 8 bytes on both sides of the edge
+    assert len(fft) == (1 if width == 7 else 6)
 
 
 # ---------------------------------------------------------------------------
@@ -404,41 +409,123 @@ def _operands(shape: str, top: int, order: int, rng) -> tuple[list[int], list[in
     return [-top] * (order + 1), [top] * (order + 1)  # all-neg
 
 
-class TestDecimalProductRoute:
-    # order 300: 2^200 coefficients pack to ~1.2e5 bits (int route),
-    # 2^600 ones to ~3.6e5 bits (libmpdec route)
+class TestFFTProductRoute:
+    # order 300: 2^200 and 2^600 coefficients need Kronecker slots of 52 and
+    # 152 bytes, far past the int route's 7
     @pytest.mark.parametrize("shape", ["dense", "all-max", "all-neg"])
-    @pytest.mark.parametrize("bits,route", [(200, False), (600, True)])
-    def test_matches_double_loop_on_both_sides(self, monkeypatch, shape, bits, route):
-        calls = _spy(monkeypatch, "_product_decimal")
+    @pytest.mark.parametrize("bits", [200, 600])
+    def test_matches_double_loop(self, monkeypatch, shape, bits):
+        fft, narrow = _spy(monkeypatch, "_product_fft"), _spy(monkeypatch, "_product_int")
         order = 300
         a, b = _operands(shape, 2**bits, order, random.Random(bits))
         sa, sb = Series(EXACT, a), Series(EXACT, b)
         assert mul(sa, sb).coeffs == tuple(brute_mul(a, b, order))
         assert mul(sb, sa).coeffs == tuple(brute_mul(a, b, order))
         assert mul(sa, sa).coeffs == tuple(brute_mul(a, a, order))
-        assert bool(calls) is route
+        assert len(fft) == 3 and not narrow
 
-    def test_slot_beyond_str_digit_limit_takes_int_route(self, monkeypatch):
-        # 2^8000 coefficients need slots of ~4800 decimal digits, more than
-        # str(int) converts by default; the int route must serve them
-        if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
-            pytest.skip("int/str conversion limit disabled")
-        calls = _spy(monkeypatch, "_product_decimal")
+    @pytest.mark.parametrize("small", [1, 52])
+    def test_lopsided_operands_at_order_2048(self, small):
+        # the shape of chain s8's products: few limbs against many
+        order = 2048
+        rng = random.Random(small)
+        a = [rng.randint(-2**small, 2**small) for _ in range(order + 1)]
+        b = [rng.randint(-2**716, 2**716) for _ in range(order + 1)]
+        assert series._limb_count(small + 1, series._limb_bits(small + 1, 717, order)) < 5
+        assert mul(Series(EXACT, a), Series(EXACT, b)).coeffs == tuple(brute_mul(a, b, order))
+
+    def test_balanced_716_bit_operands(self):
+        order = 600
+        a, b = _operands("dense", 2**716, order, random.Random(716))
+        assert mul(Series(EXACT, a), Series(EXACT, b)).coeffs == tuple(brute_mul(a, b, order))
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_orders_zero_and_one(self, monkeypatch, order):
+        fft = _spy(monkeypatch, "_product_fft")
+        for shape in ("dense", "all-max", "all-neg"):
+            a, b = _operands(shape, 2**600, order, random.Random(order))
+            sa, sb = Series(EXACT, a), Series(EXACT, b)
+            assert mul(sa, sb).coeffs == tuple(brute_mul(a, b, order))
+            assert mul(sa, sa).coeffs == tuple(brute_mul(a, a, order))
+        assert len(fft) == 6
+
+    def test_square_reuses_the_spectra(self, monkeypatch):
+        order = 300
+        a, _ = _operands("dense", 2**600, order, random.Random(8))
+        sa = Series(EXACT, a)
+        rffts = []
+        real = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *args: rffts.append(1) or real(*args))
+        assert mul(sa, sa).coeffs == tuple(brute_mul(a, a, order))
+        bits = max(map(abs, a)).bit_length()
+        assert len(rffts) == series._limb_count(bits, series._limb_bits(bits, bits, order))
+
+    def test_zero_operand(self, monkeypatch):
+        fft = _spy(monkeypatch, "_product_fft")
+        order = 40
+        a, _ = _operands("dense", 2**600, order, random.Random(9))
+        sa, zeros = Series(EXACT, a), zero(EXACT, order)
+        assert mul(sa, zeros) == zeros and mul(zeros, sa) == zeros
+        assert len(fft) == 2
+
+    def test_very_wide_coefficients(self, monkeypatch):
+        # 2^8000 coefficients: about 300 limbs of each operand
+        fft = _spy(monkeypatch, "_product_fft")
         order = 20
         a, b = _operands("dense", 2**8000, order, random.Random(3))
         assert mul(Series(EXACT, a), Series(EXACT, b)).coeffs == tuple(brute_mul(a, b, order))
-        assert not calls
+        assert fft
 
-    def test_without_c_decimal_int_route_serves(self, monkeypatch):
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data(), order=st.integers(min_value=0, max_value=300),
+           bits_a=st.integers(min_value=1, max_value=700),
+           bits_b=st.integers(min_value=1, max_value=700))
+    def test_route_matches_double_loop(self, data, order, bits_a, bits_b):
+        def operand(bits):
+            top = 2**bits
+            shape = data.draw(st.sampled_from(["dense", "all-max", "all-neg", "zero"]))
+            if shape == "dense":
+                coeff = st.integers(min_value=-top, max_value=top)
+                return data.draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))
+            return [{"all-max": top, "all-neg": -top, "zero": 0}[shape]] * (order + 1)
+
+        a, b = operand(bits_a), operand(bits_b)
+        wide_a, wide_b = max(map(abs, a)).bit_length(), max(map(abs, b)).bit_length()
+        assert series._product_fft(a, b, wide_a, wide_b) == brute_mul(a, b, order)
+        assert series._product_fft(a, a, wide_a, wide_a) == brute_mul(a, a, order)
+
+    def test_rounding_guard_rejects_too_wide_limbs(self, monkeypatch):
+        # 25-bit limbs put T * (n+1) * h^2 far beyond what float64 rounds exactly
         order = 300
-        a, b = _operands("dense", 2**600, order, random.Random(5))
-        monkeypatch.setattr(series, "_decimal", None)
-        assert mul(Series(EXACT, a), Series(EXACT, b)).coeffs == tuple(brute_mul(a, b, order))
+        a, b = _operands("dense", 2**600, order, random.Random(12))
+        sa, sb = Series(EXACT, a), Series(EXACT, b)
+        assert mul(sa, sb).coeffs == tuple(brute_mul(a, b, order))
+        monkeypatch.setattr(series, "_limb_bits", lambda *args: 25)
+        with pytest.raises(ArithmeticError):
+            mul(sa, sb)
+
+    @pytest.mark.parametrize("bits_a,bits_b,n,s", [
+        (716, 716, 2048, 14),
+        (618, 618, 10000, 13),
+        (1, 716, 2048, 17),  # one limb against 43
+        (31, 31, 8192, 15),  # residues mod 2^31 - 1
+        (8001, 8001, 20, 15),
+        (1, 1, 0, 25),  # the widest any product takes
+    ])
+    def test_limb_width_follows_the_bound(self, bits_a, bits_b, n, s):
+        length = 1 << (2 * n).bit_length()
+
+        def error(s):
+            terms = min(series._limb_count(bits_a, s), series._limb_count(bits_b, s))
+            return terms * (n + 1) * 4 ** (s - 1) * _error_bound(length, terms)
+
+        # the widest limb that keeps the bound below the guard
+        assert series._limb_bits(bits_a, bits_b, n) == s
+        assert error(s) < _GUARD and all(error(w) >= _GUARD for w in range(s + 1, 33))
 
     def test_modular_large_moduli(self, monkeypatch):
-        calls = _spy(monkeypatch, "_product_decimal")
-        p = 2**521 - 1  # Mersenne prime: 521-bit residues take the libmpdec route
+        calls = _spy(monkeypatch, "_product_fft")
+        p = 2**521 - 1  # Mersenne prime: 521-bit residues need wide slots
         ring = CoeffRing(p)
         rng = random.Random(11)
         a = [rng.randrange(p) for _ in range(201)]
