@@ -1,4 +1,4 @@
-"""The rounding bound of an exact float64 FFT convolution, shared by the
+"""The exactness contract of a float64 FFT convolution, shared by the
 oracle's products mod p and the series engine's wide exact products.
 
 For a convolution of length L = 2^m computed in float64 (unit roundoff
@@ -10,20 +10,23 @@ error of every output by
 
 Summing T spectral products before the inverse transform multiplies this by
 (1+e)^T.  :func:`_error_bound` evaluates the factor with u = e.  A caller
-cuts its operands into limbs narrow enough that the norms times the factor
-stay below ``_GUARD`` = 1/4: every output then lies within 1/4 of its exact
-integer, and rounds to it.
+cuts its operands into digits of at most :func:`_max_digit` in size, so that
+the norms times the factor stay within ``_GUARD`` = 1/4: every output then
+lies within 1/4 of its exact integer, and rounds to it.
 
 The theorem is proved for the radix-2 transform.  numpy's pocketfft splits a
 power-of-two length into radix-4 and radix-2 passes with twiddles accurate to
 about one ulp, and both callers take it to obey the same bound.  Each checks
-that on every output it uses: a value 1/4 or more from an integer raises
-ArithmeticError rather than return a number that rounding may have changed.
+that on every output it uses (:func:`_rounded`): a value 1/4 or more from an
+integer raises ArithmeticError rather than return a number that rounding may
+have changed.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _EPS = 2.0 ** -53  # unit roundoff of float64
 _GUARD = 0.25  # an FFT output this far from an integer is an ArithmeticError
@@ -36,3 +39,20 @@ def _error_bound(length: int, terms: int) -> float:
     m = length.bit_length() - 1
     return math.expm1((6 * m + terms) * math.log1p(_EPS)
                       + (3 * m + 1) * math.log1p(_EPS * math.sqrt(5)))
+
+
+def _max_digit(n: int, length: int, terms: int, pairs: int) -> int:
+    """The largest h with ``pairs * (n+1) * h^2 * _error_bound(length, terms)
+    <= _GUARD``: digits of at most h keep exact a convolution of rows of
+    ``n+1`` digits in which each output sums ``pairs`` products of rows."""
+    return math.isqrt(int(_GUARD / (pairs * (n + 1) * _error_bound(length, terms))))
+
+
+def _rounded(x: np.ndarray) -> np.ndarray:
+    """The integers nearest the FFT outputs ``x``, as floats, overwriting
+    ``x`` with its distances to them; one ``_GUARD`` or more raises."""
+    r = np.rint(x)
+    x -= r
+    if np.abs(x, out=x).max() >= _GUARD:
+        raise ArithmeticError("FFT rounding error reached the guard; the product cannot be trusted")
+    return r

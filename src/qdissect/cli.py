@@ -64,15 +64,15 @@ def main() -> None:
 @click.argument("l", type=int)
 @click.argument("m", type=int)
 @click.argument("n", type=click.IntRange(min=0))
-@click.option("--mod", "modulus", type=int, default=0,
+@click.option("--mod", "modulus", type=int, default=None,
               help="Report the count modulo P, any P in [2, 2^26] (enables the fast path).")
-def cmd_coeff(l: int, m: int, n: int, modulus: int) -> None:
+def cmd_coeff(l: int, m: int, n: int, modulus: Optional[int]) -> None:
     """Print the (L, M)-regular bipartition count at index N."""
     try:
         source = oracle.SourceSpec("bipartite", l, m)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    if modulus:
+    if modulus is not None:
         if n > congruences.DESK_INDEX_CAP:
             raise click.UsageError(
                 f"the fast path is capped at index {congruences.DESK_INDEX_CAP}"
@@ -83,11 +83,10 @@ def cmd_coeff(l: int, m: int, n: int, modulus: int) -> None:
             raise click.BadParameter(str(exc), param_hint="'--mod'") from None
         click.echo(table[n])
         return
-    if n > oracle.EXACT_CAP:
-        raise click.UsageError(
-            f"exact mode is capped at index {oracle.EXACT_CAP}; pass --mod P"
-        )
-    table = oracle.dp_counts(source, n)
+    try:
+        table = oracle.dp_counts(source, n)
+    except ValueError as exc:  # n past the exact-mode cap
+        raise click.UsageError(f"{exc}; pass --mod P") from None
     click.echo(table[n])
 
 

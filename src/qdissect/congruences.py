@@ -185,10 +185,6 @@ class AffineIndex:
     def coeffs(self, m: int = 0, k: int = 0) -> tuple[int, int]:
         return _eval(_parse(self.scale), m, k), _eval(_parse(self.offset), m, k)
 
-    def at(self, n: int, m: int = 0, k: int = 0) -> int:
-        scale, offset = self.coeffs(m, k)
-        return scale * n + offset
-
 
 @dataclass(frozen=True)
 class Term:
@@ -257,21 +253,22 @@ class FamilyReport:
     detail: str = ""
 
 
-_Reads = list[tuple[SourceSpec, int, int]]  # (stream, scale, offset) at one (m, k)
+_Reads = list[tuple[SourceSpec, int, int, int]]  # (stream, scale, offset, weight) at (m, k)
 
 
 def _instance_maps(family: CongruenceFamily, m: int, k: int) -> _Reads:
-    """Stream and ``(scale, offset)`` of every map read at instance (m, k):
-    the family's index first, then each term's.  A map that cannot be
-    evaluated, or reads below index 0 or at one index for every n, is a
+    """Stream, ``(scale, offset)`` and weight of every read at instance (m,
+    k): the family's index first, of weight 1, then each term's, of weight
+    ``coeff * base^m`` mod p.  A map or weight that cannot be evaluated, or a
+    map that reads below index 0 or at one index for every n, is a
     ``ValueError`` naming the family and the instance."""
     try:
-        reads = [(family.source, *family.index.coeffs(m, k))]
-        reads += [(t.source or family.source, *t.index.coeffs(m, k))
-                  for t in family.relation]
-    except (ArithmeticError, RecursionError) as exc:
+        reads = [(family.source, *family.index.coeffs(m, k), 1)]
+        reads += [(t.source or family.source, *t.index.coeffs(m, k),
+                   t.coeff * pow(t.base, m, family.modulus)) for t in family.relation]
+    except (ArithmeticError, RecursionError, ValueError) as exc:
         raise ValueError(f"[family {family.id}] m={m}, k={k}: {exc}") from None
-    for _, scale, offset in reads:
+    for _, scale, offset, _ in reads:
         if scale < 1 or offset < 0:
             raise ValueError(f"[family {family.id}] m={m}, k={k}: index map "
                              f"{scale} * n + {offset} needs scale >= 1 and offset >= 0")
@@ -284,14 +281,14 @@ def _instances(family: CongruenceFamily, n_top: int):
     for m in family.m_values:
         for k in family.k_values:
             reads = _instance_maps(family, m, k)
-            yield {"m": m, "k": k}, reads, max(s * n_top + o for _, s, o in reads)
+            yield {"m": m, "k": k}, reads, max(s * n_top + o for _, s, o, _ in reads)
 
 
 def _first_uncovered(reads: _Reads, n_top: int) -> int:
     """Smallest index above ``DESK_INDEX_CAP`` that some map reads at an n <= n_top."""
     cap = DESK_INDEX_CAP
     return min(offset if offset > cap else scale * ((cap - offset) // scale + 1) + offset
-               for _, scale, offset in reads if scale * n_top + offset > cap)
+               for _, scale, offset, _ in reads if scale * n_top + offset > cap)
 
 
 def required_order(family: CongruenceFamily,
@@ -301,7 +298,7 @@ def required_order(family: CongruenceFamily,
     needs: dict[SourceSpec, int] = {}
     for _, reads, top in _instances(family, n):
         if top <= DESK_INDEX_CAP:
-            for spec, scale, offset in reads:
+            for spec, scale, offset, _ in reads:
                 needs[spec] = max(needs.get(spec, 0), scale * n + offset)
     return needs
 
@@ -348,10 +345,9 @@ def verify_family(
             continue
         tested.append(params)
         max_index = max(max_index or 0, top)
-        (_, scale, offset), *refs = reads
+        (_, scale, offset, _), *refs = reads
         source = tables[family.source]
-        terms = [(t.coeff * pow(t.base, params["m"], p), tables[spec], s, o)
-                 for t, (spec, s, o) in zip(family.relation, refs)]
+        terms = [(w, tables[spec], s, o) for spec, s, o, w in refs]
         for n in range(n_top + 1):
             idx = scale * n + offset
             got = source[idx] % p

@@ -75,13 +75,14 @@ taken with T the number of blocks.  A pass of a split product uses the same
 B and limbs; each of its diagonals sums fewer terms, from parts of the
 operands, so the bound holds for it too.  ``_limb_bits`` then splits the
 operands into balanced limbs of s bits, with h = 2^(s-1), just narrow enough
-that (n+1) * h^2 times the factor is below 1/4, so every rounded output is
-the exact integer.  One limb (h = p/2) covers every catalog stream: for
-(81,17) mod 17 to 2.5e7 the bound is 5.2e-5.  A modulus near 2^26 needs two
-limbs at n = 300 and three at n = 1e6.  The guard runs on every output of
-every diagonal computed.  The exact integers, below 2^53 in size, are
-reduced mod p in float64 as x - floor(x/p) * p.  Tables are held as the
-smallest unsigned dtype that holds p - 1, whether built, loaded or on disk.
+that (n+1) * h^2 times the factor is at most 1/4 (``_max_digit`` of one
+pair), so every rounded output is the exact integer.  One limb (h = p/2)
+covers every catalog stream: for (81,17) mod 17 to 2.5e7 the bound is
+5.2e-5.  A modulus near 2^26 needs two limbs at n = 300 and three at n = 1e6.
+The guard (``_rounded``) runs on every output of every diagonal computed.
+The exact integers, below 2^53 in size, are reduced mod p in float64 as
+x - floor(x/p) * p.  Tables are held as the smallest unsigned dtype that
+holds p - 1, whether built, loaded or on disk.
 
 :func:`tables` builds the tables of a batch by that fast path on ``jobs``
 threads, the longest first; the FFTs and the large element-wise loops release
@@ -98,7 +99,6 @@ in the directory alone.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import zlib
@@ -108,7 +108,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._fftbound import _GUARD, _error_bound
+from ._fftbound import _max_digit, _rounded
 
 EXACT_CAP = 20000  # policy cap for exact-mode tables
 _KINDS = ("regular", "bipartite")  # a stream's kind, by its code in a cache file
@@ -229,7 +229,7 @@ def dp_counts(source: SourceSpec, n_max: int, modulus: int = 0) -> CountTable:
     for the product over its regularities ``l`` of the l-regular generating
     functions: every part not divisible by ``l``, for each ``l``."""
     if modulus == 0 and n_max > EXACT_CAP:
-        raise ValueError(f"exact mode capped at n_max = {EXACT_CAP}")
+        raise ValueError(f"exact mode is capped at index {EXACT_CAP}")
     counts = [1] + [0] * n_max
     for l in source.regularities:
         for part in range(1, n_max + 1):
@@ -293,9 +293,9 @@ def _pentagonal_product(scales: Sequence[int], n: int, p: int) -> np.ndarray:
 
 def _limb_bits(p: int, n: int, length: int, terms: int) -> Optional[int]:
     """Width of the balanced limbs a product of length-(n+1) operands mod p
-    needs so that the bound stays below the guard: None when one limb
-    (|x| <= p/2) suffices."""
-    h_max = math.isqrt(int(_GUARD / ((n + 1) * _error_bound(length, terms))))
+    needs so that the bound (of one pair: see the module docstring) stays
+    within the guard: None when one limb (|x| <= p/2) suffices."""
+    h_max = _max_digit(n, length, terms, 1)
     if p // 2 <= h_max:
         return None
     if h_max < 2:
@@ -367,12 +367,7 @@ def _product_pass(a: np.ndarray, b: np.ndarray, p: int, lo: int, n: int,
                     acc = sa[pairs[0]][s] * sb[d - pairs[0]][t]
                     for i in pairs[1:]:
                         acc += sa[i][s] * sb[d - i][t]
-                    c = np.fft.irfft(acc, 2 * step)
-                    r = np.rint(c)
-                    c -= r
-                    if np.max(np.abs(c)) >= _GUARD:
-                        raise ArithmeticError("FFT rounding error reached the guard; "
-                                              "the product cannot be trusted")
+                    r = _rounded(np.fft.irfft(acc, 2 * step))
                 else:
                     r = np.zeros(2 * step)
                 low = r[:step] + carry[s][t]  # exact coefficients of this limb pair

@@ -182,24 +182,6 @@ def _eval_theta_product(node: Theta, ring: CoeffRing, order: int) -> Series:
     return _binomial_product(ring, order, factors)
 
 
-def theta_sum(node: Theta, ring: CoeffRing, order: int) -> Series:
-    """Bilateral-sum evaluation ``sum_n a^(n(n+1)/2) * b^(n(n-1)/2)``.
-
-    Independent of the product form; the two must agree (triple product).
-    """
-    coeffs = [0] * (order + 1)
-    n, hit = 0, True
-    while hit:  # the terms of n and -n; a set, so that n = 0 counts once
-        hit = False
-        for ta, tb in {(n * (n + 1) // 2, n * (n - 1) // 2), (n * (n - 1) // 2, n * (n + 1) // 2)}:
-            e = node.ua * ta + node.ub * tb
-            if e <= order:
-                hit = True
-                coeffs[e] += node.sa**ta * node.sb**tb
-        n += 1
-    return Series(ring, coeffs)
-
-
 def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
     """Evaluate ``expr`` to a series of the given order (bottom-up, memoized)."""
     if order < 0:
@@ -230,8 +212,7 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
         for c, t in expr.terms:
             result = series.add(result, series.scalar_mul(c, eval_qexpr(t, ring, order)))
     elif isinstance(expr, Dilate):
-        inner = eval_qexpr(expr.child, ring, order // expr.k)
-        result = Series(ring, series._spread(inner.coeffs, expr.k, order))
+        result = series.dilate(eval_qexpr(expr.child, ring, order // expr.k), expr.k, order)
     else:  # pragma: no cover
         raise TypeError(f"unknown QExpr node {type(expr).__name__}")
 

@@ -39,7 +39,7 @@ from .identities import (
     ReduceMod,
     Stage,
 )
-from .oracle import SourceSpec
+from .oracle import FAST_MOD_CAP, SourceSpec
 from .qexpr import _INT, parse_sexpr
 
 
@@ -293,8 +293,11 @@ def _read_family(fields: list[str]) -> CongruenceFamily:
               + "|SCALE|OFFSET" * _RELATION_SHAPES.get(word, 0))
     pos, opts = _split(fields, _FAMILY_KEYS, layout)
     fam_id, source, mode, scale, offset, relation, *refs = pos
+    modulus = _mode(mode, exact=False)
+    if modulus > FAST_MOD_CAP:
+        raise ValueError(f"modulus {modulus} exceeds the fast path's cap {FAST_MOD_CAP}")
     return CongruenceFamily(
-        id=fam_id, source=_read_source(source), modulus=_mode(mode, exact=False),
+        id=fam_id, source=_read_source(source), modulus=modulus,
         index=AffineIndex(scale, offset),
         relation=_read_relation(relation, refs, opts.pop("ref", None)),
         **_read_options(opts),

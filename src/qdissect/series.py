@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._fftbound import _GUARD, _error_bound
+from ._fftbound import _max_digit, _rounded
 
 
 class RingMismatchError(ValueError):
@@ -64,10 +64,6 @@ class CoeffRing:
     def __post_init__(self) -> None:
         if self.modulus < 0 or self.modulus == 1:
             raise ValueError(f"modulus must be 0 or >= 2, got {self.modulus}")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.modulus == 0
 
     def unit_inverse(self, c: int) -> int:
         """Inverse of a unit, raising :class:`NonUnitError` otherwise."""
@@ -118,14 +114,6 @@ class Series:
             raise IndexError(f"coefficient q^{n} not tracked (order {self.order})")
         return self._coeffs[n]
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise PrecisionError(f"cannot extend order {self.order} to {order}")
-        return Series(self.ring, self._coeffs[: order + 1])
-
-    def is_zero(self) -> bool:
-        return not any(self._coeffs)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Series)
@@ -168,12 +156,6 @@ def add(a: Series, b: Series) -> Series:
     _same_ring(a, b)
     n = min(a.order, b.order)
     return Series(a.ring, [a._coeffs[i] + b._coeffs[i] for i in range(n + 1)])
-
-
-def sub(a: Series, b: Series) -> Series:
-    _same_ring(a, b)
-    n = min(a.order, b.order)
-    return Series(a.ring, [a._coeffs[i] - b._coeffs[i] for i in range(n + 1)])
 
 
 def scalar_mul(c: int, a: Series) -> Series:
@@ -293,14 +275,14 @@ def _limb_count(bits: int, s: int) -> int:
 
 def _limb_bits(bits_a: int, bits_b: int, n: int) -> int:
     """The widest limb ``s`` for which :func:`_product_fft` of length-``n+1``
-    operands of ``bits_a``- and ``bits_b``-bit coefficients is exact:
-    ``T * (n+1) * h^2`` times the error factor stays below the guard, with
-    ``h = 2^(s-1)`` and ``T`` the limb count of the operand with fewer.  No
-    product takes ``s > 25``: ``2^50 * _error_bound(1, 1)`` exceeds 1/4."""
+    operands of ``bits_a``- and ``bits_b``-bit coefficients is exact: its
+    digit ``h = 2^(s-1)`` is within ``_max_digit`` of ``T`` pairs, ``T`` the
+    limb count of the operand with fewer.  No product takes ``s > 25``:
+    ``2^50 * _error_bound(1, 1)`` exceeds 1/4."""
     length = 1 << (2 * n).bit_length()
     for s in range(25, 1, -1):
         terms = min(_limb_count(bits_a, s), _limb_count(bits_b, s))
-        if terms * (n + 1) * 4 ** (s - 1) * _error_bound(length, terms) < _GUARD:
+        if 1 << (s - 1) <= _max_digit(n, length, terms, terms):
             return s
     raise ArithmeticError(f"no limb width keeps a product to q^{n} exact")
 
@@ -351,9 +333,9 @@ def _product_fft(av: Sequence[int], bv: Sequence[int], bits_a: int, bits_b: int)
     diagonal sums, the smaller of the two limb counts.  Each ``||a_j||_2`` is
     at most ``sqrt(n+1) * h``, so the sum is at most ``T * (n+1) * h^2``.
     :func:`_limb_bits` takes the widest ``s`` for which that times the factor
-    is below 1/4: every rounded output is then the exact integer, and below
-    ``2^53`` in size.  A guard checks it on every output used: if any lies
-    1/4 or more from an integer, the product raises ``ArithmeticError``.
+    is at most 1/4: every rounded output is then the exact integer, and below
+    ``2^53`` in size.  ``_rounded`` checks the ``n+1`` outputs kept: one 1/4
+    or more from an integer raises ``ArithmeticError``.
 
     The spectra of the operand with fewer limbs are all held; those of the
     other are computed at the first diagonal that uses them and dropped
@@ -395,12 +377,7 @@ def _product_fft(av: Sequence[int], bv: Sequence[int], bits_a: int, bits_b: int)
         spectrum = fa[pairs[0]] * fb[t - pairs[0]]
         for j in pairs[1:]:
             spectrum += fa[j] * fb[t - j]
-        c = np.fft.irfft(spectrum, length)[: n + 1]
-        r = np.rint(c)
-        if np.max(np.abs(c - r)) >= _GUARD:
-            raise ArithmeticError("FFT rounding error reached the guard; "
-                                  "the product cannot be trusted")
-        push(r.astype(np.int64))
+        push(_rounded(np.fft.irfft(spectrum, length)[: n + 1]).astype(np.int64))
     zero = np.zeros(n + 1, np.int64)
     while np.any(carry >> s != carry):
         push(zero)
@@ -451,7 +428,7 @@ def pow_(a: Series, e: int) -> Series:
 
 def _pow(a: Series, e: int) -> Series:
     """``a^e`` for ``e`` other than 0 and 1 by the routes of :func:`pow_`."""
-    if e < -1 and a.ring.is_exact and a._coeffs[0] in (1, -1):
+    if e < -1 and a.ring.modulus == 0 and a._coeffs[0] in (1, -1):
         return Series(a.ring, _miller_pow(a._coeffs[0], _taps(a), e, a.order))
     if e < 0:
         a, e = invert(a), -e
@@ -549,11 +526,15 @@ def _newton_inverse(av: Sequence[int], inv0: int, mod: int) -> list[int]:
     return b
 
 
-def dilate(a: Series, k: int) -> Series:
-    """Replace ``q`` by ``q^k``; result order is ``a.order * k``."""
+def dilate(a: Series, k: int, order: Optional[int] = None) -> Series:
+    """Replace ``q`` by ``q^k``, to ``order``: by default ``a.order * k``, and
+    at most ``a.order * k + k - 1``, the last that ``a`` fixes."""
     if k <= 0:
         raise ValueError("dilation factor must be positive")
-    return Series(a.ring, _spread(a._coeffs, k, a.order * k))
+    n = a.order * k if order is None else order
+    if n // k > a.order:
+        raise PrecisionError(f"dilate by {k} to order {n} needs order {n // k}, have {a.order}")
+    return Series(a.ring, _spread(a._coeffs[: n // k + 1], k, n))
 
 
 def extract(a: Series, r: int, s: int) -> Series:
@@ -569,7 +550,7 @@ def extract(a: Series, r: int, s: int) -> Series:
 
 def reduce_mod(a: Series, modulus: int) -> Series:
     """Coefficientwise reduction of an exact series into Z/M."""
-    if not a.ring.is_exact:
+    if a.ring.modulus:
         raise ValueError("reduce_mod expects a series over exact integers")
     return Series(CoeffRing(modulus), a._coeffs)
 

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import pytest
 
+from qdissect.qexpr import Theta
 from qdissect.series import EXACT, CoeffRing, Series
 
 
@@ -81,6 +82,24 @@ def brute_mul(a: list[int], b: list[int], order: int) -> list[int]:
             for j, bj in enumerate(b[: order + 1 - i]):
                 out[i + j] += ai * bj
     return out
+
+
+def theta_sum(node: Theta, ring: CoeffRing, order: int) -> Series:
+    """Bilateral-sum evaluation ``sum_n a^(n(n+1)/2) * b^(n(n-1)/2)``.
+
+    Independent of the product form; the two must agree (triple product).
+    """
+    coeffs = [0] * (order + 1)
+    n, hit = 0, True
+    while hit:  # the terms of n and -n; a set, so that n = 0 counts once
+        hit = False
+        for ta, tb in {(n * (n + 1) // 2, n * (n - 1) // 2), (n * (n - 1) // 2, n * (n + 1) // 2)}:
+            e = node.ua * ta + node.ub * tb
+            if e <= order:
+                hit = True
+                coeffs[e] += node.sa**ta * node.sb**tb
+        n += 1
+    return Series(ring, coeffs)
 
 
 def random_series(rng, ring: CoeffRing, order: int, unit: bool = False) -> Series:

@@ -32,7 +32,6 @@ from qdissect.qexpr import (
     Pow,
     Theta,
     eval_qexpr,
-    theta_sum,
 )
 from qdissect.registry import registry
 from qdissect.series import (
@@ -51,6 +50,7 @@ from qdissect.series import (
     reduce_mod,
     zero,
 )
+from conftest import theta_sum
 
 REG = registry()
 CASES = {c.id: c for c in REG.cases}
@@ -304,7 +304,7 @@ def test_criterion_8_property_suites():
         a = rand_series(ring)
         s = rng.randint(2, 6)
         adj_ok &= extract(dilate(a, s), 0, s) == a
-        adj_ok &= all(extract(dilate(a, s), r, s).is_zero() for r in range(1, s))
+        adj_ok &= not any(any(extract(dilate(a, s), r, s).coeffs) for r in range(1, s))
         total = zero(ring, order)
         for r in range(s):
             comp = dilate(extract(a, r, s), s)

@@ -37,8 +37,8 @@ class TestCoeff:
 
     def test_exact_cap_error(self, runner):
         result = runner.invoke(main, ["coeff", "3", "7", "50000"])
-        assert result.exit_code != 0
-        assert "--mod" in result.output
+        assert result.exit_code == 2, result.output
+        assert "exact mode is capped at index 20000; pass --mod P" in result.output
 
     @pytest.mark.parametrize("args", [
         ["1", "7", "10"], ["1", "7", "10", "--mod", "7"],
@@ -49,7 +49,7 @@ class TestCoeff:
         assert result.exit_code == 2, result.output
         assert "L, M >= 2" in result.output
 
-    @pytest.mark.parametrize("modulus", ["1", "-5", str(2**26 + 1), str(2**40)])
+    @pytest.mark.parametrize("modulus", ["0", "1", "-5", str(2**26 + 1), str(2**40)])
     def test_bad_modulus_rejected(self, runner, modulus):
         result = runner.invoke(main, ["coeff", "3", "7", "10", "--mod", modulus])
         assert result.exit_code == 2, result.output

@@ -99,13 +99,10 @@ class TestSequences:
 
 class TestIndexMaps:
     def test_affine_evaluation(self):
-        ix = AffineIndex("16", "5")
-        assert ix.at(3) == 53
-        assert ix.coeffs() == (16, 5)
+        assert AffineIndex("16", "5").coeffs() == (16, 5)
         pow_ix = AffineIndex("4 ** (7 * m)", "(4 ** (7 * m) - 1) / 3")
         assert pow_ix.coeffs(1, 0) == (4**7, 5461)
-        assert pow_ix.at(2, 1) == 2 * 4**7 + 5461
-        assert AffineIndex("88", "8 * k + 7").at(1, 0, 3) == 88 + 31
+        assert AffineIndex("88", "8 * k + 7").coeffs(0, 3) == (88, 31)
         assert AffineIndex("-m + 3", "-(k - 2)").coeffs(1, 5) == (2, -3)
 
     def test_exact_div_guards(self):
@@ -156,7 +153,7 @@ class TestVerifyFamily:
     def test_zero_family_passes(self):
         # the (2,8) stream vanishes mod 11 on 8(11n+k)+7
         fam = FAMILIES["x1"]
-        src = oracle.coeff_fast(fam.source, fam.index.at(100, 0, 10), 11)
+        src = oracle.coeff_fast(fam.source, required_order(fam, 100)[fam.source], 11)
         rep = verify_family(fam, {fam.source: src}, n_max=100)
         assert rep.status == "pass"
         assert len(rep.params_tested) == 10
@@ -217,7 +214,8 @@ class TestVerifyFamily:
         # the source table covers n <= 60, the 17-regular table only n <= 30
         fam = FAMILIES["7.22"]
         r17 = SourceSpec("regular", 17)
-        tables = {fam.source: oracle.coeff_fast(fam.source, fam.index.at(60), 17),
+        order = required_order(fam, 60)[fam.source]
+        tables = {fam.source: oracle.coeff_fast(fam.source, order, 17),
                   r17: oracle.coeff_fast(r17, 30, 17)}
         with pytest.raises(ValueError) as exc:
             verify_family(fam, tables, n_max=60)
@@ -253,7 +251,7 @@ class TestVerifyFamily:
 
     def test_cross_source_recurrence(self):
         fam = FAMILIES["7.22"]
-        src = oracle.coeff_fast(fam.source, fam.index.at(60), 17)
+        src = oracle.coeff_fast(fam.source, required_order(fam, 60)[fam.source], 17)
         r17 = SourceSpec("regular", 17)
         ref = oracle.coeff_fast(r17, 60, 17)
         rep = verify_family(fam, {fam.source: src, r17: ref}, n_max=60)
@@ -263,7 +261,7 @@ class TestVerifyFamily:
         # the printed m-range includes m = 0, where the progression is the
         # proportional one; the probe must record the violation at n = 0
         fam = FAMILIES["s13-m0-probe"]
-        src = oracle.coeff_fast(fam.source, fam.index.at(10), 17)
+        src = oracle.coeff_fast(fam.source, required_order(fam)[fam.source], 17)
         rep = verify_family(fam, {fam.source: src})
         assert rep.status == "erratum"
         first = rep.violations[0]
@@ -308,6 +306,29 @@ class TestVerifyFamily:
         src = oracle.dp_counts(fam.source, 16, modulus=7)
         assert verify_family(fam, {fam.source: src}).max_index == 16
         assert required_order(fam) == {SourceSpec("bipartite", 3, 7): 16}
+
+    def test_weight_without_inverse_names_the_instance(self):
+        # 17^-1 does not exist mod 17: the weight C^m of a recur relation at m = -1
+        fam = CongruenceFamily(
+            "f", "t", 17, SourceSpec("regular", 17), AffineIndex("1", "0"),
+            (Term(1, 17, AffineIndex("1", "0")),), m_values=(-1,), default_n_max=5,
+        )
+        table = oracle.dp_counts(fam.source, 5)
+        want = r"^\[family f\] m=-1, k=0: base is not invertible"
+        for check in (lambda: required_order(fam), lambda: verify_family(fam, {fam.source: table})):
+            with pytest.raises(ValueError, match=want):
+                check()
+
+    def test_weight_with_inverse_is_read(self):
+        # 2^-1 = 6 mod 11, so every instance expects 6 times its own count
+        fam = CongruenceFamily(
+            "f", "t", 11, SourceSpec("regular", 17), AffineIndex("1", "0"),
+            (Term(1, 2, AffineIndex("1", "0")),), m_values=(-1,), default_n_max=5,
+            expect="record",
+        )
+        rep = verify_family(fam, {fam.source: oracle.dp_counts(fam.source, 5, modulus=11)})
+        assert rep.status == "erratum" and rep.n_violations == 6
+        assert all(v.expected == 6 * v.got % 11 for v in rep.violations)
 
     def test_required_order_plans_references(self):
         fam = FAMILIES["7.22"]

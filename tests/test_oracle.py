@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qdissect import oracle
+from qdissect._fftbound import _GUARD, _error_bound
 from qdissect.congruences import build_families, required_order
 from qdissect.oracle import CountTable, SourceSpec, coeff_fast, dp_counts
 from qdissect.qexpr import EtaF, Mul, Pow, eval_qexpr
@@ -485,12 +486,12 @@ class TestFastPath:
     ])
     def test_limb_width_follows_the_bound(self, p, n, length, blocks, limbs):
         bits = oracle._limb_bits(p, n, length, blocks)
-        bound = (n + 1) * oracle._error_bound(length, blocks)
+        bound = (n + 1) * _error_bound(length, blocks)
         if bits is None:
-            assert limbs == 1 and bound * (p // 2) ** 2 < oracle._GUARD
+            assert limbs == 1 and bound * (p // 2) ** 2 < _GUARD
         else:
             # the widest limb that keeps the bound below the guard
-            assert bound * 4 ** (bits - 1) < oracle._GUARD <= bound * 4 ** bits
+            assert bound * 4 ** (bits - 1) < _GUARD <= bound * 4 ** bits
             assert len(oracle._limbs(np.zeros(1, np.uint32), p, bits)) == limbs
 
     @pytest.mark.parametrize("p,bits", [(7, None), (2, None), (2**26 - 5, None),
@@ -739,7 +740,7 @@ def _families_cold_streams():
     return list(keys)
 
 
-class TestPrefetch:
+class TestTables:
     """oracle.tables fetches a batch's tables before its family walk."""
 
     NEEDS = {key: 150 + 97 * i for i, key in enumerate(_families_cold_streams())}

@@ -21,10 +21,9 @@ from qdissect.qexpr import (
     Theta,
     eval_qexpr,
     parse_sexpr,
-    theta_sum,
 )
 from qdissect.series import EXACT, CoeffRing, Series, eq_to_order
-from conftest import brute_mul, brute_pochhammer
+from conftest import brute_mul, brute_pochhammer, theta_sum
 
 
 class TestAtomValidation:

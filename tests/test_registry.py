@@ -190,6 +190,9 @@ chain c|exact|64|(eta 1)|note=demo
         ("a|exact|9|(eta 1)|note=x|(eta 1)\n", "expected ID|MODE|ORDER|LHS|RHS"),
         ("family f|regular 1|mod17|1|0|zero\n", "regularity index must be >= 2"),
         ("family f|regular 17|exact|1|0|zero\n", "mode must be 'modM'"),
+        # the fast path builds every family table; its modulus cap is the family's
+        ("family f|regular 17|mod100000000|1|0|zero|n_max=5\n",
+         "modulus 100000000 exceeds the fast path's cap 67108864"),
         ("family f|regular 17|mod17|1|0|recur 5\n", "RELATION|SCALE|OFFSET"),
         ("family f|regular 17|mod17|1|0|three 5|1|0|1|0\n", "relation must be"),
         ("family f|regular 17|mod17|1|0|zero|ref=regular 5\n", "recur relation only"),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdissect import series
-from qdissect._fftbound import _GUARD, _error_bound
+from qdissect._fftbound import _GUARD, _error_bound, _max_digit, _rounded
 from qdissect.series import (
     EXACT,
     CoeffRing,
@@ -29,7 +29,6 @@ from qdissect.series import (
     pow_,
     reduce_mod,
     scalar_mul,
-    sub,
     zero,
 )
 from conftest import brute_mul, brute_pochhammer, random_series
@@ -45,8 +44,7 @@ class TestConstruction:
             CoeffRing(1)
         with pytest.raises(ValueError):
             CoeffRing(-2)
-        assert CoeffRing(0).is_exact
-        assert not CoeffRing(5).is_exact
+        assert CoeffRing(0) == EXACT and CoeffRing(5) != EXACT
 
     def test_modular_normalization(self):
         s = Series(CoeffRing(7), [9, -1, 14])
@@ -74,7 +72,7 @@ class TestAddSub:
 
     def test_self_difference_vanishes(self):
         f1 = euler_product(20)
-        assert sub(f1, f1).is_zero()
+        assert add(f1, scalar_mul(-1, f1)) == zero(EXACT, 20)
 
     def test_order_is_min(self):
         assert add(one(EXACT, 10), one(EXACT, 4)).order == 4
@@ -161,6 +159,14 @@ class TestDilateExtract:
         a = euler_product(12)
         assert dilate(dilate(a, 2), 3) == dilate(a, 6)
 
+    def test_dilate_to_order(self):
+        a = Series(EXACT, [1, 1, 2])
+        assert dilate(a, 3, 5).coeffs == (1, 0, 0, 1, 0, 0)
+        assert dilate(a, 3, 8).coeffs == (1, 0, 0, 1, 0, 0, 2, 0, 0)  # the last order a fixes
+        assert dilate(a, 3, 0).coeffs == (1,)
+        with pytest.raises(PrecisionError):
+            dilate(a, 3, 9)
+
     def test_extract_squares_parity(self):
         # odd squares 1, 9, 25 land at (1-1)/2=0, (9-1)/2=4, (25-1)/2=12
         phi = [0] * 30
@@ -177,7 +183,7 @@ class TestDilateExtract:
         a = euler_product(20)
         assert extract(dilate(a, 5), 0, 5) == a
         for r in (1, 2, 3, 4):
-            assert extract(dilate(a, 5), r, 5).is_zero()
+            assert not any(extract(dilate(a, 5), r, 5).coeffs)
 
     def test_extract_pentagonal_residues(self):
         # exponents of the Euler product congruent to 2 mod 5, found by
@@ -212,8 +218,8 @@ class TestReduceEq:
         n = 60
         f1 = euler_product(n)
         f2 = Series(EXACT, brute_pochhammer(2, 2, n))
-        diff = sub(f2, mul(f1, f1))
-        assert reduce_mod(diff, 2).is_zero()
+        diff = add(f2, scalar_mul(-1, mul(f1, f1)))
+        assert reduce_mod(diff, 2) == zero(CoeffRing(2), n)
 
     def test_eq_reflexive(self):
         f1 = euler_product(30)
@@ -288,7 +294,7 @@ def test_dissection_reconstructs(data, s):
 
 def _pad(sr: Series, order: int) -> Series:
     if sr.order >= order:
-        return sr.truncate(order)
+        return Series(sr.ring, sr.coeffs[: order + 1])
     return Series(sr.ring, list(sr.coeffs) + [0] * (order - sr.order))
 
 
@@ -522,6 +528,20 @@ class TestFFTProductRoute:
         # the widest limb that keeps the bound below the guard
         assert series._limb_bits(bits_a, bits_b, n) == s
         assert error(s) < _GUARD and all(error(w) >= _GUARD for w in range(s + 1, 33))
+
+    @pytest.mark.parametrize("n,length,terms,pairs", [
+        (0, 1, 1, 1), (2048, 8192, 43, 43), (10**6, 2**21, 31, 1), (24_772_604, 2**21, 24, 1),
+    ])
+    def test_max_digit_is_the_largest_within_the_guard(self, n, length, terms, pairs):
+        h = _max_digit(n, length, terms, pairs)
+        error = lambda h: pairs * (n + 1) * h * h * _error_bound(length, terms)
+        assert error(h) <= _GUARD < error(h + 1)
+
+    def test_rounding_guard(self):
+        x = np.array([1.2, -3.0, 2.76, -0.249])
+        assert list(_rounded(x)) == [1.0, -3.0, 3.0, -0.0]
+        with pytest.raises(ArithmeticError):
+            _rounded(np.array([0.0, 2.25]))
 
     def test_modular_large_moduli(self, monkeypatch):
         calls = _spy(monkeypatch, "_product_fft")
