@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import series
 from .series import CoeffRing, Series
@@ -138,18 +137,6 @@ class Dilate(QExpr):
 _MEMO: dict[tuple[QExpr, CoeffRing, int], Series] = {}
 
 
-def _binomial_product(ring: CoeffRing, order: int, factors: Iterable[tuple[int, int]]) -> Series:
-    """Product of binomials ``(1 - s*q^d)`` for (d, s) pairs with 0 <= d <= order."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    mod = ring.modulus
-    for d, s in factors:
-        for n in range(order, d - 1, -1):
-            v = coeffs[n] - s * coeffs[n - d]
-            coeffs[n] = v % mod if mod else v
-    return Series(ring, coeffs)
-
-
 def _pentagonal(ring: CoeffRing, order: int, k: int) -> Series:
     """``f_k`` by Euler's pentagonal theorem,
     ``sum_n (-1)^n q^(k*n(3n-1)/2)`` over all integers ``n``: O(sqrt(N)) terms.
@@ -179,7 +166,7 @@ def _eval_theta_product(node: Theta, ring: CoeffRing, order: int) -> Series:
     factors = [(d, -s0 * sab**j) for start, s0 in ((node.ua, node.sa), (node.ub, node.sb))
                for j, d in enumerate(range(start, order + 1, period))]
     factors += [(d, sab**j) for j, d in enumerate(range(period, order + 1, period), 1)]
-    return _binomial_product(ring, order, factors)
+    return series.binomial_product(ring, order, factors)
 
 
 def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
@@ -196,7 +183,8 @@ def eval_qexpr(expr: QExpr, ring: CoeffRing, order: int) -> Series:
     elif isinstance(expr, Q):
         result = series.monomial(ring, order, expr.exponent)
     elif isinstance(expr, Pochhammer):
-        result = _binomial_product(ring, order, ((d, 1) for d in range(expr.a, order + 1, expr.m)))
+        factors = ((d, 1) for d in range(expr.a, order + 1, expr.m))
+        result = series.binomial_product(ring, order, factors)
     elif isinstance(expr, EtaF):
         result = _pentagonal(ring, order, expr.k)
     elif isinstance(expr, Theta):

@@ -5,8 +5,15 @@ A :class:`Series` carries its own truncation order: coefficients of
 order of its result.  There is no global precision, and floating point
 enters only behind a written bound (the FFT route of :func:`mul`).
 
-Exact coefficients are arbitrary-precision Python ints; modular series keep
-coefficients reduced to ``[0, M)``.  Every route below is exact; each is
+Exact coefficients are arbitrary-precision Python ints, held in a tuple;
+modular series keep coefficients reduced to ``[0, M)``.  Below ``M = 2^31``
+(``_ARRAY_MOD``) they are held in one read-only int64 numpy array, so that
+sums, scalar multiples, slices, the lattice test and the product packing are
+array operations with no Python loop per coefficient: a residue is below
+``2^31``, so a sum is below ``2^32`` and a product of two below ``2^62``.
+From ``2^31`` on they are held in a tuple, like exact ones.  The
+representation is chosen once, by the constructor, from the ring; ``coeffs``
+and indexing give Python ints on both.  Every route below is exact; each is
 picked by a switch on size, ring, exponent or density, and each is checked
 against an independent reference in the tests:
 
@@ -36,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -83,9 +90,21 @@ class CoeffRing:
 
 EXACT = CoeffRing(0)
 
+# Moduli below this hold their residues in an int64 array (see the module
+# docstring): a residue times a residue, or times a scalar reduced mod M,
+# stays below 2^62.
+_ARRAY_MOD = 1 << 31
+
 
 class Series:
-    """Immutable truncated power series: coefficients for ``q^0 .. q^order``."""
+    """Immutable truncated power series: coefficients for ``q^0 .. q^order``.
+
+    Over Z/M with ``M < 2^31`` the coefficients are one read-only int64 array
+    of residues, taken as a copy of ``coeffs`` reduced by one ``%`` (ints too
+    wide for int64 are reduced in Python first); otherwise a tuple of Python
+    ints.  ``coeffs`` is a tuple of Python ints either way, and two series are
+    equal, and hash alike, when their rings and coefficients are.
+    """
 
     __slots__ = ("ring", "_coeffs")
 
@@ -93,10 +112,14 @@ class Series:
         if len(coeffs) == 0:
             raise ValueError("empty series rejected; order must be >= 0")
         mod = ring.modulus
-        values = map(int, coeffs)
+        if 0 < mod < _ARRAY_MOD:
+            values = _residues(coeffs, mod)
+        elif mod:
+            values = tuple([int(c) % mod for c in coeffs])
+        else:
+            values = tuple(map(int, coeffs))
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_coeffs",
-                           tuple([c % mod for c in values]) if mod else tuple(values))
+        object.__setattr__(self, "_coeffs", values)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Series is immutable")
@@ -107,27 +130,46 @@ class Series:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
+        cs = self._coeffs
+        return tuple(cs.tolist()) if isinstance(cs, np.ndarray) else cs
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient q^{n} not tracked (order {self.order})")
-        return self._coeffs[n]
+        return int(self._coeffs[n])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Series)
-            and self.ring == other.ring
-            and self._coeffs == other._coeffs
-        )
+        if not (isinstance(other, Series) and self.ring == other.ring):
+            return False
+        if isinstance(self._coeffs, np.ndarray):
+            return np.array_equal(self._coeffs, other._coeffs)
+        return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash((self.ring, self._coeffs))
+        cs = self._coeffs
+        return hash((self.ring, cs.tobytes() if isinstance(cs, np.ndarray) else cs))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self._coeffs[:8])
         tail = ", ..." if self.order >= 8 else ""
         return f"Series({self.ring}, O(q^{self.order + 1}); [{head}{tail}])"
+
+
+def _residues(coeffs: Sequence[int], mod: int) -> np.ndarray:
+    """A new read-only int64 array of ``coeffs`` reduced into ``[0, mod)``,
+    ``mod < 2^31``."""
+    if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind == "i":
+        out = coeffs.astype(np.int64)  # a copy, of int64 input too
+    else:
+        if isinstance(coeffs, np.ndarray):  # unsigned or object: Python ints first
+            coeffs = coeffs.tolist()
+        try:
+            out = np.array(coeffs, dtype=np.int64)
+        except OverflowError:
+            out = np.array([int(c) % mod for c in coeffs], dtype=np.int64)
+    out %= mod
+    out.flags.writeable = False
+    return out
 
 
 def zero(ring: CoeffRing, order: int) -> Series:
@@ -146,6 +188,34 @@ def monomial(ring: CoeffRing, order: int, exponent: int, coeff: int = 1) -> Seri
     return Series(ring, c)
 
 
+def binomial_product(ring: CoeffRing, order: int, factors: Iterable[tuple[int, int]]) -> Series:
+    """Product of binomials ``(1 - s*q^d)`` for (d, s) pairs with 0 <= d <= order.
+
+    Each factor maps ``c_n`` to ``c_n - s*c_(n-d)``, reading only old values,
+    so over an array ring it is one array operation, ``s`` reduced first; a
+    factor at ``d = 0`` multiplies by ``1 - s``."""
+    mod = ring.modulus
+    if not 0 < mod < _ARRAY_MOD:
+        coeffs = [0] * (order + 1)
+        coeffs[0] = 1
+        for d, s in factors:
+            for n in range(order, d - 1, -1):
+                v = coeffs[n] - s * coeffs[n - d]
+                coeffs[n] = v % mod if mod else v
+        return Series(ring, coeffs)
+    c = np.zeros(order + 1, np.int64)
+    c[0] = 1
+    for d, s in factors:
+        s %= mod
+        if d == 0:
+            c = (1 - s) * c % mod
+            continue
+        tail = c[d:]
+        tail -= s * c[:-d]
+        np.remainder(tail, mod, out=tail)
+    return Series(ring, c)
+
+
 def _same_ring(a: Series, b: Series) -> None:
     if a.ring != b.ring:
         raise RingMismatchError(f"ring mismatch: {a.ring} vs {b.ring}")
@@ -155,10 +225,15 @@ def add(a: Series, b: Series) -> Series:
     """Coefficientwise sum; result order is ``min(a.order, b.order)``."""
     _same_ring(a, b)
     n = min(a.order, b.order)
-    return Series(a.ring, [a._coeffs[i] + b._coeffs[i] for i in range(n + 1)])
+    av, bv = a._coeffs, b._coeffs
+    if isinstance(av, np.ndarray):
+        return Series(a.ring, av[: n + 1] + bv[: n + 1])
+    return Series(a.ring, [av[i] + bv[i] for i in range(n + 1)])
 
 
 def scalar_mul(c: int, a: Series) -> Series:
+    if isinstance(a._coeffs, np.ndarray):
+        return Series(a.ring, c % a.ring.modulus * a._coeffs)
     return Series(a.ring, [c * x for x in a._coeffs])
 
 
@@ -208,8 +283,13 @@ def _lattice(cs: Sequence[int]) -> int:
 
     The first nonzero index is the candidate; each residue class off its
     lattice is tested by one slice, and a nonzero one shrinks the candidate
-    to a divisor.  A dense series leaves at index 1.
+    to a divisor.  A dense series leaves at index 1.  An array of residues
+    that is not dense takes the gcd of its nonzero indices in one reduction.
     """
+    if isinstance(cs, np.ndarray):
+        if len(cs) > 1 and cs[1]:
+            return 1
+        return int(np.gcd.reduce(np.flatnonzero(cs[1:]) + 1))
     k = next(compress(range(1, len(cs)), islice(cs, 1, None)), 0)
     j = 1
     while j < k:
@@ -219,29 +299,42 @@ def _lattice(cs: Sequence[int]) -> int:
     return k
 
 
-def _spread(cs: Sequence[int], k: int, order: int) -> list[int]:
+def _spread(cs: Sequence[int], k: int, order: int):
     """``A(q^k)`` truncated at ``order`` from the coefficients of ``A``, which
-    run to ``order // k``: zeros off the lattice."""
-    out = [0] * (order + 1)
-    out[::k] = cs
+    run to at most ``order // k``: zeros off the lattice and past the last.
+    A new list, or a new int64 array when ``cs`` is one."""
+    out = np.zeros(order + 1, np.int64) if isinstance(cs, np.ndarray) else [0] * (order + 1)
+    out[: k * len(cs) : k] = cs
     return out
 
 
-def _product(av: Sequence[int], bv: Sequence[int]) -> list[int]:
+def _product(av: Sequence[int], bv: Sequence[int]):
     """Coefficients ``0..n`` of ``av * bv`` for two length-``n+1`` sequences,
-    exact and unreduced (the routes are described in :func:`mul`)."""
+    exact and unreduced (the routes are described in :func:`mul`).  Two int64
+    arrays of residues give an int64 array from the int route; every other
+    result is a list of Python ints."""
     n = len(av) - 1
-    top_a = max(map(abs, av))
-    top_b = top_a if av is bv else max(map(abs, bv))
+    arrays = isinstance(av, np.ndarray)
+    if arrays:
+        top_a = int(np.abs(av).max())
+        top_b = top_a if av is bv else int(np.abs(bv).max())
+    else:
+        top_a = max(map(abs, av))
+        top_b = top_a if av is bv else max(map(abs, bv))
     width = (max(1, top_a) * max(1, top_b) * (n + 1)).bit_length() // 8 + 1
     if width <= 7:
-        return _product_int(av, bv, width)
+        out = _product_int(av, bv, width)
+        return out if arrays else out.tolist()
+    if arrays:
+        square = av is bv
+        av = av.tolist()
+        bv = av if square else bv.tolist()  # a square reuses its spectra
     return _product_fft(av, bv, top_a.bit_length(), top_b.bit_length())
 
 
-def _product_int(av: Sequence[int], bv: Sequence[int], width: int) -> list[int]:
+def _product_int(av: Sequence[int], bv: Sequence[int], width: int) -> np.ndarray:
     """Kronecker product with slots of ``width`` bytes, at most 7, packed
-    into ints.
+    into ints; the result is an int64 array.
 
     :func:`mul` chooses ``width`` so that ``2^(8*width - 1) > B``; the low
     ``n+1`` slots of the biased product hold ``c_0 .. c_n`` exactly.  Slots
@@ -264,7 +357,7 @@ def _product_int(av: Sequence[int], bv: Sequence[int], width: int) -> list[int]:
     raw = ((pa * pb + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
     padded = np.zeros((n + 1, 8), dtype=np.uint8)
     padded[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(n + 1, width)
-    return (padded.view("<i8").reshape(-1) - half).tolist()
+    return padded.view("<i8").reshape(-1) - half
 
 
 def _limb_count(bits: int, s: int) -> int:
@@ -446,7 +539,11 @@ def _pow(a: Series, e: int) -> Series:
 
 def _taps(a: Series) -> list[tuple[int, int]]:
     """(k, a_k) for the nonzero coefficients past the constant term."""
-    return [(k, c) for k, c in enumerate(a._coeffs) if k and c]
+    cs = a._coeffs
+    if isinstance(cs, np.ndarray):
+        ks = np.flatnonzero(cs[1:]) + 1
+        return list(zip(ks.tolist(), cs[ks].tolist()))
+    return [(k, c) for k, c in enumerate(cs) if k and c]
 
 
 def _miller_pow(a0: int, taps: list[tuple[int, int]], e: int, order: int) -> list[int]:
@@ -467,13 +564,15 @@ def _miller_pow(a0: int, taps: list[tuple[int, int]], e: int, order: int) -> lis
 
 
 # Newton's iteration costs a few products whatever the density, the recurrence
-# O(N) per nonzero coefficient.  Newton's time over the recurrence's, at orders
-# 2048 and 8192 (two runs, BENCH_25.json): mod 7 and 17 (the catalog's moduli
-# are 3 to 17), whose products take the numpy slots, 0.8-0.9x and 1.2-1.4x at
-# 64 nonzero coefficients, 0.4-0.75x at 128 and 0.2-0.4x at 256; mod 2^31-1,
-# whose 8-byte slots take the FFT route, 1.4-1.5x and 1.0-1.1x at 64, 0.6-0.75x
-# at 128 and 0.3-0.4x at 256.  Every modulus crosses between 64 and 128.
-_NEWTON_MIN_TAPS = 128
+# O(N) per nonzero coefficient.  Newton's time over the recurrence's, best of 3
+# on random nonzero coefficients (two runs, BENCH_27.json): mod 7 and 17 (the
+# catalog's moduli are 3 to 17), whose products take the int route, 0.98-1.06x
+# at 48 and 0.89-0.94x at 64 on order 512, 0.81-0.85x and 0.66-0.71x on 2048,
+# 0.93-1.23x and 0.91-1.06x on 8192; f_1, whose taps sit at the low end, at
+# 0.48-0.62x (73 taps, order 2048).  Mod 2^31-1, whose products take the FFT
+# route, Newton is 1.2-3.1x at 64 and 0.6-1.5x at 128.  Above 64 no measured
+# case is worse than 1.9x its faster route, and none at or below it than 1.5x.
+_NEWTON_MIN_TAPS = 64
 
 
 def invert(a: Series) -> Series:
@@ -491,11 +590,11 @@ def invert(a: Series) -> Series:
       O(N*sqrt(N)).
     """
     n = a.order
-    inv0 = a.ring.unit_inverse(a._coeffs[0])
+    inv0 = a.ring.unit_inverse(a[0])
     taps = _taps(a)
     mod = a.ring.modulus
     if mod and len(taps) > _NEWTON_MIN_TAPS:
-        return Series(a.ring, _newton_inverse(a._coeffs, inv0, mod))
+        return _newton_inverse(a, inv0)
     out = [0] * (n + 1)
     out[0] = inv0
     for i in range(1, n + 1):
@@ -509,21 +608,25 @@ def invert(a: Series) -> Series:
     return Series(a.ring, out)
 
 
-def _newton_inverse(av: Sequence[int], inv0: int, mod: int) -> list[int]:
-    """Inverse of ``av`` over Z/M by Newton's iteration (see :func:`invert`).
+def _newton_inverse(a: Series, inv0: int) -> Series:
+    """Inverse of ``a`` over Z/M by Newton's iteration (see :func:`invert`).
 
     With ``ab = 1 mod q^m``, ``1 - ab = q^m * err mod q^(2m)``, so the next
-    ``m`` coefficients of ``b`` are the low ``m`` of ``b * err``.
+    ``m`` coefficients of ``b`` are the low ``m`` of ``b * err``.  ``b``
+    is held in the representation of ``a.ring``, and reduced by
+    :class:`Series`.
     """
-    b = [inv0]
+    ring, av = a.ring, a._coeffs
+    b = Series(ring, [inv0])._coeffs
     m = 1
     while m < len(av):
         m2 = min(2 * m, len(av))
-        ab = _product(av[:m2], b + [0] * (m2 - m))
-        err = [-c % mod for c in ab[m:]]
-        b += [c % mod for c in _product(b[: m2 - m], err)]
+        b = _spread(b, 1, m2 - 1)  # padded with zeros to m2 coefficients
+        ab = Series(ring, _product(av[:m2], b))
+        err = scalar_mul(-1, Series(ring, ab._coeffs[m:]))
+        b[m:] = Series(ring, _product(b[: m2 - m], err._coeffs))._coeffs
         m = m2
-    return b
+    return Series(ring, b)
 
 
 def dilate(a: Series, k: int, order: Optional[int] = None) -> Series:
@@ -568,6 +671,9 @@ def eq_to_order(a: Series, b: Series, order: Optional[int] = None) -> tuple[bool
             f"comparison to order {n} needs both operands at that order "
             f"(have {a.order} and {b.order})"
         )
+    if isinstance(a._coeffs, np.ndarray):
+        diff = np.flatnonzero(a._coeffs[: n + 1] != b._coeffs[: n + 1])
+        return (True, None) if diff.size == 0 else (False, int(diff[0]))
     for i in range(n + 1):
         if a._coeffs[i] != b._coeffs[i]:
             return False, i

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 
 import pytest
@@ -248,6 +249,15 @@ class TestChainOutcomes:
         assert stage.first_mismatch.exponent == 2
         corrected = replay(CHAINS["s7cor.odd.alt"])
         assert corrected.stages[0].status == "pass"
+
+    def test_modular_erratum_report_is_plain_json(self):
+        # mod 17 the coefficients are int64 residues; the report holds ints
+        rep = replay(CHAINS["s7cor.odd"], 2048)
+        mismatch = rep.stages[0].first_mismatch
+        assert rep.modulus == 17 and mismatch is not None
+        assert all(type(v) is int for v in (mismatch.exponent, mismatch.lhs, mismatch.rhs))
+        row = json.loads(json.dumps(dataclasses.asdict(rep)))
+        assert row["stages"][0]["first_mismatch"] == dataclasses.asdict(mismatch)
 
     def test_stage_independence(self):
         # restarting from an asserted stage reproduces the remaining stages

@@ -31,7 +31,8 @@ from qdissect.series import (
     scalar_mul,
     zero,
 )
-from conftest import brute_mul, brute_pochhammer, random_series
+from qdissect.qexpr import EtaF, Pochhammer, Pow, Theta, eval_qexpr
+from conftest import brute_mul, brute_pochhammer, random_series, theta_sum
 
 
 def euler_product(order: int, ring=EXACT) -> Series:
@@ -638,7 +639,7 @@ class TestNewtonInverse:
         assert mul(inv, a) == one(ring, 2048)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("p", [7, 17])
+    @pytest.mark.parametrize("p", [7, 17, 2**31 - 1])
     @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
     def test_two_sided_around_density_switch(self, monkeypatch, p, extra):
         calls = _spy(monkeypatch, "_newton_inverse")
@@ -650,6 +651,21 @@ class TestNewtonInverse:
             assert mul(a, inv) == one(ring, order)
             assert mul(inv, a) == one(ring, order)
         assert len(calls) == (3 if extra > 0 else 0)
+
+    @pytest.mark.parametrize("p", [7, 17, 2**31 - 1])
+    @pytest.mark.parametrize("order,taps", [(512, 36), (1024, 51), (2048, 73), (4096, 104)])
+    def test_euler_product_on_both_sides_of_the_switch(self, monkeypatch, p, order, taps):
+        # f_1 has its taps at the pentagonal numbers: 36 to order 512 and 73
+        # to order 2048, the inversions of the catalog's chains
+        ring = CoeffRing(p)
+        f1 = eval_qexpr(EtaF(1), ring, order)
+        assert len(series._taps(f1)) == taps
+        calls = _spy(monkeypatch, "_newton_inverse")
+        inv = invert(f1)
+        assert len(calls) == (taps > series._NEWTON_MIN_TAPS)
+        assert inv == Series(ring, eval_qexpr(Pow(EtaF(1), -1), EXACT, order).coeffs)
+        monkeypatch.setattr(series, "_NEWTON_MIN_TAPS", -1 if calls else 10**9)
+        assert invert(f1) == inv  # the other route
 
     def test_exact_series_never_take_newton(self, monkeypatch):
         calls = _spy(monkeypatch, "_newton_inverse")
@@ -719,6 +735,7 @@ def test_lattice_route_matches_references(data, k, modulus, order, e, off_lattic
         a[data.draw(st.sampled_from([i for i in range(1, order + 1) if i % k]))] = 1
     assert series._lattice(a) == math.gcd(*[i for i, c in enumerate(a) if i and c])
     sa, sb = Series(ring, a), Series(ring, b)
+    assert series._lattice(sa._coeffs) == series._lattice(a)  # an int64 array, mod p
     got_mul, got_pow = mul(sa, sb), pow_(sa, e)
     assert got_mul == Series(ring, brute_mul(a, b, order))
     assert got_pow == Series(ring, _brute_pow(a, e, modulus))
@@ -744,3 +761,161 @@ def test_f17_to_minus_5_mod_17():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "_lattice", lambda cs: 1)
         assert got == _square_and_multiply(f17, -5)
+
+
+# ---------------------------------------------------------------------------
+# the int64 array representation (Z/M, M < 2^31) against the tuple route:
+# the same coefficients over Z/(M * 2^31), a tuple ring, reduced mod M
+# ---------------------------------------------------------------------------
+
+ARRAY_MODULI = [3, 7, 11, 13, 17, 2**31 - 1, 2**31]  # 2^31: the smallest tuple modulus
+
+
+def _via_tuples(p: int):
+    """``(lift, down)``: a series over Z/p built over Z/(p * 2^31), a tuple
+    ring, and a series of that ring reduced back to Z/p."""
+    big = CoeffRing(p << 31)
+    return (lambda cs: Series(big, cs)), (lambda s: Series(CoeffRing(p), s.coeffs))
+
+
+def _unit_coeffs(rng, p: int, order: int, taps: int) -> list[int]:
+    """``taps`` random coefficients past an odd unit ``a_0``: a unit mod
+    ``p`` and mod ``p * 2^31`` alike."""
+    a0 = rng.randrange(1, p, 2) if p % 2 == 0 else rng.randrange(1, 2 * p, 2)
+    while math.gcd(a0, p) != 1:
+        a0 = rng.randrange(1, 2 * p, 2)
+    cs = [a0] + [0] * order
+    for k in rng.sample(range(1, order + 1), taps):
+        cs[k] = rng.randrange(-2**40, 2**40)
+    return cs
+
+
+@pytest.mark.parametrize("p", ARRAY_MODULI)
+class TestArrayAgainstTupleRoute:
+    ORDER = 150
+
+    def _pair(self, p: int, seed: int) -> tuple[list[int], list[int]]:
+        rng = random.Random(p * 31 + seed)
+        return ([rng.randrange(-2**70, 2**70) for _ in range(self.ORDER + 1)],
+                [rng.randrange(-p, p) for _ in range(self.ORDER - 20 + 1)])
+
+    def test_representation_follows_the_modulus(self, p):
+        a, _ = self._pair(p, 0)
+        assert isinstance(Series(CoeffRing(p), a)._coeffs, np.ndarray) == (p < 2**31)
+        lift, _ = _via_tuples(p)
+        assert isinstance(lift(a)._coeffs, tuple)
+
+    def test_add_scalar_mul_mul(self, p):
+        ring, (lift, down) = CoeffRing(p), _via_tuples(p)
+        a, b = self._pair(p, 1)
+        sa, sb, ta, tb = Series(ring, a), Series(ring, b), lift(a), lift(b)
+        assert sa == down(ta) and sb == down(tb)
+        assert add(sa, sb) == down(add(ta, tb)) == add(sb, sa)
+        for c in (-1, -5, 3, p - 1, p + 2, -(2**70) - 3, 2**71 + 1):
+            assert scalar_mul(c, sa) == down(scalar_mul(c, ta))
+            assert scalar_mul(c, sa) == Series(ring, [c * x for x in a])
+        assert mul(sa, sb) == down(mul(ta, tb)) == Series(ring, brute_mul(a, b, len(b) - 1))
+        assert mul(sa, sa) == down(mul(ta, ta))
+
+    @pytest.mark.parametrize("taps,newton", [(20, False), (140, True)])
+    def test_invert_and_negative_powers(self, monkeypatch, p, taps, newton):
+        calls = _spy(monkeypatch, "_newton_inverse")
+        ring, (lift, down) = CoeffRing(p), _via_tuples(p)
+        cs = _unit_coeffs(random.Random(p + taps), p, self.ORDER, taps)
+        sa, ta = Series(ring, cs), lift(cs)
+        inv = invert(sa)
+        assert inv == down(invert(ta))
+        assert mul(sa, inv) == one(ring, self.ORDER)
+        assert len(calls) == (2 if newton else 0)
+        for e in (-1, -2, -5):
+            assert pow_(sa, e) == down(pow_(ta, e))
+        assert pow_(sa, -3) == _square_and_multiply(sa, -3)
+
+    def test_dilate_extract_eq_to_order(self, p):
+        ring, (lift, down) = CoeffRing(p), _via_tuples(p)
+        a, _ = self._pair(p, 2)
+        sa, ta = Series(ring, a), lift(a)
+        for k in (1, 2, 5):
+            assert dilate(sa, k) == down(dilate(ta, k))
+            assert dilate(sa, k, 3 * k + 1) == down(dilate(ta, k, 3 * k + 1))
+        for r, s in ((0, 1), (0, 3), (2, 3), (4, 7)):
+            assert extract(sa, r, s) == down(extract(ta, r, s))
+        assert eq_to_order(sa, sa) == (True, None)
+        for j in (0, 1, 77, self.ORDER):
+            bumped = list(a)
+            bumped[j] += 1
+            if j + 9 <= self.ORDER:
+                bumped[j + 9] += 1  # a second mismatch: j is the first
+            sb, tb = Series(ring, bumped), lift(bumped)
+            assert eq_to_order(sa, sb) == eq_to_order(ta, tb) == (False, j)
+            below = (False, 0) if j == 0 else (True, None)
+            assert eq_to_order(sa, sb, max(j - 1, 0)) == below
+
+    @pytest.mark.parametrize("node", [
+        Pochhammer(1, 1), Pochhammer(2, 5), Pochhammer(7, 7),
+        Theta(1, 1, 1, 1), Theta(-1, 1, -1, 2), Theta(1, 0, 1, 1), Theta(-1, 0, 1, 3),
+        Theta(1, 2, -1, 0),
+    ])
+    def test_binomial_products(self, p, node):
+        ring = CoeffRing(p)
+        big = CoeffRing(p << 31)
+        got = eval_qexpr(node, ring, self.ORDER)
+        assert got == Series(ring, eval_qexpr(node, big, self.ORDER).coeffs)
+        assert got == Series(ring, eval_qexpr(node, EXACT, self.ORDER).coeffs)
+        if isinstance(node, Theta):
+            assert got == Series(ring, theta_sum(node, EXACT, self.ORDER).coeffs)
+
+
+class TestArrayRepresentation:
+    RINGS = [CoeffRing(17), CoeffRing(2**31 - 1), CoeffRing(2**31), EXACT]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
+    def test_public_values_are_python_ints(self, ring):
+        s = Series(ring, [-3, 2**40, 5, 0])
+        assert type(s[0]) is int and type(s[3]) is int
+        assert type(s.coeffs) is tuple and all(type(c) is int for c in s.coeffs)
+        m = ring.modulus
+        assert s.coeffs == ((-3 % m, 2**40 % m, 5, 0) if m else (-3, 2**40, 5, 0))
+
+    @pytest.mark.parametrize("ring", RINGS[:2], ids=repr)
+    def test_residues_are_read_only(self, ring):
+        s = Series(ring, [1, 2, 3])
+        with pytest.raises(ValueError):
+            s._coeffs[0] = 5
+        with pytest.raises(ValueError):
+            s._coeffs += 1
+        assert s.coeffs == (1, 2, 3)
+
+    @pytest.mark.parametrize("ring", RINGS[:2], ids=repr)
+    def test_input_array_is_copied(self, ring):
+        cs = np.array([1, 2, 3, 4], dtype=np.int64)
+        s = Series(ring, cs)
+        cs[0] = 9
+        assert s.coeffs == (1, 2, 3, 4)
+        reduced = np.arange(4, dtype=np.int64)  # already residues
+        t = Series(ring, reduced)
+        reduced += 1
+        assert t.coeffs == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, object])
+    def test_list_and_array_build_equal_series(self, dtype):
+        ring = CoeffRing(13)
+        values = [0, 5, 12, 26, 3, 2**20]
+        a, b = Series(ring, values), Series(ring, np.array(values, dtype=dtype))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Series(ring, tuple(values))}) == 1
+        assert a != Series(ring, values[:-1]) and a != Series(CoeffRing(11), values)
+
+    def test_ints_of_any_width_are_reduced_exactly(self):
+        p = 2**31 - 1
+        values = [2**63, -(2**63) - 1, 2**200 + 7, -(2**90)]
+        assert Series(CoeffRing(p), values).coeffs == tuple(v % p for v in values)
+        uint = np.array([2**64 - 1, 2**63], dtype=np.uint64)
+        assert Series(CoeffRing(p), uint).coeffs == ((2**64 - 1) % p, 2**63 % p)
+        narrow = np.array([-1, 100, -128], dtype=np.int8)  # a modulus past int8
+        assert Series(CoeffRing(200), narrow).coeffs == (199, 100, 72)
+
+    def test_repr_and_zero_length(self):
+        assert repr(Series(CoeffRing(7), [8, -1])) == "Series(Z/7, O(q^2); [1, 6])"
+        with pytest.raises(ValueError):
+            Series(CoeffRing(7), np.array([], dtype=np.int64))
