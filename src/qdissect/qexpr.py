@@ -163,9 +163,9 @@ def _eval_theta_product(node: Theta, ring: CoeffRing, order: int) -> Series:
     """
     period = node.ua + node.ub
     sab = node.sa * node.sb
-    factors = [(d, -s0 * sab**j) for start, s0 in ((node.ua, node.sa), (node.ub, node.sb))
-               for j, d in enumerate(range(start, order + 1, period))]
-    factors += [(d, sab**j) for j, d in enumerate(range(period, order + 1, period), 1)]
+    runs = ((node.ua, -node.sa, 0), (node.ub, -node.sb, 0), (period, 1, 1))
+    factors = ((d, s * sab**j) for start, s, first in runs  # lazy: no list of O(order)
+               for j, d in enumerate(range(start, order + 1, period), first))
     return series.binomial_product(ring, order, factors)
 
 

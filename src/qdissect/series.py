@@ -5,17 +5,16 @@ A :class:`Series` carries its own truncation order: coefficients of
 order of its result.  There is no global precision, and floating point
 enters only behind a written bound (the FFT route of :func:`mul`).
 
-Exact coefficients are arbitrary-precision Python ints, held in a tuple;
-modular series keep coefficients reduced to ``[0, M)``.  Below ``M = 2^31``
-(``_ARRAY_MOD``) they are held in one read-only int64 numpy array, so that
-sums, scalar multiples, slices, the lattice test and the product packing are
-array operations with no Python loop per coefficient: a residue is below
-``2^31``, so a sum is below ``2^32`` and a product of two below ``2^62``.
-From ``2^31`` on they are held in a tuple, like exact ones.  The
-representation is chosen once, by the constructor, from the ring; ``coeffs``
-and indexing give Python ints on both.  Every route below is exact; each is
-picked by a switch on size, ring, exponent or density, and each is checked
-against an independent reference in the tests:
+Every series holds its coefficients in one read-only numpy array, chosen
+once by the constructor from the ring.  Over Z/M with ``M < 2^31``
+(``_ARRAY_MOD``) it is an int64 array of residues in ``[0, M)``: a residue is
+below ``2^31``, so a sum is below ``2^32`` and a product of two below
+``2^62``.  Over Z, and from ``2^31`` on, it is an object array of Python ints,
+reduced to ``[0, M)`` when ``M > 0``.  Sums, scalar multiples, slices, the
+lattice test and the binomial products are then array operations written
+once for every ring; ``coeffs`` and indexing give Python ints.  Every route
+below is exact; each is picked by a switch on size, ring, exponent or
+density, and each is checked against an independent reference in the tests:
 
 - :func:`mul`: one Kronecker-substitution product, over Z or Z/M.  Operands
   whose slots fit in 7 bytes multiply as Python ints; wider ones by one
@@ -41,7 +40,6 @@ are those of the result at the multiples of ``k`` through ``q^N``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -92,18 +90,20 @@ EXACT = CoeffRing(0)
 
 # Moduli below this hold their residues in an int64 array (see the module
 # docstring): a residue times a residue, or times a scalar reduced mod M,
-# stays below 2^62.
+# stays below 2^62.  Over Z and from here on the array holds Python ints.
 _ARRAY_MOD = 1 << 31
 
 
 class Series:
     """Immutable truncated power series: coefficients for ``q^0 .. q^order``.
 
-    Over Z/M with ``M < 2^31`` the coefficients are one read-only int64 array
-    of residues, taken as a copy of ``coeffs`` reduced by one ``%`` (ints too
-    wide for int64 are reduced in Python first); otherwise a tuple of Python
-    ints.  ``coeffs`` is a tuple of Python ints either way, and two series are
-    equal, and hash alike, when their rings and coefficients are.
+    The coefficients are one read-only numpy array, a copy of the input: over
+    Z/M with ``M < 2^31`` int64 residues, reduced by one ``%`` (ints too wide
+    for int64 are reduced in Python first); otherwise an object array of
+    ``int()`` of each input, reduced by one ``%`` when ``M > 0``, so that it
+    holds Python ints only and no fixed-width integer can wrap.  ``coeffs`` is
+    a tuple of Python ints, and two series are equal, and hash alike, when
+    their rings and coefficients are.
     """
 
     __slots__ = ("ring", "_coeffs")
@@ -114,10 +114,14 @@ class Series:
         mod = ring.modulus
         if 0 < mod < _ARRAY_MOD:
             values = _residues(coeffs, mod)
-        elif mod:
-            values = tuple([int(c) % mod for c in coeffs])
         else:
-            values = tuple(map(int, coeffs))
+            if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind in "iu":
+                values = coeffs.astype(object)  # a copy, of Python ints
+            else:
+                values = np.fromiter(map(int, coeffs), object, len(coeffs))
+            if mod:
+                values %= mod
+            values.flags.writeable = False
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_coeffs", values)
 
@@ -130,8 +134,7 @@ class Series:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        cs = self._coeffs
-        return tuple(cs.tolist()) if isinstance(cs, np.ndarray) else cs
+        return tuple(self._coeffs.tolist())
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.order:
@@ -139,15 +142,11 @@ class Series:
         return int(self._coeffs[n])
 
     def __eq__(self, other) -> bool:
-        if not (isinstance(other, Series) and self.ring == other.ring):
-            return False
-        if isinstance(self._coeffs, np.ndarray):
-            return np.array_equal(self._coeffs, other._coeffs)
-        return self._coeffs == other._coeffs
+        return (isinstance(other, Series) and self.ring == other.ring
+                and np.array_equal(self._coeffs, other._coeffs))
 
     def __hash__(self) -> int:
-        cs = self._coeffs
-        return hash((self.ring, cs.tobytes() if isinstance(cs, np.ndarray) else cs))
+        return hash((self.ring, self.coeffs))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self._coeffs[:8])
@@ -192,27 +191,20 @@ def binomial_product(ring: CoeffRing, order: int, factors: Iterable[tuple[int, i
     """Product of binomials ``(1 - s*q^d)`` for (d, s) pairs with 0 <= d <= order.
 
     Each factor maps ``c_n`` to ``c_n - s*c_(n-d)``, reading only old values,
-    so over an array ring it is one array operation, ``s`` reduced first; a
-    factor at ``d = 0`` multiplies by ``1 - s``."""
+    so it is one array operation, ``c[d:] -= s*c[:order+1-d]``; over Z/M ``s``
+    is reduced first and the changed part after.  At ``d = 0`` that is
+    ``c -= s*c``, a product by ``1 - s``.  The coefficients are allocated
+    before the first factor is read, so an order too large for memory fails
+    at once."""
     mod = ring.modulus
-    if not 0 < mod < _ARRAY_MOD:
-        coeffs = [0] * (order + 1)
-        coeffs[0] = 1
-        for d, s in factors:
-            for n in range(order, d - 1, -1):
-                v = coeffs[n] - s * coeffs[n - d]
-                coeffs[n] = v % mod if mod else v
-        return Series(ring, coeffs)
-    c = np.zeros(order + 1, np.int64)
-    c[0] = 1
+    c = _spread(Series(ring, [1])._coeffs, 1, order)
     for d, s in factors:
-        s %= mod
-        if d == 0:
-            c = (1 - s) * c % mod
-            continue
+        if mod:
+            s %= mod
         tail = c[d:]
-        tail -= s * c[:-d]
-        np.remainder(tail, mod, out=tail)
+        tail -= s * c[: order + 1 - d]
+        if mod:
+            np.remainder(tail, mod, out=tail)
     return Series(ring, c)
 
 
@@ -225,16 +217,12 @@ def add(a: Series, b: Series) -> Series:
     """Coefficientwise sum; result order is ``min(a.order, b.order)``."""
     _same_ring(a, b)
     n = min(a.order, b.order)
-    av, bv = a._coeffs, b._coeffs
-    if isinstance(av, np.ndarray):
-        return Series(a.ring, av[: n + 1] + bv[: n + 1])
-    return Series(a.ring, [av[i] + bv[i] for i in range(n + 1)])
+    return Series(a.ring, a._coeffs[: n + 1] + b._coeffs[: n + 1])
 
 
 def scalar_mul(c: int, a: Series) -> Series:
-    if isinstance(a._coeffs, np.ndarray):
-        return Series(a.ring, c % a.ring.modulus * a._coeffs)
-    return Series(a.ring, [c * x for x in a._coeffs])
+    mod = a.ring.modulus
+    return Series(a.ring, (c % mod if mod else c) * a._coeffs)
 
 
 def mul(a: Series, b: Series) -> Series:
@@ -277,59 +265,40 @@ def mul(a: Series, b: Series) -> Series:
     return Series(a.ring, _spread(_product(sa, sa if bv is av else bv[::k]), k, n))
 
 
-def _lattice(cs: Sequence[int]) -> int:
+def _lattice(cs: np.ndarray) -> int:
     """The gcd ``k`` of the indices past ``q^0`` of the nonzero coefficients,
-    0 for a constant: ``cs`` is then a series in ``q^k``.
-
-    The first nonzero index is the candidate; each residue class off its
-    lattice is tested by one slice, and a nonzero one shrinks the candidate
-    to a divisor.  A dense series leaves at index 1.  An array of residues
-    that is not dense takes the gcd of its nonzero indices in one reduction.
-    """
-    if isinstance(cs, np.ndarray):
-        if len(cs) > 1 and cs[1]:
-            return 1
-        return int(np.gcd.reduce(np.flatnonzero(cs[1:]) + 1))
-    k = next(compress(range(1, len(cs)), islice(cs, 1, None)), 0)
-    j = 1
-    while j < k:
-        if any(cs[j::k]):
-            k, j = gcd(k, j), 0
-        j += 1
-    return k
+    0 for a constant: ``cs`` is then a series in ``q^k``.  A dense series
+    leaves at index 1; any other takes the gcd of its nonzero indices in one
+    reduction."""
+    if len(cs) > 1 and cs[1]:
+        return 1
+    return int(np.gcd.reduce(np.flatnonzero(cs[1:]) + 1))
 
 
-def _spread(cs: Sequence[int], k: int, order: int):
+def _spread(cs: np.ndarray, k: int, order: int) -> np.ndarray:
     """``A(q^k)`` truncated at ``order`` from the coefficients of ``A``, which
     run to at most ``order // k``: zeros off the lattice and past the last.
-    A new list, or a new int64 array when ``cs`` is one."""
-    out = np.zeros(order + 1, np.int64) if isinstance(cs, np.ndarray) else [0] * (order + 1)
+    A new writable array of the dtype of ``cs``."""
+    out = np.zeros(order + 1, cs.dtype)
     out[: k * len(cs) : k] = cs
     return out
 
 
-def _product(av: Sequence[int], bv: Sequence[int]):
-    """Coefficients ``0..n`` of ``av * bv`` for two length-``n+1`` sequences,
-    exact and unreduced (the routes are described in :func:`mul`).  Two int64
-    arrays of residues give an int64 array from the int route; every other
-    result is a list of Python ints."""
+def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """Coefficients ``0..n`` of ``av * bv`` for two length-``n+1`` arrays,
+    exact and unreduced (the routes are described in :func:`mul`): an int64
+    array from the int route, an object array of Python ints from the FFT
+    route."""
     n = len(av) - 1
-    arrays = isinstance(av, np.ndarray)
-    if arrays:
-        top_a = int(np.abs(av).max())
-        top_b = top_a if av is bv else int(np.abs(bv).max())
-    else:
-        top_a = max(map(abs, av))
-        top_b = top_a if av is bv else max(map(abs, bv))
+    top_a = int(np.abs(av).max())
+    top_b = top_a if av is bv else int(np.abs(bv).max())
     width = (max(1, top_a) * max(1, top_b) * (n + 1)).bit_length() // 8 + 1
     if width <= 7:
-        out = _product_int(av, bv, width)
-        return out if arrays else out.tolist()
-    if arrays:
-        square = av is bv
-        av = av.tolist()
-        bv = av if square else bv.tolist()  # a square reuses its spectra
-    return _product_fft(av, bv, top_a.bit_length(), top_b.bit_length())
+        return _product_int(av, bv, width)
+    square = av is bv
+    av = av.tolist()
+    bv = av if square else bv.tolist()  # a square reuses its spectra
+    return np.array(_product_fft(av, bv, top_a.bit_length(), top_b.bit_length()), dtype=object)
 
 
 def _product_int(av: Sequence[int], bv: Sequence[int], width: int) -> np.ndarray:
@@ -540,10 +509,8 @@ def _pow(a: Series, e: int) -> Series:
 def _taps(a: Series) -> list[tuple[int, int]]:
     """(k, a_k) for the nonzero coefficients past the constant term."""
     cs = a._coeffs
-    if isinstance(cs, np.ndarray):
-        ks = np.flatnonzero(cs[1:]) + 1
-        return list(zip(ks.tolist(), cs[ks].tolist()))
-    return [(k, c) for k, c in enumerate(cs) if k and c]
+    ks = np.flatnonzero(cs[1:]) + 1
+    return list(zip(ks.tolist(), cs[ks].tolist()))
 
 
 def _miller_pow(a0: int, taps: list[tuple[int, int]], e: int, order: int) -> list[int]:
@@ -613,8 +580,7 @@ def _newton_inverse(a: Series, inv0: int) -> Series:
 
     With ``ab = 1 mod q^m``, ``1 - ab = q^m * err mod q^(2m)``, so the next
     ``m`` coefficients of ``b`` are the low ``m`` of ``b * err``.  ``b``
-    is held in the representation of ``a.ring``, and reduced by
-    :class:`Series`.
+    is a writable array of the dtype of ``a``'s, reduced by :class:`Series`.
     """
     ring, av = a.ring, a._coeffs
     b = Series(ring, [inv0])._coeffs
@@ -671,10 +637,5 @@ def eq_to_order(a: Series, b: Series, order: Optional[int] = None) -> tuple[bool
             f"comparison to order {n} needs both operands at that order "
             f"(have {a.order} and {b.order})"
         )
-    if isinstance(a._coeffs, np.ndarray):
-        diff = np.flatnonzero(a._coeffs[: n + 1] != b._coeffs[: n + 1])
-        return (True, None) if diff.size == 0 else (False, int(diff[0]))
-    for i in range(n + 1):
-        if a._coeffs[i] != b._coeffs[i]:
-            return False, i
-    return True, None
+    diff = np.flatnonzero(a._coeffs[: n + 1] != b._coeffs[: n + 1])
+    return (True, None) if diff.size == 0 else (False, int(diff[0]))

@@ -107,10 +107,11 @@ class TestVerifyIdentities:
         assert result.exit_code != 0
 
     @pytest.mark.parametrize("selector", [["--case", "2a"], ["--chain", "s3"],
-                                          ["--case", "k1@7"]])
+                                          ["--case", "k1@7"], ["--case", "phi-eta"]])
     def test_order_beyond_memory_is_usage_error(self, runner, selector):
-        # a list or an int64 array of 10^12 + 1 coefficients fails to allocate
-        # at once, without touching memory (k1@7 is a case mod 7)
+        # an array of 10^12 + 1 coefficients fails to allocate at once, without
+        # touching memory (k1@7 is a case mod 7; phi-eta's phi must not list
+        # its factors before the array exists)
         result = runner.invoke(main, ["verify", *selector, "--order", "1000000000000"])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)

@@ -764,16 +764,16 @@ def test_f17_to_minus_5_mod_17():
 
 
 # ---------------------------------------------------------------------------
-# the int64 array representation (Z/M, M < 2^31) against the tuple route:
-# the same coefficients over Z/(M * 2^31), a tuple ring, reduced mod M
+# the int64 array representation (Z/M, M < 2^31) against Python-int arrays:
+# the same coefficients over Z/(M * 2^31), a Python-int ring, reduced mod M
 # ---------------------------------------------------------------------------
 
-ARRAY_MODULI = [3, 7, 11, 13, 17, 2**31 - 1, 2**31]  # 2^31: the smallest tuple modulus
+ARRAY_MODULI = [3, 7, 11, 13, 17, 2**31 - 1, 2**31]  # 2^31: the smallest Python-int modulus
 
 
-def _via_tuples(p: int):
-    """``(lift, down)``: a series over Z/p built over Z/(p * 2^31), a tuple
-    ring, and a series of that ring reduced back to Z/p."""
+def _via_pyints(p: int):
+    """``(lift, down)``: a series over Z/p built over Z/(p * 2^31), whose
+    array holds Python ints, and a series of that ring reduced back to Z/p."""
     big = CoeffRing(p << 31)
     return (lambda cs: Series(big, cs)), (lambda s: Series(CoeffRing(p), s.coeffs))
 
@@ -792,6 +792,9 @@ def _unit_coeffs(rng, p: int, order: int, taps: int) -> list[int]:
 
 @pytest.mark.parametrize("p", ARRAY_MODULI)
 class TestArrayAgainstTupleRoute:
+    """Each route on int64 residues against the same inputs on Python ints,
+    through :func:`_via_pyints` (the class name keeps its test ids stable)."""
+
     ORDER = 150
 
     def _pair(self, p: int, seed: int) -> tuple[list[int], list[int]]:
@@ -801,12 +804,14 @@ class TestArrayAgainstTupleRoute:
 
     def test_representation_follows_the_modulus(self, p):
         a, _ = self._pair(p, 0)
-        assert isinstance(Series(CoeffRing(p), a)._coeffs, np.ndarray) == (p < 2**31)
-        lift, _ = _via_tuples(p)
-        assert isinstance(lift(a)._coeffs, tuple)
+        dtype = np.int64 if p < 2**31 else object
+        assert Series(CoeffRing(p), a)._coeffs.dtype == dtype
+        lift, _ = _via_pyints(p)
+        assert lift(a)._coeffs.dtype == object
+        assert Series(EXACT, a)._coeffs.dtype == object
 
     def test_add_scalar_mul_mul(self, p):
-        ring, (lift, down) = CoeffRing(p), _via_tuples(p)
+        ring, (lift, down) = CoeffRing(p), _via_pyints(p)
         a, b = self._pair(p, 1)
         sa, sb, ta, tb = Series(ring, a), Series(ring, b), lift(a), lift(b)
         assert sa == down(ta) and sb == down(tb)
@@ -820,7 +825,7 @@ class TestArrayAgainstTupleRoute:
     @pytest.mark.parametrize("taps,newton", [(20, False), (140, True)])
     def test_invert_and_negative_powers(self, monkeypatch, p, taps, newton):
         calls = _spy(monkeypatch, "_newton_inverse")
-        ring, (lift, down) = CoeffRing(p), _via_tuples(p)
+        ring, (lift, down) = CoeffRing(p), _via_pyints(p)
         cs = _unit_coeffs(random.Random(p + taps), p, self.ORDER, taps)
         sa, ta = Series(ring, cs), lift(cs)
         inv = invert(sa)
@@ -832,7 +837,7 @@ class TestArrayAgainstTupleRoute:
         assert pow_(sa, -3) == _square_and_multiply(sa, -3)
 
     def test_dilate_extract_eq_to_order(self, p):
-        ring, (lift, down) = CoeffRing(p), _via_tuples(p)
+        ring, (lift, down) = CoeffRing(p), _via_pyints(p)
         a, _ = self._pair(p, 2)
         sa, ta = Series(ring, a), lift(a)
         for k in (1, 2, 5):
@@ -866,6 +871,14 @@ class TestArrayAgainstTupleRoute:
             assert got == Series(ring, theta_sum(node, EXACT, self.ORDER).coeffs)
 
 
+    def test_binomial_product_of_wide_scalars(self, p):
+        factors = [(0, 2**40 + 3), (1, -(2**70)), (3, 5), (7, 2**33 - 1), (self.ORDER, -1)]
+        got = series.binomial_product(CoeffRing(p), self.ORDER, iter(factors))
+        assert got == Series(CoeffRing(p), series.binomial_product(EXACT, self.ORDER, factors).coeffs)
+        _, down = _via_pyints(p)
+        assert got == down(series.binomial_product(CoeffRing(p << 31), self.ORDER, factors))
+
+
 class TestArrayRepresentation:
     RINGS = [CoeffRing(17), CoeffRing(2**31 - 1), CoeffRing(2**31), EXACT]
 
@@ -877,7 +890,7 @@ class TestArrayRepresentation:
         m = ring.modulus
         assert s.coeffs == ((-3 % m, 2**40 % m, 5, 0) if m else (-3, 2**40, 5, 0))
 
-    @pytest.mark.parametrize("ring", RINGS[:2], ids=repr)
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
     def test_residues_are_read_only(self, ring):
         s = Series(ring, [1, 2, 3])
         with pytest.raises(ValueError):
@@ -886,7 +899,7 @@ class TestArrayRepresentation:
             s._coeffs += 1
         assert s.coeffs == (1, 2, 3)
 
-    @pytest.mark.parametrize("ring", RINGS[:2], ids=repr)
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
     def test_input_array_is_copied(self, ring):
         cs = np.array([1, 2, 3, 4], dtype=np.int64)
         s = Series(ring, cs)
@@ -896,6 +909,24 @@ class TestArrayRepresentation:
         t = Series(ring, reduced)
         reduced += 1
         assert t.coeffs == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("ring", [EXACT, CoeffRing(2**31)], ids=repr)
+    def test_object_arrays_hold_python_ints_only(self, ring):
+        # an np.int64 kept in an object array would wrap on overflow
+        values = [2**62 - 1, -(2**62), 2**62 - 12345, 7, -(2**61)]
+        wide = Series(ring, [np.int64(v) for v in values])
+        plain = Series(ring, values)
+        assert all(type(c) is int for c in wide._coeffs)
+        boxed = np.array([np.int64(v) for v in values], dtype=object)
+        assert all(type(c) is int for c in Series(ring, boxed)._coeffs)
+        assert wide == plain and hash(wide) == hash(plain)  # by value, not by pointer
+        for got, want in ((mul(wide, wide), mul(plain, plain)), (add(wide, wide), add(plain, plain)),
+                          (scalar_mul(2**70, wide), scalar_mul(2**70, plain))):
+            assert got == want
+            assert all(type(c) is int for c in got._coeffs)
+        if ring == EXACT:
+            assert mul(wide, wide)[0] == (2**62 - 1) ** 2
+            assert scalar_mul(2**70, wide)[1] == -(2**132)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, object])
     def test_list_and_array_build_equal_series(self, dtype):
