@@ -1,5 +1,7 @@
-"""The exactness contract of a float64 FFT convolution, shared by the
-oracle's products mod p and the series engine's wide exact products.
+"""The exactness contract of a float64 FFT convolution.  Its callers are
+the oracle's blocked products mod p (``oracle._mulmod``) and the series
+engine's two FFT routes: the coefficients themselves
+(``series._product_float``) and balanced limbs (``series._product_fft``).
 
 For a convolution of length L = 2^m computed in float64 (unit roundoff
 e = 2^-53) with roots of unity accurate to u, Percival (Math. Comp. 72, 2003;
@@ -13,6 +15,14 @@ Summing T spectral products before the inverse transform multiplies this by
 cuts its operands into digits of at most :func:`_max_digit` in size, so that
 the norms times the factor stay within ``_GUARD`` = 1/4: every output then
 lies within 1/4 of its exact integer, and rounds to it.
+
+The bound is on the cyclic convolution of length L, whatever the inputs'
+lengths: it depends on x and y only through their norms.  So a product of
+two length-(n+1) rows may transform at L = 2n, where the linear
+convolution's one term at index 2n wraps onto output 0.  The bound holds
+for that output as for any other, and the caller subtracts the wrapped
+term, an exact integer, after rounding.  The series engine does so; the
+oracle transforms at twice its block length and wraps nothing.
 
 The theorem is proved for the radix-2 transform.  numpy's pocketfft splits a
 power-of-two length into radix-4 and radix-2 passes with twiddles accurate to

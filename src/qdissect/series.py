@@ -16,10 +16,15 @@ once for every ring; ``coeffs`` and indexing give Python ints.  Every route
 below is exact; each is picked by a switch on size, ring, exponent or
 density, and each is checked against an independent reference in the tests:
 
-- :func:`mul`: one Kronecker-substitution product, over Z or Z/M.  Operands
-  whose slots fit in 7 bytes multiply as Python ints; wider ones by one
-  float64 FFT convolution of balanced limbs, exact by Percival's bound and
-  checked by a rounding guard that raises instead of returning a wrong
+- :func:`mul`: three routes, over Z or Z/M alike, picked by the order and
+  by the operands' largest coefficients, not by the ring.  From order
+  ``_FLOAT_MIN_ORDER`` on, operands small enough for Percival's bound (the
+  residues mod 3 to 17, say) are convolved as they are by one float64 FFT.
+  Otherwise a Kronecker-substitution product: operands whose slots fit in 7
+  bytes multiply as Python ints, wider ones by one float64 FFT convolution
+  of balanced limbs.  Both FFT routes transform at the least power of two
+  at or above ``2n``, subtract the one term that wraps there exactly, and
+  are checked by a rounding guard that raises instead of returning a wrong
   integer.
 - :func:`pow_`: Miller's recurrence for ``e <= -2`` over Z when ``a_0`` is
   +-1 (its division by ``n`` is exact, and a remainder raises); repeated
@@ -232,8 +237,16 @@ def mul(a: Series, b: Series) -> Series:
     products, so ``|c_k| <= B`` with ``B = max(1, |a|) * max(1, |b|) *
     (n+1)``, where ``|a|`` is the largest coefficient magnitude of ``a`` (the
     ``max(1, .)`` also keeps the factors' own coefficients within ``B``).
-    ``B`` sets the width of a Kronecker slot, ``w`` bytes with ``2^(8w-1) >
-    B``, and the width picks one of two exact routes:
+    Three exact routes:
+
+    - ``n >= _FLOAT_MIN_ORDER`` and ``max(1, |a|) * max(1, |b|) <= h^2``,
+      ``h = _max_digit(n, L, 1, 1)``: the coefficients themselves are
+      convolved by one float64 FFT (:func:`_product_float`), exact by
+      Percival's bound.  This takes the residues mod 3 to 17 and Z
+      operands with small coefficients, not the residues mod ``2^31 - 1``.
+
+    Otherwise ``B`` sets the width of a Kronecker slot, ``w`` bytes with
+    ``2^(8w-1) > B``, and the width picks one of the other two:
 
     - at most 7 bytes (``B < 2^55``), Kronecker substitution: each factor
       becomes one Python ``int`` whose slot ``i`` holds its coefficient ``i``
@@ -247,6 +260,12 @@ def mul(a: Series, b: Series) -> Series:
       within 1/4 of its integer, so rounding gives the exact value; a guard
       checks every output, and one that lies 1/4 or more from an integer
       raises ``ArithmeticError``.
+
+    Both FFT routes transform at the least power of two ``L >= 2n``
+    (:func:`_fft_length`).  The product's terms run to ``q^(2n)``, so when
+    ``L = 2n`` the term at ``q^(2n)`` wraps onto output 0, and the route
+    subtracts it from the rounded integer there.  The bound holds for any
+    cyclic convolution of power-of-two length, so it is unchanged.
 
     One routine serves Z and Z/M: modular results are reduced by the
     :class:`Series` constructor.  When both operands are series in ``q^k``
@@ -287,18 +306,56 @@ def _spread(cs: np.ndarray, k: int, order: int) -> np.ndarray:
 def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     """Coefficients ``0..n`` of ``av * bv`` for two length-``n+1`` arrays,
     exact and unreduced (the routes are described in :func:`mul`): an int64
-    array from the int route, an object array of Python ints from the FFT
-    route."""
+    array from the float and int routes, an object array of Python ints from
+    the limb FFT route."""
     n = len(av) - 1
     top_a = int(np.abs(av).max())
     top_b = top_a if av is bv else int(np.abs(bv).max())
-    width = (max(1, top_a) * max(1, top_b) * (n + 1)).bit_length() // 8 + 1
+    bound = max(1, top_a) * max(1, top_b)
+    if n >= _FLOAT_MIN_ORDER and bound <= _max_digit(n, _fft_length(n), 1, 1) ** 2:
+        return _product_float(av, bv)
+    width = (bound * (n + 1)).bit_length() // 8 + 1
     if width <= 7:
         return _product_int(av, bv, width)
     square = av is bv
     av = av.tolist()
     bv = av if square else bv.tolist()  # a square reuses its spectra
     return np.array(_product_fft(av, bv, top_a.bit_length(), top_b.bit_length()), dtype=object)
+
+
+# The float route's least order.  The int route's time over the float
+# route's on a random pair of residues mod 3, 7, 11 and 17, best of 200 (two
+# runs, BENCH_29.json): 0.71-0.91x at order 159, 0.89-1.64x at 223,
+# 0.99-2.08x at 255, 1.02-1.39x at 256, 1.7-2.7x at 512 and 4.6-7.5x at 2048.
+_FLOAT_MIN_ORDER = 256
+
+
+def _fft_length(n: int) -> int:
+    """The transform length of both FFT routes for length-``n+1`` operands:
+    the least power of two at or above ``2n``.  A product's terms run to
+    ``q^(2n)``, so at ``L = 2n`` the one at ``q^(2n)`` wraps onto output 0;
+    the routes subtract it exactly after rounding."""
+    return 1 << max(2 * n - 1, 0).bit_length()
+
+
+def _product_float(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """Coefficients ``0..n`` of ``av * bv`` by one float64 FFT convolution of
+    the coefficients themselves, exact; the result is an int64 array.
+
+    :func:`_product` takes this route only when ``|a| * |b| <= h^2`` with
+    ``h = _max_digit(n, L, 1, 1)``: the norms' product is then at most
+    ``(n+1) * h^2``, so Percival's bound keeps every output within 1/4 of its
+    integer (and below ``2^53``), and ``_rounded`` checks the ``n+1`` kept.
+    At ``L = 2n`` output 0 also holds ``a_n * b_n``, subtracted in int64.
+    """
+    n = len(av) - 1
+    length = _fft_length(n)
+    fa = np.fft.rfft(av.astype(np.float64), length)
+    fb = fa if bv is av else np.fft.rfft(bv.astype(np.float64), length)
+    out = _rounded(np.fft.irfft(fa * fb, length)[: n + 1]).astype(np.int64)
+    if length == 2 * n:
+        out[0] -= int(av[n]) * int(bv[n])
+    return out
 
 
 def _product_int(av: Sequence[int], bv: Sequence[int], width: int) -> np.ndarray:
@@ -341,7 +398,7 @@ def _limb_bits(bits_a: int, bits_b: int, n: int) -> int:
     digit ``h = 2^(s-1)`` is within ``_max_digit`` of ``T`` pairs, ``T`` the
     limb count of the operand with fewer.  No product takes ``s > 25``:
     ``2^50 * _error_bound(1, 1)`` exceeds 1/4."""
-    length = 1 << (2 * n).bit_length()
+    length = _fft_length(n)
     for s in range(25, 1, -1):
         terms = min(_limb_count(bits_a, s), _limb_count(bits_b, s))
         if 1 << (s - 1) <= _max_digit(n, length, terms, terms):
@@ -384,10 +441,13 @@ def _product_fft(av: Sequence[int], bv: Sequence[int], bits_a: int, bits_b: int)
     ``|digit| <= h = 2^(s-1)``, ``s`` from :func:`_limb_bits`: operand ``a``
     is the sum over ``j`` of ``a_j * 2^(s*j)``, each ``a_j`` a length-``n+1``
     row of digits.  Every row is transformed once by a real FFT of the power
-    of two length ``L >= 2n+1``, so no output wraps around.  The product is
-    the sum over limb diagonals ``t`` of ``c_t * 2^(s*t)``, where ``c_t`` is
-    the convolution of the pairs ``a_j, b_(t-j)``: their spectral products are
-    summed, and one inverse transform and a rounding give ``c_t``.
+    of two length ``L >= 2n`` (:func:`_fft_length`).  The product is the sum
+    over limb diagonals ``t`` of ``c_t * 2^(s*t)``, where ``c_t`` is the
+    convolution of the pairs ``a_j, b_(t-j)``: their spectral products are
+    summed, and one inverse transform and a rounding give ``c_t``, cyclic of
+    length ``L``.  At ``L = 2n`` its output 0 also holds the terms at
+    ``q^(2n)``, the sum over ``j`` of ``a_j[n] * b_(t-j)[n]``, which is
+    subtracted exactly after rounding; no other kept output wraps.
 
     Exactness.  By Percival's bound (see ``_fftbound``), every output of
     diagonal ``t`` lies within ``sum_j ||a_j|| * ||b_(t-j)|| *
@@ -406,14 +466,17 @@ def _product_fft(av: Sequence[int], bv: Sequence[int], bits_a: int, bits_b: int)
     read back from its words in two's complement.
     """
     n = len(av) - 1
-    length = 1 << (2 * n).bit_length()
+    length = _fft_length(n)
     s = _limb_bits(bits_a, bits_b, n)
     ka, kb = _limb_count(bits_a, s), _limb_count(bits_b, s)
     if ka > kb:
         av, bv, ka, kb = bv, av, kb, ka
-    fa = [np.fft.rfft(row, length) for row in _limbs(av, s, ka)]
+    fa, top_a = [], []  # spectra, and each row's digit at q^n
+    for row in _limbs(av, s, ka):
+        fa.append(np.fft.rfft(row, length))
+        top_a.append(int(row[n]))
     rows_b = None if bv is av else _limbs(bv, s, kb)
-    fb = fa if rows_b is None else {}
+    fb, top_b = (fa, top_a) if rows_b is None else ({}, [])
     mask = (1 << s) - 1
     words: list[np.ndarray] = []
     acc = carry = np.zeros(n + 1, np.int64)
@@ -434,12 +497,17 @@ def _product_fft(av: Sequence[int], bv: Sequence[int], bits_a: int, bits_b: int)
     for t in range(ka + kb - 1):
         if rows_b is not None and t < kb:
             fb.pop(t - ka, None)  # no diagonal from t on reads b's limb t - ka
-            fb[t] = np.fft.rfft(next(rows_b), length)
+            row = next(rows_b)
+            fb[t] = np.fft.rfft(row, length)
+            top_b.append(int(row[n]))
         pairs = range(max(0, t - kb + 1), min(t, ka - 1) + 1)
         spectrum = fa[pairs[0]] * fb[t - pairs[0]]
         for j in pairs[1:]:
             spectrum += fa[j] * fb[t - j]
-        push(_rounded(np.fft.irfft(spectrum, length)[: n + 1]).astype(np.int64))
+        c = _rounded(np.fft.irfft(spectrum, length)[: n + 1]).astype(np.int64)
+        if length == 2 * n:  # the diagonal's terms at q^(2n) wrapped onto q^0
+            c[0] -= sum(top_a[j] * top_b[t - j] for j in pairs)
+        push(c)
     zero = np.zeros(n + 1, np.int64)
     while np.any(carry >> s != carry):
         push(zero)
@@ -532,14 +600,17 @@ def _miller_pow(a0: int, taps: list[tuple[int, int]], e: int, order: int) -> lis
 
 # Newton's iteration costs a few products whatever the density, the recurrence
 # O(N) per nonzero coefficient.  Newton's time over the recurrence's, best of 3
-# on random nonzero coefficients (two runs, BENCH_27.json): mod 7 and 17 (the
-# catalog's moduli are 3 to 17), whose products take the int route, 0.98-1.06x
-# at 48 and 0.89-0.94x at 64 on order 512, 0.81-0.85x and 0.66-0.71x on 2048,
-# 0.93-1.23x and 0.91-1.06x on 8192; f_1, whose taps sit at the low end, at
-# 0.48-0.62x (73 taps, order 2048).  Mod 2^31-1, whose products take the FFT
-# route, Newton is 1.2-3.1x at 64 and 0.6-1.5x at 128.  Above 64 no measured
-# case is worse than 1.9x its faster route, and none at or below it than 1.5x.
-_NEWTON_MIN_TAPS = 64
+# on random nonzero coefficients (two runs, BENCH_29.json): mod 7 and 17 (the
+# catalog's moduli are 3 to 17), whose products take the float route from
+# order 256, 1.22-1.33x at 32 taps, 0.96-1.38x at 40 and 0.81-0.86x at 48 on
+# order 512; 0.70-0.85x at 32 on 1024; 0.58-0.62x at 32 on 2048; 0.83-0.90x at
+# 16 on 8192.  f_1, whose taps sit at the low end, at the orders the chains
+# invert it: 0.66-0.92x at 512 (36 taps), 0.34-0.63x at 682 (42) and
+# 0.41-0.73x at 1024 (51).  Mod 2^31-1, whose products take the limb route,
+# Newton is 1.9-3.9x at 40 taps and 0.6-1.5x at 128.  No measured case is
+# worse than 3.6x its faster route with the switch at 40 (mod 17, 40 taps,
+# order 8192), 3.9x at 32, 4.0x at 48, or 5.0x at 64 (mod 17, 64 taps).
+_NEWTON_MIN_TAPS = 40
 
 
 def invert(a: Series) -> Series:

@@ -520,7 +520,7 @@ class TestFFTProductRoute:
         (1, 1, 0, 25),  # the widest any product takes
     ])
     def test_limb_width_follows_the_bound(self, bits_a, bits_b, n, s):
-        length = 1 << (2 * n).bit_length()
+        length = 1 << max(2 * n - 1, 0).bit_length()  # the least power of two >= 2n
 
         def error(s):
             terms = min(series._limb_count(bits_a, s), series._limb_count(bits_b, s))
@@ -553,6 +553,171 @@ class TestFFTProductRoute:
         b = [rng.randrange(p) for _ in range(201)]
         assert mul(Series(ring, a), Series(ring, b)) == Series(ring, brute_mul(a, b, 200))
         assert calls
+
+
+def _rfft_lengths(monkeypatch) -> list:
+    """Record the transform length of every ``np.fft.rfft`` call."""
+    lengths: list = []
+    real = np.fft.rfft
+
+    def spy(x, n=None, *args):
+        lengths.append(n)
+        return real(x, n, *args)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    return lengths
+
+
+def _residue_pair(p: int, order: int, seed: int) -> tuple[list[int], list[int]]:
+    """Two random residue lists mod ``p`` whose coefficients at ``q^order``
+    are nonzero, so that the term at ``q^(2*order)`` is too."""
+    rng = random.Random(seed)
+    a = [rng.randrange(p) for _ in range(order + 1)]
+    b = [rng.randrange(p) for _ in range(order + 1)]
+    a[order], b[order] = p - 1, 1 + rng.randrange(p - 1)
+    return a, b
+
+
+class TestFloatProductRoute:
+    SWITCH = series._FLOAT_MIN_ORDER
+
+    def _routes(self, monkeypatch):
+        return (_spy(monkeypatch, "_product_float"), _spy(monkeypatch, "_product_int"),
+                _spy(monkeypatch, "_product_fft"))
+
+    def _check(self, ring, a, b, order):
+        """mul against brute_mul, and the route's array against the int route's."""
+        want = brute_mul(a, b, order)
+        got = mul(Series(ring, a), Series(ring, b))
+        assert got == Series(ring, want)
+        av, bv = np.array(a, dtype=object), np.array(b, dtype=object)
+        top = max(1, max(map(abs, a))) * max(1, max(map(abs, b))) * (order + 1)
+        if top.bit_length() // 8 + 1 <= 7:
+            assert series._product_int(av, bv, top.bit_length() // 8 + 1).tolist() == want
+
+    @pytest.mark.parametrize("p", [3, 17, 0])
+    def test_both_sides_of_the_order_switch(self, monkeypatch, p):
+        flt, narrow, fft = self._routes(monkeypatch)
+        ring = CoeffRing(p) if p else EXACT
+        for order in (self.SWITCH - 1, self.SWITCH):
+            rng = random.Random(order + p)
+            if p:
+                a, b = _residue_pair(p, order, order)
+            else:  # Z with coefficients in {-1, 0, 1}
+                a = [rng.randint(-1, 1) for _ in range(order + 1)]
+                b = [rng.randint(-1, 1) for _ in range(order + 1)]
+                a[order], b[order] = -1, 1
+            self._check(ring, a, b, order)
+            assert (len(flt), len(fft)) == (order == self.SWITCH, 0)
+        assert len(narrow) == 1 + 2  # the product below the switch, and the two references
+
+    @pytest.mark.parametrize("order", [256, 2048])
+    def test_both_sides_of_the_value_bound(self, monkeypatch, order):
+        # |a| * |b| at h^2 takes the float route, at h^2 + 1 the int route
+        h = _max_digit(order, series._fft_length(order), 1, 1)
+        flt = _spy(monkeypatch, "_product_float")
+        rng = random.Random(order)
+        for top_a, top_b, taken in ((h, h, True), (h * h, 1, True), (h * h + 1, 1, False)):
+            a = [rng.randint(-top_a, top_a) for _ in range(order + 1)]
+            b = [rng.randint(-top_b, top_b) for _ in range(order + 1)]
+            a[0], a[order], b[order] = top_a, -top_a, top_b
+            before = len(flt)
+            self._check(EXACT, a, b, order)
+            assert len(flt) - before == taken
+        # all-equal operands at h: every norm at its largest
+        pos, neg = [h] * (order + 1), [-h] * (order + 1)
+        assert mul(Series(EXACT, pos), Series(EXACT, neg)).coeffs == tuple(
+            -(k + 1) * h * h for k in range(order + 1))
+
+    def test_wide_residues_keep_the_limb_route(self, monkeypatch):
+        flt, narrow, fft = self._routes(monkeypatch)
+        p, order = 2**31 - 1, 2048
+        a, b = _residue_pair(p, order, 31)
+        assert mul(Series(CoeffRing(p), a), Series(CoeffRing(p), b)) == Series(
+            CoeffRing(p), brute_mul(a, b, order))
+        assert (len(flt), len(narrow), len(fft)) == (0, 0, 1)
+
+    @pytest.mark.parametrize("order", [256, 512, 2048])
+    @pytest.mark.parametrize("p", [3, 17])
+    def test_wrapped_term_is_subtracted(self, monkeypatch, p, order):
+        # 2n is a power of two, so the term at q^(2n), a_n * b_n, wraps onto q^0
+        assert series._fft_length(order) == 2 * order
+        flt = _spy(monkeypatch, "_product_float")
+        a, b = _residue_pair(p, order, p * order)
+        self._check(CoeffRing(p), a, b, order)
+        sa = Series(CoeffRing(p), a)
+        assert mul(sa, sa) == Series(CoeffRing(p), brute_mul(a, a, order))
+        assert len(flt) == 2
+
+    def test_square_transforms_once(self, monkeypatch):
+        order = 2048
+        a, _ = _residue_pair(17, order, 2)
+        sa = Series(CoeffRing(17), a)
+        lengths = _rfft_lengths(monkeypatch)
+        assert mul(sa, sa) == Series(CoeffRing(17), brute_mul(a, a, order))
+        assert lengths == [4096]
+
+    @pytest.mark.parametrize("order", [*range(0, 41), 63, 64, 65])
+    def test_route_at_small_orders(self, order):
+        # called directly: below the switch only the wrap rule and the bound differ
+        rng = random.Random(order)
+        a = np.array([rng.randint(-50, 50) for _ in range(order + 1)], np.int64)
+        b = np.array([rng.randint(-50, 50) for _ in range(order + 1)], object)
+        a[order], b[order] = 50, -50
+        assert series._product_float(a, b).tolist() == brute_mul(a.tolist(), b.tolist(), order)
+        assert series._product_float(a, a).tolist() == brute_mul(a.tolist(), a.tolist(), order)
+
+    def test_rounding_guard_rejects_a_too_wide_bound(self, monkeypatch):
+        # residues near 2^20 at order 2048: outputs below 2^53, but the error
+        # passes 1/4 once the bound is widened
+        order, ring = 2048, CoeffRing(2**21)
+        rng = random.Random(20)
+        a = [rng.randrange(2**20 - 2**12, 2**20) for _ in range(order + 1)]
+        b = [rng.randrange(2**20 - 2**12, 2**20) for _ in range(order + 1)]
+        assert (order + 1) * 2**40 < 2**53
+        flt = _spy(monkeypatch, "_product_float")
+        monkeypatch.setattr(series, "_max_digit", lambda *args: 2**40)
+        with pytest.raises(ArithmeticError):
+            mul(Series(ring, a), Series(ring, b))
+        assert flt
+
+
+class TestTransformLength:
+    @pytest.mark.parametrize("n,length", [
+        (0, 1), (1, 2), (2, 4), (3, 8), (4, 8), (5, 16), (256, 512), (2048, 4096), (2049, 8192),
+    ])
+    def test_least_power_of_two_at_or_above_2n(self, n, length):
+        assert series._fft_length(n) == length
+
+    def test_both_routes_transform_at_2n(self, monkeypatch):
+        order = 2048
+        a, b = _residue_pair(17, order, 4)
+        lengths = _rfft_lengths(monkeypatch)
+        assert mul(Series(CoeffRing(17), a), Series(CoeffRing(17), b)) == Series(
+            CoeffRing(17), brute_mul(a, b, order))
+        assert lengths == [4096, 4096]
+        lengths.clear()
+        rng = random.Random(5)
+        wide = [rng.randint(-2**100, 2**100) for _ in range(order + 1)]
+        assert mul(Series(EXACT, wide), Series(EXACT, a)).coeffs == tuple(
+            brute_mul(wide, a, order))
+        assert lengths and set(lengths) == {4096}
+
+    @pytest.mark.parametrize("order", [512, 2048])
+    def test_multi_limb_product_with_top_limbs_at_q_n(self, order):
+        # every limb row of both operands is nonzero at q^n, so each diagonal
+        # wraps a sum of limb products onto q^0
+        rng = random.Random(order)
+        a = [rng.randint(-2**150, 2**150) for _ in range(order + 1)]
+        b = [rng.randint(-2**90, 2**90) for _ in range(order + 1)]
+        a[order], b[order] = 2**150 - rng.randrange(2**140), -(2**90) + rng.randrange(2**80)
+        bits_a, bits_b = max(map(abs, a)).bit_length(), max(map(abs, b)).bit_length()
+        s = series._limb_bits(bits_a, bits_b, order)
+        for cs, bits in ((a, bits_a), (b, bits_b)):
+            rows = list(series._limbs(cs, s, series._limb_count(bits, s)))
+            assert len(rows) > 1 and rows[-1][order] != 0
+        assert series._product_fft(a, b, bits_a, bits_b) == brute_mul(a, b, order)
+        assert series._product_fft(a, a, bits_a, bits_a) == brute_mul(a, a, order)
 
 
 def _square_and_multiply(a: Series, e: int) -> Series:
