@@ -12,9 +12,11 @@ below ``2^31``, so a sum is below ``2^32`` and a product of two below
 ``2^62``.  Over Z, and from ``2^31`` on, it is an object array of Python ints,
 reduced to ``[0, M)`` when ``M > 0``.  Sums, scalar multiples, slices, the
 lattice test and the binomial products are then array operations written
-once for every ring; ``coeffs`` and indexing give Python ints.  Every route
-below is exact; each is picked by a switch on size, ring, exponent or
-density, and each is checked against an independent reference in the tests:
+once for every ring; ``coeffs`` and indexing give Python ints.  The binomial
+product over Z runs in int64 while a bound on its coefficients allows, and
+on Python ints from there.  Every route below is exact; each is picked by a
+switch on size, ring, exponent or density, and each is checked against an
+independent reference in the tests:
 
 - :func:`mul`: three routes, over Z or Z/M alike, picked by the order and
   by the operands' largest coefficients, not by the ring.  From order
@@ -29,9 +31,10 @@ density, and each is checked against an independent reference in the tests:
 - :func:`pow_`: Miller's recurrence for ``e <= -2`` over Z when ``a_0`` is
   +-1 (its division by ``n`` is exact, and a remainder raises); repeated
   squaring otherwise.
-- :func:`invert`: Newton's iteration over Z/M for a series with more than
-  ``_NEWTON_MIN_TAPS`` nonzero coefficients; the coefficient recurrence for
-  sparser series and over Z, where Newton's iterates grow.
+- :func:`invert`: Newton's iteration for a series with more nonzero
+  coefficients than the ring's switch, ``_NEWTON_MIN_TAPS`` over Z/M and
+  ``_NEWTON_MIN_TAPS_Z`` over Z; the coefficient recurrence for sparser
+  series.
 
 Before choosing a route, :func:`mul` and :func:`pow_` take the lattice step: when
 every nonzero coefficient past ``q^0`` sits at a multiple of some ``k > 1``
@@ -97,6 +100,10 @@ EXACT = CoeffRing(0)
 # docstring): a residue times a residue, or times a scalar reduced mod M,
 # stays below 2^62.  Over Z and from here on the array holds Python ints.
 _ARRAY_MOD = 1 << 31
+
+# The binomial product over Z keeps int64 while every value it computes stays
+# below this: a coefficient, a scalar and their product (see binomial_product).
+_INT64_SAFE = 1 << 62
 
 
 class Series:
@@ -200,12 +207,29 @@ def binomial_product(ring: CoeffRing, order: int, factors: Iterable[tuple[int, i
     is reduced first and the changed part after.  At ``d = 0`` that is
     ``c -= s*c``, a product by ``1 - s``.  The coefficients are allocated
     before the first factor is read, so an order too large for memory fails
-    at once."""
+    at once.
+
+    Over Z the coefficients start as int64, under a growth guard: ``top``
+    bounds ``max(1, max|c|)``, and a factor multiplies ``max|c|`` by at most
+    ``1 + |s|``.  When ``top * (1 + |s|)`` would reach ``2^62`` the bound is
+    taken again from the array, and if it still would, ``c`` becomes an
+    object array of Python ints for the remaining factors.  Below ``2^62``
+    neither ``s * c`` nor the difference can wrap.  Residues below
+    ``_ARRAY_MOD`` stay int64 and the others Python ints, as in
+    :class:`Series`."""
     mod = ring.modulus
-    c = _spread(Series(ring, [1])._coeffs, 1, order)
+    c = np.zeros(order + 1, object if mod >= _ARRAY_MOD else np.int64)
+    c[0] = 1
+    top = 1
     for d, s in factors:
         if mod:
             s %= mod
+        elif c.dtype != object:
+            top *= 1 + abs(s)
+            if top >= _INT64_SAFE:
+                top = max(1, int(np.abs(c).max())) * (1 + abs(s))
+                if top >= _INT64_SAFE:
+                    c = c.astype(object)
         tail = c[d:]
         tail -= s * c[: order + 1 - d]
         if mod:
@@ -531,10 +555,15 @@ def pow_(a: Series, e: int) -> Series:
       Only the nonzero ``a_k`` are visited, and no inverse is formed.  The
       division by ``n`` is exact because ``g`` has integer coefficients when
       ``a_0`` is a unit; a nonzero remainder raises ``ArithmeticError``.
-      Measured at order 2048, it beats inversion plus squaring at every
-      density (about 6x for ``f_1^-22``, and still level at ``e = -2`` on a
-      fully dense base), since over Z :func:`invert` is itself an O(N) loop
-      per nonzero coefficient.
+      It costs about ``N`` steps per nonzero ``a_k`` whatever ``e``, and
+      inversion plus squaring an inverse and about ``2 log2|e|`` products.
+      Since dense inverses over Z take Newton's iteration, the latter wins
+      on dense bases at small ``|e|``: 2-3x on the catalog's 196-tap base at
+      order 200 and 4-6x on its 396-tap base at order 400, at ``e = -2..-5``.
+      It loses 1.8-3.8x on 130-160 taps at ``e = -22`` (``f_1^-22`` at
+      order 8192 too), and over the 26 calls of the identities at order
+      1000 the recurrence takes 50-62 ms against 65-82 ms (BENCH_30.json),
+      so it serves every ``e <= -2``.
     - otherwise repeated squaring, after :func:`invert` when ``e < 0``.
       This covers Z/M, where ``n`` may be divisible by the modulus, and
       positive powers, where a handful of products beats the recurrence
@@ -612,16 +641,32 @@ def _miller_pow(a0: int, taps: list[tuple[int, int]], e: int, order: int) -> lis
 # order 8192), 3.9x at 32, 4.0x at 48, or 5.0x at 64 (mod 17, 64 taps).
 _NEWTON_MIN_TAPS = 40
 
+# Over Z the inverse's coefficients grow, so Newton's products are wide and
+# it needs more taps to win.  Newton's time over the recurrence's, best of 5
+# on random +-1 coefficients with a_0 = +-1 (two seeds each, BENCH_30.json):
+# 1.15x at 128 taps, 1.02-1.34x at 160 and 0.92-1.05x at 192 on order 256;
+# 0.86-1.33x at 128 on 512; 0.49-0.64x at 128 and 0.66-0.69x at 96 on 1000;
+# 0.45-0.71x at 128 on 2048; 0.75-0.80x at 128 and 0.54-0.90x at 96 on 4096.
+# f_1 must keep the recurrence: 1.78x at order 682 (42 taps), 1.14x at 1000
+# (50) and 1.01x at 2048 (73).  The same taps and order can want opposite
+# routes in the two rings (f_1 at 682 takes Newton mod p at 0.34-0.63x), so
+# Z has a switch of its own.  The catalog's dense inverses over Z have 172 to
+# 999 taps and its sparse ones at most 73, on either side of this one.
+_NEWTON_MIN_TAPS_Z = 128
+
 
 def invert(a: Series) -> Series:
     """Multiplicative inverse to order ``a.order``; a constant term that is
     not a unit raises :class:`NonUnitError`.  Two exact routes:
 
-    - over Z/M, a series with more than ``_NEWTON_MIN_TAPS`` nonzero
-      coefficients past ``a_0``: Newton's iteration ``b <- b + b(1 - ab)``,
-      doubling the number of correct coefficients with two products per
-      step.  Over Z/M the iterates stay reduced; over Z they grow, so Z
-      never takes this route.
+    - a series with more than ``_NEWTON_MIN_TAPS`` nonzero coefficients
+      past ``a_0`` over Z/M, or more than ``_NEWTON_MIN_TAPS_Z`` over Z:
+      Newton's iteration ``b <- b + b(1 - ab)``, doubling the number of
+      correct coefficients with two products per step.  Each iterate is
+      the inverse truncated, so over Z, where ``a_0 = +-1``, every iterate
+      has integer coefficients and the iteration is exact (Brent and Kung,
+      J. ACM 25, 1978).  Over Z the inverse's coefficients grow, so its
+      products are wide and the switch sits higher.
     - otherwise the coefficient recurrence
       ``b_n = -a_0^{-1} * sum_{k>=1} a_k b_{n-k}``.  Only the nonzero
       ``a_k`` are visited, so inverting a pentagonal-support series costs
@@ -631,7 +676,7 @@ def invert(a: Series) -> Series:
     inv0 = a.ring.unit_inverse(a[0])
     taps = _taps(a)
     mod = a.ring.modulus
-    if mod and len(taps) > _NEWTON_MIN_TAPS:
+    if len(taps) > (_NEWTON_MIN_TAPS if mod else _NEWTON_MIN_TAPS_Z):
         return _newton_inverse(a, inv0)
     out = [0] * (n + 1)
     out[0] = inv0
@@ -647,7 +692,7 @@ def invert(a: Series) -> Series:
 
 
 def _newton_inverse(a: Series, inv0: int) -> Series:
-    """Inverse of ``a`` over Z/M by Newton's iteration (see :func:`invert`).
+    """Inverse of ``a`` over Z or Z/M by Newton's iteration (see :func:`invert`).
 
     With ``ab = 1 mod q^m``, ``1 - ab = q^m * err mod q^(2m)``, so the next
     ``m`` coefficients of ``b`` are the low ``m`` of ``b * err``.  ``b``

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from qdissect.qexpr import Theta
@@ -73,6 +74,19 @@ def brute_pochhammer(a: int, m: int, order: int) -> list[int]:
         coeffs = nxt
         d += m
     return coeffs
+
+
+def brute_binomial(order: int, factors) -> tuple[list[int], int]:
+    """``prod (1 - s*q^d)`` over (d, s) on an object array of Python ints, and
+    the largest coefficient magnitude of any partial product."""
+    c = np.zeros(order + 1, object)
+    c[0] = 1
+    peak = 1
+    for d, s in factors:
+        tail = c[d:]
+        tail -= s * c[: order + 1 - d]
+        peak = max(peak, int(np.abs(c).max()))
+    return c.tolist(), peak
 
 
 def brute_mul(a: list[int], b: list[int], order: int) -> list[int]:

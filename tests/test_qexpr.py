@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from qdissect.qexpr import (
     parse_sexpr,
 )
 from qdissect.series import EXACT, CoeffRing, Series, eq_to_order
-from conftest import brute_mul, brute_pochhammer, theta_sum
+from conftest import brute_binomial, brute_mul, brute_pochhammer, theta_sum
 
 
 class TestAtomValidation:
@@ -92,6 +93,53 @@ class TestThetaCrossChecks:
         prod = eval_qexpr(theta, EXACT, 200)
         summed = theta_sum(theta, EXACT, 200)
         assert eq_to_order(prod, summed, 200) == (True, None)
+
+    @pytest.mark.parametrize("order", [2000, 4000])
+    @pytest.mark.parametrize(
+        "theta", [Theta(1, 1, 1, 1), Theta(1, 1, 1, 3), Theta(-1, 1, -1, 2)],
+        ids=["phi", "psi", "euler"],
+    )
+    def test_sum_equals_product_at_high_order(self, theta, order):
+        assert eval_qexpr(theta, EXACT, order) == theta_sum(theta, EXACT, order)
+
+    @staticmethod
+    def _factor_stream(monkeypatch, theta: Theta, order: int):
+        """The factors that the triple product hands to ``binomial_product``."""
+        streams = []
+        monkeypatch.setattr(series, "binomial_product",
+                            lambda ring, n, factors: streams.append(factors))
+        qexpr._eval_theta_product(theta, EXACT, order)
+        return streams[0]
+
+    @pytest.mark.parametrize("theta", [
+        Theta(1, 1, 1, 1), Theta(1, 1, 1, 3), Theta(-1, 1, -1, 2), Theta(1, 2, -1, 3),
+        Theta(1, 0, 1, 1), Theta(-1, 0, 1, 3), Theta(1, 2, -1, 0), Theta(-1, 5, -1, 5),
+    ])
+    def test_interleaved_factors_are_the_runs_factors(self, monkeypatch, theta):
+        # (-a;ab), (-b;ab) and (ab;ab), one run after another
+        order, period, sab = 300, theta.ua + theta.ub, theta.sa * theta.sb
+        runs = [(d, -theta.sa * sab**j) for j, d in enumerate(range(theta.ua, order + 1, period))]
+        runs += [(d, -theta.sb * sab**j) for j, d in enumerate(range(theta.ub, order + 1, period))]
+        runs += [(d, sab**j) for j, d in enumerate(range(period, order + 1, period), 1)]
+        assert sorted(self._factor_stream(monkeypatch, theta, order)) == sorted(runs)
+
+    def test_factor_stream_is_lazy_and_ordered_by_j(self, monkeypatch):
+        stream = self._factor_stream(monkeypatch, Theta(1, 1, 1, 3), 10**6)  # psi
+        assert iter(stream) is stream
+        assert list(itertools.islice(stream, 6)) == [(1, -1), (3, -1), (4, 1),
+                                                     (5, -1), (7, -1), (8, 1)]
+
+    @pytest.mark.parametrize("theta,order", [
+        (Theta(1, 1, 1, 1), 1000), (Theta(1, 1, 1, 3), 1000), (Theta(-1, 1, -1, 2), 1000),
+        (Theta(1, 1, 1, 1), 2000),
+    ], ids=["phi-1000", "psi-1000", "euler-1000", "phi-2000"])
+    def test_partial_products_stay_in_int64(self, monkeypatch, theta, order):
+        # interleaved, phi peaks at 23 bits at order 1000 and 35 at 2000; its
+        # runs one after another reach 74 and 107
+        factors = list(self._factor_stream(monkeypatch, theta, order))
+        coeffs, peak = brute_binomial(order, factors)
+        assert peak < series._INT64_SAFE
+        assert Series(EXACT, coeffs) == theta_sum(theta, EXACT, order)
 
     def test_phi_psi_euler_specializations(self):
         n = 50

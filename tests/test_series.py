@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -32,7 +33,7 @@ from qdissect.series import (
     zero,
 )
 from qdissect.qexpr import EtaF, Pochhammer, Pow, Theta, eval_qexpr
-from conftest import brute_mul, brute_pochhammer, random_series, theta_sum
+from conftest import brute_binomial, brute_mul, brute_pochhammer, random_series, theta_sum
 
 
 def euler_product(order: int, ring=EXACT) -> Series:
@@ -785,6 +786,16 @@ class TestMillerPower:
         assert len(calls) == 1  # only the exact power
 
 
+@functools.lru_cache(maxsize=None)
+def _partition_counts(order: int) -> tuple[int, ...]:
+    """p(0..order), counting partitions part size by part size."""
+    p = [1] + [0] * order
+    for part in range(1, order + 1):
+        for m in range(part, order + 1):
+            p[m] += p[m - part]
+    return tuple(p)
+
+
 class TestNewtonInverse:
     @staticmethod
     def _dense(ring: CoeffRing, order: int, taps: int, rng) -> Series:
@@ -832,12 +843,50 @@ class TestNewtonInverse:
         monkeypatch.setattr(series, "_NEWTON_MIN_TAPS", -1 if calls else 10**9)
         assert invert(f1) == inv  # the other route
 
-    def test_exact_series_never_take_newton(self, monkeypatch):
+    @pytest.mark.parametrize("a0", [1, -1])
+    def test_dense_exact_series_take_newton(self, monkeypatch, a0):
         calls = _spy(monkeypatch, "_newton_inverse")
         rng = random.Random(4)
-        a = Series(EXACT, [1] + [rng.randint(-2, 2) for _ in range(400)])
+        a = Series(EXACT, [a0] + [rng.randint(-2, 2) for _ in range(400)])
         inv = invert(a)
-        assert mul(a, inv) == one(EXACT, 400) and not calls
+        assert len(calls) == 1
+        assert mul(a, inv) == one(EXACT, 400) and mul(inv, a) == one(EXACT, 400)
+        monkeypatch.setattr(series, "_NEWTON_MIN_TAPS_Z", 10**9)
+        assert invert(a) == inv  # the recurrence
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("order", [200, 512, 682, 1000, 1024, 2048])
+    def test_exact_euler_product_keeps_the_recurrence(self, monkeypatch, order):
+        # f_1 has 22 taps to order 200 and 73 to order 2048; over Z, where its
+        # inverse's coefficients grow, Newton is the slower route there
+        f1 = eval_qexpr(EtaF(1), EXACT, order)
+        calls = _spy(monkeypatch, "_newton_inverse")
+        inv = invert(f1)
+        assert not calls
+        assert inv.coeffs == _partition_counts(2048)[: order + 1]
+        monkeypatch.setattr(series, "_NEWTON_MIN_TAPS_Z", -1)
+        assert invert(f1) == inv  # Newton's iteration
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("a0", [1, -1])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    def test_exact_routes_agree_around_the_switch(self, monkeypatch, a0, extra):
+        calls = _spy(monkeypatch, "_newton_inverse")
+        taps = series._NEWTON_MIN_TAPS_Z + extra
+        rng = random.Random(taps * a0)
+        results = []
+        for order in (taps, 2 * taps + 1, 777):
+            cs = [a0] + [0] * order
+            for k in rng.sample(range(1, order + 1), taps):
+                cs[k] = rng.choice((-3, -1, 1, 2))
+            a = Series(EXACT, cs)
+            inv = invert(a)
+            assert mul(a, inv) == one(EXACT, order) and mul(inv, a) == one(EXACT, order)
+            results.append((a, inv))
+        assert len(calls) == (3 if extra > 0 else 0)
+        monkeypatch.setattr(series, "_NEWTON_MIN_TAPS_Z", 10**9 if extra > 0 else -1)
+        for a, inv in results:
+            assert invert(a) == inv  # the other route
 
     def test_non_unit_constant_rejected(self):
         rng = random.Random(9)
@@ -1115,3 +1164,46 @@ class TestArrayRepresentation:
         assert repr(Series(CoeffRing(7), [8, -1])) == "Series(Z/7, O(q^2); [1, 6])"
         with pytest.raises(ValueError):
             Series(CoeffRing(7), np.array([], dtype=np.int64))
+
+
+class TestExactBinomialProduct:
+    """The int64 binomial product over Z and its promotion to Python ints."""
+
+    def test_partial_products_past_2_62_are_promoted(self):
+        # phi's three runs one after another: the partial products reach 107
+        # bits at order 2000, though phi's own coefficients are 0, 1 and 2
+        order = 2000
+        factors = ([(d, -1) for d in range(1, order + 1, 2)] * 2
+                   + [(d, 1) for d in range(2, order + 1, 2)])
+        ref, peak = brute_binomial(order, factors)
+        assert peak >= series._INT64_SAFE
+        got = series.binomial_product(EXACT, order, iter(factors))
+        assert got == Series(EXACT, ref) == theta_sum(Theta(1, 1, 1, 1), EXACT, order)
+        assert all(type(c) is int for c in got._coeffs)
+
+    @pytest.mark.parametrize("safe_bits", [8, 20, 40])
+    def test_guard_recomputes_and_promotes(self, monkeypatch, safe_bits):
+        # a low guard takes the bound again from the array many times, and
+        # promotes at a size the test reaches
+        monkeypatch.setattr(series, "_INT64_SAFE", 1 << safe_bits)
+        rng = random.Random(safe_bits)
+        order = 300
+        factors = [(rng.randrange(0, order + 1), rng.choice((-3, -1, 1, 2, 5)))
+                   for _ in range(400)]
+        ref, peak = brute_binomial(order, factors)
+        assert peak >= 1 << safe_bits
+        assert series.binomial_product(EXACT, order, iter(factors)) == Series(EXACT, ref)
+
+    @pytest.mark.parametrize("factors", [
+        [(0, 3), (1, 1)],
+        [(0, 1), (2, 2**70)],
+        [(0, -(2**62)), (1, 3), (2, 2**62), (0, 2**62 - 1)],
+        [(1, 2**62), (3, -(2**70) - 1), (0, 5), (7, 1)],
+        [(2, 2**61), (2, 2**61), (5, 3)],
+    ])
+    def test_wide_scalars_and_constant_factors(self, factors):
+        order = 40
+        ref, _ = brute_binomial(order, factors)
+        got = series.binomial_product(EXACT, order, iter(factors))
+        assert got == Series(EXACT, ref)
+        assert all(type(c) is int for c in got._coeffs)
