@@ -12,14 +12,20 @@ partitions with no part divisible by ``l``, the bipartite B_{l,m} counts pairs
 generating function is the product of the two regular ones, so the parts of
 both regularities are added into one array.
 
-:func:`coeff_fast` reproduces the same streams modulo any p in [2, 2^26],
-prime or not, at indices in the millions, in O(N log N) time.  A stream is
+:func:`tables` reproduces the same streams modulo any p in [2, 2^26], prime
+or not, at indices in the millions, in O(N log N) time.  A stream is
 prod_l f_l / f_1^r, where f_k = prod_j (1 - q^(kj)) and r is the number of
-regularities.  Both the numerator N = prod_l f_l and the denominator
-D = f_1^r are exact products of sparse series, each f_k given by the taps of
-Euler's pentagonal number theorem, reduced mod p as they are summed (about
-4.4e6 tap pairs at 1.65M, and no FFT).  One division N/D to q^n follows (Karp
-and Markstein, ACM TOMS 23, 1997):
+its regularities.  A batch's streams are packed into groups of pairwise
+coprime moduli, and each group is one division mod the product P of its
+moduli.  Its denominator is D = f_1^R, R the largest r among its members,
+and member i's numerator is N_i = prod_l f_l * f_1^(R - r): b_17 beside a
+bipartite stream is f_17 f_1 / f_1^2.  Both are exact products of sparse
+series, each f_k given by the taps of Euler's pentagonal number theorem,
+reduced mod P as they are summed (about 4.4e6 tap pairs at 1.65M, and no
+FFT).  N_i is built to its member's own order n_i, times e_i, where
+e_i = 1 mod p_i and e_i = 0 mod the other moduli, and the group's numerator
+is N = sum_i e_i N_i mod P.  One division N/D to q^n, n the largest n_i,
+follows (Karp and Markstein, ACM TOMS 23, 1997):
 
   - Newton's iteration g <- g*(2 - D*g), which doubles the number of correct
     terms per step, gives g = 1/D to h = ceil((n+1)/2) terms only;
@@ -29,9 +35,29 @@ and Markstein, ACM TOMS 23, 1997):
 
 That is the half-length inverse (about 1.4 products of full length) and three
 products: two of half length and D*y, full length by half; about 3.2 full
-products in all, for a regular table as for a bipartite one.  Nothing here
+products in all, for a regular table as for a bipartite one, and for a group
+as for one stream.
+
+The quotient mod p_i is member i's table through q^(n_i).  By the Chinese
+remainder theorem Z/P is the product of the rings Z/p_i, and N = N_i mod p_i
+through q^(n_i); coefficient k of a quotient depends on the numerator and the
+denominator only through q^k.  The division needs only D[0] = 1, a unit mod
+any P, and each product is exact mod any P under the bound below.
+:func:`coeff_fast` is the group of one stream, with P = p and R = r: a
+regular stream is f_l / f_1, a bipartite one f_l f_m / f_1^2.  Nothing here
 relies on the congruence f_p = f_1^p (mod p), on a Jacobi identity or on any
 identity of the catalog.
+
+The packing (``_coprime_groups``) adds no knob.  A stream joins a group only
+if its modulus p is coprime to P, P*p keeps the dtype of the members' tables,
+and one limb keeps the products mod P*p exact to the group's top order.  So a
+group's arrays are as wide as a lone build's: only moduli of one byte share a
+division.  The packing is first-fit decreasing on the modulus: each modulus's
+longest stream, largest modulus first, then the other streams, longest first.
+The eight streams of ``verify --suite families`` make four groups: B_{3,7},
+B_{9,5} and B_{5,11} mod 231 to 1,652,053; b_17 and B_{5,13} mod 221 to
+1,288,874; B_{3,11} and B_{81,17} mod 187; B_{2,8} mod 11 alone.  They take
+4,335 transforms, where eight lone builds took 9,455.
 
 Every product is a truncated product mod p (``_mulmod``), of which the
 caller may ask only the coefficients from ``lo`` on.  Residues are taken in
@@ -77,28 +103,30 @@ operands, so the bound holds for it too.  ``_limb_bits`` then splits the
 operands into balanced limbs of s bits, with h = 2^(s-1), just narrow enough
 that (n+1) * h^2 times the factor is at most 1/4 (``_max_digit`` of one
 pair), so every rounded output is the exact integer.  One limb (h = p/2)
-covers every catalog stream: for (81,17) mod 17 to 2.5e7 the bound is
-5.2e-5.  A modulus near 2^26 needs two limbs at n = 300 and three at n = 1e6.
+covers every catalog stream, and every group's P < 256 to 2.5e7: for (81,17)
+mod 17 to 2.5e7 the bound is 5.2e-5, and mod 255 it would be 0.013.  A
+modulus near 2^26 needs two limbs at n = 300 and three at n = 1e6.
 The guard (``_rounded``) runs on every output of every diagonal computed.
 The exact integers, below 2^53 in size, are reduced mod p in float64 as
 x - floor(x/p) * p.  Tables are held as the smallest unsigned dtype that
 holds p - 1, whether built, loaded or on disk.
 
-:func:`tables` builds the tables of a batch by that fast path on ``jobs``
-threads, the longest first; the FFTs and the large element-wise loops release
-the GIL.  The sparse pentagonal products hold it for most of their time, in
-one small numpy call per tap of every factor after the first (the first
-factor's taps go in with one call).  Given a directory, each (stream, modulus)
-has one ``*.qdct`` file there, named by :meth:`SourceSpec.cache_name`.  The
-file is served only if its CRC32 passes and its header names the same stream
-and modulus with a range that covers the order; anything else is a miss, and
-the table is built and saved over that name, through a temporary file and a
-rename.  A build writes only its stream's file, and leaves every other file
-in the directory alone.
+:func:`tables` builds a batch's groups on ``jobs`` threads, the group with the
+longest stream first; the FFTs and the large element-wise loops release the
+GIL.  The sparse pentagonal products hold it for most of their time, in one
+small numpy call per tap of every factor after the first (the first factor's
+taps go in with one call).  Given a directory, each (stream, modulus) has one
+``*.qdct`` file there, named by :meth:`SourceSpec.cache_name`.  The file is
+served only if its CRC32 passes and its header names the same stream and
+modulus with a range that covers the order; anything else is a miss, and the
+table is built and saved over that name, through a temporary file and a
+rename, by the thread that built its group.  A build writes only its
+streams' files, and leaves every other file in the directory alone.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -272,16 +300,16 @@ def _pentagonal_taps(limit: int, scale: int = 1) -> list[tuple[int, int]]:
     return taps
 
 
-def _pentagonal_product(scales: Sequence[int], n: int, p: int) -> np.ndarray:
-    """prod over s in ``scales`` of f_s, mod p to q^n, as an exact product of
-    the sparse pentagonal series: each tap of the next factor adds a shifted
-    copy of the nonzero entries so far, reduced mod p at once, so no array
-    wider than the result is held."""
+def _pentagonal_product(scales: Sequence[int], n: int, p: int, lead: int = 1) -> np.ndarray:
+    """``lead`` times the product over s in ``scales`` of f_s, mod p to q^n,
+    as an exact product of the sparse pentagonal series: each tap of the next
+    factor adds a shifted copy of the nonzero entries so far, reduced mod p at
+    once, so no array wider than the result is held."""
     first, *rest = sorted(scales)  # one row per tap: the largest scale, with the fewest, last
     out = np.zeros(n + 1, dtype=np.min_scalar_type(p - 1))
-    out[0] = 1
+    out[0] = lead
     taps = np.array(_pentagonal_taps(n, first), dtype=np.int64).reshape(-1, 2)
-    out[taps[:, 0]] = taps[:, 1] % p  # the first factor's taps, in one step
+    out[taps[:, 0]] = lead * taps[:, 1] % p  # the first factor's taps, in one step
     for s in rest:
         idx = np.flatnonzero(out)
         val = out[idx].astype(np.int64)
@@ -289,6 +317,12 @@ def _pentagonal_product(scales: Sequence[int], n: int, p: int) -> np.ndarray:
             at = idx[: np.searchsorted(idx, n - g, side="right")] + g
             out[at] = (out[at] + sign * val[: len(at)]) % p
     return out
+
+
+def _step(n: int) -> int:
+    """The block length of a product to q^n: a power of two, at least
+    ``_MIN_BLOCK``, and at most ``_BLOCKS`` blocks over n + 1 coefficients."""
+    return max(1 << (-(-(n + 1) // _BLOCKS) - 1).bit_length(), _MIN_BLOCK)
 
 
 def _limb_bits(p: int, n: int, length: int, terms: int) -> Optional[int]:
@@ -399,7 +433,7 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0) -> np.nda
     a, b = a[: n + 1], b[: n + 1]
     if len(a) < len(b):
         a, b = b, a
-    step = max(1 << (-(-(n + 1) // _BLOCKS) - 1).bit_length(), _MIN_BLOCK)
+    step = _step(n)
     bits = _limb_bits(p, n, 2 * step, -(-(n + 1) // step))
     out = np.zeros(n + 1 - lo, dtype=np.min_scalar_type(p - 1))
     k = step * (-(-len(b) // step) // 2)  # 0 when b is one block: no split
@@ -426,36 +460,79 @@ def _inverse(f: np.ndarray, p: int) -> np.ndarray:
     return g
 
 
+def _submod(acc: np.ndarray, x: np.ndarray, p: int) -> None:
+    """acc[:len(x)] -= x mod p, in place, for residues below p of acc's dtype,
+    with no wider array: acc - x wraps below 0 exactly where p is to be added
+    back, and unsigned sums are exact mod 2^bits, so p may be 2^bits."""
+    head = acc[: len(x)]
+    wrap = head < x
+    head -= x
+    np.add(head, np.array(p).astype(head.dtype), out=head, where=wrap)
+
+
 def _divide(num: np.ndarray, den: np.ndarray, p: int) -> np.ndarray:
-    """num/den mod p to the length of num, for den[0] == 1 (Karp-Markstein):
-    with g = 1/den to half the length, the quotient is y = num*g there, and
-    above it g times the remainder (num - den*y) / q^h."""
+    """num/den mod p to the length of num, for den[0] == 1 (Karp-Markstein),
+    written over num: with g = 1/den to half the length h, the quotient is
+    y = num*g there, and above it g times the remainder (num - den*y) / q^h.
+    y takes num's low half, which nothing reads after it, and the remainder
+    the high half, so no array of the quotient's length is made."""
     n = len(num) - 1
     h = (n + 2) // 2
     g = _inverse(den[:h], p)
-    y = _mulmod(num, g, p, h - 1)
-    if h > n:
-        return y
-    # num[h:] is a view, so no wide copy of it is held while D*y runs
-    rem = np.subtract(num[h:], _mulmod(den, y, p, n, lo=h), dtype=np.int32)
-    rem = (rem % p).astype(num.dtype)
-    return np.concatenate((y, _mulmod(g, rem, p, n - h)))
+    num[:h] = _mulmod(num, g, p, h - 1)
+    if h <= n:
+        rem = num[h:]
+        _submod(rem, _mulmod(den, num[:h], p, n, lo=h), p)
+        rem[:] = _mulmod(g, rem, p, n - h)
+    return num
+
+
+def _build_group(streams: Sequence[tuple[SourceSpec, int, int]]
+                 ) -> dict[tuple[SourceSpec, int], CountTable]:
+    """The table of each ``(stream, modulus, order)`` of a group of pairwise
+    coprime moduli, keyed ``(stream, modulus)``, by one division mod their
+    product P (see the module docstring).
+
+    Member i's numerator, times the f_1 it lacks, is built to its own order
+    as e_i times itself mod P, where e_i = 1 mod p_i and 0 mod the other
+    moduli: the longest member's is the group's numerator, and each other
+    member's is built negated and subtracted from it, in place.  The quotient
+    by f_1^r mod P, taken mod p_i through member i's order, is member i's
+    table; the longest member takes the quotient itself, reduced in place.
+    """
+    for _, p, _ in streams:
+        if not 2 <= p <= FAST_MOD_CAP:
+            raise ValueError(f"the fast path needs a modulus in [2, {FAST_MOD_CAP}]")
+    (top, p_top, n), *rest = sorted(streams, key=lambda s: -s[2])
+    P = math.prod(p for _, p, _ in streams)
+    r = max(len(spec.regularities) for spec, _, _ in streams)
+
+    def numerator(spec: SourceSpec, p: int, order: int, sign: int) -> np.ndarray:
+        regs = spec.regularities
+        e = P // p * pow(P // p, -1, p)
+        return _pentagonal_product(regs + (1,) * (r - len(regs)), order, P, sign * e % P)
+
+    num = numerator(top, p_top, n, 1)
+    for member in rest:
+        _submod(num, numerator(*member, -1), P)
+    quotient = _divide(num, _pentagonal_product((1,) * r, n, P), P)
+    out = {(spec, p): CountTable(spec, p, quotient[: order + 1] % p) for spec, p, order in rest}
+    if P != p_top:
+        np.remainder(quotient, p_top, out=quotient)
+    out[top, p_top] = CountTable(top, p_top, quotient)
+    return out
 
 
 def coeff_fast(source: SourceSpec, n_max: int, p: int) -> CountTable:
     """The counts of ``source`` mod any p in [2, 2^26], prime or not, to
     ``n_max``: the product over its regularities ``l`` of ``f_l / f_1``, by
     one division of prod_l f_l by f_1^r, both built from pentagonal taps (see
-    the module docstring).
+    the module docstring).  This is the group of one stream, so it shares its
+    one build path with :func:`tables`.
 
     Agrees with :func:`dp_counts` everywhere both are computed.
     """
-    if not 2 <= p <= FAST_MOD_CAP:
-        raise ValueError(f"the fast path needs a modulus in [2, {FAST_MOD_CAP}]")
-    regs = source.regularities
-    num = _pentagonal_product(regs, n_max, p)
-    den = _pentagonal_product((1,) * len(regs), n_max, p)
-    return CountTable(source, p, _divide(num, den, p))
+    return _build_group([(source, p, n_max)])[source, p]
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +551,43 @@ def _cached(path: Path, spec: SourceSpec, p: int, order: int) -> Optional[CountT
     return table if (table.source, table.modulus) == (spec, p) and table.n_max >= order else None
 
 
+def _coprime_groups(streams: Sequence[tuple[SourceSpec, int, int]]
+                   ) -> list[list[tuple[SourceSpec, int, int]]]:
+    """The ``(stream, modulus, order)`` streams packed into groups that
+    :func:`_build_group` builds by one division each, the group with the
+    longest stream first.
+
+    A stream joins a group only if its modulus p is coprime to the group's
+    product P, P*p keeps the dtype of the members' tables, and one limb keeps
+    the products mod P*p exact to the group's top order.  The packing is
+    first-fit decreasing on the modulus: each modulus's longest stream,
+    largest modulus first, then the other streams, longest first.
+    """
+    longest = sorted(streams, key=lambda s: -s[2])
+    firsts: dict[int, tuple] = {}
+    for stream in longest:
+        firsts.setdefault(stream[1], stream)
+
+    def width(m: int) -> np.dtype:  # of a table mod m
+        return np.min_scalar_type(m - 1)
+
+    groups: list[list] = []
+    for stream in (sorted(firsts.values(), key=lambda s: -s[1])
+                   + [s for s in longest if firsts[s[1]] is not s]):
+        _, p, order = stream
+        for group in groups:
+            P = math.prod(m for _, m, _ in group)
+            top = max(order, *(n for _, _, n in group))
+            step = _step(top)
+            if (math.gcd(P, p) == 1 and width(P * p) == width(P) == width(p)
+                    and _limb_bits(P * p, top, 2 * step, -(-(top + 1) // step)) is None):
+                group.append(stream)
+                break
+        else:
+            groups.append([stream])
+    return sorted(groups, key=lambda group: -max(n for _, _, n in group))
+
+
 def tables(needs: dict[tuple[SourceSpec, int], int],
            cache_dir: Optional[Union[str, Path]], jobs: int
            ) -> dict[tuple[SourceSpec, int], Union[CountTable, Exception]]:
@@ -481,9 +595,13 @@ def tables(needs: dict[tuple[SourceSpec, int], int],
     order, or the exception its build raised.
 
     With a cache directory, which must exist, each stream's file is read on
-    the calling thread.  The tables not served from it are built on up to
-    ``jobs`` threads, the longest first, each built and saved over its
-    stream's file by one thread; no other file in the directory is touched.
+    the calling thread.  The streams not served from it are packed into
+    groups of coprime moduli (``_coprime_groups``), and each group is built by
+    one division on one of up to ``jobs`` threads, the group with the longest
+    stream first.  That thread saves each member over its stream's file; no
+    other file in the directory is touched.  If a group's division raises,
+    its members are built alone, so that an exception is the value of the
+    stream that raised it.
     """
     cache_dir = Path(cache_dir) if cache_dir else None
     out: dict = {}
@@ -495,25 +613,32 @@ def tables(needs: dict[tuple[SourceSpec, int], int],
         else:
             out[spec, p] = table
 
-    def build(item):
-        spec, p, order = item
+    def build(group):
         try:
-            table = coeff_fast(spec, order, p)
-            if cache_dir:
-                table.save(cache_dir / spec.cache_name(p))
-            return table
+            built = _build_group(group)
         except Exception as exc:  # the caller raises it where the table is read
-            return exc
+            if len(group) == 1:
+                return {group[0][:2]: exc}
+            return {key: table for stream in group for key, table in build([stream]).items()}
+        if cache_dir:
+            for (spec, p), table in built.items():
+                try:
+                    table.save(cache_dir / spec.cache_name(p))
+                except Exception as exc:  # the caller names the file
+                    built[spec, p] = exc
+        return built
 
-    if jobs == 1 or len(todo) < 2:
-        done = map(build, todo)
+    groups = _coprime_groups(todo)
+    if jobs == 1 or len(groups) < 2:
+        done = map(build, groups)
     else:
         # imported here: it loads logging too, 0.5 MB that a run with
         # nothing to build on threads does not need
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(min(jobs, len(todo))) as pool:
-            done = list(pool.map(build, todo))
-    for (spec, p, _), result in zip(todo, done):
-        out[spec, p] = result
+        with ThreadPoolExecutor(min(jobs, len(groups))) as pool:
+            done = list(pool.map(build, groups))
+    built = {key: table for results in done for key, table in results.items()}
+    for spec, p, _ in todo:
+        out[spec, p] = built[spec, p]
     return out

@@ -184,14 +184,14 @@ class TestJobs:
                                                            tmp_path, user):
         # the (5,11) build fails: the families before 1.x are verified, and the
         # failure surfaces at 1.x, under the same blame, at --jobs 1 and 2
-        real = oracle.coeff_fast
+        real = oracle._build_group
 
-        def flaky(source, n_max, p):
-            if source == oracle.SourceSpec("bipartite", 5, 11):
+        def flaky(streams):
+            if any(spec == oracle.SourceSpec("bipartite", 5, 11) for spec, _, _ in streams):
                 raise ArithmeticError("boom")
-            return real(source, n_max, p)
+            return real(streams)
 
-        monkeypatch.setattr(oracle, "coeff_fast", flaky)
+        monkeypatch.setattr(oracle, "_build_group", flaky)
         args = _family_args()
         if user:
             line = next(l for l in cli.catalog_text().splitlines()
@@ -236,7 +236,7 @@ class TestJobs:
             return wrapped
 
         monkeypatch.setattr(cli, "verify_family", on_thread(cli.verify_family, checks))
-        monkeypatch.setattr(oracle, "coeff_fast", on_thread(oracle.coeff_fast, builds))
+        monkeypatch.setattr(oracle, "_build_group", on_thread(oracle._build_group, builds))
         result = runner.invoke(main, _family_args("--jobs", "2"))
         assert result.exit_code == 0, result.output
         assert len(checks) == len(EIGHT_STREAMS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import struct
 import sys
@@ -262,7 +264,7 @@ def _quotient_examples(test):
 def _check_divide(case):
     num, den, p = case
     n = len(num) - 1
-    w = oracle._divide(num, den, p)
+    w = oracle._divide(num.copy(), den, p)  # written over its numerator
     assert w.dtype == num.dtype and len(w) == n + 1
     assert _exact_mulmod(den, w, p, n) == [int(x) for x in num]
 
@@ -300,6 +302,30 @@ def test_pentagonal_product_matches_dense_convolution(scales, p):
     got = oracle._pentagonal_product(scales, n, p)
     assert got.dtype == np.min_scalar_type(p - 1)
     assert list(got) == [x % p for x in want]
+
+
+@pytest.mark.parametrize("scales", [(1, 1), (17, 1), (5,)], ids=repr)
+@pytest.mark.parametrize("p,lead", [(7, 3), (231, 154), (221, 0)])
+def test_pentagonal_product_takes_a_leading_factor(scales, p, lead):
+    # a group's member numerator is e times the product, mod the group's P
+    plain = oracle._pentagonal_product(scales, 700, p).astype(np.int64)
+    got = oracle._pentagonal_product(scales, 700, p, lead)
+    assert got.dtype == np.min_scalar_type(p - 1)
+    assert list(got) == list(lead * plain % p)
+
+
+@pytest.mark.parametrize("p", [2, 221, 231, 255, 256, 65521, 65536])
+def test_submod_subtracts_mod_p_in_place_without_overflow(p):
+    # p = 2^bits wraps as the dtype does
+    rng = np.random.default_rng(p)
+    dtype = np.min_scalar_type(p - 1)
+    acc = rng.integers(0, p, 5000).astype(dtype)
+    for x in (rng.integers(0, p, 3000), np.full(5000, p - 1), np.zeros(10, np.int64)):
+        want = acc.astype(np.int64)
+        want[: len(x)] -= x
+        oracle._submod(acc, x.astype(dtype), p)
+        assert acc.dtype == dtype
+        assert list(acc) == list(want % p)
 
 
 class TestRegularCounts:
@@ -676,7 +702,7 @@ class TestCache:
             raise AssertionError("the cached table should have been used")
 
         monkeypatch.setattr(CountTable, "load", classmethod(counting_load))
-        monkeypatch.setattr(oracle, "coeff_fast", no_build)
+        monkeypatch.setattr(oracle, "_build_group", no_build)
         table = oracle.tables({(spec, 17): 300}, tmp_path, 1)[spec, 17]
         assert loads == [spec.cache_name(17)]
         assert table.n_max == 400 and list(table.values) == list(saved.values)
@@ -730,14 +756,20 @@ class TestCache:
         assert sorted(tmp_path.iterdir()) == before
 
 
-def _families_cold_streams():
-    """The (stream, modulus) keys of `verify --suite families`, in its order."""
-    keys = {}
+def _families_cold_needs():
+    """The largest index `verify --suite families` reads of each (stream,
+    modulus), in its order."""
+    needs = {}
     for fam in build_families():
         if not fam.slow:
-            for spec in required_order(fam):
-                keys.setdefault((spec, fam.modulus), None)
-    return list(keys)
+            for spec, order in required_order(fam).items():
+                needs[spec, fam.modulus] = max(needs.get((spec, fam.modulus), 0), order)
+    return needs
+
+
+def _families_cold_streams():
+    """The (stream, modulus) keys of `verify --suite families`, in its order."""
+    return list(_families_cold_needs())
 
 
 class TestTables:
@@ -774,22 +806,24 @@ class TestTables:
             raise AssertionError("a cached table was built again")
 
         monkeypatch.setattr(CountTable, "load", classmethod(load))
-        monkeypatch.setattr(oracle, "coeff_fast", no_build)
+        monkeypatch.setattr(oracle, "_build_group", no_build)
         served = oracle.tables(self.NEEDS, tmp_path, 2)
         assert loads == [threading.get_ident()] * len(self.NEEDS)
         assert {key: t.n_max for key, t in served.items()} == self.NEEDS
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_failed_build_is_its_streams_value(self, tmp_path, monkeypatch, jobs):
+        # the (5,13) stream's group fails, and so does the stream alone: the
+        # other members of its group are built alone and served
         failing = SourceSpec("bipartite", 5, 13)
-        real = oracle.coeff_fast
+        real = oracle._build_group
 
-        def flaky(source, n_max, p):
-            if source == failing:
+        def flaky(streams):
+            if any(spec == failing for spec, _, _ in streams):
                 raise ArithmeticError("boom")
-            return real(source, n_max, p)
+            return real(streams)
 
-        monkeypatch.setattr(oracle, "coeff_fast", flaky)
+        monkeypatch.setattr(oracle, "_build_group", flaky)
         served = oracle.tables(self.NEEDS, tmp_path, jobs)
         assert served.keys() == self.NEEDS.keys()
         for (spec, p), order in self.NEEDS.items():
@@ -801,16 +835,20 @@ class TestTables:
         assert len(list(tmp_path.iterdir())) == len(self.NEEDS) - 1
 
     def test_builds_run_longest_first(self, monkeypatch):
-        started = []
-        real = oracle.coeff_fast
+        # groups start in the order of their longest streams, and each stream
+        # is built once
+        started, built = [], []
+        real = oracle._build_group
 
-        def build(source, n_max, p):
-            started.append(n_max)
-            return real(source, n_max, p)
+        def build(streams):
+            started.append(max(order for _, _, order in streams))
+            built.extend(order for _, _, order in streams)
+            return real(streams)
 
-        monkeypatch.setattr(oracle, "coeff_fast", build)
+        monkeypatch.setattr(oracle, "_build_group", build)
         oracle.tables(self.NEEDS, None, 1)
-        assert started == sorted(self.NEEDS.values(), reverse=True)
+        assert started == sorted(started, reverse=True)
+        assert sorted(built) == sorted(self.NEEDS.values())
 
     def test_many_workers_share_one_directory(self, tmp_path):
         # more workers than cores and a short switch interval: each stream
@@ -837,3 +875,121 @@ class TestTables:
             assert list(CountTable.load(tmp_path / spec.cache_name(p)).values) == want
         assert {path: path.read_bytes() for path in stale} == stale
         assert len(list(tmp_path.iterdir())) == len(needs) + len(stale)
+
+
+B28 = SourceSpec("bipartite", 2, 8)
+R5 = SourceSpec("regular", 5)
+
+
+def _one_limb(p, n):
+    step = oracle._step(n)
+    return oracle._limb_bits(p, n, 2 * step, -(-(n + 1) // step)) is None
+
+
+@st.composite
+def _batches(draw):
+    """Streams of distinct (stream, modulus) keys, with moduli that share
+    factors, moduli of every dtype width, and orders up to 2.5e7."""
+    moduli = st.sampled_from([2, 3, 4, 5, 6, 7, 9, 11, 13, 17, 35, 64, 127, 251, 256,
+                              257, 65521, 65537, P26])
+    keys = draw(st.lists(st.tuples(st.sampled_from([B37, R17, B28, R5]), moduli),
+                         min_size=1, max_size=12, unique=True))
+    return [(spec, p, draw(st.integers(0, 25_000_000))) for spec, p in keys]
+
+
+class TestCoprimeGroups:
+    """oracle.tables builds each group of coprime moduli by one division."""
+
+    def test_the_families_cold_needs_make_four_groups(self):
+        named = [[(spec.describe(), p) for spec, p, _ in group] for group in
+                 oracle._coprime_groups([(spec, p, order) for (spec, p), order
+                                         in _families_cold_needs().items()])]
+        assert [sorted(group) for group in named] == [
+            [("B_{3,7}", 7), ("B_{5,11}", 11), ("B_{9,5}", 3)],
+            [("B_{5,13}", 13), ("b_17", 17)],
+            [("B_{3,11}", 11), ("B_{81,17}", 17)],
+            [("B_{2,8}", 11)],
+        ]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(streams=_batches())
+    def test_groups_are_coprime_and_keep_dtype_and_one_limb(self, streams):
+        groups = oracle._coprime_groups(streams)
+        assert sorted(map(repr, (s for group in groups for s in group))) == sorted(map(repr, streams))
+        tops = [max(order for _, _, order in group) for group in groups]
+        assert tops == sorted(tops, reverse=True)
+        for group, top in zip(groups, tops):
+            moduli = [p for _, p, _ in group]
+            product = math.prod(moduli)
+            assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+            if len(group) > 1:
+                # the tables' one dtype holds P - 1: only moduli of one byte share
+                assert {np.min_scalar_type(p - 1) for p in moduli + [product]} == {np.dtype(np.uint8)}
+                assert _one_limb(product, top)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_groups_and_streams_that_must_not_share_agree_with_dp(self, jobs):
+        # 6 and 9 share 3, two streams mod 11, and 2^26 - 5 is wider than a
+        # byte; 4, 35 and the catalog's moduli make groups of composite and
+        # prime moduli
+        needs = {(B28, 6): 700, (B28, 9): 650, (R5, 11): 600, (B37, 11): 550,
+                 (B28, P26): 500, (R5, 4): 450, (B37, 35): 400,
+                 **{key: 300 + 37 * i for i, key in enumerate(CATALOG_STREAMS)}}
+        groups = oracle._coprime_groups([(spec, p, n) for (spec, p), n in needs.items()])
+        assert [(B28, P26, 500)] in groups
+        assert len(groups) < len(needs)
+        for group in groups:
+            assert len({p for _, p, _ in group}) == len(group)
+        served = oracle.tables(needs, None, jobs)
+        for (spec, p), n in needs.items():
+            assert served[spec, p].values.dtype == np.min_scalar_type(p - 1)
+            assert list(served[spec, p].values) == list(dp_counts(spec, n, p).values), (spec, p)
+
+    def test_tables_are_the_lone_builds(self):
+        # byte for byte, at orders that cross the block floor and split the
+        # half-length products differently for each member
+        needs = {(B37, 7): 5000, (SourceSpec("bipartite", 9, 5), 3): 3100,
+                 (SourceSpec("bipartite", 5, 11), 11): 2047, (R17, 17): 4096,
+                 (SourceSpec("bipartite", 5, 13), 13): 1}
+        served = oracle.tables(needs, None, 1)
+        assert len(oracle._coprime_groups([(s, p, n) for (s, p), n in needs.items()])) == 2
+        for (spec, p), n in needs.items():
+            lone = coeff_fast(spec, n, p).values
+            assert served[spec, p].values.tobytes() == lone.tobytes()
+            assert served[spec, p].values.dtype == lone.dtype
+
+    def test_a_lone_regular_stream_divides_by_f1(self, monkeypatch):
+        # b_17 alone is f_17 / f_1; beside a bipartite stream it is
+        # f_17 f_1 / f_1^2
+        built = []
+        real = oracle._pentagonal_product
+
+        def recording(scales, n, p, lead=1):
+            built.append((tuple(scales), p))
+            return real(scales, n, p, lead)
+
+        monkeypatch.setattr(oracle, "_pentagonal_product", recording)
+        oracle.tables({(R17, 17): 300}, None, 1)
+        assert built == [((17,), 17), ((1,), 17)]
+        built.clear()
+        oracle.tables({(R17, 17): 300, (SourceSpec("bipartite", 5, 13), 13): 200}, None, 1)
+        assert built == [((17, 1), 221), ((5, 13), 221), ((1, 1), 221)]
+
+    def test_a_failed_group_is_built_alone(self, monkeypatch):
+        # a failure of the shared division that no stream makes alone
+        real = oracle._build_group
+        calls = []
+
+        def flaky(streams):
+            calls.append(len(streams))
+            if len(streams) > 1:
+                raise ArithmeticError("boom")
+            return real(streams)
+
+        monkeypatch.setattr(oracle, "_build_group", flaky)
+        needs = {(B37, 7): 300, (SourceSpec("bipartite", 9, 5), 3): 200,
+                 (SourceSpec("bipartite", 5, 11), 11): 100}
+        served = oracle.tables(needs, None, 1)
+        assert calls == [3, 1, 1, 1]
+        for (spec, p), n in needs.items():
+            assert list(served[spec, p].values) == list(dp_counts(spec, n, p).values)
