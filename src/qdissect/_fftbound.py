@@ -29,7 +29,11 @@ power-of-two length into radix-4 and radix-2 passes with twiddles accurate to
 about one ulp, and both callers take it to obey the same bound.  Each checks
 that on every output it uses (:func:`_rounded`): a value 1/4 or more from an
 integer raises ArithmeticError rather than return a number that rounding may
-have changed.
+have changed.  Measured, pocketfft stays far inside the bound: at the digit
+``_max_digit`` allows, over constant, alternating, random and random +-h rows
+and 64 sampled outputs each, the worst error was 0.8-2.3% of the bound at
+every power-of-two length from 2^9 to 2^21 (numpy 2.4).  The tests hold it
+below a tenth of the bound (``tests/test_fftbound.py``).
 """
 
 from __future__ import annotations

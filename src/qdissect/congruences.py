@@ -122,7 +122,11 @@ def exact_div(num: int, den: int) -> int:
 def _int_pow(base: int, exp: int) -> int:
     if exp < 0:
         raise ArithmeticError(f"negative exponent {exp} in an index expression")
-    if abs(base) > 1 and exp * (abs(base).bit_length() - 1) > _POW_BITS_CAP:
+    # a power of 2^(exp * (bits - 1)) or more is refused before it is taken;
+    # one that passes has fewer than 2 * _POW_BITS_CAP bits, and is compared
+    size = abs(base)
+    if size > 1 and (exp * (size.bit_length() - 1) > _POW_BITS_CAP
+                     or size ** exp > 1 << _POW_BITS_CAP):
         raise ArithmeticError(f"{base} ** {exp} in an index expression is too large")
     return base ** exp
 

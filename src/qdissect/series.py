@@ -18,16 +18,16 @@ on Python ints from there.  Every route below is exact; each is picked by a
 switch on size, ring, exponent or density, and each is checked against an
 independent reference in the tests:
 
-- :func:`mul`: three routes, over Z or Z/M alike, picked by the order and
-  by the operands' largest coefficients, not by the ring.  From order
-  ``_FLOAT_MIN_ORDER`` on, operands small enough for Percival's bound (the
-  residues mod 3 to 17, say) are convolved as they are by one float64 FFT.
-  Otherwise a Kronecker-substitution product: operands whose slots fit in 7
-  bytes multiply as Python ints, wider ones by one float64 FFT convolution
-  of balanced limbs.  Both FFT routes transform at the least power of two
-  at or above ``2n``, subtract the one term that wraps there exactly, and
-  are checked by a rounding guard that raises instead of returning a wrong
-  integer.
+- :func:`mul`: three routes, over Z or Z/M alike, picked first by the
+  order and then by the operands' largest coefficients, not by the ring.
+  Below order ``_FLOAT_MIN_ORDER``, operands whose product's partial sums
+  stay below ``2^63`` are convolved directly in int64.  From there on,
+  operands small enough for Percival's bound (the residues mod 3 to 17, say)
+  are convolved as they are by one float64 FFT.  Every other product is one
+  float64 FFT convolution of balanced limbs.  Both FFT routes transform at
+  the least power of two at or above ``2n``, subtract the one term that
+  wraps there exactly, and are checked by a rounding guard that raises
+  instead of returning a wrong integer.
 - :func:`pow_`: Miller's recurrence for ``e <= -2`` over Z when ``a_0`` is
   +-1 (its division by ``n`` is exact, and a remainder raises); repeated
   squaring otherwise.
@@ -261,25 +261,19 @@ def mul(a: Series, b: Series) -> Series:
     products, so ``|c_k| <= B`` with ``B = max(1, |a|) * max(1, |b|) *
     (n+1)``, where ``|a|`` is the largest coefficient magnitude of ``a`` (the
     ``max(1, .)`` also keeps the factors' own coefficients within ``B``).
-    Three exact routes:
+    Three exact routes, picked by the order first and then by size:
 
+    - ``n < _FLOAT_MIN_ORDER`` and ``B < 2^63``: one direct convolution of
+      the coefficients in int64 (:func:`_product_direct`).  Every partial
+      sum of a ``c_k`` is at most ``B``, so none wraps, and no product costs
+      more than ``_FLOAT_MIN_ORDER^2`` multiply-adds.
     - ``n >= _FLOAT_MIN_ORDER`` and ``max(1, |a|) * max(1, |b|) <= h^2``,
       ``h = _max_digit(n, L, 1, 1)``: the coefficients themselves are
       convolved by one float64 FFT (:func:`_product_float`), exact by
       Percival's bound.  This takes the residues mod 3 to 17 and Z
       operands with small coefficients, not the residues mod ``2^31 - 1``.
-
-    Otherwise ``B`` sets the width of a Kronecker slot, ``w`` bytes with
-    ``2^(8w-1) > B``, and the width picks one of the other two:
-
-    - at most 7 bytes (``B < 2^55``), Kronecker substitution: each factor
-      becomes one Python ``int`` whose slot ``i`` holds its coefficient ``i``
-      plus a half-slot bias larger than ``B``, packed through int64 arrays.
-      Every biased slot lies in ``[0, 2^(8w))``, so no carry or borrow
-      crosses a slot boundary; the two ints are multiplied once
-      (Karatsuba), and the slots of the product are the ``c_k``.
-    - wider: the coefficients are cut into balanced limbs of ``s`` bits and
-      the limb rows convolved by one float64 FFT (:func:`_product_fft`).
+    - otherwise: the coefficients are cut into balanced limbs of ``s`` bits
+      and the limb rows convolved by one float64 FFT (:func:`_product_fft`).
       ``s`` is the widest for which Percival's bound keeps every output
       within 1/4 of its integer, so rounding gives the exact value; a guard
       checks every output, and one that lies 1/4 or more from an integer
@@ -330,27 +324,30 @@ def _spread(cs: np.ndarray, k: int, order: int) -> np.ndarray:
 def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     """Coefficients ``0..n`` of ``av * bv`` for two length-``n+1`` arrays,
     exact and unreduced (the routes are described in :func:`mul`): an int64
-    array from the float and int routes, an object array of Python ints from
-    the limb FFT route."""
+    array from the direct and float routes, an object array of Python ints
+    from the limb FFT route."""
     n = len(av) - 1
     top_a = int(np.abs(av).max())
     top_b = top_a if av is bv else int(np.abs(bv).max())
     bound = max(1, top_a) * max(1, top_b)
-    if n >= _FLOAT_MIN_ORDER and bound <= _max_digit(n, _fft_length(n), 1, 1) ** 2:
+    if n < _FLOAT_MIN_ORDER:
+        if bound * (n + 1) < 1 << 63:
+            return _product_direct(av, bv)
+    elif bound <= _max_digit(n, _fft_length(n), 1, 1) ** 2:
         return _product_float(av, bv)
-    width = (bound * (n + 1)).bit_length() // 8 + 1
-    if width <= 7:
-        return _product_int(av, bv, width)
     square = av is bv
     av = av.tolist()
     bv = av if square else bv.tolist()  # a square reuses its spectra
     return np.array(_product_fft(av, bv, top_a.bit_length(), top_b.bit_length()), dtype=object)
 
 
-# The float route's least order.  The int route's time over the float
-# route's on a random pair of residues mod 3, 7, 11 and 17, best of 200 (two
-# runs, BENCH_29.json): 0.71-0.91x at order 159, 0.89-1.64x at 223,
-# 0.99-2.08x at 255, 1.02-1.39x at 256, 1.7-2.7x at 512 and 4.6-7.5x at 2048.
+# The float route's least order, and the direct route's bound.  The direct
+# route's time over the float route's on a random pair of residues mod 3, 7,
+# 11 and 17, best of 200 (two runs, BENCH_33.json): 0.46-0.51x at order 127,
+# 0.76-0.83x at 191, 1.00-1.11x at 223, 1.25-1.36x at 255, 3.6-3.8x at 512
+# and 20-21x at 2048.  Summed over every product of the identities at order
+# 1000 and 2000, the chains at 2048 and the default orders, a switch at 224
+# is within 1% of one at 256 either way, so it stays.
 _FLOAT_MIN_ORDER = 256
 
 
@@ -382,32 +379,12 @@ def _product_float(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product_int(av: Sequence[int], bv: Sequence[int], width: int) -> np.ndarray:
-    """Kronecker product with slots of ``width`` bytes, at most 7, packed
-    into ints; the result is an int64 array.
-
-    :func:`mul` chooses ``width`` so that ``2^(8*width - 1) > B``; the low
-    ``n+1`` slots of the biased product hold ``c_0 .. c_n`` exactly.  Slots
-    are packed and read back through little-endian int64 arrays: a biased
-    slot lies below ``2^56``, so no int64 overflows.
-    """
-    n = len(av) - 1
-    half = 1 << (8 * width - 1)
-    size = width * (n + 1)
-    bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * (n + 1), "little")
-
-    def pack(cs: Sequence[int]) -> int:
-        biased = np.array(cs, dtype="<i8")
-        biased += half
-        slots = biased.view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
-        return int.from_bytes(slots, "little") - bias
-
-    pa = pack(av)
-    pb = pa if av is bv else pack(bv)
-    raw = ((pa * pb + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    padded = np.zeros((n + 1, 8), dtype=np.uint8)
-    padded[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(n + 1, width)
-    return padded.view("<i8").reshape(-1) - half
+def _product_direct(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """Coefficients ``0..n`` of ``av * bv`` by one direct convolution in
+    int64, exact: :func:`_product` takes this route only when ``B < 2^63``,
+    and every partial sum of a ``c_k`` is at most ``B``."""
+    a64 = np.asarray(av, np.int64)
+    return np.convolve(a64, a64 if bv is av else np.asarray(bv, np.int64))[: len(av)]
 
 
 def _limb_count(bits: int, s: int) -> int:

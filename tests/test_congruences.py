@@ -128,6 +128,18 @@ class TestIndexMaps:
         with pytest.raises(ArithmeticError):
             AffineIndex("2 ** (m - 1)").coeffs(0, 0)
 
+    @pytest.mark.parametrize("text,bits", [
+        ("3 ** 2584", 4096), ("2 ** 4096", 4097), ("(-2) ** 4096", 4097), ("1 ** 10 ** 9", 1),
+    ])
+    def test_powers_up_to_2_to_the_4096_are_read(self, text, bits):
+        (scale, _) = AffineIndex(text).coeffs()
+        assert scale.bit_length() == bits and abs(scale) <= 2**4096
+
+    @pytest.mark.parametrize("text", ["3 ** 2585", "2 ** 4097", "7 ** 2048", "(-3) ** 2585"])
+    def test_powers_past_2_to_the_4096_are_too_large(self, text):
+        with pytest.raises(ArithmeticError, match="in an index expression is too large"):
+            AffineIndex(text).coeffs()
+
     @pytest.mark.parametrize(
         "text", ["__import__('os')", "m.real", "x", "1.5", "f(m)", "m // 2",
                  "m % 3", "+m", "~m", "True", "", "1 +", "[m]", "m < k", "n"],

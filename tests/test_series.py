@@ -314,8 +314,8 @@ def test_exact_and_modular_paths_commute(data, p):
 
 
 # ---------------------------------------------------------------------------
-# mul against the plain double loop, at coefficient sizes that stress the slot
-# width (big exact values, moduli up to 62 bits, operands at the slot bound)
+# mul against the plain double loop, at coefficient sizes that stress the
+# int64 edge (big exact values, moduli up to 62 bits, operands at the bound)
 # ---------------------------------------------------------------------------
 
 # 2^62 - 57 is the largest prime below 2^62
@@ -357,7 +357,7 @@ def test_mul_matches_double_loop(data, modulus, order_a, order_b):
 @pytest.mark.parametrize("top", [1, 127, 128, 2**300])
 @pytest.mark.parametrize("order", [0, 1, 30])
 def test_mul_at_slot_bound(top, order):
-    # all-equal operands make c_n = (n+1) * top^2, exactly the slot bound
+    # all-equal operands make c_n = (n+1) * top^2, exactly the bound B
     pos = Series(EXACT, [top] * (order + 1))
     neg = Series(EXACT, [-top] * (order + 1))
     square = tuple((k + 1) * top * top for k in range(order + 1))
@@ -366,28 +366,38 @@ def test_mul_at_slot_bound(top, order):
     assert mul(pos, neg).coeffs == tuple(-c for c in square)
 
 
-@pytest.mark.parametrize("width", [7, 8])
-@pytest.mark.parametrize("order", [0, 30])
-def test_mul_at_int64_slot_edge(monkeypatch, width, order):
-    # Kronecker slots of at most 7 bytes take the int route through int64
-    # arrays, 8 bytes and more the FFT route: the largest bound of a 7-byte
-    # slot is 2^55 - 1, the smallest of an 8-byte slot 2^55
-    fft, narrow = _spy(monkeypatch, "_product_fft"), _spy(monkeypatch, "_product_int")
-    top = math.isqrt((2**55 - 1) // (order + 1))
-    if width == 8:
-        while top * top * (order + 1) < 2**55:
-            top += 1
-    assert (top * top * (order + 1)).bit_length() // 8 + 1 == width
-    pos, neg = [top] * (order + 1), [-top] * (order + 1)
-    for a, b in ((pos, pos), (neg, neg), (pos, neg), (neg, pos)):
-        assert mul(Series(EXACT, a), Series(EXACT, b)).coeffs == tuple(brute_mul(a, b, order))
-    assert (len(narrow), len(fft)) == ((4, 0) if width == 7 else (0, 4))
+@pytest.mark.parametrize("side", ["direct", "limbs"])
+@pytest.mark.parametrize("order", [0, 30, 255])
+def test_mul_at_int64_edge(monkeypatch, side, order):
+    # below the float route's switch a product with B = max(1, |a|) *
+    # max(1, |b|) * (n+1) below 2^63 is one int64 convolution, and from 2^63
+    # on takes the limb route; all-equal operands put c_n at B itself
+    direct, fft = _spy(monkeypatch, "_product_direct"), _spy(monkeypatch, "_product_fft")
+    cap = (2**63 - 1) // (order + 1)  # the largest |a| * |b| below the edge
+    grow = 0 if side == "direct" else 1
+    tops = [(cap + grow, 1), (cap // math.isqrt(cap) + grow, math.isqrt(cap))]
+    for top_a, top_b in tops:
+        bound = top_a * top_b * (order + 1)
+        assert bound < 2**63 if side == "direct" else bound >= 2**63
+        pos_a, neg_a = [top_a] * (order + 1), [-top_a] * (order + 1)
+        pos_b, neg_b = [top_b] * (order + 1), [-top_b] * (order + 1)
+        for a, b in ((pos_a, pos_b), (neg_a, neg_b), (pos_a, neg_b), (neg_a, pos_b)):
+            got = mul(Series(EXACT, a), Series(EXACT, b)).coeffs
+            assert got == tuple(brute_mul(a, b, order))
+            assert abs(got[order]) == bound
+    if order == 0:  # B = 2^63 - 1 and 2^63 exactly
+        assert tops[0][0] == 2**63 - 1 + grow
+    assert (len(direct), len(fft)) == ((8, 0) if side == "direct" else (0, 8))
+    # residues mod 2^31 - 1: (p - 1)^2 * (n+1) is below 2^63 only at n <= 1
     p = 2**31 - 1
     ring = CoeffRing(p)
-    for a, b in ((pos, pos), (pos, [p - 1] * (order + 1))):
+    rng = random.Random(order)
+    top, mixed = [p - 1] * (order + 1), [rng.randrange(p) for _ in range(order + 1)]
+    del direct[:], fft[:]
+    for a, b in ((top, top), (top, mixed), (top, [1] * (order + 1))):
         assert mul(Series(ring, a), Series(ring, b)) == Series(ring, brute_mul(a, b, order))
-    # (p - 1) * top * (n+1) needs 8 bytes on both sides of the edge
-    assert len(fft) == (1 if width == 7 else 6)
+    below = 3 if order == 0 else 1  # (p - 1) * 1 * (n+1) stays below 2^63
+    assert (len(direct), len(fft)) == (below, 3 - below)
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +422,25 @@ def _operands(shape: str, top: int, order: int, rng) -> tuple[list[int], list[in
     if shape == "dense":
         return ([rng.randint(-top, top) for _ in range(order + 1)],
                 [rng.randint(-top, top) for _ in range(order + 1)])
-    if shape == "all-max":  # c_k = (k+1) * top^2, the slot bound
+    if shape == "all-max":  # c_k = (k+1) * top^2, the bound B at k = n
         return [top] * (order + 1), [top] * (order + 1)
     return [-top] * (order + 1), [top] * (order + 1)  # all-neg
 
 
 class TestFFTProductRoute:
-    # order 300: 2^200 and 2^600 coefficients need Kronecker slots of 52 and
-    # 152 bytes, far past the int route's 7
+    # order 300, past the float route's switch: 2^200 and 2^600 coefficients
+    # are far over its bound
     @pytest.mark.parametrize("shape", ["dense", "all-max", "all-neg"])
     @pytest.mark.parametrize("bits", [200, 600])
     def test_matches_double_loop(self, monkeypatch, shape, bits):
-        fft, narrow = _spy(monkeypatch, "_product_fft"), _spy(monkeypatch, "_product_int")
+        fft, direct = _spy(monkeypatch, "_product_fft"), _spy(monkeypatch, "_product_direct")
         order = 300
         a, b = _operands(shape, 2**bits, order, random.Random(bits))
         sa, sb = Series(EXACT, a), Series(EXACT, b)
         assert mul(sa, sb).coeffs == tuple(brute_mul(a, b, order))
         assert mul(sb, sa).coeffs == tuple(brute_mul(a, b, order))
         assert mul(sa, sa).coeffs == tuple(brute_mul(a, a, order))
-        assert len(fft) == 3 and not narrow
+        assert len(fft) == 3 and not direct
 
     @pytest.mark.parametrize("small", [1, 52])
     def test_lopsided_operands_at_order_2048(self, small):
@@ -547,7 +557,7 @@ class TestFFTProductRoute:
 
     def test_modular_large_moduli(self, monkeypatch):
         calls = _spy(monkeypatch, "_product_fft")
-        p = 2**521 - 1  # Mersenne prime: 521-bit residues need wide slots
+        p = 2**521 - 1  # Mersenne prime: 521-bit residues take the limb route
         ring = CoeffRing(p)
         rng = random.Random(11)
         a = [rng.randrange(p) for _ in range(201)]
@@ -583,22 +593,22 @@ class TestFloatProductRoute:
     SWITCH = series._FLOAT_MIN_ORDER
 
     def _routes(self, monkeypatch):
-        return (_spy(monkeypatch, "_product_float"), _spy(monkeypatch, "_product_int"),
+        return (_spy(monkeypatch, "_product_float"), _spy(monkeypatch, "_product_direct"),
                 _spy(monkeypatch, "_product_fft"))
 
     def _check(self, ring, a, b, order):
-        """mul against brute_mul, and the route's array against the int route's."""
+        """mul against brute_mul, and the route's array against the direct route's."""
         want = brute_mul(a, b, order)
         got = mul(Series(ring, a), Series(ring, b))
         assert got == Series(ring, want)
         av, bv = np.array(a, dtype=object), np.array(b, dtype=object)
         top = max(1, max(map(abs, a))) * max(1, max(map(abs, b))) * (order + 1)
-        if top.bit_length() // 8 + 1 <= 7:
-            assert series._product_int(av, bv, top.bit_length() // 8 + 1).tolist() == want
+        if top < 2**63:
+            assert series._product_direct(av, bv).tolist() == want
 
     @pytest.mark.parametrize("p", [3, 17, 0])
     def test_both_sides_of_the_order_switch(self, monkeypatch, p):
-        flt, narrow, fft = self._routes(monkeypatch)
+        flt, direct, fft = self._routes(monkeypatch)
         ring = CoeffRing(p) if p else EXACT
         for order in (self.SWITCH - 1, self.SWITCH):
             rng = random.Random(order + p)
@@ -610,11 +620,11 @@ class TestFloatProductRoute:
                 a[order], b[order] = -1, 1
             self._check(ring, a, b, order)
             assert (len(flt), len(fft)) == (order == self.SWITCH, 0)
-        assert len(narrow) == 1 + 2  # the product below the switch, and the two references
+        assert len(direct) == 1 + 2  # the product below the switch, and the two references
 
     @pytest.mark.parametrize("order", [256, 2048])
     def test_both_sides_of_the_value_bound(self, monkeypatch, order):
-        # |a| * |b| at h^2 takes the float route, at h^2 + 1 the int route
+        # |a| * |b| at h^2 takes the float route, at h^2 + 1 the limb route
         h = _max_digit(order, series._fft_length(order), 1, 1)
         flt = _spy(monkeypatch, "_product_float")
         rng = random.Random(order)
@@ -630,13 +640,28 @@ class TestFloatProductRoute:
         assert mul(Series(EXACT, pos), Series(EXACT, neg)).coeffs == tuple(
             -(k + 1) * h * h for k in range(order + 1))
 
+    @pytest.mark.parametrize("order", [256, 2048])
+    def test_just_over_the_float_bound_takes_limbs(self, monkeypatch, order):
+        # from the switch on the direct route never runs, even with B < 2^63
+        flt, direct, fft = self._routes(monkeypatch)
+        h = _max_digit(order, series._fft_length(order), 1, 1)
+        rng = random.Random(order + 1)
+        for top_a, top_b in ((h * h + 1, 1), (h + 1, h)):
+            assert (order + 1) * top_a * top_b < 2**63
+            a = [rng.randint(-top_a, top_a) for _ in range(order + 1)]
+            b = [rng.randint(-top_b, top_b) for _ in range(order + 1)]
+            a[0], a[order], b[order] = top_a, -top_a, top_b
+            got = mul(Series(EXACT, a), Series(EXACT, b))
+            assert got.coeffs == tuple(brute_mul(a, b, order))
+        assert (len(flt), len(direct), len(fft)) == (0, 0, 2)
+
     def test_wide_residues_keep_the_limb_route(self, monkeypatch):
-        flt, narrow, fft = self._routes(monkeypatch)
+        flt, direct, fft = self._routes(monkeypatch)
         p, order = 2**31 - 1, 2048
         a, b = _residue_pair(p, order, 31)
         assert mul(Series(CoeffRing(p), a), Series(CoeffRing(p), b)) == Series(
             CoeffRing(p), brute_mul(a, b, order))
-        assert (len(flt), len(narrow), len(fft)) == (0, 0, 1)
+        assert (len(flt), len(direct), len(fft)) == (0, 0, 1)
 
     @pytest.mark.parametrize("order", [256, 512, 2048])
     @pytest.mark.parametrize("p", [3, 17])
