@@ -15,7 +15,7 @@ lattice test and the binomial products are then array operations written
 once for every ring; ``coeffs`` and indexing give Python ints.  The binomial
 product over Z runs in int64 while a bound on its coefficients allows, and
 on Python ints from there.  Every route below is exact; each is picked by a
-switch on size, ring, exponent or density, and each is checked against an
+switch on size, ring or exponent, and each is checked against an
 independent reference in the tests:
 
 - :func:`mul`: three routes, over Z or Z/M alike, picked first by the
@@ -31,10 +31,7 @@ independent reference in the tests:
 - :func:`pow_`: Miller's recurrence for ``e <= -2`` over Z when ``a_0`` is
   +-1 (its division by ``n`` is exact, and a remainder raises); repeated
   squaring otherwise.
-- :func:`invert`: Newton's iteration for a series with more nonzero
-  coefficients than the ring's switch, ``_NEWTON_MIN_TAPS`` over Z/M and
-  ``_NEWTON_MIN_TAPS_Z`` over Z; the coefficient recurrence for sparser
-  series.
+- :func:`invert`: Newton's iteration for every series, over Z and Z/M.
 
 Before choosing a route, :func:`mul` and :func:`pow_` take the lattice step: when
 every nonzero coefficient past ``q^0`` sits at a multiple of some ``k > 1``
@@ -533,14 +530,16 @@ def pow_(a: Series, e: int) -> Series:
       division by ``n`` is exact because ``g`` has integer coefficients when
       ``a_0`` is a unit; a nonzero remainder raises ``ArithmeticError``.
       It costs about ``N`` steps per nonzero ``a_k`` whatever ``e``, and
-      inversion plus squaring an inverse and about ``2 log2|e|`` products.
-      Since dense inverses over Z take Newton's iteration, the latter wins
-      on dense bases at small ``|e|``: 2-3x on the catalog's 196-tap base at
-      order 200 and 4-6x on its 396-tap base at order 400, at ``e = -2..-5``.
-      It loses 1.8-3.8x on 130-160 taps at ``e = -22`` (``f_1^-22`` at
-      order 8192 too), and over the 26 calls of the identities at order
-      1000 the recurrence takes 50-62 ms against 65-82 ms (BENCH_30.json),
-      so it serves every ``e <= -2``.
+      inversion plus squaring one Newton inverse and about ``2 log2|e|``
+      products.  The latter wins on dense bases at small ``|e|``: 5.7-6.9x on
+      the catalog's 196-tap base at order 200 and 3.1-7.9x on its 396-tap
+      base at order 400, at ``e = -2..-5``.  It loses 5-7x on sparse bases at
+      large ``|e|`` (25 taps at order 256, ``e = -14..-28``).  Over each
+      workload's calls the recurrence is level or ahead: the 26 of the
+      identities take 44-51 ms against 61-77 ms at order 1000 and 137-144
+      ms against 137-141 ms at 2000, and the 13 of the chains at order 2048
+      104-107 ms against 214 ms (best of 5, two runs, BENCH_35.json), so it
+      serves every ``e <= -2``.
     - otherwise repeated squaring, after :func:`invert` when ``e < 0``.
       This covers Z/M, where ``n`` may be divisible by the modulus, and
       positive powers, where a handful of products beats the recurrence
@@ -604,88 +603,45 @@ def _miller_pow(a0: int, taps: list[tuple[int, int]], e: int, order: int) -> lis
     return g
 
 
-# Newton's iteration costs a few products whatever the density, the recurrence
-# O(N) per nonzero coefficient.  Newton's time over the recurrence's, best of 3
-# on random nonzero coefficients (two runs, BENCH_29.json): mod 7 and 17 (the
-# catalog's moduli are 3 to 17), whose products take the float route from
-# order 256, 1.22-1.33x at 32 taps, 0.96-1.38x at 40 and 0.81-0.86x at 48 on
-# order 512; 0.70-0.85x at 32 on 1024; 0.58-0.62x at 32 on 2048; 0.83-0.90x at
-# 16 on 8192.  f_1, whose taps sit at the low end, at the orders the chains
-# invert it: 0.66-0.92x at 512 (36 taps), 0.34-0.63x at 682 (42) and
-# 0.41-0.73x at 1024 (51).  Mod 2^31-1, whose products take the limb route,
-# Newton is 1.9-3.9x at 40 taps and 0.6-1.5x at 128.  No measured case is
-# worse than 3.6x its faster route with the switch at 40 (mod 17, 40 taps,
-# order 8192), 3.9x at 32, 4.0x at 48, or 5.0x at 64 (mod 17, 64 taps).
-_NEWTON_MIN_TAPS = 40
-
-# Over Z the inverse's coefficients grow, so Newton's products are wide and
-# it needs more taps to win.  Newton's time over the recurrence's, best of 5
-# on random +-1 coefficients with a_0 = +-1 (two seeds each, BENCH_30.json):
-# 1.15x at 128 taps, 1.02-1.34x at 160 and 0.92-1.05x at 192 on order 256;
-# 0.86-1.33x at 128 on 512; 0.49-0.64x at 128 and 0.66-0.69x at 96 on 1000;
-# 0.45-0.71x at 128 on 2048; 0.75-0.80x at 128 and 0.54-0.90x at 96 on 4096.
-# f_1 must keep the recurrence: 1.78x at order 682 (42 taps), 1.14x at 1000
-# (50) and 1.01x at 2048 (73).  The same taps and order can want opposite
-# routes in the two rings (f_1 at 682 takes Newton mod p at 0.34-0.63x), so
-# Z has a switch of its own.  The catalog's dense inverses over Z have 172 to
-# 999 taps and its sparse ones at most 73, on either side of this one.
-_NEWTON_MIN_TAPS_Z = 128
-
-
 def invert(a: Series) -> Series:
     """Multiplicative inverse to order ``a.order``; a constant term that is
-    not a unit raises :class:`NonUnitError`.  Two exact routes:
+    not a unit raises :class:`NonUnitError`.
 
-    - a series with more than ``_NEWTON_MIN_TAPS`` nonzero coefficients
-      past ``a_0`` over Z/M, or more than ``_NEWTON_MIN_TAPS_Z`` over Z:
-      Newton's iteration ``b <- b + b(1 - ab)``, doubling the number of
-      correct coefficients with two products per step.  Each iterate is
-      the inverse truncated, so over Z, where ``a_0 = +-1``, every iterate
-      has integer coefficients and the iteration is exact (Brent and Kung,
-      J. ACM 25, 1978).  Over Z the inverse's coefficients grow, so its
-      products are wide and the switch sits higher.
-    - otherwise the coefficient recurrence
-      ``b_n = -a_0^{-1} * sum_{k>=1} a_k b_{n-k}``.  Only the nonzero
-      ``a_k`` are visited, so inverting a pentagonal-support series costs
-      O(N*sqrt(N)).
+    Newton's iteration ``b <- b + b(1 - ab)``, over Z and Z/M alike (Brent
+    and Kung, J. ACM 25, 1978).  With ``ab = 1 mod q^m``, ``1 - ab = q^m *
+    err mod q^(2m)``, so the next ``m`` coefficients of ``b`` are the low
+    ``m`` of ``b * err``: two products per step, each doubling the number of
+    correct coefficients.  Each iterate is the inverse truncated, so over Z,
+    where ``a_0 = +-1``, every iterate has integer coefficients and the
+    iteration is exact.
+
+    ``b`` is an array of the dtype of ``a``'s, and each product is brought
+    into it by :func:`_in_ring`; only the result is a :class:`Series`.
     """
-    n = a.order
-    inv0 = a.ring.unit_inverse(a[0])
-    taps = _taps(a)
-    mod = a.ring.modulus
-    if len(taps) > (_NEWTON_MIN_TAPS if mod else _NEWTON_MIN_TAPS_Z):
-        return _newton_inverse(a, inv0)
-    out = [0] * (n + 1)
-    out[0] = inv0
-    for i in range(1, n + 1):
-        acc = 0
-        for k, c in taps:
-            if k > i:
-                break
-            acc += c * out[i - k]
-        v = -inv0 * acc
-        out[i] = v % mod if mod else v
-    return Series(a.ring, out)
-
-
-def _newton_inverse(a: Series, inv0: int) -> Series:
-    """Inverse of ``a`` over Z or Z/M by Newton's iteration (see :func:`invert`).
-
-    With ``ab = 1 mod q^m``, ``1 - ab = q^m * err mod q^(2m)``, so the next
-    ``m`` coefficients of ``b`` are the low ``m`` of ``b * err``.  ``b``
-    is a writable array of the dtype of ``a``'s, reduced by :class:`Series`.
-    """
-    ring, av = a.ring, a._coeffs
-    b = Series(ring, [inv0])._coeffs
+    av, mod = a._coeffs, a.ring.modulus
+    b = np.zeros(len(av), av.dtype)
+    b[0] = a.ring.unit_inverse(a[0])
     m = 1
     while m < len(av):
         m2 = min(2 * m, len(av))
-        b = _spread(b, 1, m2 - 1)  # padded with zeros to m2 coefficients
-        ab = Series(ring, _product(av[:m2], b))
-        err = scalar_mul(-1, Series(ring, ab._coeffs[m:]))
-        b[m:] = Series(ring, _product(b[: m2 - m], err._coeffs))._coeffs
+        err = _in_ring(-_product(av[:m2], b[:m2])[m:], mod, b.dtype)
+        b[m:m2] = _in_ring(_product(b[: m2 - m], err), mod, b.dtype)
         m = m2
-    return Series(ring, b)
+    return Series(a.ring, b)
+
+
+def _in_ring(p: np.ndarray, mod: int, dtype: np.dtype) -> np.ndarray:
+    """The exact product ``p`` as an array of ``dtype``, reduced once by
+    ``%`` when ``mod > 0``.  For an object ``dtype`` (over Z, and from
+    ``2^31`` on) the int64 output of the direct and float routes becomes
+    Python ints through ``astype(object)`` first, so that an object array
+    holds Python ints only and no modulus past int64 meets an int64 array.
+    For int64 the residues are below ``2^31``."""
+    if dtype == object:
+        p = p.astype(object, copy=False)
+    if mod:
+        p %= mod
+    return p.astype(dtype, copy=False)
 
 
 def dilate(a: Series, k: int, order: Optional[int] = None) -> Series:

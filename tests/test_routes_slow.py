@@ -1,5 +1,5 @@
-"""Every product route against a Python-int reference, on the workloads' own
-products (run with ``pytest -m slow``).
+"""Every product route, inverse and Miller power against a Python-int
+reference, on the workloads' own calls (run with ``pytest -m slow``).
 
 The catalog identities at order 1000 and the chains at order 2048 run in
 process, each on an empty expression memo, and every ``series._product``
@@ -7,6 +7,11 @@ call is captured: about 2,250 products, over Z and mod 3 to 17.  Each one
 is taken again by every route its bound admits (the direct route when ``B <
 2^63``, the float route when ``|a| * |b| <= h^2`` at any order, the limb
 route always), and each result is compared with one product of Python ints.
+
+The same runs make 94 ``invert`` and 39 ``_miller_pow`` calls.  Each inverse
+is checked on both sides, ``a * inv == 1 == inv * a``, and against the
+coefficient recurrence; each Miller power against inversion and repeated
+squaring.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from qdissect import qexpr, series
 from qdissect._fftbound import _max_digit
 from qdissect.identities import replay, verify
 from qdissect.registry import registry
+from qdissect.series import EXACT, Series, invert, mul, one
 
 pytestmark = pytest.mark.slow
 
@@ -42,6 +48,50 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
         c = int.from_bytes(prod[i * size : (i + 1) * size], "little") & mask
         out.append(c - (1 << w) if c >> (w - 1) else c)
     return out
+
+
+def _recurrence_inverse(a: Series) -> list[int]:
+    """The inverse's coefficients by the coefficient recurrence ``b_n =
+    -a_0^{-1} * sum_{k>=1} a_k b_(n-k)`` in Python ints, visiting only the
+    nonzero ``a_k``, reduced mod ``M`` when ``M > 0``."""
+    mod, cs = a.ring.modulus, a.coeffs
+    inv0 = a.ring.unit_inverse(cs[0])
+    taps = [(k, c) for k, c in enumerate(cs) if k and c]
+    out = [inv0] + [0] * a.order
+    for n in range(1, a.order + 1):
+        acc = 0
+        for k, c in taps:
+            if k > n:
+                break
+            acc += c * out[n - k]
+        out[n] = -inv0 * acc % mod if mod else -inv0 * acc
+    return out
+
+
+def _inverse_squared(a: Series, e: int) -> Series:
+    """``a^e`` for ``e < 0`` by inversion and repeated squaring."""
+    base, e = invert(a), -e
+    result = one(a.ring, a.order)
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
+
+
+def _captured(monkeypatch, name: str) -> list:
+    """Record the arguments and result of each call of ``series.<name>``."""
+    calls: list = []
+    real = getattr(series, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(series, name, spy)
+    return calls
 
 
 def _every_route(av: np.ndarray, bv: np.ndarray) -> dict[str, list[int]]:
@@ -84,3 +134,35 @@ def test_every_route_agrees_on_the_workloads_products(monkeypatch):
     assert sum(r.status == "pass" for r in chains) == 11
     # every product takes limbs; most are also direct or float, some both
     assert taken["limbs"] > 2000 and taken["direct"] > 1000 and taken["float"] > 800
+
+
+def test_every_inverse_and_miller_power_of_the_workloads(monkeypatch):
+    inverses = _captured(monkeypatch, "invert")
+    powers = _captured(monkeypatch, "_miller_pow")
+    reg = registry()
+    monkeypatch.setattr(qexpr, "_MEMO", {})
+    identities = [verify(case, order=1000) for case in reg.cases]
+    counts = [len(inverses), len(powers)]
+    monkeypatch.setattr(qexpr, "_MEMO", {})
+    chains = [replay(chain, order=2048) for chain in reg.chains]
+    monkeypatch.undo()  # the references below run on the real routes
+
+    # identities then chains: 13 and 81 inverses, 26 and 13 Miller powers
+    assert counts == [13, 26] and [len(inverses), len(powers)] == [94, 39]
+    assert {a.ring.modulus for (a,), _ in inverses} == {0, 3, 7, 11, 13, 17}
+    wrong = []
+    for (a,), inv in inverses:
+        unit = one(a.ring, a.order)
+        if not mul(a, inv) == unit == mul(inv, a):
+            wrong.append(("two-sided", a.ring.modulus, a.order))
+        if list(inv.coeffs) != _recurrence_inverse(a):
+            wrong.append(("recurrence", a.ring.modulus, a.order))
+    for (a0, taps, e, order), got in powers:
+        cs = [a0] + [0] * order
+        for k, c in taps:
+            cs[k] = c
+        if got != list(_inverse_squared(Series(EXACT, cs), e).coeffs):
+            wrong.append(("miller", e, order))
+    assert not wrong, wrong[:10]
+    assert sum(r.status == "pass" for r in identities) == len(identities) == 20
+    assert sum(r.status == "pass" for r in chains) == 11

@@ -822,6 +822,11 @@ def _partition_counts(order: int) -> tuple[int, ...]:
 
 
 class TestNewtonInverse:
+    """Newton's iteration, the one route of :func:`invert`.  The tap counts
+    and orders below are where a tap switch once sent sparser series to the
+    coefficient recurrence; some test names keep its words so that their ids
+    stay stable.  A two-sided ``a * inv == 1 == inv * a`` fixes the inverse."""
+
     @staticmethod
     def _dense(ring: CoeffRing, order: int, taps: int, rng) -> Series:
         coeffs = [0] * (order + 1)
@@ -832,74 +837,59 @@ class TestNewtonInverse:
 
     @pytest.mark.parametrize("p", [7, 17])
     def test_two_sided_at_order_2048(self, monkeypatch, p):
-        calls = _spy(monkeypatch, "_newton_inverse")
         ring = CoeffRing(p)
         a = self._dense(ring, 2048, 2000, random.Random(p))
+        products = _spy(monkeypatch, "_product")
         inv = invert(a)
+        assert len(products) == 2 * 12  # two per step, 1 -> 2 -> ... -> 2048 -> 2049
         assert mul(a, inv) == one(ring, 2048)
         assert mul(inv, a) == one(ring, 2048)
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("p", [7, 17, 2**31 - 1])
     @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
-    def test_two_sided_around_density_switch(self, monkeypatch, p, extra):
-        calls = _spy(monkeypatch, "_newton_inverse")
+    def test_two_sided_around_density_switch(self, p, extra):
         ring = CoeffRing(p)
-        taps = series._NEWTON_MIN_TAPS + extra
+        taps = 40 + extra
         for order in (taps, 2 * taps + 1, 777):
             a = self._dense(ring, order, taps, random.Random(order + extra))
             inv = invert(a)
             assert mul(a, inv) == one(ring, order)
             assert mul(inv, a) == one(ring, order)
-        assert len(calls) == (3 if extra > 0 else 0)
 
     @pytest.mark.parametrize("p", [7, 17, 2**31 - 1])
     @pytest.mark.parametrize("order,taps", [(512, 36), (1024, 51), (2048, 73), (4096, 104)])
-    def test_euler_product_on_both_sides_of_the_switch(self, monkeypatch, p, order, taps):
+    def test_euler_product_on_both_sides_of_the_switch(self, p, order, taps):
         # f_1 has its taps at the pentagonal numbers: 36 to order 512 and 73
         # to order 2048, the inversions of the catalog's chains
         ring = CoeffRing(p)
         f1 = eval_qexpr(EtaF(1), ring, order)
         assert len(series._taps(f1)) == taps
-        calls = _spy(monkeypatch, "_newton_inverse")
         inv = invert(f1)
-        assert len(calls) == (taps > series._NEWTON_MIN_TAPS)
         assert inv == Series(ring, eval_qexpr(Pow(EtaF(1), -1), EXACT, order).coeffs)
-        monkeypatch.setattr(series, "_NEWTON_MIN_TAPS", -1 if calls else 10**9)
-        assert invert(f1) == inv  # the other route
+        assert mul(f1, inv) == one(ring, order) == mul(inv, f1)
 
     @pytest.mark.parametrize("a0", [1, -1])
-    def test_dense_exact_series_take_newton(self, monkeypatch, a0):
-        calls = _spy(monkeypatch, "_newton_inverse")
+    def test_dense_exact_series_take_newton(self, a0):
         rng = random.Random(4)
         a = Series(EXACT, [a0] + [rng.randint(-2, 2) for _ in range(400)])
         inv = invert(a)
-        assert len(calls) == 1
         assert mul(a, inv) == one(EXACT, 400) and mul(inv, a) == one(EXACT, 400)
-        monkeypatch.setattr(series, "_NEWTON_MIN_TAPS_Z", 10**9)
-        assert invert(a) == inv  # the recurrence
-        assert len(calls) == 1
+        assert all(type(c) is int for c in inv._coeffs)
 
     @pytest.mark.parametrize("order", [200, 512, 682, 1000, 1024, 2048])
-    def test_exact_euler_product_keeps_the_recurrence(self, monkeypatch, order):
-        # f_1 has 22 taps to order 200 and 73 to order 2048; over Z, where its
-        # inverse's coefficients grow, Newton is the slower route there
+    def test_exact_euler_product_keeps_the_recurrence(self, order):
+        # f_1 has 22 taps to order 200 and 73 to order 2048; its inverse's
+        # coefficients, the partition numbers, grow past 2^63 by order 406
         f1 = eval_qexpr(EtaF(1), EXACT, order)
-        calls = _spy(monkeypatch, "_newton_inverse")
         inv = invert(f1)
-        assert not calls
         assert inv.coeffs == _partition_counts(2048)[: order + 1]
-        monkeypatch.setattr(series, "_NEWTON_MIN_TAPS_Z", -1)
-        assert invert(f1) == inv  # Newton's iteration
-        assert len(calls) == 1
+        assert all(type(c) is int for c in inv._coeffs)
 
     @pytest.mark.parametrize("a0", [1, -1])
     @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
-    def test_exact_routes_agree_around_the_switch(self, monkeypatch, a0, extra):
-        calls = _spy(monkeypatch, "_newton_inverse")
-        taps = series._NEWTON_MIN_TAPS_Z + extra
+    def test_exact_routes_agree_around_the_switch(self, a0, extra):
+        taps = 128 + extra
         rng = random.Random(taps * a0)
-        results = []
         for order in (taps, 2 * taps + 1, 777):
             cs = [a0] + [0] * order
             for k in rng.sample(range(1, order + 1), taps):
@@ -907,11 +897,17 @@ class TestNewtonInverse:
             a = Series(EXACT, cs)
             inv = invert(a)
             assert mul(a, inv) == one(EXACT, order) and mul(inv, a) == one(EXACT, order)
-            results.append((a, inv))
-        assert len(calls) == (3 if extra > 0 else 0)
-        monkeypatch.setattr(series, "_NEWTON_MIN_TAPS_Z", 10**9 if extra > 0 else -1)
-        for a, inv in results:
-            assert invert(a) == inv  # the other route
+
+    @pytest.mark.parametrize("modulus", [2**63 + 1, 2**70, 3**50])
+    def test_small_coefficients_mod_past_int64(self, modulus):
+        # the first products take the int64 routes; each becomes Python ints
+        # before its reduction by a modulus that int64 cannot hold
+        ring = CoeffRing(modulus)
+        rng = random.Random(modulus % 1000)
+        a = Series(ring, [1] + [rng.randint(0, 3) for _ in range(300)])
+        inv = invert(a)
+        assert mul(a, inv) == one(ring, 300) == mul(inv, a)
+        assert all(type(c) is int for c in inv._coeffs)
 
     def test_non_unit_constant_rejected(self):
         rng = random.Random(9)
@@ -1061,16 +1057,15 @@ class TestArrayAgainstTupleRoute:
         assert mul(sa, sb) == down(mul(ta, tb)) == Series(ring, brute_mul(a, b, len(b) - 1))
         assert mul(sa, sa) == down(mul(ta, ta))
 
-    @pytest.mark.parametrize("taps,newton", [(20, False), (140, True)])
-    def test_invert_and_negative_powers(self, monkeypatch, p, taps, newton):
-        calls = _spy(monkeypatch, "_newton_inverse")
+    @pytest.mark.parametrize("taps,dense", [(20, False), (140, True)])
+    def test_invert_and_negative_powers(self, p, taps, dense):
         ring, (lift, down) = CoeffRing(p), _via_pyints(p)
         cs = _unit_coeffs(random.Random(p + taps), p, self.ORDER, taps)
         sa, ta = Series(ring, cs), lift(cs)
+        assert (np.count_nonzero(sa._coeffs) > self.ORDER // 2) == dense
         inv = invert(sa)
         assert inv == down(invert(ta))
-        assert mul(sa, inv) == one(ring, self.ORDER)
-        assert len(calls) == (2 if newton else 0)
+        assert mul(sa, inv) == one(ring, self.ORDER) == mul(inv, sa)
         for e in (-1, -2, -5):
             assert pow_(sa, e) == down(pow_(ta, e))
         assert pow_(sa, -3) == _square_and_multiply(sa, -3)
