@@ -231,7 +231,7 @@ def _format_csv(report: dict) -> str:
 @click.option("--n-max", type=click.IntRange(min=0), default=None,
               help="Check n = 0..N in every selected family, in place of each "
                    "family's own range: --suite families --n-max 100 makes s10 "
-                   "and s11 read a 26.4M-entry table (about 25 s and 0.5 GB).")
+                   "and s11 read a 26.4M-entry table (about 23 s and 0.5 GB).")
 @click.option("--jobs", type=click.IntRange(min=1), default=_usable_cpus,
               show_default="the usable CPU count",
               help="Threads that build the oracle tables of a family batch.")
@@ -244,7 +244,7 @@ def _format_csv(report: dict) -> str:
               default=None,
               help="Also verify the identities, chains and families of a registry text file.")
 @click.option("--slow", is_flag=True,
-              help="Include the large-index families (about 25 s and 0.46 GB uncached).")
+              help="Include the large-index families (about 21 s and 0.46 GB uncached).")
 @click.option("--cache-dir", default=None, envvar="QDISSECT_CACHE", show_envvar=True,
               help="Directory for cached oracle tables.")
 def cmd_verify(suite, case_ids, chain_ids, family_ids, order, n_max, jobs, fmt,

@@ -20,15 +20,22 @@ coprime moduli, and each group is one division mod the product P of its
 moduli.  Its denominator is D = f_1^R, R the largest r among its members,
 and member i's numerator is N_i = prod_l f_l * f_1^(R - r): b_17 beside a
 bipartite stream is f_17 f_1 / f_1^2.  Both are exact products of sparse
-series, each f_k given by the taps of Euler's pentagonal number theorem,
-reduced mod P as they are summed (about 4.4e6 tap pairs at 1.65M, and no
-FFT).  N_i is built to its member's own order n_i, times e_i, where
-e_i = 1 mod p_i and e_i = 0 mod the other moduli, and the group's numerator
-is N = sum_i e_i N_i mod P.  One division N/D to q^n, n the largest n_i,
+series, each f_k given by the taps of Euler's pentagonal number theorem
+(about 4.4e6 tap pairs for f_1^2 at 1.65M, and no FFT).  N_i is reduced mod
+P as it is summed, and built to its member's own order n_i, times e_i,
+where e_i = 1 mod p_i and e_i = 0 mod the other moduli; the group's
+numerator is N = sum_i e_i N_i mod P.  D is built once per batch for each
+R, over Z, to the top order of the groups that divide by it
+(``_denominators``), in a dtype that a bound on its partial sums proves wide
+enough, and held as the narrowest signed dtype that holds its entries, read
+from them: f_1^2 has entries of at most 18 in size to 1.65M and 32 to 3e7,
+so it takes int8, the bytes of one table mod a one-byte P.  Each group
+reduces it mod its own P.  One division N/D to q^n, n the largest n_i,
 follows (Karp and Markstein, ACM TOMS 23, 1997):
 
   - Newton's iteration g <- g*(2 - D*g), which doubles the number of correct
-    terms per step, gives g = 1/D to h = ceil((n+1)/2) terms only;
+    terms per step, gives g = 1/D to h = ceil((n+1)/2) terms only, through
+    lengths halved from h down (h, ceil(h/2), ...);
   - y = N*g mod q^h is the low half of the quotient;
   - the high half is g times the remainder (N - D*y) / q^h, to n - h + 1
     terms.
@@ -56,8 +63,9 @@ division.  The packing is first-fit decreasing on the modulus: each modulus's
 longest stream, largest modulus first, then the other streams, longest first.
 The eight streams of ``verify --suite families`` make four groups: B_{3,7},
 B_{9,5} and B_{5,11} mod 231 to 1,652,053; b_17 and B_{5,13} mod 221 to
-1,288,874; B_{3,11} and B_{81,17} mod 187; B_{2,8} mod 11 alone.  They take
-4,335 transforms, where eight lone builds took 9,455.
+1,288,874; B_{3,11} and B_{81,17} mod 187; B_{2,8} mod 11 alone.  All four
+divide by f_1^2, built once.  They take 3,284 transforms (forward and
+inverse), where eight lone builds take 6,715.
 
 Every product is a truncated product mod p (``_mulmod``), of which the
 caller may ask only the coefficients from ``lo`` on.  Residues are taken in
@@ -82,15 +90,22 @@ d + 1.
     other.  A pass then holds the spectra of about as many blocks as the
     product has output blocks, 16 bytes per output coefficient.  For the
     (3,7) table to 1,652,053 the division's traced peak (spectra, transforms
-    and arrays) is 23.1 MB, against 58 MB with the spectra of whole operands.
+    and arrays) is 23.5 MB, in D*y, against 58 MB with the spectra of whole
+    operands.
+  - Newton's f*g is not split.  Its one pass from lo = k transforms each
+    block of f once and holds the spectra of all of g's blocks and as many
+    of f's: since the top-down lengths make g about half of f, that is about
+    as many blocks as f has, and the last step of the (3,7) division peaks
+    at 21.2 MB, under D*y.
   - Hand-off: the b_hi pass runs first, and at lo = 0 the b_lo pass starts
     from the spectra of a's whole blocks that it still holds, so a block of
     a is transformed once.  A block cut short by the b_hi pass's shorter
     range has another spectrum, and is not handed on.  At lo > 0 the b_lo
     pass starts with a full window of its own, and handed-on spectra would
     wait beside it, so none are; D*y, the division's largest product, is
-    such a one.  The (3,7) table to 1,652,053 takes 1,610 transforms, where
-    3,922 without the floor and the hand-off.
+    such a one.  The (3,7) table to 1,652,053 takes 1,269 transforms; with
+    Newton's f*g split and its lengths doubled from 1 it took 1,610, and
+    3,922 without the floor and the hand-off as well.
 
 Exactness.  Every product obeys Percival's bound on a float64 FFT
 convolution, behind the rounding guard; both live in ``_fftbound``, which
@@ -115,12 +130,15 @@ holds p - 1, whether built, loaded or on disk.
 longest stream first; the FFTs and the large element-wise loops release the
 GIL.  The sparse pentagonal products hold it for most of their time, in one
 small numpy call per tap of every factor after the first (the first factor's
-taps go in with one call).  Given a directory, each (stream, modulus) has one
-``*.qdct`` file there, named by :meth:`SourceSpec.cache_name`.  The file is
-served only if its CRC32 passes and its header names the same stream and
-modulus with a range that covers the order; anything else is a miss, and the
-table is built and saved over that name, through a temporary file and a
-rename, by the thread that built its group.  A build writes only its
+taps go in with one call).  The largest of them, f_1^2 (2,100 taps at
+1.65M), is the denominator, built once on the calling thread before the
+pool starts; only the numerators, one per member, are built on the pool.
+Given a directory, each (stream, modulus) has one ``*.qdct`` file there,
+named by :meth:`SourceSpec.cache_name`.  The file is served only if its
+CRC32 passes and its header names the same stream and modulus with a range
+that covers the order; anything else is a miss, and the table is built and
+saved over that name, through a temporary file and a rename, by the thread
+that built its group.  A build writes only its
 streams' files, and leaves every other file in the directory alone.
 """
 
@@ -129,10 +147,11 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -301,21 +320,41 @@ def _pentagonal_taps(limit: int, scale: int = 1) -> list[tuple[int, int]]:
 
 
 def _pentagonal_product(scales: Sequence[int], n: int, p: int, lead: int = 1) -> np.ndarray:
-    """``lead`` times the product over s in ``scales`` of f_s, mod p to q^n,
-    as an exact product of the sparse pentagonal series: each tap of the next
-    factor adds a shifted copy of the nonzero entries so far, reduced mod p at
-    once, so no array wider than the result is held."""
-    first, *rest = sorted(scales)  # one row per tap: the largest scale, with the fewest, last
-    out = np.zeros(n + 1, dtype=np.min_scalar_type(p - 1))
+    """``lead`` times the product over s in ``scales`` of f_s to q^n, mod p, or
+    over Z when p is 0, as an exact product of the sparse pentagonal series:
+    each tap of the next factor adds a shifted copy of the nonzero entries so
+    far, reduced mod p at once, so that mod p no array wider than the result
+    is held.
+
+    Over Z the sums run in the narrowest signed dtype that holds |lead| times
+    the product over the later factors of 1 + their number of taps, a bound
+    on every partial sum, and an ``OverflowError`` is raised if int64 does not
+    hold it; the result is held as the narrowest signed dtype that holds its
+    entries, read from them."""
+    first, *later = sorted(scales)  # one row per tap: the largest scale, with the fewest, last
+    factors = [_pentagonal_taps(n, s) for s in later]
+    if p:
+        dtype = np.min_scalar_type(p - 1)
+    else:
+        bound = abs(lead) * math.prod(1 + len(taps) for taps in factors)
+        dtype = np.min_scalar_type(-bound - 1)
+        if dtype.kind != "i":
+            raise OverflowError(f"a product of {len(scales)} factors to q^{n} may not fit int64")
+    out = np.zeros(n + 1, dtype=dtype)
     out[0] = lead
     taps = np.array(_pentagonal_taps(n, first), dtype=np.int64).reshape(-1, 2)
-    out[taps[:, 0]] = lead * taps[:, 1] % p  # the first factor's taps, in one step
-    for s in rest:
+    out[taps[:, 0]] = lead * taps[:, 1] % p if p else lead * taps[:, 1]  # the first factor's taps
+    for factor in factors:
         idx = np.flatnonzero(out)
-        val = out[idx].astype(np.int64)
-        for g, sign in _pentagonal_taps(n, s):
+        val = out[idx].astype(np.int64) if p else out[idx]
+        for g, sign in factor:
             at = idx[: np.searchsorted(idx, n - g, side="right")] + g
-            out[at] = (out[at] + sign * val[: len(at)]) % p
+            if p:
+                out[at] = (out[at] + sign * val[: len(at)]) % p
+            else:
+                out[at] += sign * val[: len(at)]
+    if not p:
+        out = out.astype(np.min_scalar_type(min(int(out.min()), -int(out.max()) - 1)))
     return out
 
 
@@ -416,19 +455,22 @@ def _product_pass(a: np.ndarray, b: np.ndarray, p: int, lo: int, n: int,
     return sa
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0) -> np.ndarray:
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0,
+            split: bool = True) -> np.ndarray:
     """Coefficients lo..n of the truncated product (a*b mod q^(n+1)) mod p of
     residue arrays.
 
     Both operands are cut into blocks of a power of two length B, at least
     ``_MIN_BLOCK`` and at most ``_BLOCKS`` of them over n + 1 coefficients;
     each block is transformed at length 2B, and the products along each
-    diagonal are summed before one inverse transform.  The shorter operand is
-    split at a block boundary near its middle, b = b_lo + q^k * b_hi, and the
-    two halves are multiplied one after the other, so that each pass holds the
-    spectra of about as many blocks as the product has output blocks.  At
-    lo = 0 the b_hi pass, run first, hands the spectra of a's whole blocks to
-    the b_lo pass (see the module docstring); 0 <= lo <= n.
+    diagonal are summed before one inverse transform.  With ``split``, the
+    shorter operand is split at a block boundary near its middle, b = b_lo +
+    q^k * b_hi, and the two halves are multiplied one after the other, so that
+    each pass holds the spectra of about as many blocks as the product has
+    output blocks.  At lo = 0 the b_hi pass, run first, hands the spectra of
+    a's whole blocks to the b_lo pass (see the module docstring).  Without
+    it, one pass holds its whole window and transforms each block once;
+    0 <= lo <= n.
     """
     a, b = a[: n + 1], b[: n + 1]
     if len(a) < len(b):
@@ -436,7 +478,7 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0) -> np.nda
     step = _step(n)
     bits = _limb_bits(p, n, 2 * step, -(-(n + 1) // step))
     out = np.zeros(n + 1 - lo, dtype=np.min_scalar_type(p - 1))
-    k = step * (-(-len(b) // step) // 2)  # 0 when b is one block: no split
+    k = step * (-(-len(b) // step) // 2) if split else 0  # 0: one pass
     spectra = {}
     if k:
         spectra = _product_pass(a[: n + 1 - k], b[k:], p, max(lo - k, 0), n - k, step,
@@ -449,12 +491,21 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0) -> np.nda
 
 def _inverse(f: np.ndarray, p: int) -> np.ndarray:
     """1/f mod p to the length of f, for f[0] == 1, by Newton's iteration
-    g <- g*(2 - f*g), which doubles the number of correct terms each step."""
+    g <- g*(2 - f*g), which doubles the number of correct terms each step.
+
+    The lengths are taken from the top down, each the next one halved and
+    rounded up, so that the last step starts from about half of f's length,
+    not from the largest power of two below it.  f*g is one pass,
+    which transforms each block of f once and holds the spectra of about as
+    many blocks as f has: no more than D*y, the division's largest product,
+    holds in its split passes."""
+    lengths = [len(f)]
+    while lengths[-1] > 1:
+        lengths.append(-(-lengths[-1] // 2))
     g = np.ones(1, dtype=f.dtype)
-    while len(g) < len(f):
+    for k2 in reversed(lengths[:-1]):
         k = len(g)
-        k2 = min(2 * k, len(f))
-        e = _mulmod(f, g, p, k2 - 1, lo=k)  # f*g = 1 + O(q^k): terms k..k2-1
+        e = _mulmod(f, g, p, k2 - 1, lo=k, split=False)  # f*g = 1 + O(q^k): terms k..k2-1
         t = _mulmod(g, e, p, k2 - k - 1).astype(np.int64)
         g = np.concatenate((g, (-t % p).astype(g.dtype)))
     return g
@@ -487,11 +538,73 @@ def _divide(num: np.ndarray, den: np.ndarray, p: int) -> np.ndarray:
     return num
 
 
-def _build_group(streams: Sequence[tuple[SourceSpec, int, int]]
+def _power(group: Sequence[tuple[SourceSpec, int, int]]) -> int:
+    """R, the most regularities among a group's streams: its denominator is
+    f_1^R."""
+    return max(len(spec.regularities) for spec, _, _ in group)
+
+
+def _denominators(groups: Sequence[Sequence[tuple[SourceSpec, int, int]]]
+                  ) -> Callable[[int, int, int], np.ndarray]:
+    """``den(R, n, P)``, f_1^R mod P to q^n, taken once by each group of a
+    batch at its top order n.
+
+    f_1^R is built here once per distinct R, exactly over Z, to the top order
+    of the groups with that R, as the narrowest signed dtype that holds it
+    (``_pentagonal_product`` with p = 0): int8 for f_1^2 to past 3e7.  Each
+    array is owned either by one group or by the groups still to come, which
+    keep only the prefix they read: a group takes the array itself when no
+    group still to come reads as far, and a copy of its prefix otherwise.  It
+    reduces it mod its P block by block, in the division's block length,
+    through a signed dtype that holds P, and in place when the table dtype
+    is as wide (int8 to uint8 for P <= 256).  So a one-byte group's
+    denominator is the exact array's own memory, and no array as long as the
+    exact one is freed before the division: glibc would then serve the
+    division's spectra from its heap and keep them after they are freed.
+    """
+    tops: dict[int, list[int]] = {}
+    for group in groups:
+        tops.setdefault(_power(group), []).append(max(n for _, _, n in group))
+    exact: dict[int, np.ndarray] = {}
+    failed: dict[int, Exception] = {}
+    for r, orders in tops.items():
+        try:
+            exact[r] = _pentagonal_product((1,) * r, max(orders), 0)
+        except Exception as exc:  # raised by each group that takes it
+            failed[r] = exc
+    lock = threading.Lock()
+
+    def den(r: int, n: int, P: int) -> np.ndarray:
+        if r in failed:
+            raise failed[r]
+        with lock:
+            f, waiting = exact.pop(r), tops[r]
+            waiting.remove(n)
+            if waiting:
+                need = max(waiting) + 1
+                if need == len(f):  # a group still to come reads all of f
+                    exact[r], f = f, f[: n + 1].copy()
+                else:
+                    exact[r] = f[:need].copy()
+        f = f[: n + 1]
+        dtype = np.min_scalar_type(P - 1)
+        out = f.view(dtype) if dtype.itemsize == f.itemsize else np.empty(n + 1, dtype)
+        work = np.promote_types(f.dtype, np.min_scalar_type(-P))
+        step = _step(n)
+        for i in range(0, n + 1, step):
+            out[i : i + step] = np.remainder(f[i : i + step], P, dtype=work)
+        return out
+
+    return den
+
+
+def _build_group(streams: Sequence[tuple[SourceSpec, int, int]],
+                 den: Callable[[int, int, int], np.ndarray]
                  ) -> dict[tuple[SourceSpec, int], CountTable]:
     """The table of each ``(stream, modulus, order)`` of a group of pairwise
     coprime moduli, keyed ``(stream, modulus)``, by one division mod their
-    product P (see the module docstring).
+    product P of their numerators by ``den(R, n, P)``, f_1^R mod P to the
+    group's top order n (see the module docstring and ``_denominators``).
 
     Member i's numerator, times the f_1 it lacks, is built to its own order
     as e_i times itself mod P, where e_i = 1 mod p_i and 0 mod the other
@@ -505,7 +618,8 @@ def _build_group(streams: Sequence[tuple[SourceSpec, int, int]]
             raise ValueError(f"the fast path needs a modulus in [2, {FAST_MOD_CAP}]")
     (top, p_top, n), *rest = sorted(streams, key=lambda s: -s[2])
     P = math.prod(p for _, p, _ in streams)
-    r = max(len(spec.regularities) for spec, _, _ in streams)
+    r = _power(streams)
+    denominator = den(r, n, P)  # first, so that the batch drops f_1^r as soon as it can
 
     def numerator(spec: SourceSpec, p: int, order: int, sign: int) -> np.ndarray:
         regs = spec.regularities
@@ -515,7 +629,8 @@ def _build_group(streams: Sequence[tuple[SourceSpec, int, int]]
     num = numerator(top, p_top, n, 1)
     for member in rest:
         _submod(num, numerator(*member, -1), P)
-    quotient = _divide(num, _pentagonal_product((1,) * r, n, P), P)
+    quotient = _divide(num, denominator, P)
+    del denominator  # before the members' tables are cut from the quotient
     out = {(spec, p): CountTable(spec, p, quotient[: order + 1] % p) for spec, p, order in rest}
     if P != p_top:
         np.remainder(quotient, p_top, out=quotient)
@@ -532,7 +647,8 @@ def coeff_fast(source: SourceSpec, n_max: int, p: int) -> CountTable:
 
     Agrees with :func:`dp_counts` everywhere both are computed.
     """
-    return _build_group([(source, p, n_max)])[source, p]
+    group = [(source, p, n_max)]
+    return _build_group(group, _denominators([group]))[source, p]
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +714,10 @@ def tables(needs: dict[tuple[SourceSpec, int], int],
     the calling thread.  The streams not served from it are packed into
     groups of coprime moduli (``_coprime_groups``), and each group is built by
     one division on one of up to ``jobs`` threads, the group with the longest
-    stream first.  That thread saves each member over its stream's file; no
-    other file in the directory is touched.  If a group's division raises,
+    stream first.  Each denominator f_1^R the groups divide by is built once,
+    on the calling thread, before the threads start (``_denominators``).
+    The thread of a group saves each member over its stream's file; no other
+    file in the directory is touched.  If a group's division raises,
     its members are built alone, so that an exception is the value of the
     stream that raised it.
     """
@@ -613,13 +731,17 @@ def tables(needs: dict[tuple[SourceSpec, int], int],
         else:
             out[spec, p] = table
 
-    def build(group):
+    groups = _coprime_groups(todo)
+    den = _denominators(groups)  # on this thread, before the pool
+
+    def build(group, den=den):
         try:
-            built = _build_group(group)
+            built = _build_group(group, den)
         except Exception as exc:  # the caller raises it where the table is read
             if len(group) == 1:
                 return {group[0][:2]: exc}
-            return {key: table for stream in group for key, table in build([stream]).items()}
+            return {key: table for stream in group
+                    for key, table in build([stream], _denominators([[stream]])).items()}
         if cache_dir:
             for (spec, p), table in built.items():
                 try:
@@ -628,7 +750,6 @@ def tables(needs: dict[tuple[SourceSpec, int], int],
                     built[spec, p] = exc
         return built
 
-    groups = _coprime_groups(todo)
     if jobs == 1 or len(groups) < 2:
         done = map(build, groups)
     else:

@@ -186,10 +186,10 @@ class TestJobs:
         # failure surfaces at 1.x, under the same blame, at --jobs 1 and 2
         real = oracle._build_group
 
-        def flaky(streams):
+        def flaky(streams, den):
             if any(spec == oracle.SourceSpec("bipartite", 5, 11) for spec, _, _ in streams):
                 raise ArithmeticError("boom")
-            return real(streams)
+            return real(streams, den)
 
         monkeypatch.setattr(oracle, "_build_group", flaky)
         args = _family_args()

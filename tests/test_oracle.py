@@ -240,6 +240,49 @@ def test_products_hold_spectra_for_about_their_output(monkeypatch, len_a, len_b,
     assert peak[0] <= (n + 1 - lo) // step
 
 
+@pytest.mark.parametrize("length", [2, 1025, 40_000, 65_537])
+def test_each_newton_step_transforms_each_block_of_f_once(monkeypatch, length):
+    # the steps run to lengths halved from the top down; f*g from lo = k is
+    # one pass, which transforms the ceil(k2/B) blocks of f and the ceil(k/B)
+    # of g once each, and holds no more spectra than twice g's blocks
+    live, peak, transforms = [0], [0], [0]
+    real_rfft = np.fft.rfft
+
+    def rfft(*args):
+        spectrum = real_rfft(*args)
+        transforms[0] += 1
+        live[0] += 1
+        peak[0] = max(peak[0], live[0])
+        weakref.finalize(spectrum, lambda: live.__setitem__(0, live[0] - 1))
+        return spectrum
+
+    steps = []
+    real_mulmod = oracle._mulmod
+
+    def mulmod(a, b, p, n, lo=0, split=True):
+        if not lo:  # g*e
+            return real_mulmod(a, b, p, n, lo, split)
+        transforms[0], peak[0], base = 0, live[0], live[0]
+        out = real_mulmod(a, b, p, n, lo, split)
+        steps.append((n + 1, lo, transforms[0], peak[0] - base))
+        return out
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    monkeypatch.setattr(oracle, "_mulmod", mulmod)
+    f = _residues(7, length, 0)
+    f[0] = 1
+    g = oracle._inverse(f, 7)
+    assert _exact_mulmod(f, g, 7, length - 1) == [1] + [0] * (length - 1)
+    lengths = [length]
+    while lengths[-1] > 1:
+        lengths.append(-(-lengths[-1] // 2))
+    assert [(k2, k) for k2, k, _, _ in steps] == list(zip(lengths[-2::-1], lengths[::-1]))
+    for k2, k, count, held in steps:
+        step = oracle._step(k2 - 1)
+        assert count == -(-k2 // step) + -(-k // step), (k2, k)
+        assert held <= 2 * -(-k // step), (k2, k)
+
+
 @st.composite
 def _quotients(draw):
     p = draw(st.sampled_from(MULMOD_MODULI))
@@ -312,6 +355,29 @@ def test_pentagonal_product_takes_a_leading_factor(scales, p, lead):
     got = oracle._pentagonal_product(scales, 700, p, lead)
     assert got.dtype == np.min_scalar_type(p - 1)
     assert list(got) == list(lead * plain % p)
+
+
+@pytest.mark.parametrize("r,n,dtype", [(1, 3000, np.int8), (2, 3000, np.int8),
+                                         (3, 3000, np.int16), (4, 700, np.int16)])
+def test_exact_products_take_the_narrowest_signed_dtype(r, n, dtype):
+    # over Z (p = 0): f_1^3 reaches 2k + 1 = 153 by q^3000 (Jacobi) and is
+    # held in int16, where int8 would wrap; f_1^2 stays within int8
+    f1 = np.array(_dense_pentagonal(n, 1), dtype=np.int64)
+    want = f1
+    for _ in range(r - 1):
+        want = np.convolve(want, f1)[: n + 1]
+    got = oracle._pentagonal_product((1,) * r, n, 0)
+    assert got.dtype == dtype
+    assert list(got) == list(want)
+    if r == 3:
+        assert max(abs(want)) == 153 > np.iinfo(np.int8).max
+
+
+def test_an_exact_product_past_int64_raises_rather_than_wraps():
+    # the bound on the partial sums, not the entries, picks the dtype: seven
+    # factors of f_1 to 10^6 may pass 2^63, and nothing is allocated
+    with pytest.raises(OverflowError, match="int64"):
+        oracle._pentagonal_product((1,) * 7, 10**6, 0)
 
 
 @pytest.mark.parametrize("p", [2, 221, 231, 255, 256, 65521, 65536])
@@ -818,10 +884,10 @@ class TestTables:
         failing = SourceSpec("bipartite", 5, 13)
         real = oracle._build_group
 
-        def flaky(streams):
+        def flaky(streams, den):
             if any(spec == failing for spec, _, _ in streams):
                 raise ArithmeticError("boom")
-            return real(streams)
+            return real(streams, den)
 
         monkeypatch.setattr(oracle, "_build_group", flaky)
         served = oracle.tables(self.NEEDS, tmp_path, jobs)
@@ -834,16 +900,35 @@ class TestTables:
                 assert served[spec, p].n_max == order
         assert len(list(tmp_path.iterdir())) == len(self.NEEDS) - 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failed_denominator_is_its_streams_value(self, monkeypatch, jobs):
+        # f_1^2 cannot be built: every stream that divides by it is served
+        # the exception; b_17 shares a group with B_{5,13}, and built alone
+        # it divides by f_1
+        real = oracle._pentagonal_product
+
+        def flaky(scales, n, p, lead=1):
+            if not p and len(scales) == 2:
+                raise MemoryError("no room for f_1^2")
+            return real(scales, n, p, lead)
+
+        monkeypatch.setattr(oracle, "_pentagonal_product", flaky)
+        needs = {(R17, 17): 300, (B37, 7): 250, (SourceSpec("bipartite", 5, 13), 13): 200}
+        served = oracle.tables(needs, None, jobs)
+        assert list(served[R17, 17].values) == list(dp_counts(R17, 300, 17).values)
+        for key in ((B37, 7), (SourceSpec("bipartite", 5, 13), 13)):
+            assert isinstance(served[key], MemoryError) and str(served[key]) == "no room for f_1^2"
+
     def test_builds_run_longest_first(self, monkeypatch):
         # groups start in the order of their longest streams, and each stream
         # is built once
         started, built = [], []
         real = oracle._build_group
 
-        def build(streams):
+        def build(streams, den):
             started.append(max(order for _, _, order in streams))
             built.extend(order for _, _, order in streams)
-            return real(streams)
+            return real(streams, den)
 
         monkeypatch.setattr(oracle, "_build_group", build)
         oracle.tables(self.NEEDS, None, 1)
@@ -960,7 +1045,8 @@ class TestCoprimeGroups:
 
     def test_a_lone_regular_stream_divides_by_f1(self, monkeypatch):
         # b_17 alone is f_17 / f_1; beside a bipartite stream it is
-        # f_17 f_1 / f_1^2
+        # f_17 f_1 / f_1^2.  The denominator is built first, over Z (p = 0),
+        # and the numerators mod the group's P
         built = []
         real = oracle._pentagonal_product
 
@@ -970,21 +1056,118 @@ class TestCoprimeGroups:
 
         monkeypatch.setattr(oracle, "_pentagonal_product", recording)
         oracle.tables({(R17, 17): 300}, None, 1)
-        assert built == [((17,), 17), ((1,), 17)]
+        assert built == [((1,), 0), ((17,), 17)]
         built.clear()
         oracle.tables({(R17, 17): 300, (SourceSpec("bipartite", 5, 13), 13): 200}, None, 1)
-        assert built == [((17, 1), 221), ((5, 13), 221), ((1, 1), 221)]
+        assert built == [((1, 1), 0), ((17, 1), 221), ((5, 13), 221)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_exact_denominator_per_power_per_batch(self, monkeypatch, jobs):
+        # four groups: R5 mod 256 alone divides by f_1, the three others by
+        # f_1^2; each power is built once, over Z, on the calling thread, to
+        # the top order of its groups
+        needs = {(R17, 17): 300, (B28, 11): 260, (R5, 256): 200, (B37, 7): 250,
+                 (B28, 65521): 100}
+        groups = oracle._coprime_groups([(s, p, n) for (s, p), n in needs.items()])
+        assert sorted(oracle._power(group) for group in groups) == [1, 2, 2, 2]
+        exact = []
+        real = oracle._pentagonal_product
+
+        def recording(scales, n, p, lead=1):
+            if not p:
+                exact.append((tuple(scales), n, threading.get_ident()))
+            return real(scales, n, p, lead)
+
+        monkeypatch.setattr(oracle, "_pentagonal_product", recording)
+        served = oracle.tables(needs, None, jobs)
+        assert sorted(exact) == [((1,), 200, threading.get_ident()),
+                                 ((1, 1), 300, threading.get_ident())]
+        for (spec, p), n in needs.items():
+            assert list(served[spec, p].values) == list(dp_counts(spec, n, p).values)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("P", [2, 7, 231, 255, 256, 257, 65521, 65536, P26, 2**26])
+    def test_denominators_reduce_mod_any_modulus(self, r, P):
+        # the reduction of the exact f_1^R runs in a signed dtype that holds
+        # P, into the table dtype: no wrap at P = 2^26
+        group = [(SourceSpec("bipartite", 2, 8) if r == 2 else R5, P, 3000)]
+        got = oracle._denominators([group])(r, 3000, P)
+        want = oracle._pentagonal_product((1,) * r, 3000, P)
+        assert got.dtype == want.dtype == np.min_scalar_type(P - 1)
+        assert list(got) == list(want)
+
+    @staticmethod
+    def _exact_arrays(monkeypatch):
+        """Weak references to the arrays built over Z from now on."""
+        held = []
+        real = oracle._pentagonal_product
+
+        def recording(scales, n, p, lead=1):
+            out = real(scales, n, p, lead)
+            if not p:
+                held.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(oracle, "_pentagonal_product", recording)
+        return held
+
+    def test_each_denominator_is_owned_by_one_group(self, monkeypatch):
+        # f_1^2 to 5000 for groups to 5000, 3000 and 800, taken in that order:
+        # the first group reduces the exact array in place, the others read
+        # copies of the prefixes still needed, and nothing is left after the
+        # last
+        held = self._exact_arrays(monkeypatch)
+        den = oracle._denominators([[(B37, 7, 5000)], [(B28, 11, 3000)], [(B37, 13, 800)]])
+        (whole,) = held
+        shares = [den(2, 5000, 7), den(2, 3000, 11), den(2, 800, 13)]
+        assert np.shares_memory(shares[0], whole())
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(shares, 2))
+        for share, (n, p) in zip(shares, [(5000, 7), (3000, 11), (800, 13)]):
+            assert share.dtype == np.uint8
+            assert list(share) == list(oracle._pentagonal_product((1, 1), n, p))
+        with pytest.raises(KeyError):  # every share is taken: no f_1^2 is left
+            den(2, 800, 13)
+        del shares
+        assert whole() is None
+
+    def test_a_group_that_takes_early_copies_its_prefix(self, monkeypatch):
+        # a thread may start a shorter group first: it copies what it reads,
+        # and the longer group still takes the whole array; a tie copies too
+        held = self._exact_arrays(monkeypatch)
+        den = oracle._denominators([[(B37, 7, 5000)], [(B28, 11, 3000)], [(B28, 13, 5000)]])
+        (whole,) = held
+        short, tie, long = den(2, 3000, 11), den(2, 5000, 7), den(2, 5000, 13)
+        assert [np.shares_memory(x, whole()) for x in (short, tie, long)] == [False, False, True]
+        for share, (n, p) in zip((short, tie, long), [(3000, 11), (5000, 7), (5000, 13)]):
+            assert list(share) == list(oracle._pentagonal_product((1, 1), n, p))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grouped_tables_are_the_lone_builds_for_any_modulus(self, jobs):
+        # moduli up to 2^26, alone and in groups of one-byte moduli
+        needs = {(B37, 7): 3000, (SourceSpec("bipartite", 9, 5), 3): 2500,
+                 (SourceSpec("bipartite", 5, 11), 11): 2047, (R17, 17): 2100,
+                 (SourceSpec("bipartite", 5, 13), 13): 1200, (B28, P26): 2600,
+                 (R5, 2**26): 1500, (B37, 65521): 900, (R5, 256): 1100}
+        groups = oracle._coprime_groups([(s, p, n) for (s, p), n in needs.items()])
+        assert max(len(group) for group in groups) > 1
+        served = oracle.tables(needs, None, jobs)
+        for (spec, p), n in needs.items():
+            lone = coeff_fast(spec, n, p).values
+            assert served[spec, p].values.dtype == lone.dtype
+            assert served[spec, p].values.tobytes() == lone.tobytes(), (spec, p)
+            if n <= 1500:
+                assert list(lone) == list(dp_counts(spec, n, p).values), (spec, p)
 
     def test_a_failed_group_is_built_alone(self, monkeypatch):
         # a failure of the shared division that no stream makes alone
         real = oracle._build_group
         calls = []
 
-        def flaky(streams):
+        def flaky(streams, den):
             calls.append(len(streams))
             if len(streams) > 1:
                 raise ArithmeticError("boom")
-            return real(streams)
+            return real(streams, den)
 
         monkeypatch.setattr(oracle, "_build_group", flaky)
         needs = {(B37, 7): 300, (SourceSpec("bipartite", 9, 5), 3): 200,
