@@ -69,7 +69,7 @@ def main() -> None:
 def cmd_coeff(l: int, m: int, n: int, modulus: Optional[int]) -> None:
     """Print the (L, M)-regular bipartition count at index N."""
     try:
-        source = oracle.SourceSpec("bipartite", l, m)
+        source = oracle.SourceSpec((l, m))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     if modulus is not None:

@@ -4,10 +4,10 @@ This module uses no code from the series engine.  Agreement between its counts
 and the series evaluation of the corresponding eta quotients is what the
 verification harness leans on.
 
-A stream is named by one :class:`SourceSpec`: the regular b_l counts
-partitions with no part divisible by ``l``, the bipartite B_{l,m} counts pairs
-(one ``l``-regular, one ``m``-regular partition) by total size.  Its
-``regularities`` are ``(l,)`` or ``(l, m)``, and both builders take the spec.
+A stream is one :class:`SourceSpec`, its ``regularities``: ``(l,)`` is the
+regular b_l, which counts partitions with no part divisible by ``l``, and
+``(l, m)`` the bipartite B_{l,m}, which counts pairs (one ``l``-regular, one
+``m``-regular partition) by total size.  Both builders read only the tuple.
 :func:`dp_counts` runs one dynamic program over parts: the bipartition
 generating function is the product of the two regular ones, so the parts of
 both regularities are added into one array.
@@ -103,9 +103,7 @@ d + 1.
     range has another spectrum, and is not handed on.  At lo > 0 the b_lo
     pass starts with a full window of its own, and handed-on spectra would
     wait beside it, so none are; D*y, the division's largest product, is
-    such a one.  The (3,7) table to 1,652,053 takes 1,269 transforms; with
-    Newton's f*g split and its lengths doubled from 1 it took 1,610, and
-    3,922 without the floor and the hand-off as well.
+    such a one.  The (3,7) table to 1,652,053 takes 1,269 transforms.
 
 Exactness.  Every product obeys Percival's bound on a float64 FFT
 convolution, behind the rounding guard; both live in ``_fftbound``, which
@@ -158,36 +156,46 @@ import numpy as np
 from ._fftbound import _max_digit, _rounded
 
 EXACT_CAP = 20000  # policy cap for exact-mode tables
-_KINDS = ("regular", "bipartite")  # a stream's kind, by its code in a cache file
+_STREAM_NAMES = ("regular", "bipartite")  # of a stream of one and of two regularities
+_NOT_A_SOURCE = "a source is regular L (m=0) or bipartite L M, with L, M >= 2; got {!r}"
 
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Which coefficient stream a family reads: regular b_l or bipartite B_{l,m}."""
+    """Which coefficient stream a family reads: the product over its
+    ``regularities`` l of the l-regular partition generating functions."""
 
-    kind: str  # "regular" | "bipartite"
-    l: int
-    m: int = 0
+    regularities: tuple[int, ...]
 
     def __post_init__(self):
-        if not (self.l >= 2 and (self.kind == "regular" and self.m == 0
-                                 or self.kind == "bipartite" and self.m >= 2)):
-            raise ValueError("a source is regular L (m=0) or bipartite L M, "
-                             f"with L, M >= 2; got {self!r}")
-
-    @property
-    def regularities(self) -> tuple[int, ...]:
-        """The ``l`` of every regular factor: ``(l,)`` or ``(l, m)``."""
-        return (self.l,) if self.kind == "regular" else (self.l, self.m)
+        regs = self.regularities
+        if not (isinstance(regs, tuple) and 1 <= len(regs) <= len(_STREAM_NAMES)
+                and all(isinstance(l, int) and l >= 2 for l in regs)):
+            raise ValueError(_NOT_A_SOURCE.format(self))
 
     def describe(self) -> str:
-        if self.kind == "regular":
-            return f"b_{self.l}"
-        return f"B_{{{self.l},{self.m}}}"
+        regs = ",".join(map(str, self.regularities))
+        return f"b_{regs}" if len(self.regularities) == 1 else f"B_{{{regs}}}"
 
     def cache_name(self, modulus: int) -> str:
         """The one cache file name of this stream mod ``modulus``."""
-        return f"{self.kind}-{self.l}-{self.m}-m{modulus}.qdct"
+        code, l, m = _header_fields(self)
+        return f"{_STREAM_NAMES[code]}-{l}-{m}-m{modulus}.qdct"
+
+
+def _header_fields(spec: SourceSpec) -> tuple[int, int, int]:
+    """A stream in a cache file's header: its number of regularities - 1, l, m or 0."""
+    l, m = (*spec.regularities, 0)[:2]
+    return len(spec.regularities) - 1, l, m
+
+
+def _header_source(fields: tuple[int, int, int]) -> SourceSpec:
+    """The stream in a cache file's header, if its fields re-encode to themselves."""
+    code, l, m = fields
+    spec = SourceSpec((l, m)[: code + 1])
+    if _header_fields(spec) != fields:
+        raise ValueError(_NOT_A_SOURCE.format(fields))
+    return spec
 
 
 @dataclass(frozen=True)
@@ -224,9 +232,8 @@ class CountTable:
         (modular tables only)."""
         if self.modulus < 2:
             raise ValueError("only modular tables are cacheable")
-        src = self.source
         header = self._MAGIC + struct.pack(
-            "<QQQQQ", _KINDS.index(src.kind), src.l, src.m, self.n_max, self.modulus
+            "<QQQQQ", *_header_fields(self.source), self.n_max, self.modulus
         )
         body = np.asarray(self.values, dtype=self._body_dtype(self.modulus)).tobytes()
         crc = zlib.crc32(body, zlib.crc32(header))
@@ -251,10 +258,8 @@ class CountTable:
             data = memoryview(fh.read())
         if len(data) < 48 or data[:8] != cls._MAGIC:
             raise ValueError(f"{path}: not a version-{cls._MAGIC[4]} count-table cache file")
-        kind_code, l, m, n_max, modulus = struct.unpack("<QQQQQ", data[8:48])
-        if kind_code >= len(_KINDS):
-            raise ValueError(f"{path}: unknown table kind code {kind_code}")
-        source = SourceSpec(_KINDS[kind_code], int(l), int(m))
+        *fields, n_max, modulus = struct.unpack("<QQQQQ", data[8:48])
+        source = _header_source(tuple(fields))
         dtype = cls._body_dtype(modulus)
         if len(data) != 48 + (n_max + 1) * dtype.itemsize + 4:
             raise ValueError(f"{path}: truncated cache file")
@@ -458,19 +463,11 @@ def _product_pass(a: np.ndarray, b: np.ndarray, p: int, lo: int, n: int,
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int, n: int, lo: int = 0,
             split: bool = True) -> np.ndarray:
     """Coefficients lo..n of the truncated product (a*b mod q^(n+1)) mod p of
-    residue arrays.
-
-    Both operands are cut into blocks of a power of two length B, at least
-    ``_MIN_BLOCK`` and at most ``_BLOCKS`` of them over n + 1 coefficients;
-    each block is transformed at length 2B, and the products along each
-    diagonal are summed before one inverse transform.  With ``split``, the
-    shorter operand is split at a block boundary near its middle, b = b_lo +
-    q^k * b_hi, and the two halves are multiplied one after the other, so that
-    each pass holds the spectra of about as many blocks as the product has
-    output blocks.  At lo = 0 the b_hi pass, run first, hands the spectra of
-    a's whole blocks to the b_lo pass (see the module docstring).  Without
-    it, one pass holds its whole window and transforms each block once;
-    0 <= lo <= n.
+    residue arrays, 0 <= lo <= n, by blocked float FFTs (see the module
+    docstring).  With ``split``, the shorter operand is split at a block
+    boundary near its middle, b = b_lo + q^k * b_hi, and the halves are
+    multiplied one after the other; without it, one pass holds its whole
+    window and transforms each block once.
     """
     a, b = a[: n + 1], b[: n + 1]
     if len(a) < len(b):
@@ -498,16 +495,17 @@ def _inverse(f: np.ndarray, p: int) -> np.ndarray:
     not from the largest power of two below it.  f*g is one pass,
     which transforms each block of f once and holds the spectra of about as
     many blocks as f has: no more than D*y, the division's largest product,
-    holds in its split passes."""
+    holds in its split passes.  Each step's new terms, -g*e, are subtracted
+    into the zeros of one array g of f's length, so no step copies them."""
     lengths = [len(f)]
     while lengths[-1] > 1:
         lengths.append(-(-lengths[-1] // 2))
-    g = np.ones(1, dtype=f.dtype)
+    g = np.zeros(len(f), dtype=np.min_scalar_type(p - 1))
+    g[0] = k = 1
     for k2 in reversed(lengths[:-1]):
-        k = len(g)
-        e = _mulmod(f, g, p, k2 - 1, lo=k, split=False)  # f*g = 1 + O(q^k): terms k..k2-1
-        t = _mulmod(g, e, p, k2 - k - 1).astype(np.int64)
-        g = np.concatenate((g, (-t % p).astype(g.dtype)))
+        e = _mulmod(f, g[:k], p, k2 - 1, lo=k, split=False)  # f*g = 1 + O(q^k): terms k..k2-1
+        _submod(g[k:k2], _mulmod(g[:k], e, p, k2 - k - 1), p)
+        k = k2
     return g
 
 
@@ -671,13 +669,8 @@ def _coprime_groups(streams: Sequence[tuple[SourceSpec, int, int]]
                    ) -> list[list[tuple[SourceSpec, int, int]]]:
     """The ``(stream, modulus, order)`` streams packed into groups that
     :func:`_build_group` builds by one division each, the group with the
-    longest stream first.
-
-    A stream joins a group only if its modulus p is coprime to the group's
-    product P, P*p keeps the dtype of the members' tables, and one limb keeps
-    the products mod P*p exact to the group's top order.  The packing is
-    first-fit decreasing on the modulus: each modulus's longest stream,
-    largest modulus first, then the other streams, longest first.
+    longest stream first, first-fit decreasing on the modulus (see the module
+    docstring).
     """
     longest = sorted(streams, key=lambda s: -s[2])
     firsts: dict[int, tuple] = {}

@@ -39,7 +39,7 @@ from .identities import (
     ReduceMod,
     Stage,
 )
-from .oracle import FAST_MOD_CAP, SourceSpec
+from .oracle import _STREAM_NAMES, FAST_MOD_CAP, SourceSpec
 from .qexpr import _INT, parse_sexpr
 
 
@@ -57,13 +57,9 @@ def catalog_text() -> str:
 
 
 @lru_cache(maxsize=1)
-def _builtin() -> Registry:
-    return parse_registry(catalog_text())
-
-
 def registry() -> Registry:
     """The built-in catalog, parsed once per process and shared (it is immutable)."""
-    return _builtin()
+    return parse_registry(catalog_text())
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +255,11 @@ class _ChainRecord:
 
 
 def _read_source(text: str) -> SourceSpec:
-    words = text.split()
-    if words[:1] == ["regular"] and len(words) == 2:
-        return SourceSpec("regular", _int(words[1], "regularity index", 2))
-    if words[:1] == ["bipartite"] and len(words) == 3:
-        return SourceSpec("bipartite", _int(words[1], "regularity index", 2),
-                          _int(words[2], "regularity index", 2))
-    raise ValueError(f"source must be 'regular L' or 'bipartite L M', got {text!r}")
+    """A stream's name and its regularities: the name fixes how many follow."""
+    word, *regs = text.split() or [""]
+    if word not in _STREAM_NAMES or len(regs) != _STREAM_NAMES.index(word) + 1:
+        raise ValueError(f"source must be 'regular L' or 'bipartite L M', got {text!r}")
+    return SourceSpec(tuple(_int(l, "regularity index", 2) for l in regs))
 
 
 # relation word -> how many constants follow it, and how many index maps

@@ -55,7 +55,7 @@ from conftest import theta_sum
 REG = registry()
 CASES = {c.id: c for c in REG.cases}
 FAMILIES = {f.id: f for f in REG.families}
-B37 = oracle.SourceSpec("bipartite", 3, 7)
+B37 = oracle.SourceSpec((3, 7))
 
 # the single allowed erratum candidate among the replayed stages, with the
 # exact mismatch the report must contain
@@ -166,7 +166,7 @@ def test_criterion_3_oracle_series_cross_check():
     order = 300
     bad = []
     for l, m in pairs:
-        table = oracle.dp_counts(oracle.SourceSpec("bipartite", l, m), order)
+        table = oracle.dp_counts(oracle.SourceSpec((l, m)), order)
         srs = eval_qexpr(Mul((EtaF(l), EtaF(m), Pow(EtaF(1), -2))), EXACT, order)
         if tuple(table.values) != srs.coeffs:
             bad.append((l, m))
@@ -208,7 +208,7 @@ def test_criterion_5_families():
     tables = _source_table("x1", 88 * 500 + 87, 11)
     results["x1 (k=1..10, n<=500)"] = verify_family(FAMILIES["x1"], tables, n_max=500)
 
-    r17 = oracle.SourceSpec("regular", 17)
+    r17 = oracle.SourceSpec((17,))
     tables = {**_source_table("7.22", 81 * 500 + 50, 17), r17: oracle.coeff_fast(r17, 500, 17)}
     results["7.22 (n<=500)"] = verify_family(FAMILIES["7.22"], tables, n_max=500)
     results["s8 (k=2,3, n<=300)"] = verify_family(FAMILIES["s8"], tables, n_max=300)

@@ -187,7 +187,7 @@ class TestJobs:
         real = oracle._build_group
 
         def flaky(streams, den):
-            if any(spec == oracle.SourceSpec("bipartite", 5, 11) for spec, _, _ in streams):
+            if any(spec == oracle.SourceSpec((5, 11)) for spec, _, _ in streams):
                 raise ArithmeticError("boom")
             return real(streams, den)
 
@@ -289,7 +289,7 @@ class TestUsageErrors:
     def test_cache_file_that_cannot_be_saved(self, runner, tmp_path, user):
         # a directory at the stream's file name: the table is built, its save
         # fails, and the cache directory is blamed, not the registry file
-        name = oracle.SourceSpec("bipartite", 3, 7).cache_name(7)
+        name = oracle.SourceSpec((3, 7)).cache_name(7)
         (tmp_path / name).mkdir()
         family, args = "w.11", []
         if user:
@@ -395,8 +395,8 @@ class TestVerifyFamilies:
 
     def test_cache_ignores_file_for_another_stream(self, runner, tmp_path):
         # a (3,11) mod 11 table saved under the name of the (3,7) mod 7 stream
-        name = oracle.SourceSpec("bipartite", 3, 7).cache_name(7)
-        oracle.coeff_fast(oracle.SourceSpec("bipartite", 3, 11), 2000, 11).save(tmp_path / name)
+        name = oracle.SourceSpec((3, 7)).cache_name(7)
+        oracle.coeff_fast(oracle.SourceSpec((3, 11)), 2000, 11).save(tmp_path / name)
         args = ["verify", "--family", "w.11", "--n-max", "100", "--cache-dir", str(tmp_path)]
         result = runner.invoke(main, args)
         assert result.exit_code == 0 and "PASS" in result.output
@@ -404,7 +404,7 @@ class TestVerifyFamilies:
         # the right table was built and saved over the mislabelled file
         right = oracle.CountTable.load(tmp_path / name)
         assert (right.source, right.n_max, right.modulus) == (
-            oracle.SourceSpec("bipartite", 3, 7), 1605, 7)
+            oracle.SourceSpec((3, 7)), 1605, 7)
         assert [path.name for path in tmp_path.iterdir()] == [name]
 
     def test_family_with_every_instance_skipped_reads_no_table(self, runner, tmp_path):

@@ -27,7 +27,7 @@ from qdissect.congruences import (
 from qdissect.oracle import SourceSpec
 
 FAMILIES = {f.id: f for f in build_families()}
-B37 = SourceSpec("bipartite", 3, 7)
+B37 = SourceSpec((3, 7))
 
 
 class TestSequences:
@@ -172,7 +172,7 @@ class TestVerifyFamily:
 
     def test_violations_are_reported(self):
         fam = CongruenceFamily(
-            "bogus", "t", 7, SourceSpec("bipartite", 3, 7),
+            "bogus", "t", 7, SourceSpec((3, 7)),
             AffineIndex("1", "0"), (), default_n_max=10,
         )
         src = oracle.dp_counts(fam.source, 10, modulus=7)
@@ -186,7 +186,7 @@ class TestVerifyFamily:
     def test_report_lists_the_first_eight_violations(self, n_max, m_values):
         # b_17(n) = b_17(n + 1) mod 17 fails at most n; the report counts every
         # violation and lists the first eight in walk order (m, then n)
-        r17 = SourceSpec("regular", 17)
+        r17 = SourceSpec((17,))
         fam = CongruenceFamily("f", "t", 17, r17, AffineIndex("1", "0"),
                                (Term(1, 1, AffineIndex("1", "1")),),
                                m_values=m_values, default_n_max=n_max)
@@ -225,7 +225,7 @@ class TestVerifyFamily:
     def test_short_reference_table_raises(self):
         # the source table covers n <= 60, the 17-regular table only n <= 30
         fam = FAMILIES["7.22"]
-        r17 = SourceSpec("regular", 17)
+        r17 = SourceSpec((17,))
         order = required_order(fam, 60)[fam.source]
         tables = {fam.source: oracle.coeff_fast(fam.source, order, 17),
                   r17: oracle.coeff_fast(r17, 30, 17)}
@@ -234,8 +234,8 @@ class TestVerifyFamily:
         assert str(exc.value) == ("[family 7.22] reads b_17 to index 60; "
                                   "the table given covers only 0..30")
 
-    @pytest.mark.parametrize("spec,p", [(SourceSpec("bipartite", 3, 7), 11),
-                                        (SourceSpec("bipartite", 3, 11), 7)])
+    @pytest.mark.parametrize("spec,p", [(SourceSpec((3, 7)), 11),
+                                        (SourceSpec((3, 11)), 7)])
     def test_table_of_another_stream_or_modulus_raises(self, spec, p):
         # walked, either table would read as some 80 violations of w.11
         fam = FAMILIES["w.11"]
@@ -254,7 +254,7 @@ class TestVerifyFamily:
 
     def test_record_expectation(self):
         fam = CongruenceFamily(
-            "probe", "t", 7, SourceSpec("bipartite", 3, 7),
+            "probe", "t", 7, SourceSpec((3, 7)),
             AffineIndex("1", "0"), (), default_n_max=5, expect="record",
         )
         src = oracle.dp_counts(fam.source, 5, modulus=7)
@@ -264,7 +264,7 @@ class TestVerifyFamily:
     def test_cross_source_recurrence(self):
         fam = FAMILIES["7.22"]
         src = oracle.coeff_fast(fam.source, required_order(fam, 60)[fam.source], 17)
-        r17 = SourceSpec("regular", 17)
+        r17 = SourceSpec((17,))
         ref = oracle.coeff_fast(r17, 60, 17)
         rep = verify_family(fam, {fam.source: src, r17: ref}, n_max=60)
         assert rep.status == "pass"
@@ -283,12 +283,12 @@ class TestVerifyFamily:
         # the reference map leaves the desk scale while the main index does not:
         # planning and walking must both skip the instance
         fam = CongruenceFamily(
-            "far-ref", "t", 7, SourceSpec("bipartite", 3, 7), AffineIndex("1", "0"),
-            (Term(1, 1, AffineIndex(str(DESK_INDEX_CAP)), SourceSpec("regular", 7)),),
+            "far-ref", "t", 7, SourceSpec((3, 7)), AffineIndex("1", "0"),
+            (Term(1, 1, AffineIndex(str(DESK_INDEX_CAP)), SourceSpec((7,))),),
             default_n_max=2,
         )
         assert required_order(fam) == {}
-        r7 = SourceSpec("regular", 7)
+        r7 = SourceSpec((7,))
         tables = {fam.source: oracle.dp_counts(fam.source, 2, modulus=7),
                   r7: oracle.dp_counts(r7, 2, modulus=7)}
         rep = verify_family(fam, tables)
@@ -312,17 +312,17 @@ class TestVerifyFamily:
     def test_max_index_covers_every_read(self):
         # the reference map reads further out than the main index
         fam = CongruenceFamily(
-            "wide-ref", "t", 7, SourceSpec("bipartite", 3, 7), AffineIndex("1", "0"),
+            "wide-ref", "t", 7, SourceSpec((3, 7)), AffineIndex("1", "0"),
             (Term(1, 1, AffineIndex("3", "1")),), default_n_max=5, expect="record",
         )
         src = oracle.dp_counts(fam.source, 16, modulus=7)
         assert verify_family(fam, {fam.source: src}).max_index == 16
-        assert required_order(fam) == {SourceSpec("bipartite", 3, 7): 16}
+        assert required_order(fam) == {SourceSpec((3, 7)): 16}
 
     def test_weight_without_inverse_names_the_instance(self):
         # 17^-1 does not exist mod 17: the weight C^m of a recur relation at m = -1
         fam = CongruenceFamily(
-            "f", "t", 17, SourceSpec("regular", 17), AffineIndex("1", "0"),
+            "f", "t", 17, SourceSpec((17,)), AffineIndex("1", "0"),
             (Term(1, 17, AffineIndex("1", "0")),), m_values=(-1,), default_n_max=5,
         )
         table = oracle.dp_counts(fam.source, 5)
@@ -334,7 +334,7 @@ class TestVerifyFamily:
     def test_weight_with_inverse_is_read(self):
         # 2^-1 = 6 mod 11, so every instance expects 6 times its own count
         fam = CongruenceFamily(
-            "f", "t", 11, SourceSpec("regular", 17), AffineIndex("1", "0"),
+            "f", "t", 11, SourceSpec((17,)), AffineIndex("1", "0"),
             (Term(1, 2, AffineIndex("1", "0")),), m_values=(-1,), default_n_max=5,
             expect="record",
         )
@@ -345,8 +345,8 @@ class TestVerifyFamily:
     def test_required_order_plans_references(self):
         fam = FAMILIES["7.22"]
         needs = required_order(fam, n_max=60)
-        assert needs[SourceSpec("bipartite", 81, 17)] == 81 * 60 + 50
-        assert needs[SourceSpec("regular", 17)] == 60
+        assert needs[SourceSpec((81, 17))] == 81 * 60 + 50
+        assert needs[SourceSpec((17,))] == 60
 
 
 def _cut(table: oracle.CountTable, n_max: int) -> oracle.CountTable:
@@ -403,7 +403,7 @@ class TestThreeTerm:
 
     def test_direct_value_at_zero(self):
         # indices 364, 14, 0 straight from the oracle
-        src = oracle.dp_counts(SourceSpec("bipartite", 5, 11), 364, modulus=11)
+        src = oracle.dp_counts(SourceSpec((5, 11)), 364, modulus=11)
         assert (src[364] - (src[14] + 7 * src[0])) % 11 == 0
 
     def test_violation_detection(self):

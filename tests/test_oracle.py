@@ -25,9 +25,10 @@ from qdissect.series import EXACT
 from conftest import count_bipartitions, count_regular, distinct_part_counts
 
 # every (stream, modulus) pair a congruence family reads
-CATALOG_STREAMS = sorted({(f.source, f.modulus) for f in build_families()}, key=repr)
-B37 = SourceSpec("bipartite", 3, 7)
-R17 = SourceSpec("regular", 17)
+CATALOG_STREAMS = sorted({(f.source, f.modulus) for f in build_families()},
+                         key=lambda stream: stream[0].cache_name(stream[1]))
+B37 = SourceSpec((3, 7))
+R17 = SourceSpec((17,))
 
 
 def _exact_mulmod(a, b, p, n):
@@ -396,41 +397,41 @@ def test_submod_subtracts_mod_p_in_place_without_overflow(p):
 
 class TestRegularCounts:
     def test_two_regular_prefix(self):
-        assert list(dp_counts(SourceSpec("regular", 2), 5).values) == [1, 1, 1, 2, 2, 3]
+        assert list(dp_counts(SourceSpec((2,)), 5).values) == [1, 1, 1, 2, 2, 3]
 
     def test_three_regular_at_four(self):
         # partitions of 4 avoiding multiples of 3: 4, 2+2, 2+1+1, 1^4
-        assert dp_counts(SourceSpec("regular", 3), 4)[4] == 4
+        assert dp_counts(SourceSpec((3,)), 4)[4] == 4
 
     def test_empty_partition(self):
         for l in (2, 3, 7, 17):
-            assert dp_counts(SourceSpec("regular", l), 0)[0] == 1
+            assert dp_counts(SourceSpec((l,)), 0)[0] == 1
 
     @pytest.mark.parametrize("l", [2, 3, 5, 7])
     def test_matches_enumeration(self, l):
-        table = dp_counts(SourceSpec("regular", l), 12)
+        table = dp_counts(SourceSpec((l,)), 12)
         for n in range(13):
             assert table[n] == count_regular(n, l)
 
     def test_euler_distinct_parts(self):
         # 2-regular (odd-part) counts equal distinct-part counts
         n = 300
-        odd = dp_counts(SourceSpec("regular", 2), n)
+        odd = dp_counts(SourceSpec((2,)), n)
         distinct = distinct_part_counts(n)
         assert tuple(odd.values) == distinct
 
     def test_regular_counts_match_eta_quotient(self):
         n = 300
         for l in (2, 7, 17):
-            table = dp_counts(SourceSpec("regular", l), n)
+            table = dp_counts(SourceSpec((l,)), n)
             srs = eval_qexpr(Mul((EtaF(l), Pow(EtaF(1), -1))), EXACT, n)
             assert tuple(table.values) == srs.coeffs
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dp_counts(SourceSpec("regular", 1), 5)
+            dp_counts(SourceSpec((1,)), 5)
         with pytest.raises(ValueError):
-            dp_counts(SourceSpec("regular", 2), oracle.EXACT_CAP + 1)
+            dp_counts(SourceSpec((2,)), oracle.EXACT_CAP + 1)
 
 
 class TestBipartitionCounts:
@@ -448,13 +449,13 @@ class TestBipartitionCounts:
     @pytest.mark.parametrize("pair", [(3, 7), (2, 8), (9, 5)])
     def test_matches_enumeration(self, pair):
         l, m = pair
-        table = dp_counts(SourceSpec("bipartite", l, m), 10)
+        table = dp_counts(SourceSpec((l, m)), 10)
         for n in range(11):
             assert table[n] == count_bipartitions(n, l, m)
 
     def test_symmetry(self):
-        a = dp_counts(SourceSpec("bipartite", 5, 11), 150)
-        b = dp_counts(SourceSpec("bipartite", 11, 5), 150)
+        a = dp_counts(SourceSpec((5, 11)), 150)
+        b = dp_counts(SourceSpec((11, 5)), 150)
         assert list(a.values) == list(b.values)
 
     def test_modular_matches_exact(self):
@@ -474,7 +475,7 @@ class TestOracleSeriesEquivalence:
         n = 300
         pairs = {(rng.randint(2, 20), rng.randint(2, 20)) for _ in range(10)}
         for l, m in pairs:
-            table = dp_counts(SourceSpec("bipartite", l, m), n)
+            table = dp_counts(SourceSpec((l, m)), n)
             srs = eval_qexpr(
                 Mul((EtaF(l), EtaF(m), Pow(EtaF(1), -2))), EXACT, n
             )
@@ -488,7 +489,8 @@ class TestFastPath:
         assert list(fast.values) == list(slow.values)
 
     @pytest.mark.parametrize("spec,p", [
-        pytest.param(spec, p, id=f"{spec.l}-{spec.m}-{p}") for spec, p in CATALOG_STREAMS
+        pytest.param(spec, p, id="{}-{}-{}".format(*oracle._header_fields(spec)[1:], p))
+        for spec, p in CATALOG_STREAMS
     ])
     def test_agrees_with_dp_pairs(self, spec, p):
         # 2100 spans 3 product blocks of 1024 entries and 12 Newton steps
@@ -520,8 +522,8 @@ class TestFastPath:
 
     @pytest.fixture(scope="class")
     def dp_1025(self):
-        streams = ((B37, 7), (SourceSpec("bipartite", 9, 5), 3), (R17, 17),
-                   (SourceSpec("bipartite", 2, 8), 2**26 - 5))
+        streams = ((B37, 7), (SourceSpec((9, 5)), 3), (R17, 17),
+                   (SourceSpec((2, 8)), 2**26 - 5))
         return {(spec, p): dp_counts(spec, 1025, p).values for spec, p in streams}
 
     # n = 2h - 2 and 2h - 1 share the half length h = ceil((n+1)/2); without
@@ -545,7 +547,7 @@ class TestFastPath:
     @pytest.mark.parametrize("spec,p,n,crc", [
         (B37, 7, 131_071, 0xCA57A193),
         (R17, 17, 131_071, 0xCECECB67),
-        (SourceSpec("bipartite", 2, 8), P26, 100_000, 0xDEB72B7A),
+        (SourceSpec((2, 8)), P26, 100_000, 0xDEB72B7A),
     ], ids=["B37", "R17", "B28"])
     def test_large_tables_keep_their_checksum(self, spec, p, n, crc):
         assert zlib.crc32(coeff_fast(spec, n, p).values.tobytes()) == crc
@@ -554,7 +556,7 @@ class TestFastPath:
     @pytest.mark.parametrize("n", [0, 1, 9, 300])
     def test_fast_matches_dp_for_any_modulus(self, p, n):
         # composite moduli, a prime above n, and a modulus that needs two limbs
-        for spec in (SourceSpec("bipartite", 2, 8), SourceSpec("regular", 5)):
+        for spec in (SourceSpec((2, 8)), SourceSpec((5,))):
             assert list(coeff_fast(spec, n, p).values) == list(dp_counts(spec, n, p).values)
 
     def test_tables_use_the_smallest_unsigned_dtype(self, tmp_path):
@@ -628,17 +630,18 @@ class TestFastPath:
 
 
 class TestSourceSpec:
-    @pytest.mark.parametrize("args", [
-        ("regular", 17, 3),     # a regular stream has no second index
-        ("nonsense", 2),        # not silently built as a regular stream
-        ("regular", 1),
-        ("bipartite", 1, 7),
-        ("bipartite", 3, 1),
-        ("bipartite", 3),       # m defaults to 0
+    @pytest.mark.parametrize("regularities", [
+        (),             # no stream
+        (2, 3, 5),      # three regularities: no stream of the catalog's words
+        (1,),           # a regularity of 1: no part is allowed
+        (1, 7),
+        (3, 1),
+        [3, 7],         # not a tuple, so not hashable as a table's key
+        17,
     ], ids=repr)
-    def test_invalid_specs_rejected(self, args):
+    def test_refuses_all_but_one_or_two_regularities(self, regularities):
         with pytest.raises(ValueError, match="a source is regular L"):
-            SourceSpec(*args)
+            SourceSpec(regularities)
 
 
 def _as_version_2(path):
@@ -659,6 +662,32 @@ class TestCache:
         assert (loaded.source, loaded.n_max, loaded.modulus) == (B37, 500, 7)
         assert list(loaded.values) == list(table.values)
 
+    @pytest.mark.parametrize("spec,p,header", [
+        # magic, then little-endian u64s: the number of regularities - 1, l,
+        # m (0 for one regularity), n_max and P
+        (R17, 17, "5144435403000000" "0000000000000000" "1100000000000000"
+                  "0000000000000000" "3200000000000000" "1100000000000000"),
+        (B37, 7, "5144435403000000" "0100000000000000" "0300000000000000"
+                 "0700000000000000" "3200000000000000" "0700000000000000"),
+    ], ids=["R17", "B37"])
+    def test_header_bytes(self, tmp_path, spec, p, header):
+        path = tmp_path / spec.cache_name(p)
+        coeff_fast(spec, 50, p).save(path)
+        assert path.read_bytes()[:48] == bytes.fromhex(header)
+
+    @pytest.mark.parametrize("fields", [(0, 3, 7), (2, 3, 7), (0, 1, 0), (1, 3, 1), (1, 3, 0)],
+                             ids=str)
+    def test_header_fields_that_do_not_re_encode_are_refused(self, fields):
+        with pytest.raises(ValueError, match="a source is regular L"):
+            oracle._header_source(fields)
+
+    def test_every_catalog_stream_round_trips(self, tmp_path):
+        for spec, p in CATALOG_STREAMS:
+            path = tmp_path / spec.cache_name(p)
+            coeff_fast(spec, 20, p).save(path)
+            loaded = CountTable.load(path)
+            assert (loaded.source, loaded.modulus) == (spec, p)
+
     def test_one_name_per_stream_and_modulus(self):
         assert B37.cache_name(7) == "bipartite-3-7-m7.qdct"
         assert R17.cache_name(17) == "regular-17-0-m17.qdct"
@@ -675,7 +704,7 @@ class TestCache:
         path.write_bytes(b"NOTACACHE" * 10)
         with pytest.raises(ValueError):
             CountTable.load(path)
-        # a valid file whose kind code (bytes 8..16) is neither 0 nor 1
+        # a valid file whose stream code (bytes 8..16) is neither 0 nor 1
         coeff_fast(B37, 50, 7).save(path)
         data = bytearray(path.read_bytes())
         data[8] = 9
@@ -737,9 +766,9 @@ class TestCache:
                                        "too-short", "version-2"])
     def test_file_at_the_streams_name_is_a_miss_unless_it_matches(self, tmp_path, decoy):
         path = tmp_path / B37.cache_name(7)
-        spec, n_max, p = {"other-stream": (SourceSpec("bipartite", 3, 11), 600, 7),
+        spec, n_max, p = {"other-stream": (SourceSpec((3, 11)), 600, 7),
                           "other-modulus": (B37, 600, 11),
-                          "other-kind": (SourceSpec("regular", 3), 600, 7),
+                          "other-kind": (SourceSpec((3,)), 600, 7),
                           "too-short": (B37, 499, 7)}.get(decoy, (B37, 600, 7))
         coeff_fast(spec, n_max, p).save(path)
         if decoy == "version-2":
@@ -881,7 +910,7 @@ class TestTables:
     def test_a_failed_build_is_its_streams_value(self, tmp_path, monkeypatch, jobs):
         # the (5,13) stream's group fails, and so does the stream alone: the
         # other members of its group are built alone and served
-        failing = SourceSpec("bipartite", 5, 13)
+        failing = SourceSpec((5, 13))
         real = oracle._build_group
 
         def flaky(streams, den):
@@ -913,10 +942,10 @@ class TestTables:
             return real(scales, n, p, lead)
 
         monkeypatch.setattr(oracle, "_pentagonal_product", flaky)
-        needs = {(R17, 17): 300, (B37, 7): 250, (SourceSpec("bipartite", 5, 13), 13): 200}
+        needs = {(R17, 17): 300, (B37, 7): 250, (SourceSpec((5, 13)), 13): 200}
         served = oracle.tables(needs, None, jobs)
         assert list(served[R17, 17].values) == list(dp_counts(R17, 300, 17).values)
-        for key in ((B37, 7), (SourceSpec("bipartite", 5, 13), 13)):
+        for key in ((B37, 7), (SourceSpec((5, 13)), 13)):
             assert isinstance(served[key], MemoryError) and str(served[key]) == "no room for f_1^2"
 
     def test_builds_run_longest_first(self, monkeypatch):
@@ -962,8 +991,8 @@ class TestTables:
         assert len(list(tmp_path.iterdir())) == len(needs) + len(stale)
 
 
-B28 = SourceSpec("bipartite", 2, 8)
-R5 = SourceSpec("regular", 5)
+B28 = SourceSpec((2, 8))
+R5 = SourceSpec((5,))
 
 
 def _one_limb(p, n):
@@ -1033,9 +1062,9 @@ class TestCoprimeGroups:
     def test_tables_are_the_lone_builds(self):
         # byte for byte, at orders that cross the block floor and split the
         # half-length products differently for each member
-        needs = {(B37, 7): 5000, (SourceSpec("bipartite", 9, 5), 3): 3100,
-                 (SourceSpec("bipartite", 5, 11), 11): 2047, (R17, 17): 4096,
-                 (SourceSpec("bipartite", 5, 13), 13): 1}
+        needs = {(B37, 7): 5000, (SourceSpec((9, 5)), 3): 3100,
+                 (SourceSpec((5, 11)), 11): 2047, (R17, 17): 4096,
+                 (SourceSpec((5, 13)), 13): 1}
         served = oracle.tables(needs, None, 1)
         assert len(oracle._coprime_groups([(s, p, n) for (s, p), n in needs.items()])) == 2
         for (spec, p), n in needs.items():
@@ -1058,7 +1087,7 @@ class TestCoprimeGroups:
         oracle.tables({(R17, 17): 300}, None, 1)
         assert built == [((1,), 0), ((17,), 17)]
         built.clear()
-        oracle.tables({(R17, 17): 300, (SourceSpec("bipartite", 5, 13), 13): 200}, None, 1)
+        oracle.tables({(R17, 17): 300, (SourceSpec((5, 13)), 13): 200}, None, 1)
         assert built == [((1, 1), 0), ((17, 1), 221), ((5, 13), 221)]
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -1090,7 +1119,7 @@ class TestCoprimeGroups:
     def test_denominators_reduce_mod_any_modulus(self, r, P):
         # the reduction of the exact f_1^R runs in a signed dtype that holds
         # P, into the table dtype: no wrap at P = 2^26
-        group = [(SourceSpec("bipartite", 2, 8) if r == 2 else R5, P, 3000)]
+        group = [(SourceSpec((2, 8)) if r == 2 else R5, P, 3000)]
         got = oracle._denominators([group])(r, 3000, P)
         want = oracle._pentagonal_product((1,) * r, 3000, P)
         assert got.dtype == want.dtype == np.min_scalar_type(P - 1)
@@ -1144,9 +1173,9 @@ class TestCoprimeGroups:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_grouped_tables_are_the_lone_builds_for_any_modulus(self, jobs):
         # moduli up to 2^26, alone and in groups of one-byte moduli
-        needs = {(B37, 7): 3000, (SourceSpec("bipartite", 9, 5), 3): 2500,
-                 (SourceSpec("bipartite", 5, 11), 11): 2047, (R17, 17): 2100,
-                 (SourceSpec("bipartite", 5, 13), 13): 1200, (B28, P26): 2600,
+        needs = {(B37, 7): 3000, (SourceSpec((9, 5)), 3): 2500,
+                 (SourceSpec((5, 11)), 11): 2047, (R17, 17): 2100,
+                 (SourceSpec((5, 13)), 13): 1200, (B28, P26): 2600,
                  (R5, 2**26): 1500, (B37, 65521): 900, (R5, 256): 1100}
         groups = oracle._coprime_groups([(s, p, n) for (s, p), n in needs.items()])
         assert max(len(group) for group in groups) > 1
@@ -1170,8 +1199,8 @@ class TestCoprimeGroups:
             return real(streams, den)
 
         monkeypatch.setattr(oracle, "_build_group", flaky)
-        needs = {(B37, 7): 300, (SourceSpec("bipartite", 9, 5), 3): 200,
-                 (SourceSpec("bipartite", 5, 11), 11): 100}
+        needs = {(B37, 7): 300, (SourceSpec((9, 5)), 3): 200,
+                 (SourceSpec((5, 11)), 11): 100}
         served = oracle.tables(needs, None, 1)
         assert calls == [3, 1, 1, 1]
         for (spec, p), n in needs.items():

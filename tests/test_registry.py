@@ -55,7 +55,7 @@ class TestShippedCatalog:
         assert (stage.id, stage.expect) == ("7.21", "record")
         fams = {f.id: f for f in reg.families}
         assert fams["7.22"].relation == (
-            Term(1, 5, AffineIndex("1", "0"), SourceSpec("regular", 17)),)
+            Term(1, 5, AffineIndex("1", "0"), SourceSpec((17,))),)
         assert fams["s13"].slow and not fams["x1"].slow
         assert fams["s15-unit"].expect == "record"
         assert fams["x1"].k_values == tuple(range(1, 11))
@@ -70,7 +70,7 @@ class TestShippedCatalog:
             word, *constants = fields[5].split()
             maps = [AffineIndex(fields[i], fields[i + 1])
                     for i in range(6, 6 + 2 * len(constants), 2)]
-            refs = [SourceSpec("regular", int(f.split()[-1]))
+            refs = [SourceSpec((int(f.split()[-1]),))
                     for f in fields if f.startswith("ref=regular ")]
             if word == "recur":
                 want = (Term(1, int(constants[0]), maps[0], *refs),)
@@ -78,9 +78,9 @@ class TestShippedCatalog:
                 want = tuple(Term(int(c), 1, ix) for c, ix in zip(constants, maps))
             assert fam.relation == want, fam.id
         terms = {fam.id: fam.relation for fam in reg.families}
-        assert terms["7.22"][0].source == SourceSpec("regular", 17)
+        assert terms["7.22"][0].source == SourceSpec((17,))
         assert [t.source for ts in terms.values() for t in ts if t.source] == [
-            SourceSpec("regular", 17)]
+            SourceSpec((17,))]
         assert terms["ak2"] == ()
         assert terms["w.11"] == (Term(5, 1, AffineIndex("1", "0")),
                                  Term(6, 1, AffineIndex("4", "1")))
@@ -135,8 +135,8 @@ chain c|exact|64|(eta 1)|note=demo
                 "family h|bipartite 2 8|mod11|88|8 * k + 7|zero|k=1,2\n")
         f, g, h = parse_registry(text).families
         assert f == CongruenceFamily(
-            "f", "user", 17, SourceSpec("bipartite", 81, 17), AffineIndex("81", "50"),
-            (Term(1, 5, AffineIndex("1", "0"), SourceSpec("regular", 17)),),
+            "f", "user", 17, SourceSpec((81, 17)), AffineIndex("81", "50"),
+            (Term(1, 5, AffineIndex("1", "0"), SourceSpec((17,))),),
             m_values=(1,), default_n_max=9, slow=True, expect="record", note="a note",
         )
         assert g.relation == (Term(2, 1, AffineIndex("4", "2")),
@@ -189,6 +189,11 @@ chain c|exact|64|(eta 1)|note=demo
         ("a|exact|9|(eta 1)|(eta 1)|expect=maybe\n", "expect must be"),
         ("a|exact|9|(eta 1)|note=x|(eta 1)\n", "expected ID|MODE|ORDER|LHS|RHS"),
         ("family f|regular 1|mod17|1|0|zero\n", "regularity index must be >= 2"),
+        ("family f|bipartite 3 1|mod17|1|0|zero\n", "regularity index must be >= 2"),
+        # a stream's word fixes how many regularities follow it
+        ("family f|regular 17 3|mod17|1|0|zero\n", "source must be 'regular L' or"),
+        ("family f|bipartite 3|mod17|1|0|zero\n", "source must be 'regular L' or"),
+        ("family f|nonsense 2|mod17|1|0|zero\n", "source must be 'regular L' or"),
         ("family f|regular 17|exact|1|0|zero\n", "mode must be 'modM'"),
         # the fast path builds every family table; its modulus cap is the family's
         ("family f|regular 17|mod100000000|1|0|zero|n_max=5\n",
